@@ -91,7 +91,12 @@ class Backend:
         raise NotImplementedError
 
     def teardown(self, kernel: Kernel, networks: List["Network"]) -> None:
-        """Release whatever the kernel and transports allocated."""
+        """Release whatever the kernel and transports allocated.
+
+        That includes what they hold of the deployment itself — queued
+        callbacks, registered nodes — so a torn-down deployment is freed by
+        reference counting, not by a later cyclic collection.
+        """
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
@@ -125,7 +130,11 @@ class SimBackend(Backend):
         return kernel.run(until=duration_us)
 
     def teardown(self, kernel: Kernel, networks: List["Network"]) -> None:
-        pass  # the simulator holds no external resources
+        # No external resources to release, only references: the heap and
+        # the node tables are what would keep the deployment in a cycle.
+        for network in networks:
+            network.close()
+        kernel.cancel_pending()
 
 
 class _AsyncioBackend(Backend):

@@ -4,7 +4,9 @@ The protocol stack — replicas, clients, worker pools, trusted devices,
 durable stores and the network — never cares *which* clock drives it.  It
 needs exactly four things: the current time in microseconds, relative and
 absolute scheduling of callbacks, and cancellable handles for the events it
-schedules.  This module names that contract so two backends can implement it:
+schedules (plus a handle-free variant for events nobody cancels, and a way
+to drop everything queued at teardown).  This module names that contract so
+two backends can implement it:
 
 * :class:`~repro.sim.kernel.Simulator` — the deterministic discrete-event
   kernel; time is simulated and a run is a pure function of its seed.
@@ -14,7 +16,8 @@ schedules.  This module names that contract so two backends can implement it:
 Both kernels order simultaneous events by schedule order (FIFO for equal
 deadlines), honour :meth:`EventHandle.cancel`, and count executed callbacks
 in ``events_processed`` — the backend-conformance test suite pins those
-shared semantics down.
+shared semantics down.  Both also run under one garbage-collection policy,
+:func:`collection_deferred`, for as long as they drain events.
 
 :class:`Timer` lives here too: it is the one scheduling utility the protocol
 layer uses directly, and it only ever touches the :class:`Kernel` surface.
@@ -22,9 +25,53 @@ layer uses directly, and it only ever touches the :class:`Kernel` surface.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol, runtime_checkable
+import gc
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, Protocol, runtime_checkable
 
 from .common.types import Micros
+
+#: net container allocations between two young-generation passes while a
+#: kernel drains events (see :func:`collection_deferred`).
+RUN_YOUNG_THRESHOLD = 100_000
+#: an old-generation threshold no run reaches (the largest C ``int``).
+_NEVER = 2**31 - 1
+
+
+@contextmanager
+def collection_deferred() -> Iterator[None]:
+    """Keep the cyclic collector's old-generation passes out of a run.
+
+    Both kernels enter this for exactly the span in which they drain
+    events.  Draining makes next to no cyclic garbage, yet the
+    interpreter's default thresholds rescan the whole resident deployment
+    (stores, ledgers, thousands of lanes) every few thousand allocations —
+    a tenth to a fifth of a run's host time spent finding nothing.  Inside
+    the span the two old generations are never scanned; what stays is one
+    young-generation pass per :data:`RUN_YOUNG_THRESHOLD` net container
+    allocations.  That pass visits only objects allocated since the
+    previous one, so it costs the same however large the deployment is,
+    and it is what bounds a long run: cycles made while draining (asyncio
+    makes some on every live run; a callback may make its own) are freed
+    within one threshold's worth of allocations instead of piling up until
+    the run returns.
+
+    The thresholds found on entry are put back on every exit path.  A
+    caller who switched collection off (``gc.disable()`` or a zero young
+    threshold) keeps it off: the span then changes nothing.  What a run
+    leaves for the old generations is freed without them — closed
+    deployments and crashed replicas drop their own reference cycles (see
+    :meth:`repro.runtime.deployment.Deployment.close`).
+    """
+    thresholds = gc.get_threshold()
+    if not gc.isenabled() or thresholds[0] == 0:
+        yield
+        return
+    gc.set_threshold(RUN_YOUNG_THRESHOLD, _NEVER, _NEVER)
+    try:
+        yield
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 @runtime_checkable
@@ -56,6 +103,16 @@ class Kernel(Protocol):
     def schedule_at(self, time: Micros, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` at an absolute kernel time."""
 
+    def schedule_call(self, time: Micros, callback: Callable[[], None]) -> None:
+        """Run ``callback`` at an absolute kernel time; it is never cancelled.
+
+        Same ordering as :meth:`schedule_at`, no handle returned — kernels
+        that can schedule such an event more cheaply do.
+        """
+
+    def cancel_pending(self) -> None:
+        """Drop every queued event; teardown only, never during a run."""
+
 
 class Timer:
     """A restartable one-shot timer bound to a kernel.
@@ -81,20 +138,32 @@ class Timer:
 
     def start(self, delay: Micros) -> None:
         """Arm the timer if it is not already armed."""
-        if self.armed:
+        if self.armed or self._callback is None:
             return
         self._event = self._sim.schedule(delay, self._fire)
 
     def restart(self, delay: Micros) -> None:
         """Cancel any pending expiry and arm the timer afresh."""
         self.cancel()
-        self._event = self._sim.schedule(delay, self._fire)
+        if self._callback is not None:
+            self._event = self._sim.schedule(delay, self._fire)
 
     def cancel(self) -> None:
         """Disarm the timer; a no-op if it is not armed."""
         if self._event is not None:
             self._event.cancel()
             self._event = None
+
+    def close(self) -> None:
+        """Disarm the timer for good and let go of its callback.
+
+        The callback is usually a bound method of the object that owns the
+        timer, so an open timer and its owner keep each other alive until a
+        cyclic collection; a closed one does not.  Arming a closed timer
+        does nothing.
+        """
+        self.cancel()
+        self._callback = None
 
     def _fire(self) -> None:
         self._event = None

@@ -167,6 +167,16 @@ class Network:
         """All registered node names, sorted."""
         return sorted(self._nodes)
 
+    def close(self) -> list:
+        """Detach every node; returns the transport tasks still to await.
+
+        Nodes hold their transport, so a transport that kept its nodes
+        would keep a finished deployment alive until a cyclic collection.
+        The simulated transport runs no tasks; the live ones return theirs.
+        """
+        self._nodes.clear()
+        return []
+
     # -------------------------------------------------------------- sending
     def send(self, source: str, destination: str, payload: object,
              earliest_departure: Optional[Micros] = None) -> None:
@@ -228,13 +238,10 @@ class Network:
         """Arrange for ``envelope`` to reach ``target`` at its delivery time."""
         # partial, not a lambda: in-flight deliveries must survive a deepcopy
         # of the deployment (warmed-snapshot reuse in recovery experiments).
-        # Deliveries are never cancelled, so prefer the kernel's handle-free
-        # schedule_call fast path where the kernel offers one.
-        schedule = getattr(self._sim, "schedule_call", None)
-        if schedule is None:
-            schedule = self._sim.schedule_at
-        schedule(envelope.delivered_at,
-                 partial(self._deliver, target, envelope, context))
+        # Deliveries are never cancelled: the kernel's handle-free path.
+        self._sim.schedule_call(envelope.delivered_at,
+                                partial(self._deliver, target, envelope,
+                                        context))
 
     def broadcast(self, source: str, destinations: Iterable[str], payload: object,
                   earliest_departure: Optional[Micros] = None,

@@ -206,6 +206,7 @@ class TcpTransport(Network):
         one process leak sockets/file descriptors and emit
         ``ResourceWarning`` when the half-closed transports are collected.
         """
+        super().close()
         self._closed = True
         tasks = list(self._tasks)
         for task in tasks:

@@ -22,7 +22,6 @@ loop); simulated runs export their metrics through the perf harness's
 
 from __future__ import annotations
 
-import asyncio
 import json
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
@@ -30,6 +29,8 @@ from .health import DeploymentHealth
 from .spans import SpanSummary
 
 if TYPE_CHECKING:
+    import asyncio
+
     from ..realtime.kernel import AsyncioKernel
 
 
@@ -176,6 +177,10 @@ class MetricsExporter:
                 self._serve(), name="metrics-exporter")
 
     async def _serve(self) -> None:
+        # Imported here, not at module top: ``import repro`` loads this
+        # module, and the simulator path must not pay for asyncio.
+        import asyncio
+
         try:
             self._server = await asyncio.start_server(
                 self._handle, host=self._host, port=self._requested_port)
@@ -188,6 +193,8 @@ class MetricsExporter:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        import asyncio
+
         try:
             # Consume the request head; the path is irrelevant — every
             # scrape gets the full exposition.

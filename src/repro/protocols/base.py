@@ -324,10 +324,24 @@ class BaseReplica:
             tracer.record("replica.crash", node=self.name, view=self.view,
                           seq=self.ledger.last_executed)
         # A dead replica's timers must not fire: the seat may be rebuilt and
-        # the stale object must stay inert.
-        self.batch_timer.cancel()
-        self.progress_timer.cancel()
-        self.recovery_timer.cancel()
+        # the stale object must stay inert.  Closed, they also stop holding
+        # it: once its last in-flight event has drained, a replaced
+        # incarnation is freed without waiting for a cyclic collection.
+        self._close_timers()
+
+    def close(self) -> None:
+        """The deployment is torn down: let go of every deferred callback.
+
+        Timers and queued worker jobs point back at the replica; without
+        them it is kept alive only by whoever still inspects it.
+        """
+        self._close_timers()
+        self.workers.close()
+
+    def _close_timers(self) -> None:
+        for timer in (self.batch_timer, self.progress_timer,
+                      self.recovery_timer):
+            timer.close()
 
     def make_byzantine(self, outbound_filter: Optional[Callable[[str, object], bool]] = None) -> None:
         """Mark the replica byzantine and optionally restrict what it sends.

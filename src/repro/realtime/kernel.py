@@ -29,6 +29,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ..common.errors import SimulationError
 from ..common.types import Micros
+from ..kernel import collection_deferred
 
 #: seconds per poll while waiting for a stop condition; coarse enough to stay
 #: out of the protocol's way, fine enough that a run ends promptly.
@@ -120,6 +121,10 @@ class AsyncioKernel:
         """
         return self._push(max(time, self.now), callback)
 
+    def schedule_call(self, time: Micros, callback: Callable[[], None]) -> None:
+        """:meth:`schedule_at` without a handle (no cheaper path here)."""
+        self.schedule_at(time, callback)
+
     def _push(self, time: Micros, callback: Callable[[], None]) -> LiveEvent:
         event = LiveEvent(time=time, seq=next(self._seq), callback=callback)
         heapq.heappush(self._heap, (event.time, event.seq, event))
@@ -196,7 +201,9 @@ class AsyncioKernel:
         """Drive the loop until ``stop_when`` returns True (or the cap).
 
         The live analogue of ``Simulator.run(stop_when=...)``: returns the
-        kernel time at which the loop stopped.
+        kernel time at which the loop stopped.  The cyclic collector's
+        old-generation passes are deferred while the loop is driven
+        (:func:`~repro.kernel.collection_deferred`).
         """
         if self._running:
             raise SimulationError("kernel is not re-entrant")
@@ -215,7 +222,8 @@ class AsyncioKernel:
                 await asyncio.sleep(_POLL_SECONDS)
 
         try:
-            self._loop.run_until_complete(_drive())
+            with collection_deferred():
+                self._loop.run_until_complete(_drive())
         finally:
             self._running = False
             self._stop_when = None

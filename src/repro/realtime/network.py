@@ -77,6 +77,7 @@ class LiveNetwork(Network):
         completion before closing the loop (avoiding destroyed-pending-task
         warnings).
         """
+        super().close()
         self._closed = True
         tasks = list(self._pumps)
         for task in tasks:

@@ -386,15 +386,28 @@ class Deployment:
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Release backend resources (transport tasks, the owned event loop).
+        """Release backend resources and every internal reference cycle.
 
-        A no-op on the simulator; live deployments must be closed (or used
-        as context managers) so pump/socket tasks and the loop are torn
-        down.
+        Live deployments must be closed (or used as context managers) so
+        pump/socket tasks and the loop are torn down.  On every backend a
+        closed deployment is also *acyclic*: the kernel's queue is dropped,
+        the transport detaches its nodes, and replicas and clients let go
+        of their timers and queued jobs.  Results, ledgers, stores and
+        statistics stay readable, but nothing can run any more, and the
+        whole object graph is freed by reference counting the moment the
+        caller lets go of it — runs defer the cyclic collector
+        (:func:`~repro.kernel.collection_deferred`), so a finished
+        deployment must not depend on it.
         """
         if self.backend.realtime:
             self.stop_clients()
         self.backend.teardown(self.sim, [self.network])
+        self.close_nodes()
+
+    def close_nodes(self) -> None:
+        """Close every replica and client (a sharded parent closes groups)."""
+        for node in (*self.replicas, *self.clients):
+            node.close()
 
     def __enter__(self) -> "Deployment":
         return self

@@ -278,10 +278,19 @@ class ShardedDeployment:
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Release backend resources across every group's transport."""
+        """Release backend resources across every group's transport.
+
+        Like :meth:`Deployment.close <repro.runtime.deployment.Deployment.close>`
+        this leaves the deployment readable, inert and free of reference
+        cycles.
+        """
         if self.backend.realtime:
             self.stop_clients()
         self.backend.teardown(self.sim, [group.network for group in self.groups])
+        for group in self.groups:
+            group.close_nodes()
+        for client in self.clients:
+            client.close()
 
     def __enter__(self) -> "ShardedDeployment":
         return self

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 from ..common.errors import SimulationError
 from ..common.types import Micros
-from ..kernel import Timer
+from ..kernel import Timer, collection_deferred
 
 __all__ = ["Event", "Simulator", "Timer"]
 
@@ -169,8 +169,15 @@ class Simulator:
         The loop stops when the queue is empty, when simulated time would pass
         ``until``, after ``max_events`` callbacks, or as soon as ``stop_when``
         returns True (checked after every callback).  Returns the simulated
-        time at which the loop stopped.
+        time at which the loop stopped.  The cyclic collector's
+        old-generation passes are deferred while the loop runs
+        (:func:`~repro.kernel.collection_deferred`).
         """
+        with collection_deferred():
+            return self._drain(until, max_events, stop_when)
+
+    def _drain(self, until: Optional[Micros], max_events: Optional[int],
+               stop_when: Optional[Callable[[], bool]]) -> Micros:
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
@@ -228,3 +235,16 @@ class Simulator:
     def run_until_idle(self, max_events: Optional[int] = None) -> Micros:
         """Run until no events remain; convenience wrapper around :meth:`run`."""
         return self.run(until=None, max_events=max_events)
+
+    def cancel_pending(self) -> None:
+        """Drop every queued event (teardown of a deployment that is done).
+
+        The heap is what ties a finished deployment into one reference
+        cycle — kernel → callbacks → replicas and clients → kernel — so
+        emptying it is what lets reference counting free the deployment.
+        """
+        for entry in self._queue:
+            if entry[2].__class__ is Event:
+                entry[2].owner = None
+        self._queue.clear()
+        self._cancelled_pending = 0

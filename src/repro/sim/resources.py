@@ -107,6 +107,15 @@ class WorkerPool:
         self._queue.append(job)
         self._dispatch()
 
+    def close(self) -> None:
+        """Forget every job not yet completed (its kernel is torn down).
+
+        Jobs hold callbacks into the pool's owner; dropping them is what
+        keeps a finished replica from being held in a reference cycle.
+        """
+        self._queue.clear()
+        self._scheduled.clear()
+
     def _dispatch(self) -> None:
         if not self._queue or self._busy >= self._workers:
             return

@@ -132,6 +132,16 @@ class Client:
         self.abandon_pending(reason="stopped")
         self._timer.cancel()
 
+    def close(self) -> None:
+        """The deployment is torn down: let go of every callback.
+
+        Unlike :meth:`stop` nothing is reported — the run is over; this only
+        unties the client from its timer and from whatever coordinates it,
+        so it is freed as soon as nobody inspects it any more.
+        """
+        self._timer.close()
+        self.on_complete = None
+
     def abandon_pending(self, reason: str = "abandoned") -> Optional[RequestId]:
         """Drop the outstanding request (if any) and report the abandonment.
 

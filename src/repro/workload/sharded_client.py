@@ -109,6 +109,12 @@ class ShardedClient:
         for lane in self.lanes:
             lane.stop()
 
+    def close(self) -> None:
+        """The deployment is torn down: untie the lanes and the coordinator."""
+        self.on_complete = None
+        for lane in self.lanes:
+            lane.close()
+
     def abandon_pending(self, reason: str = "abandoned") -> Optional[RequestId]:
         """Drop the outstanding logical request and report the abandonment.
 

@@ -103,10 +103,40 @@ class TestDeploymentBackendParameter:
             LiveShardedDeployment(ShardedConfig(base=_config(), num_shards=2),
                                   backend="sim")
 
-    def test_close_is_a_no_op_on_the_simulator(self):
+    def test_close_on_the_simulator_releases_references_only(self):
         deployment = Deployment(_config())
-        deployment.run_until_target(target_requests=4)
+        result = deployment.run_until_target(target_requests=4)
         deployment.close()  # must not raise
+        deployment.close()  # nor the second time
+        after = deployment.collect_result()
+        assert (after.events, after.messages_sent, after.per_replica_executed) \
+            == (result.events, result.messages_sent, result.per_replica_executed)
+
+    def test_simulator_path_never_imports_asyncio(self):
+        # ``import repro`` and a whole simulated run must not pay for the
+        # event-loop machinery only the live backends need.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "assert 'asyncio' not in sys.modules, 'import repro pulled asyncio'\n"
+            "from repro import Deployment, DeploymentConfig\n"
+            "deployment = Deployment(DeploymentConfig(protocol='flexi-bft'))\n"
+            "result = deployment.run_until_target(target_requests=20)\n"
+            "deployment.close()\n"
+            "assert result.consensus_safe\n"
+            "assert 'asyncio' not in sys.modules, 'a sim run pulled asyncio'\n")
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [source_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestDeploymentSpec:

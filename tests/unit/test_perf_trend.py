@@ -142,10 +142,20 @@ class TestScaleQualifiedBaselines:
         assert main(["perf", "--scenarios", "kernel", "--scale", "medium",
                      "--out", str(out),
                      "--update-baseline", str(baselines)]) == 0
-        assert (baselines / "BENCH_kernel.medium.json").exists()
+        baseline_file = baselines / "BENCH_kernel.medium.json"
+        assert baseline_file.exists()
+        # This test is about the file name and the round trip, not about
+        # speed: two back-to-back timings of a 30 ms loop differ by more
+        # than the wall gate allows about one run in eight, so the recorded
+        # wall is padded until only a digest mismatch could fail the check.
+        baseline = json.loads(baseline_file.read_text())
+        baseline["normalized_wall"] *= 10.0
+        baseline_file.write_text(json.dumps(baseline))
         assert main(["perf", "--scenarios", "kernel", "--scale", "medium",
                      "--out", str(out),
                      "--check-baseline", str(baselines)]) == 0
+        fresh = json.loads((out / "BENCH_kernel.medium.json").read_text())
+        assert fresh["metrics_digest"] == baseline["metrics_digest"] != ""
 
 
 class TestScenarioTolerances:

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import fields, is_dataclass
-from operator import attrgetter
-from typing import Any
+from types import UnionType
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 DIGEST_SIZE = 32
 
@@ -101,20 +101,24 @@ _STR_BYTES: dict[str, bytes] = {}
 _SCALAR_BYTES_MAX = 8192
 
 
+def _token(tag: bytes, body: bytes) -> bytes:
+    return tag + b"%d:" % len(body) + body
+
+
+def _memoise(memo: dict, value: Any, tag: bytes, body: bytes) -> bytes:
+    """The ``tag<len>:body`` token of a scalar, remembered while there is room."""
+    token = _token(tag, body)
+    if len(memo) < _SCALAR_BYTES_MAX:
+        memo[value] = token
+    return token
+
+
 def _encode_int(value: Any, out: bytearray, use_cache: bool) -> None:
     if type(value) is int:
-        # try/except instead of .get: hits dominate after warmup and the
-        # subscript skips a bound-method call on every one of them.
-        try:
-            out += _INT_BYTES[value]
-            return
-        except KeyError:
-            pass
-        encoded = str(value).encode()
-        cached = b"i%d:" % len(encoded) + encoded
-        if len(_INT_BYTES) < _SCALAR_BYTES_MAX:
-            _INT_BYTES[value] = cached
-        out += cached
+        # .get, not try/except: once a long run has filled the memo every
+        # new value misses, and a raised KeyError costs more than the encode.
+        out += (_INT_BYTES.get(value)
+                or _memoise(_INT_BYTES, value, b"i", str(value).encode()))
         return
     encoded = str(value).encode()
     out += b"i%d:" % len(encoded) + encoded
@@ -127,16 +131,8 @@ def _encode_float(value: Any, out: bytearray, use_cache: bool) -> None:
 
 def _encode_str(value: Any, out: bytearray, use_cache: bool) -> None:
     if type(value) is str:
-        try:
-            out += _STR_BYTES[value]
-            return
-        except KeyError:
-            pass
-        encoded = value.encode()
-        cached = b"s%d:" % len(encoded) + encoded
-        if len(_STR_BYTES) < _SCALAR_BYTES_MAX:
-            _STR_BYTES[value] = cached
-        out += cached
+        out += (_STR_BYTES.get(value)
+                or _memoise(_STR_BYTES, value, b"s", value.encode()))
         return
     encoded = value.encode()
     out += b"s%d:" % len(encoded) + encoded
@@ -196,20 +192,6 @@ def _encode_set(value: Any, out: bytearray, use_cache: bool) -> None:
     out += b"s"
 
 
-def _encode_cacheable_dataclass(value: Any, out: bytearray,
-                                use_cache: bool) -> None:
-    if not use_cache:
-        _encode_dataclass(value, out, use_cache)
-        return
-    cached = value.__dict__.get(_CANONICAL_CACHE)
-    if cached is None:
-        sub = bytearray()
-        _encode_dataclass(value, sub, use_cache)
-        cached = bytes(sub)
-        object.__setattr__(value, _CANONICAL_CACHE, cached)
-    out += cached
-
-
 _DISPATCH: dict[type, Any] = {
     type(None): _encode_none,
     bool: _encode_bool,
@@ -254,12 +236,8 @@ def _encode_fallback(value: Any, out: bytearray, use_cache: bool) -> None:
             # the generic handler (which copies the current contents).
             _DISPATCH.setdefault(cls, _encode_bytes)
     elif is_dataclass(value) and not isinstance(value, type):
-        if getattr(cls, "__canonical_cacheable__", False):
-            _DISPATCH.setdefault(cls, _encode_cacheable_dataclass)
-            _encode_cacheable_dataclass(value, out, use_cache)
-        else:
-            _DISPATCH.setdefault(cls, _encode_dataclass)
-            _encode_dataclass(value, out, use_cache)
+        _DISPATCH.setdefault(cls, _dataclass_encoder(cls))(
+            value, out, use_cache)
     elif isinstance(value, dict):
         _encode_dict(value, out, use_cache)
     elif isinstance(value, (list, tuple)):
@@ -270,83 +248,201 @@ def _encode_fallback(value: Any, out: bytearray, use_cache: bool) -> None:
         raise TypeError(f"cannot canonically encode values of type {type(value)!r}")
 
 
-#: per-class encoding template: the class-name header plus, per field in
-#: declaration order, the pre-encoded field-name bytes and the attribute to
-#: fetch.  Field names and declaration order are static per class, so
-#: encoding them (and calling ``dataclasses.fields``) once per class instead
-#: of once per instance produces identical bytes for a fraction of the work.
-_CLASS_TEMPLATES: dict[type, tuple[bytes, tuple[tuple[bytes, str], ...]]] = {}
+# ---------------------------------------------------------------------------
+# generated per-class encoders
+# ---------------------------------------------------------------------------
+# Everything about a dataclass's encoding except its field values is static:
+# the class-name header, the field names and their order, and (from the type
+# hints) which scalar handler each value will almost certainly need.  So each
+# class gets one straight-line encoder, generated on its first encode: the
+# constant bytes between values are pre-joined, hinted scalars are inlined
+# against the value memos, and nested cacheable dataclasses are spliced from
+# their pinned bytes.  Hints are never trusted — every inlined branch is
+# guarded by an exact type check and anything else goes through
+# :func:`_encode` — so the output is byte-identical to encoding field by
+# field.  The same generator serves the ``M``/``m`` projections of
+# :func:`encode_fixed_attrs` and :func:`encode_fixed_key_dict`.
 
-
-def _class_template(cls: type) -> tuple[bytes, tuple[tuple[bytes, str], ...]]:
-    template = _CLASS_TEMPLATES.get(cls)
-    if template is None:
-        name = cls.__name__.encode()
-        header = b"D%d:" % len(name) + name
-        encoded_fields = []
-        for f in fields(cls):
-            field_name = f.name.encode()
-            encoded_fields.append((b"s%d:" % len(field_name) + field_name,
-                                   f.name))
-        template = (header, tuple(encoded_fields))
-        _CLASS_TEMPLATES[cls] = template
-    return template
-
-
-def _encode_dataclass(value: Any, out: bytearray, use_cache: bool) -> None:
-    header, encoded_fields = _class_template(type(value))
-    out += header
-    for name_bytes, attr in encoded_fields:
-        out += name_bytes
-        _encode(getattr(value, attr), out, use_cache)
-    out += b"d"
-
-
-#: per-owner-class templates for fixed-key dict encoding: the key set of a
-#: message's ``signed_part()`` is a literal per class, so its sorted order
-#: and encoded key bytes are computed once per class instead of per call.
-_FIXED_KEY_TEMPLATES: dict[type, tuple[tuple[bytes, str], ...]] = {}
-
-
-def encode_fixed_key_dict(owner: type, part: dict) -> bytes:
-    """Canonical encoding of a dict whose string key set is fixed per class.
-
-    Byte-identical to ``canonical_bytes(part)`` — same ``M``/``m`` framing,
-    same sorted-key order — but the sort and the key encoding happen once
-    per ``owner`` class, not once per call.  This keeps the per-class
-    signed-part encode template hot: every signing and every cache-missing
-    verification of a message re-encodes the same key schema.
-
-    Falls back to :func:`canonical_bytes` whenever the dict does not match
-    the cached template (different size, missing key, non-string keys), so
-    an exotic ``signed_part()`` still encodes exactly as before.
-    """
-    template = _FIXED_KEY_TEMPLATES.get(owner)
-    if template is None or len(template) != len(part):
-        members = _sorted_members(part)
-        if not all(type(key) is str for key in members):
-            return canonical_bytes(part)
-        template = tuple(
-            (b"s%d:" % len(encoded) + encoded, key)
-            for key in members for encoded in (key.encode(),))
-        _FIXED_KEY_TEMPLATES[owner] = template
-    out = bytearray(b"M")
+def class_fields(cls: type) -> tuple[tuple[str, Any], ...]:
+    """``(attribute, resolved type hint or None)`` per field, in order."""
     try:
-        for key_bytes, key in template:
-            out += key_bytes
-            _encode(part[key], out)
-    except KeyError:
-        # The key set drifted from the cached template (same size, different
-        # keys): re-learn it next call, encode generically this time.
-        del _FIXED_KEY_TEMPLATES[owner]
-        return canonical_bytes(part)
-    out += b"m"
-    return bytes(out)
+        hints = get_type_hints(cls)
+    except Exception:  # unresolvable annotations: encode/decode untyped
+        hints = {}
+    return tuple((f.name, hints.get(f.name)) for f in fields(cls))
 
 
-#: per-owner-class templates for fixed-attribute encoding: sorted key order,
-#: encoded key bytes and a bulk attrgetter, computed once per class.
-_FIXED_ATTR_TEMPLATES: dict[type, tuple[tuple[bytes, ...], Any]] = {}
+def optional_of(hint: Any) -> Any:
+    """``X`` when ``hint`` is ``Optional[X]``, else ``None``."""
+    if get_origin(hint) in (Union, UnionType):
+        inner = [arg for arg in get_args(hint) if arg is not type(None)]
+        if len(inner) == 1 and len(get_args(hint)) == 2:
+            return inner[0]
+    return None
+
+
+def tuple_of(hint: Any) -> Any:
+    """``X`` when ``hint`` is ``tuple[X, ...]``, else ``None``."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return args[0]
+    return None
+
+
+class FunctionSource:
+    """One generated function in the making: its lines and its bindings.
+
+    The generators only ever compile text they assembled themselves from
+    class and field names; values (classes, memos, compiled patterns) reach
+    the function through ``namespace``, never through the text.
+    """
+
+    def __init__(self, namespace: dict[str, Any]) -> None:
+        self.lines: list[str] = []
+        self.namespace = namespace
+
+    def bind(self, value: Any) -> str:
+        """A fresh global name for ``value`` in the generated function."""
+        name = f"_k{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def line(self, indent: str, text: str) -> None:
+        self.lines.append(indent + text)
+
+    def compile(self, filename: str, function: str):
+        exec(compile("\n".join(self.lines), filename, "exec"), self.namespace)
+        return self.namespace[function]
+
+
+class _EncoderSource(FunctionSource):
+    """An encoder in the making: adjacent constant bytes become one append."""
+
+    def __init__(self) -> None:
+        super().__init__({
+            "_encode": _encode, "_memoise": _memoise,
+            "_INT_BYTES": _INT_BYTES, "_STR_BYTES": _STR_BYTES,
+            "_INT_BYTES_get": _INT_BYTES.get, "_STR_BYTES_get": _STR_BYTES.get,
+            "_CACHE": _CANONICAL_CACHE, "_setattr": object.__setattr__})
+        self._literal = b""
+        self._literal_indent = ""
+
+    def literal(self, indent: str, data: bytes) -> None:
+        """Constant bytes; adjacent ones are joined into one append."""
+        if self._literal_indent != indent:
+            self.flush()
+        self._literal += data
+        self._literal_indent = indent
+
+    def flush(self) -> None:
+        if self._literal:
+            super().line(self._literal_indent, f"out += {self._literal!r}")
+            self._literal = b""
+
+    def line(self, indent: str, text: str) -> None:
+        self.flush()
+        super().line(indent, text)
+
+    def value(self, indent: str, var: str, hint: Any) -> None:
+        """Statements appending the encoding of local ``var`` to ``out``."""
+        generic = f"_encode({var}, out, use_cache)"
+        inner = optional_of(hint)
+        if inner is not None:
+            self.line(indent, f"if {var} is None:")
+            self.literal(indent + " ", b"N")
+            self.line(indent, "else:")
+            self.value(indent + " ", var, inner)
+        elif hint is int or hint is str:
+            memo, miss = (
+                ("_INT_BYTES", f"b'i', str({var}).encode()") if hint is int
+                else ("_STR_BYTES", f"b's', {var}.encode()"))
+            self.line(indent, f"if type({var}) is {hint.__name__}:")
+            self.line(indent, f" out += ({memo}_get({var})"
+                              f" or _memoise({memo}, {var}, {miss}))")
+            self.line(indent, "else:")
+            self.line(indent, " " + generic)
+        elif hint is bytes:
+            self.line(indent, f"if type({var}) is bytes:")
+            self.line(indent, f" out += b'b%d:' % len({var})")
+            self.line(indent, f" out += {var}")
+            self.line(indent, "else:")
+            self.line(indent, " " + generic)
+        elif hint is bool:
+            self.line(indent, f"if {var} is True:")
+            self.literal(indent + " ", b"T")
+            self.line(indent, f"elif {var} is False:")
+            self.literal(indent + " ", b"F")
+            self.line(indent, "else:")
+            self.line(indent, " " + generic)
+        elif hint is float:
+            self.line(indent, f"if type({var}) is float:")
+            self.line(indent, f" _e = repr({var}).encode()")
+            self.line(indent, " out += b'f%d:' % len(_e)")
+            self.line(indent, " out += _e")
+            self.line(indent, "else:")
+            self.line(indent, " " + generic)
+        elif tuple_of(hint) is not None:
+            item = f"_i{len(indent)}"
+            self.line(indent, f"if type({var}) is tuple:")
+            self.literal(indent + " ", b"L")
+            self.line(indent, f" for {item} in {var}:")
+            self.value(indent + "  ", item, tuple_of(hint))
+            self.literal(indent + " ", b"l")
+            self.line(indent, "else:")
+            self.line(indent, " " + generic)
+        elif (isinstance(hint, type) and is_dataclass(hint)
+              and getattr(hint, "__canonical_cacheable__", False)):
+            # Splice the nested instance's pinned bytes without a call.
+            self.line(indent, f"_c = ({var}.__dict__.get(_CACHE) if use_cache"
+                              f" and type({var}) is {self.bind(hint)}"
+                              " else None)")
+            self.line(indent, "if _c is not None:")
+            self.line(indent, " out += _c")
+            self.line(indent, "else:")
+            self.line(indent, " " + generic)
+        else:
+            self.line(indent, generic)
+
+
+def _generate_encoder(name: str, opener: bytes, closer: bytes, entries,
+                      cacheable: bool = False):
+    """One ``encode(value, out, use_cache)`` for a fixed entry list.
+
+    ``entries`` is ``(key, access expression over ``value``, hint)`` per
+    encoded member, already in encoding order.
+    """
+    source = _EncoderSource()
+    source.line("", "def encode(value, out, use_cache):")
+    if cacheable:
+        source.line(" ", "if use_cache:")
+        source.line(" ", " _c = value.__dict__.get(_CACHE)")
+        source.line(" ", " if _c is not None:")
+        source.line(" ", "  out += _c")
+        source.line(" ", "  return")
+        source.line(" ", "_start = len(out)")
+    source.literal(" ", opener)
+    for index, (key, access, hint) in enumerate(entries):
+        source.literal(" ", _token(b"s", key.encode()))
+        source.line(" ", f"_v{index} = {access}")
+        source.value(" ", f"_v{index}", hint)
+    source.literal(" ", closer)
+    if cacheable:
+        source.line(" ", "if use_cache:")
+        source.line(" ", " _setattr(value, _CACHE, bytes(out[_start:]))")
+    source.flush()
+    return source.compile(f"<generated encoder {name}>", "encode")
+
+
+def _dataclass_encoder(cls: type):
+    """The generated ``D…d`` encoder of one dataclass (pins cacheable ones)."""
+    return _generate_encoder(
+        cls.__name__, _token(b"D", cls.__name__.encode()), b"d",
+        [(attr, f"value.{attr}", hint) for attr, hint in class_fields(cls)],
+        cacheable=getattr(cls, "__canonical_cacheable__", False))
+
+
+#: generated ``M…m`` projection encoders, per owner class (and key set).
+_PROJECTION_ENCODERS: dict[Any, Any] = {}
 
 
 def encode_fixed_attrs(owner: type, names: tuple[str, ...],
@@ -354,50 +450,48 @@ def encode_fixed_attrs(owner: type, names: tuple[str, ...],
     """Canonical dict encoding of ``{name: getattr(instance, name)}``.
 
     Byte-identical to ``canonical_bytes({n: getattr(instance, n) for n in
-    names})`` but never materialises the dict: the sorted-key template is
-    computed once per ``owner`` class and the attribute values are pulled
-    off the instance with one C-level ``attrgetter`` call.  For message
-    classes whose ``signed_part()`` is a plain projection of their fields,
-    this removes the per-call dict build from the signing/verification
-    hot path.
+    names})`` but never materialises the dict: a straight-line encoder for
+    the sorted key set, typed from ``owner``'s field hints, is generated on
+    the first call.  This is how signed parts and payload digests that are
+    plain projections of a message's fields get encoded.
     """
-    template = _FIXED_ATTR_TEMPLATES.get(owner)
-    if template is None:
-        ordered = sorted(names, key=repr)
-        key_bytes = tuple(b"s%d:" % len(encoded) + encoded
-                          for name in ordered
-                          for encoded in (name.encode(),))
-        getter = attrgetter(*ordered) if len(ordered) > 1 else None
-        template = (key_bytes, getter, tuple(ordered))
-        _FIXED_ATTR_TEMPLATES[owner] = template
-    key_bytes, getter, ordered = template
-    if getter is not None:
-        values = getter(instance)
-    else:
-        values = (getattr(instance, ordered[0]),)
-    out = bytearray(b"M")
-    for name_bytes, value in zip(key_bytes, values):
-        out += name_bytes
-        # Signed parts are almost exclusively ints (seqs, views, replica
-        # ids) and digests; encode those inline, one type check each,
-        # before falling back to the generic dispatch.
-        kind = type(value)
-        if kind is int:
-            try:
-                out += _INT_BYTES[value]
-                continue
-            except KeyError:
-                pass
-            encoded = str(value).encode()
-            cached = b"i%d:" % len(encoded) + encoded
-            if len(_INT_BYTES) < _SCALAR_BYTES_MAX:
-                _INT_BYTES[value] = cached
-            out += cached
-        elif kind is bytes:
-            out += b"b%d:" % len(value) + value
-        else:
-            _encode(value, out)
-    out += b"m"
+    encode = _PROJECTION_ENCODERS.get((owner, names))
+    if encode is None:
+        hints = dict(class_fields(owner))
+        encode = _PROJECTION_ENCODERS[owner, names] = _generate_encoder(
+            f"{owner.__name__}{list(names)}", b"M", b"m",
+            [(name, f"value.{name}", hints.get(name))
+             for name in sorted(names, key=repr)])
+    out = bytearray()
+    encode(instance, out, True)
+    return bytes(out)
+
+
+def encode_fixed_key_dict(owner: type, part: dict) -> bytes:
+    """Canonical encoding of a dict whose string key set is fixed per class.
+
+    Byte-identical to ``canonical_bytes(part)`` — same ``M``/``m`` framing,
+    same sorted-key order — through an encoder generated once per ``owner``
+    for the key set it first sees (a message's ``signed_part()`` keys are a
+    literal per class).  A dict that does not match that key set, or has
+    non-string keys, is encoded by :func:`canonical_bytes` as before.
+    """
+    compiled = _PROJECTION_ENCODERS.get(owner)
+    if compiled is None:
+        keys = tuple(_sorted_members(part))
+        if not all(type(key) is str for key in keys):
+            return canonical_bytes(part)
+        compiled = _PROJECTION_ENCODERS[owner] = (len(keys), _generate_encoder(
+            f"{owner.__name__}{list(keys)}", b"M", b"m",
+            [(key, f"value[{key!r}]", None) for key in keys]))
+    size, encode = compiled
+    if len(part) != size:
+        return canonical_bytes(part)
+    out = bytearray()
+    try:
+        encode(part, out, True)
+    except KeyError:
+        return canonical_bytes(part)
     return bytes(out)
 
 

@@ -54,32 +54,54 @@ class Mac:
     value: bytes
 
 
-class SigningKey:
-    """Secret signing key for one identity.
+_BLOCK_SIZE = hashlib.sha256().block_size
+_INNER_PAD = bytes(byte ^ 0x36 for byte in range(256))
+_OUTER_PAD = bytes(byte ^ 0x5C for byte in range(256))
 
-    The keyed HMAC state over ``secret || tag`` is precomputed once and
-    copied per operation — ``HMAC.copy()`` skips re-deriving the key pads on
-    every one of the thousands of signatures a run produces.  The resulting
-    MAC values are identical to ``hmac.new(secret, tag + message)``.
 
-    The template is a C-level HMAC object that cannot be pickled or
-    deep-copied; since it is a pure function of the secret, copies simply
-    rebuild it (``__getstate__``/``__setstate__`` below), which keeps whole
-    deployments deep-copyable for warmed-snapshot reuse.
+def _keyed_states(secret: bytes, tag: bytes) -> tuple:
+    """HMAC-SHA256's two keyed hash states, the inner one already fed ``tag``.
+
+    The key pads are derived once per key; each operation then copies the
+    two ``hashlib`` states directly instead of going through an
+    ``hmac.HMAC`` object.  Values are identical to
+    ``hmac.new(secret, tag + message, hashlib.sha256).digest()``.
+
+    The states are C-level objects that cannot be pickled or deep-copied;
+    since they are a pure function of the secret, copies of a key simply
+    rebuild them (``__getstate__``/``__setstate__`` on the key classes),
+    which keeps whole deployments deep-copyable for warmed-snapshot reuse.
     """
+    if len(secret) > _BLOCK_SIZE:
+        secret = hashlib.sha256(secret).digest()
+    block = secret.ljust(_BLOCK_SIZE, b"\0")
+    inner = hashlib.sha256(block.translate(_INNER_PAD))
+    inner.update(tag)
+    return inner, hashlib.sha256(block.translate(_OUTER_PAD))
+
+
+def _authenticate(states: tuple, encoded: bytes) -> bytes:
+    inner, outer = states
+    inner = inner.copy()
+    inner.update(encoded)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
+
+
+class SigningKey:
+    """Secret signing key for one identity (see :func:`_keyed_states`)."""
 
     def __init__(self, identity: str, secret: bytes) -> None:
         self.identity = identity
         self._secret = secret
-        self._template = hmac.new(secret, _SIG_TAG, hashlib.sha256)
+        self._states = _keyed_states(secret, _SIG_TAG)
 
     def __getstate__(self) -> dict:
         return {"identity": self.identity, "_secret": self._secret}
 
     def __setstate__(self, state: dict) -> None:
-        self.identity = state["identity"]
-        self._secret = state["_secret"]
-        self._template = hmac.new(self._secret, _SIG_TAG, hashlib.sha256)
+        self.__init__(state["identity"], state["_secret"])
 
     def sign(self, message: Any) -> Signature:
         """Sign the canonical encoding of ``message``."""
@@ -87,17 +109,15 @@ class SigningKey:
 
     def sign_bytes(self, encoded: bytes) -> Signature:
         """Sign an already canonically encoded message."""
-        state = self._template.copy()
-        state.update(encoded)
-        return Signature(signer=self.identity, value=state.digest())
+        return Signature(signer=self.identity,
+                         value=_authenticate(self._states, encoded))
 
     def _verify(self, message: Any, signature: Signature) -> bool:
         return self._verify_bytes(canonical_bytes(message), signature)
 
     def _verify_bytes(self, encoded: bytes, signature: Signature) -> bool:
-        state = self._template.copy()
-        state.update(encoded)
-        return hmac.compare_digest(state.digest(), signature.value)
+        return hmac.compare_digest(_authenticate(self._states, encoded),
+                                   signature.value)
 
 
 class MacKey:
@@ -107,32 +127,25 @@ class MacKey:
         self.sender = sender
         self.receiver = receiver
         self._secret = secret
-        self._template = hmac.new(secret, _MAC_TAG, hashlib.sha256)
+        self._states = _keyed_states(secret, _MAC_TAG)
 
     def __getstate__(self) -> dict:
-        # The HMAC template cannot be copied/pickled; rebuild it (see
-        # SigningKey).
         return {"sender": self.sender, "receiver": self.receiver,
                 "_secret": self._secret}
 
     def __setstate__(self, state: dict) -> None:
-        self.sender = state["sender"]
-        self.receiver = state["receiver"]
-        self._secret = state["_secret"]
-        self._template = hmac.new(self._secret, _MAC_TAG, hashlib.sha256)
+        self.__init__(state["sender"], state["receiver"], state["_secret"])
 
     def generate(self, message: Any) -> Mac:
         """Authenticate ``message`` from ``sender`` to ``receiver``."""
-        state = self._template.copy()
-        state.update(canonical_bytes(message))
         return Mac(sender=self.sender, receiver=self.receiver,
-                   value=state.digest())
+                   value=_authenticate(self._states, canonical_bytes(message)))
 
     def verify(self, message: Any, mac: Mac) -> None:
         """Raise :class:`InvalidMac` unless ``mac`` authenticates ``message``."""
-        state = self._template.copy()
-        state.update(canonical_bytes(message))
-        if not hmac.compare_digest(state.digest(), mac.value):
+        if not hmac.compare_digest(
+                _authenticate(self._states, canonical_bytes(message)),
+                mac.value):
             raise InvalidMac(
                 f"MAC from {mac.sender} to {mac.receiver} failed verification")
 

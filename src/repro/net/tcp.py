@@ -184,11 +184,18 @@ class TcpTransport(Network):
             tracer.record("tcp.connect", node=destination,
                           detail=_format_peer(
                               writer.get_extra_info("sockname")))
+        codec = self._codec
         try:
             while True:
+                # One wake-up, one socket write and one drain per burst:
+                # everything already queued for this destination goes out
+                # together, still one frame per envelope and in queue order.
                 envelope, context = await queue.get()
-                writer.write(self._codec.encode_frame(envelope,
-                                                      trace=context))
+                frames = [codec.encode_frame(envelope, trace=context)]
+                while not queue.empty():
+                    envelope, context = queue.get_nowait()
+                    frames.append(codec.encode_frame(envelope, trace=context))
+                writer.write(b"".join(frames))
                 await writer.drain()
         except asyncio.CancelledError:
             raise

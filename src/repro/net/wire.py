@@ -12,7 +12,8 @@ Frame layout (big-endian)::
     offset  size  field
     0       2     magic       b"RB"
     2       1     version     WIRE_VERSION (currently 1)
-    3       1     flags       bit 0: payload is pickled (escape hatch only)
+    3       1     flags       bit 0: reserved (once a pickled payload; a
+                              frame that sets it is refused)
                               bit 1: a trace-context block precedes the
                               canonical payload (FLAG_TRACE)
     4       4     length      payload byte count, <= the enforced max frame
@@ -35,16 +36,28 @@ Decoding needs two things encoding does not:
   defined (``@wire_serializable`` in :mod:`repro.protocols.messages`), and
   the handful of support types (identifiers, signatures, attestations, the
   :class:`~repro.net.network.Envelope` itself) are registered here;
-* per-class **field templates** — shared with the digest layer's encode
-  templates — that restore the declared field types the encoding collapses
-  (``tuple`` and ``list`` share one container tag, as do ``set`` and
-  ``frozenset``).
+* per-class **field templates** — the digest layer's view of each class,
+  with its resolved type hints — that restore the declared field types the
+  encoding collapses (``tuple`` and ``list`` share one container tag, as do
+  ``set`` and ``frozenset``).
 
-The decoder is strict: field names must appear in declaration order, integer
-bodies must be canonical decimal, floats must round-trip their ``repr``, and
-the payload must be consumed exactly.  A frame that decodes is therefore
-guaranteed to re-encode to the identical bytes, which is what lets the
-received slice be pinned as the instance's canonical-encoding cache.
+The decoder is strict: field names must appear in declaration order, length
+prefixes and integer bodies must be canonical decimal, floats must
+round-trip their ``repr``, and the payload must be consumed exactly.  A
+frame that decodes is therefore guaranteed to re-encode to the identical
+bytes — every decodable value has exactly one spelling — which is what lets
+the received slice be pinned as the instance's canonical-encoding cache.
+
+Both directions are **generated per class**.  Encoding a dataclass runs a
+straight-line encoder the digest layer generates on the class's first
+encode; decoding one runs a decoder generated here on its first decode
+(see "generated per-class decoders" below), whose compiled patterns
+recognise exactly the canonical bytes the class's type hints predict.  The
+recursive-descent :class:`_Decoder` is the one strict slow path: whenever a
+generated decoder meets bytes it does not recognise, the whole payload is
+decoded again by the strict parser, which accepts it or raises the typed
+error.  The two can differ in speed only; the differential tests hold them
+to the same values, the same pinned bytes and the same errors.
 
 Every failure raises a typed :class:`~repro.common.errors.WireError`
 subclass; nothing in this module ever executes payload-controlled code,
@@ -59,9 +72,11 @@ if they change, the version must too.
 from __future__ import annotations
 
 import importlib
+import re
 import struct
 from dataclasses import fields, is_dataclass
-from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
+from types import MemberDescriptorType
+from typing import Any, Callable, Optional, get_origin
 
 from ..common.errors import (
     BadFrameMagic,
@@ -72,20 +87,31 @@ from ..common.errors import (
     UnencodableWirePayload,
     UnknownWireClass,
     UnsupportedWireVersion,
+    WireError,
 )
-# The decode templates deliberately reuse the digest layer's per-class encode
-# templates (same field-name bytes, same declaration order) and its cache
-# attribute, so wire framing and digest/signature memoisation stay one
-# mechanism with one set of invariants.
-from ..crypto.digest import _CANONICAL_CACHE, _class_template, canonical_bytes
+# The decoders deliberately reuse the digest layer's view of a class (same
+# field order, same resolved hints) and its cache attribute, so wire framing
+# and digest/signature memoisation stay one mechanism with one set of
+# invariants.
+from ..crypto.digest import (
+    _CANONICAL_CACHE,
+    DIGEST_SIZE,
+    FunctionSource,
+    _token,
+    canonical_bytes,
+    class_fields,
+    optional_of,
+    tuple_of,
+)
 from ..obsv.trace import TraceContext
 
 #: first bytes of every frame.
 WIRE_MAGIC = b"RB"
 #: current wire-protocol version; decoders accept exactly this version.
 WIRE_VERSION = 1
-#: flags bit: the payload is a pickle blob, not canonical bytes.  Only the
-#: explicit ``--unsafe-pickle`` escape-hatch codec ever sets or honours it.
+#: flags bit, reserved: it marked a pickled payload while the one-release
+#: ``--unsafe-pickle`` escape hatch existed.  Nothing sets it any more and a
+#: frame that does is refused with a typed error, never unpickled.
 FLAG_PICKLE = 0x01
 #: flags bit: a :class:`~repro.obsv.trace.TraceContext` block precedes the
 #: canonical payload (see :func:`encode_trace_context`).  Untraced frames
@@ -112,16 +138,19 @@ MAX_DECODE_DEPTH = 64
 # registry
 # ---------------------------------------------------------------------------
 class _RegisteredClass:
-    """One decodable dataclass plus its lazily built field template."""
+    """One decodable dataclass plus its lazily built decoders."""
 
-    __slots__ = ("cls", "decode_fields", "cacheable")
+    __slots__ = ("cls", "decode_fields", "cacheable", "decode")
 
     def __init__(self, cls: type) -> None:
         self.cls = cls
         self.cacheable = bool(getattr(cls, "__canonical_cacheable__", False))
-        #: tuple of (encoded field-name bytes, coercer or None); built on
-        #: first decode so forward-referenced annotations have resolved.
+        #: the strict path's template, tuple of (encoded field-name bytes,
+        #: coercer or None); built on first decode so forward-referenced
+        #: annotations have resolved.
         self.decode_fields: Optional[tuple] = None
+        #: the generated fast decoder (see :func:`_generate_decoder`).
+        self.decode: Optional[Callable] = None
 
 
 class WireRegistry:
@@ -141,6 +170,8 @@ class WireRegistry:
 
     def __init__(self) -> None:
         self._by_name: dict[str, _RegisteredClass] = {}
+        #: the same entries by encoded record header (``D<len>:<name>``).
+        self._by_header: dict[bytes, _RegisteredClass] = {}
 
     def register(self, cls: type) -> type:
         """Register ``cls`` for decoding; returns it (usable as decorator)."""
@@ -158,7 +189,8 @@ class WireRegistry:
                 f"wire class name collision: {name!r} is already registered "
                 f"for {existing.cls.__module__}.{existing.cls.__qualname__}")
         if existing is None:
-            self._by_name[name] = _RegisteredClass(cls)
+            entry = self._by_name[name] = _RegisteredClass(cls)
+            self._by_header[_token(b"D", name.encode())] = entry
         return cls
 
     def lookup(self, name: str) -> _RegisteredClass:
@@ -219,41 +251,29 @@ def _coercer_for(hint: Any) -> Optional[Callable[[Any], Any]]:
     ``set`` and this coercer converts to the declared immutable type.  Other
     types are self-describing and pass through.
     """
-    origin = get_origin(hint)
-    if origin is Union:
-        inner = [arg for arg in get_args(hint) if arg is not type(None)]
-        if len(inner) != 1:
-            return None
-        coerce = _coercer_for(inner[0])
+    inner = optional_of(hint)
+    if inner is not None:
+        coerce = _coercer_for(inner)
         if coerce is None:
             return None
         return lambda value: value if value is None else coerce(value)
-    if hint is tuple or origin is tuple:
-        args = get_args(hint)
-        if len(args) == 2 and args[1] is Ellipsis:
-            element = _coercer_for(args[0])
-            if element is None:
-                return tuple
-            return lambda value: tuple(element(item) for item in value)
-        return tuple
-    if hint is frozenset or origin is frozenset:
+    if hint is tuple or get_origin(hint) is tuple:
+        element = _coercer_for(tuple_of(hint))
+        if element is None:
+            return tuple
+        return lambda value: tuple(element(item) for item in value)
+    if hint is frozenset or get_origin(hint) is frozenset:
         return frozenset
     return None
 
 
 def _decode_template(entry: _RegisteredClass) -> tuple:
-    """(field-name bytes, coercer) per field, shared with the encode template."""
+    """(field-name bytes, coercer) per field of the strict path."""
     template = entry.decode_fields
     if template is None:
-        try:
-            hints = get_type_hints(entry.cls)
-        except Exception:  # unresolvable annotations: decode without coercion
-            hints = {}
-        _, encoded_fields = _class_template(entry.cls)
-        template = tuple(
-            (name_bytes, _coercer_for(hints.get(attr)))
-            for name_bytes, attr in encoded_fields)
-        entry.decode_fields = template
+        template = entry.decode_fields = tuple(
+            (_token(b"s", attr.encode()), _coercer_for(hint))
+            for attr, hint in class_fields(entry.cls))
     return template
 
 
@@ -278,15 +298,31 @@ _END_DATACLASS = ord("d")
 _DIGITS = frozenset(b"0123456789")
 
 
+class _FastPathMiss(Exception):
+    """A generated decoder met bytes it does not recognise.
+
+    Never escapes this module: :func:`decode_payload` answers it by decoding
+    the whole payload again on the strict path, which either accepts the
+    (unusual but valid) bytes or raises the typed :class:`WireError`.
+    """
+
+
 class _Decoder:
-    """Strict recursive-descent parser over one canonical payload."""
+    """Strict recursive-descent parser over one canonical payload.
 
-    __slots__ = ("data", "pos", "registry")
+    With ``fast`` set, ``D`` records are handed to their class's generated
+    decoder; without it every byte goes through the methods below, which are
+    the reference the generated decoders must agree with.
+    """
 
-    def __init__(self, data: bytes, registry: WireRegistry) -> None:
+    __slots__ = ("data", "pos", "registry", "fast")
+
+    def __init__(self, data: bytes, registry: WireRegistry,
+                 fast: bool = False) -> None:
         self.data = data
         self.pos = 0
         self.registry = registry
+        self.fast = fast
 
     def decode(self) -> Any:
         value = self._value(0)
@@ -313,7 +349,10 @@ class _Decoder:
         if colon < 0:
             raise self._fail("missing length terminator ':'")
         digits = data[pos:colon]
-        if not digits.isdigit():
+        # Canonical decimal only, like integer bodies: a zero-padded prefix
+        # would decode to a value that re-encodes to different bytes, and
+        # the received slice is what gets pinned as its encoding.
+        if not digits.isdigit() or (len(digits) > 1 and digits[:1] == b"0"):
             raise self._fail(f"invalid length prefix {digits!r}")
         end = colon + 1 + int(digits)
         if end > len(data):
@@ -434,6 +473,23 @@ class _Decoder:
 
     def _dataclass(self, depth: int) -> Any:
         start = self.pos - 1  # include the 'D' tag in the pinned cache slice
+        if self.fast:
+            # Identify the class by its whole header token; the generated
+            # decoder re-checks the header, and a header that is not exactly
+            # a registered one is the strict path's to judge.
+            data = self.data
+            colon = data.find(b":", start, start + 5)
+            digits = data[start + 1:colon]
+            if not digits.isdigit():
+                raise _FastPathMiss
+            entry = self.registry._by_header.get(
+                data[start:colon + 1 + int(digits)])
+            if entry is None:
+                raise _FastPathMiss
+            decode = entry.decode
+            if decode is None:
+                decode = _generated_decoder(entry, self.registry)
+            return decode(self, start, depth)
         name = self._str()
         entry = self.registry._by_name.get(name)
         if entry is None:
@@ -468,6 +524,327 @@ class _Decoder:
             object.__setattr__(instance, _CANONICAL_CACHE,
                                data[start:self.pos])
         return instance
+
+
+# ---------------------------------------------------------------------------
+# generated per-class decoders
+# ---------------------------------------------------------------------------
+# A registered class's layout is static — header, field names, declaration
+# order, and from the type hints the tag each value will almost certainly
+# carry — so each class gets one decoder, generated on its first decode.
+# Runs of statically typed scalar fields (and the flat dataclasses nested in
+# them) are recognised by one compiled pattern each, matched in C; the code
+# between patterns enters typed nested classes directly and hands ``object``
+# fields to the strict parser.  The generator's only inputs are registered
+# classes: nothing payload-controlled is ever compiled or executed.
+#
+# A generated decoder accepts a subset of what the strict path accepts, with
+# the same values: every pattern spells out canonical length prefixes and
+# integer bodies, and the conversions re-check each captured body against
+# its prefix, utf-8 and the float round trip.  On anything else — a hinted
+# ``int`` field carrying a string, a negative or ten-digit integer, a string
+# with a ``:`` in it, a byte string that is not digest-sized, malformed
+# bytes — it raises :class:`_FastPathMiss` and the strict path decides.
+#
+# Patterns stay linear on hostile input: every repeat is bounded except a
+# string body, ``[^:]*``, and that is always followed in the same pattern by a
+# literal containing ``:`` (the next field name), so it can end in exactly
+# one place and backtracking never multiplies.  A string that would end a
+# pattern is left to the strict parser instead.
+_INT_PATTERN = (rb"i(?=(?:1:\d|" + b"|".join(
+    rb"%d:[1-9]\d{%d}" % (size, size - 1) for size in range(2, 10))
+    + rb")\D)\d:(\d+)")
+_STR_PATTERN = rb"s(0|[1-9]\d{0,6}):([^:]*)"
+_FLOAT_PATTERN = rb"f([1-9]\d?):([0-9.e+\-infa]{1,32})"
+_BYTES_PATTERN = rb"b%d:(.{%d})" % (DIGEST_SIZE, DIGEST_SIZE)
+_BOOL_PATTERN = rb"([TF])"
+
+
+class _Fragment:
+    """Pattern source for one statically typed value and its conversion."""
+
+    __slots__ = ("pattern", "groups", "open", "depth", "convert")
+
+    def __init__(self, pattern: bytes, groups: int, convert: Callable,
+                 open: bool = False, depth: int = 0) -> None:
+        self.pattern = pattern
+        self.groups = groups
+        #: ``convert(source, indent, first group index, target variable)``
+        #: emits the statements turning the captured groups into the value.
+        self.convert = convert
+        #: ends in an unbounded string body: only usable when a literal
+        #: containing ``:`` follows it in the same pattern.
+        self.open = open
+        #: nesting levels below the value itself (for the depth ceiling).
+        self.depth = depth
+
+
+def _str_conversion(source, indent, group, target):
+    source.line(indent, f"{target} = g[{group + 1}]")
+    source.line(indent, f"if len({target}) != int(g[{group}]): raise _Miss")
+    source.line(indent, f"{target} = {target}.decode()")
+
+
+def _float_conversion(source, indent, group, target):
+    source.line(indent, f"_b = g[{group + 1}]")
+    source.line(indent, f"{target} = float(_b)")
+    source.line(indent, f"if len(_b) != int(g[{group}]) or "
+                        f"repr({target}).encode() != _b: raise _Miss")
+
+
+_SCALAR_FRAGMENTS = {
+    int: _Fragment(_INT_PATTERN, 1, lambda source, indent, group, target:
+                   source.line(indent, f"{target} = int(g[{group}])")),
+    bool: _Fragment(_BOOL_PATTERN, 1, lambda source, indent, group, target:
+                    source.line(indent, f"{target} = g[{group}] == b'T'")),
+    bytes: _Fragment(_BYTES_PATTERN, 1, lambda source, indent, group, target:
+                     source.line(indent, f"{target} = g[{group}]")),
+    str: _Fragment(_STR_PATTERN, 2, _str_conversion, open=True),
+    float: _Fragment(_FLOAT_PATTERN, 2, _float_conversion),
+}
+
+
+def _registered(hint: Any, registry: WireRegistry) -> Optional[_RegisteredClass]:
+    """``hint``'s registry entry when it is a class this registry decodes."""
+    if isinstance(hint, type):
+        entry = registry._by_name.get(hint.__name__)
+        if entry is not None and entry.cls is hint:
+            return entry
+    return None
+
+
+def _fragment(hint: Any, registry: WireRegistry,
+              active: frozenset) -> Optional[_Fragment]:
+    """The pattern fragment for a value hinted ``hint``, if it has one.
+
+    Scalars, ``Optional`` of a fragment, and registered dataclasses all of
+    whose fields have fragments (``active`` breaks reference cycles).
+    """
+    scalar = _SCALAR_FRAGMENTS.get(hint)
+    if scalar is not None:
+        return scalar
+    optional = optional_of(hint)
+    inner = None if optional is None else _fragment(optional, registry, active)
+    if inner is not None:
+        def convert(source, indent, group, target):
+            source.line(indent, f"if g[{group}] is None:")
+            source.line(indent, f" {target} = None")
+            source.line(indent, "else:")
+            inner.convert(source, indent + " ", group, target)
+        return _Fragment(b"(?:N|" + inner.pattern + b")", inner.groups,
+                         convert, inner.open, inner.depth)
+    entry = _registered(hint, registry)
+    if entry is None or hint in active:
+        return None
+    parts = [re.escape(_token(b"D", hint.__name__.encode()))]
+    children = []
+    groups, depth, open_ended = 1, 0, False
+    for attr, field_hint in class_fields(hint):
+        child = _fragment(field_hint, registry, active | {hint})
+        if child is None:
+            return None
+        parts.append(re.escape(_token(b"s", attr.encode())) + child.pattern)
+        children.append((groups, child))
+        groups += child.groups
+        depth = max(depth, 1 + child.depth)
+        open_ended = child.open
+
+    def convert(source, indent, group, target):
+        values = []
+        for offset, child in children:
+            values.append(source.temporary())
+            child.convert(source, indent, group + offset, values[-1])
+        source.construct(indent, target, entry, values, f"g[{group}]")
+    return _Fragment(b"(" + b"".join(parts) + b"d)", groups, convert,
+                     open_ended, depth)
+
+
+class _DecoderSource(FunctionSource):
+    """A decoder in the making: lines, bindings and the pending pattern."""
+
+    def __init__(self) -> None:
+        super().__init__({
+            "_Miss": _FastPathMiss, "_CACHE": _CANONICAL_CACHE,
+            "_setattr": object.__setattr__, "_new": object.__new__,
+            "WireError": WireError})
+        self._temporaries = 0
+        #: the pattern being assembled: (source, the literal it escapes or
+        #: None) parts, and the fragments whose groups it captures.
+        self._parts: list[tuple[bytes, Optional[bytes]]] = []
+        self._captures: list[tuple[_Fragment, int, str]] = []
+        self._groups = 0
+
+    def temporary(self) -> str:
+        self._temporaries += 1
+        return f"_t{self._temporaries}"
+
+    def expect(self, literal: bytes) -> None:
+        """Constant bytes the pattern being assembled must see next."""
+        self._parts.append((re.escape(literal), literal))
+
+    def capture(self, fragment: _Fragment, target: str) -> None:
+        """A typed value next in the pattern, converted into ``target``."""
+        self._parts.append((fragment.pattern, None))
+        self._captures.append((fragment, self._groups, target))
+        self._groups += fragment.groups
+
+    def match(self, indent: str) -> None:
+        """Emit the assembled pattern: match at ``p``, convert, advance."""
+        parts, captures = self._parts, self._captures
+        self._parts, self._captures, self._groups = [], [], 0
+        if not parts:
+            return
+        if not captures:
+            literal = b"".join(literal for _, literal in parts)
+            self.line(indent, f"if not data.startswith({literal!r}, p): "
+                              "raise _Miss")
+            self.line(indent, f"p += {len(literal)}")
+            return
+        pattern = re.compile(b"".join(part for part, _ in parts), re.DOTALL)
+        self.line(indent, f"m = {self.bind(pattern.match)}(data, p)")
+        self.line(indent, "if m is None: raise _Miss")
+        self.line(indent, "g = m.groups()")
+        for fragment, group, target in captures:
+            fragment.convert(self, indent, group, target)
+        self.line(indent, "p = m.end()")
+
+    def construct(self, indent: str, target: str, entry: _RegisteredClass,
+                  values: list, pinned: str) -> None:
+        """Build ``entry``'s class from ``values``; pin its received bytes."""
+        cls = self.bind(entry.cls)
+        names = [f.name for f in fields(entry.cls)]
+        slots = [getattr(entry.cls, name, None) for name in names]
+        if not _dataclass_init(entry.cls):
+            self.line(indent, f"{target} = {cls}({', '.join(values)})")
+            if entry.cacheable:
+                self.line(indent, f"_setattr({target}, _CACHE, {pinned})")
+        elif all(isinstance(slot, MemberDescriptorType) for slot in slots):
+            # What the generated ``__init__`` of a slotted dataclass does,
+            # minus its ``object.__setattr__`` indirection per field.
+            self.line(indent, f"{target} = _new({cls})")
+            for slot, value in zip(slots, values):
+                self.line(indent, f"{self.bind(slot.__set__)}({target}, {value})")
+        else:
+            # Likewise for a ``__dict__``-backed one (every cacheable class).
+            self.line(indent, f"{target} = _new({cls})")
+            self.line(indent, f"_d = {target}.__dict__")
+            for name, value in zip(names, values):
+                self.line(indent, f"_d[{name!r}] = {value}")
+            if entry.cacheable:
+                self.line(indent, f"_d[_CACHE] = {pinned}")
+
+
+def _dataclass_init(cls: type) -> bool:
+    """Whether constructing ``cls`` only stores its fields.
+
+    True when ``__init__`` is the one ``@dataclass`` wrote for exactly this
+    class, there is no ``__post_init__``, and instances are either fully
+    slotted or fully ``__dict__``-backed; anything else is constructed by
+    calling the class.
+    """
+    init = cls.__dict__.get("__init__")
+    slotted = ["__slots__" in vars(base) for base in cls.__mro__[:-1]]
+    return (getattr(init, "__qualname__", None) == f"{cls.__qualname__}.__init__"
+            and init.__code__.co_filename == "<string>"
+            and not hasattr(cls, "__post_init__")
+            and (all(slotted) or not any(slotted)))
+
+
+def _decoder_pending(decoder, pos, depth):
+    raise _FastPathMiss
+
+
+def _generated_decoder(entry: _RegisteredClass,
+                       registry: WireRegistry) -> Callable:
+    """``entry``'s fast decoder, generated on first use."""
+    decode = entry.decode
+    if decode is None:
+        # Claimed before generating: a class that refers back to this one
+        # (generated code calls through the entry) must not start over.
+        entry.decode = _decoder_pending
+        try:
+            decode = entry.decode = _generate_decoder(entry, registry)
+        except BaseException:
+            entry.decode = None
+            raise
+    return decode
+
+
+def _generate_decoder(entry: _RegisteredClass,
+                      registry: WireRegistry) -> Callable:
+    """Generate ``decode(decoder, pos, depth)`` for one registered class.
+
+    ``pos`` is the offset of the record's ``D`` tag; the function returns
+    the instance with ``decoder.pos`` just past the closing ``d``, or
+    raises :class:`_FastPathMiss` having decided nothing.
+    """
+    cls = entry.cls
+    source = _DecoderSource()
+    active = frozenset((cls,))
+    members = class_fields(cls)
+    values = []
+    needed = 0
+    source.expect(_token(b"D", cls.__name__.encode()))
+    for index, (attr, hint) in enumerate(members):
+        source.expect(_token(b"s", attr.encode()))
+        value = f"_v{index}"
+        values.append(value)
+        fragment = _fragment(hint, registry, active)
+        if fragment is not None and not (fragment.open
+                                         and index == len(members) - 1):
+            source.capture(fragment, value)
+            needed = max(needed, 1 + fragment.depth)
+            continue
+        element = _registered(tuple_of(hint), registry)
+        if element is not None:
+            # A tuple of one registered class: decode items while the next
+            # record's header is that class's.
+            source.expect(b"L")
+            source.match("  ")
+            header = _token(b"D", element.cls.__name__.encode())
+            _generated_decoder(element, registry)
+            source.line("  ", f"{value} = []")
+            source.line("  ", f"while data.startswith({header!r}, p):")
+            source.line("  ", f" {value}.append({source.bind(element)}"
+                              ".decode(d, p, depth + 2))")
+            source.line("  ", " p = d.pos")
+            source.line("  ", f"{value} = tuple({value})")
+            source.expect(b"l")
+            needed = max(needed, 2)
+            continue
+        source.match("  ")
+        nested = _registered(hint, registry)
+        if nested is not None:
+            _generated_decoder(nested, registry)
+            source.line("  ", f"{value} = {source.bind(nested)}"
+                              ".decode(d, p, depth + 1)")
+        else:
+            source.line("  ", "d.pos = p")
+            source.line("  ", f"{value} = d._value(depth + 1)")
+            coerce = _coercer_for(hint)
+            if coerce is not None:
+                source.line("  ", f"{value} = {source.bind(coerce)}({value})")
+        source.line("  ", "p = d.pos")
+        needed = max(needed, 1)
+    source.expect(b"d")
+    source.match("  ")
+    source.line("  ", "d.pos = p")
+    source.construct("  ", "value", entry, values, "data[pos:p]")
+    source.line("  ", "return value")
+    body = source.lines
+    source.lines = [
+        "def decode(d, pos, depth):",
+        f" if depth + {needed} >= {MAX_DECODE_DEPTH}: raise _Miss",
+        " data = d.data",
+        " p = pos",
+        " try:",
+        *body,
+        " except WireError:",
+        "  raise",
+        " except Exception:",
+        "  raise _Miss from None",
+    ]
+    return source.compile(f"<generated decoder {cls.__name__}>", "decode")
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +938,17 @@ def encode_payload(value: Any) -> bytes:
 
 def decode_payload(payload: bytes,
                    registry: WireRegistry = WIRE_REGISTRY) -> Any:
-    """Decode one canonical payload back into the value it encodes."""
-    return _Decoder(bytes(payload), registry).decode()
+    """Decode one canonical payload back into the value it encodes.
+
+    Generated per-class decoders first; on anything they do not recognise,
+    the strict path over the whole payload again (at most two linear passes,
+    however the payload nests).
+    """
+    data = bytes(payload)
+    try:
+        return _Decoder(data, registry, fast=True).decode()
+    except _FastPathMiss:
+        return _Decoder(data, registry).decode()
 
 
 class WireCodec:
@@ -612,8 +998,7 @@ class WireCodec:
         if flags & FLAG_PICKLE:
             raise MalformedWirePayload(
                 "frame carries a pickled payload, which this codec refuses "
-                "to execute; the sender must use the binary wire format "
-                "(or both ends must opt into --unsafe-pickle)")
+                "to execute; the sender must use the binary wire format")
         context = None
         if flags & FLAG_TRACE:
             context, consumed = decode_trace_context(payload)

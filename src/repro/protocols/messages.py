@@ -14,13 +14,13 @@ signs message headers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import sha256
 from typing import Optional
 
 from ..common.types import ClientId, ReplicaId, RequestId, SeqNum, ViewNum
 from ..crypto.digest import (
     canonical_cacheable,
     combine_digests,
-    digest,
     drop_whole_value_caches,
     encode_fixed_attrs,
     encode_fixed_key_dict,
@@ -42,14 +42,14 @@ def signed_part_bytes(message) -> bytes:
     :func:`with_signature`, which is how the encoding computed at signing
     time reaches every verifier for free.
 
-    Cache misses encode through a per-class template, byte-identical to
-    ``canonical_bytes(message.signed_part())``.  Classes whose signed part
-    is a plain projection of their fields declare ``SIGNED_FIELDS`` and are
-    encoded straight off the instance
+    Cache misses encode through a per-class generated encoder,
+    byte-identical to ``canonical_bytes(message.signed_part())``.  Classes
+    whose signed part is a plain projection of their fields declare
+    ``SIGNED_FIELDS`` and are encoded straight off the instance
     (:func:`~repro.crypto.digest.encode_fixed_attrs`) without materialising
     the dict; classes with derived entries (digest tuples, computed
-    payloads) keep building the dict, encoded through the fixed-key
-    template (:func:`~repro.crypto.digest.encode_fixed_key_dict`).
+    payloads) keep building the dict, encoded for its fixed key set
+    (:func:`~repro.crypto.digest.encode_fixed_key_dict`).
     """
     cached = message.__dict__.get("_signed_part_bytes")
     if cached is None:
@@ -113,6 +113,8 @@ class ClientRequest:
     operations: tuple[Operation, ...]
     signature: Optional[Signature] = None
 
+    PAYLOAD_FIELDS = ("request_id", "operations")
+
     @property
     def client(self) -> ClientId:
         """The issuing client's identity."""
@@ -121,12 +123,16 @@ class ClientRequest:
     def payload_digest(self) -> bytes:
         """Digest of the transaction (what the primary hashes as ``Δ``).
 
-        Memoised: the digest is computed when the request is first batched
-        or signed and reused on every later batch hash and re-verification.
+        The digest of ``{"request_id": …, "operations": …}``, memoised: it
+        is computed when the request is first batched or signed and reused
+        on every later batch hash and re-verification.
         """
-        return pinned(self, "_payload_digest",
-                      lambda: digest({"request_id": self.request_id,
-                                      "operations": self.operations}))
+        cached = self.__dict__.get("_payload_digest")
+        if cached is None:
+            cached = sha256(encode_fixed_attrs(
+                ClientRequest, self.PAYLOAD_FIELDS, self)).digest()
+            object.__setattr__(self, "_payload_digest", cached)
+        return cached
 
     def signed_part(self) -> dict:
         return {"request_id": self.request_id,

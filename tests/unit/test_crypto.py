@@ -100,6 +100,32 @@ class TestSignatures:
         sig_b = KeyStore(seed=2).register("r").sign("m")
         assert sig_a.value != sig_b.value
 
+    @pytest.mark.parametrize("secret", [
+        b"k", b"s" * 32, b"b" * 64, b"longer than one sha-256 block " * 4])
+    def test_values_are_plain_hmac_sha256(self, secret):
+        # The keys copy precomputed inner/outer hash states; the values must
+        # stay those of the textbook construction, for every key length
+        # (a key longer than the block is hashed first), and survive the
+        # copies warm snapshots take.
+        import copy
+        import hashlib
+        import hmac
+        import pickle
+
+        from repro.crypto.signatures import (
+            _MAC_TAG, _SIG_TAG, MacKey, SigningKey)
+
+        encoded = canonical_bytes({"seq": 7, "view": 1})
+        key = SigningKey("signer", secret)
+        expected = hmac.new(secret, _SIG_TAG + encoded, hashlib.sha256).digest()
+        for clone in (key, copy.deepcopy(key), pickle.loads(pickle.dumps(key))):
+            assert clone.sign_bytes(encoded).value == expected
+            assert clone._verify_bytes(encoded, key.sign_bytes(encoded))
+        mac_key = MacKey("a", "b", secret)
+        expected = hmac.new(secret, _MAC_TAG + encoded, hashlib.sha256).digest()
+        for clone in (mac_key, copy.deepcopy(mac_key)):
+            assert clone.generate({"seq": 7, "view": 1}).value == expected
+
 
 class TestMacs:
     def test_mac_roundtrip(self):

@@ -50,6 +50,26 @@ class TestKeyValueStore:
         a.apply(Operation(action="write", key="user0", value="new"))
         assert a.state_digest() != b.state_digest()
 
+    def test_state_digest_matches_the_per_entry_reference(self):
+        import hashlib
+
+        def reference(data):
+            h = hashlib.sha256()
+            for key in sorted(data):
+                h.update(key.encode())
+                h.update(b"=")
+                h.update(data[key].encode())
+                h.update(b";")
+            return h.digest()
+
+        store = KeyValueStore()
+        assert store.state_digest() == reference({})
+        for key, value in (("k", "v"), ("", ""), ("ünï", "✓;=x"), ("a=b", ";")):
+            store.apply(Operation(action="write", key=key, value=value))
+            assert store.state_digest() == reference(store.snapshot())
+        big = KeyValueStore(records=1300)  # several updates, one partial
+        assert big.state_digest() == reference(big.snapshot())
+
     def test_snapshot_restore_roundtrip(self):
         store = KeyValueStore(records=3)
         snapshot = store.snapshot()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
 import struct
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ from repro.net.wire import (
     wire_serializable,
 )
 from repro.protocols.messages import ClientRequest, RequestBatch
-from repro.runtime.unsafe_pickle import UnsafePickleWireCodec
 
 
 def _request(number: int = 1) -> ClientRequest:
@@ -189,6 +187,29 @@ class TestMalformedFrames:
         with pytest.raises(MalformedWirePayload):
             decode_payload(swapped)
 
+    @pytest.mark.parametrize("padded", [
+        b"D9:RequestIds6:clients008:client-0s6:numberi1:7d",   # string length
+        b"D09:RequestIds6:clients8:client-0s6:numberi1:7d",    # class name
+        b"D9:RequestIds06:clients8:client-0s6:numberi1:7d",    # field name
+        b"D9:RequestIds6:clients8:client-0s6:numberi01:7d",    # integer length
+        b"s00:", b"b01:x", b"f03:1.5", b"Ls01:al",
+    ])
+    def test_zero_padded_length_prefix_rejected(self, padded):
+        # A padded prefix names the same body, so accepting it would hand
+        # two receivers equal values whose pinned encodings — and therefore
+        # digests — differ: every decodable payload has exactly one spelling.
+        with pytest.raises(MalformedWirePayload):
+            decode_payload(padded)
+
+    def test_accepted_payload_reencodes_to_itself(self):
+        honest = RequestId("client-0", 7)
+        payload = b"D9:RequestIds6:clients8:client-0s6:numberi1:7d"
+        decoded = decode_payload(payload)
+        assert decoded == honest
+        assert canonical_bytes(decoded) == payload
+        assert canonical_bytes(decoded, use_cache=False) == payload
+        assert digest(decoded) == digest(honest)
+
     def test_unencodable_payload(self):
         with pytest.raises(UnencodableWirePayload):
             WireCodec().encode_frame(object())
@@ -244,31 +265,18 @@ class TestRegistry:
             WIRE_REGISTRY._by_name.pop("_Probe", None)
 
 
-# ------------------------------------------------------------- pickle hatch
+# ------------------------------------------------------- reserved pickle flag
 class TestPickleEscapeHatch:
     def test_default_codec_refuses_pickled_frames(self):
-        frame = UnsafePickleWireCodec().encode_frame(_envelope("x"))
+        # The escape hatch is gone; its flag bit stays reserved, and a frame
+        # that sets it (an old peer) is refused before any byte is parsed.
+        payload = encode_payload(_envelope("x"))
+        frame = HEADER.pack(WIRE_MAGIC, WIRE_VERSION, FLAG_PICKLE,
+                            len(payload)) + payload
         flags, _ = WireCodec().parse_header(frame)
         assert flags & FLAG_PICKLE
         with pytest.raises(MalformedWirePayload):
             WireCodec().decode_frame(frame)
-
-    def test_unsafe_codec_round_trips_pickle(self):
-        codec = UnsafePickleWireCodec()
-        env = _envelope(_request())
-        assert codec.decode_frame(codec.encode_frame(env)) == env
-
-    def test_unsafe_codec_accepts_binary_frames(self):
-        env = _envelope("mixed")
-        frame = WireCodec().encode_frame(env)
-        assert UnsafePickleWireCodec().decode_frame(frame) == env
-
-    def test_pickled_frame_carries_wire_header(self):
-        frame = UnsafePickleWireCodec().encode_frame("x")
-        magic, version, flags, length = HEADER.unpack(frame[:HEADER_SIZE])
-        assert (magic, version) == (WIRE_MAGIC, WIRE_VERSION)
-        assert flags == FLAG_PICKLE
-        assert pickle.loads(frame[HEADER_SIZE:]) == "x"
 
 
 # ----------------------------------------------------------------- contracts

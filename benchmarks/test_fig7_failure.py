@@ -11,7 +11,6 @@ from repro.runtime import (
     build_config,
     figure7_failure,
     print_rows,
-    run_point,
 )
 
 
@@ -34,10 +33,13 @@ def test_fig7_single_replica_failure(benchmark):
 
 def test_fig7_flexi_zz_failure_free_vs_failure(benchmark):
     def run_pair():
-        healthy = run_point(build_config("flexi-zz", BENCH_SCALE))
         n = 3 * BENCH_SCALE.f + 1
-        crashed = run_point(build_config("flexi-zz", BENCH_SCALE, crashed=(n - 1,)))
-        return healthy, crashed
+        results = []
+        for crashed in ((), (n - 1,)):
+            config = build_config("flexi-zz", BENCH_SCALE, crashed=crashed)
+            with DeploymentSpec(config).build() as deployment:
+                results.append(deployment.run_until_target())
+        return results
 
     healthy, crashed = benchmark.pedantic(run_pair, rounds=1, iterations=1)
     print(f"\nFlexi-ZZ throughput: failure-free {healthy.metrics.throughput_tx_s:.0f} tx/s, "

@@ -22,8 +22,7 @@ from __future__ import annotations
 import time
 
 from repro.obsv import ObservabilityConfig
-from repro.perf import run_scenario
-from repro.perf.scenarios import _OBSV_EXPERIMENT
+from repro.perf import PERF_SCALES, run_scenario
 from repro.runtime import DeploymentSpec
 from repro.runtime.experiments import build_config
 
@@ -39,27 +38,23 @@ _MAX_OVERHEAD_RATIO = 1.25
 
 
 def _timed_run(observe):
-    config = build_config("flexi-bft", _OBSV_EXPERIMENT)
-    deployment = DeploymentSpec(config, observe=observe).build()
-    try:
+    config = build_config("flexi-bft", PERF_SCALES["smoke"].experiment)
+    with DeploymentSpec(config, observe=observe).build() as deployment:
         started = time.perf_counter()
         result = deployment.run_until_target()
         elapsed = time.perf_counter() - started
-    finally:
-        deployment.close()
     assert result.consensus_safe and result.rsm_safe
     return elapsed
 
 
 def test_scenario_rows_are_deterministic_and_matched(benchmark):
     first = benchmark.pedantic(
-        lambda: run_scenario("obsv_overhead", "smoke",
-                             calibration_seconds=1.0),
+        lambda: run_scenario("obsv_overhead", "smoke"),
         rounds=1, iterations=1)
-    second = run_scenario("obsv_overhead", "smoke", calibration_seconds=1.0)
-    assert first.metrics_digest == second.metrics_digest
+    second = run_scenario("obsv_overhead", "smoke")
+    assert first["metrics_digest"] == second["metrics_digest"]
 
-    summary = next(row for row in first.rows if row["mode"] == "summary")
+    summary = next(row for row in first["rows"] if row["mode"] == "summary")
     # Traced row (minus health_ columns) byte-identical to the untraced row.
     assert summary["rows_match"] is True
     assert summary["trace_events"] > 0

@@ -16,7 +16,6 @@ or, equivalently, straight from the CLI::
     python -m repro live --protocol flexibft
 """
 
-from repro.realtime import run_live_point
 from repro.runtime import DeploymentSpec
 from repro.runtime.experiments import ExperimentScale, build_config, print_rows
 
@@ -31,7 +30,9 @@ SCALE = ExperimentScale(
 def main() -> None:
     rows = []
     for protocol in ("minbft", "flexi-bft"):
-        result = run_live_point(build_config(protocol, SCALE))
+        spec = DeploymentSpec(build_config(protocol, SCALE), backend="live")
+        with spec.build() as deployment:
+            result = deployment.run_until_target()
         row = {"protocol": protocol, "backend": "live"}
         row.update(result.as_row())
         rows.append(row)
@@ -42,7 +43,8 @@ def main() -> None:
     sim_rows = []
     for protocol in ("minbft", "flexi-bft"):
         spec = DeploymentSpec(build_config(protocol, SCALE))
-        result = spec.build().run_until_target()
+        with spec.build() as deployment:
+            result = deployment.run_until_target()
         row = {"protocol": protocol, "backend": "sim"}
         row.update(result.as_row())
         sim_rows.append(row)
@@ -50,16 +52,13 @@ def main() -> None:
 
     # The same spec shape selects the live backend by name — only the
     # ``backend`` field changes between a simulated and a wall-clock build.
-    deployment = DeploymentSpec(build_config("pbft", SCALE),
-                                backend="live").build()
-    try:
+    with DeploymentSpec(build_config("pbft", SCALE),
+                        backend="live").build() as deployment:
         result = deployment.run_until_target(target_requests=40)
-        print(f"\npbft live: {result.metrics.completed_requests} requests, "
-              f"{result.metrics.throughput_tx_s:.0f} tx/s, "
-              f"p50 {result.metrics.p50_latency_ms:.2f} ms, "
-              f"consensus_safe={result.consensus_safe}")
-    finally:
-        deployment.close()
+    print(f"\npbft live: {result.metrics.completed_requests} requests, "
+          f"{result.metrics.throughput_tx_s:.0f} tx/s, "
+          f"p50 {result.metrics.p50_latency_ms:.2f} ms, "
+          f"consensus_safe={result.consensus_safe}")
 
 
 if __name__ == "__main__":

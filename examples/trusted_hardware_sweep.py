@@ -14,7 +14,7 @@ Run with:  python examples/trusted_hardware_sweep.py
 
 from repro.common.config import SGX_ENCLAVE_COUNTER
 from repro.common.types import ms
-from repro.runtime import ExperimentScale, build_config, run_point
+from repro.runtime import DeploymentSpec, ExperimentScale, build_config
 
 SCALE = ExperimentScale(
     name="example", f=1, num_clients=160, batch_size=20,
@@ -33,7 +33,9 @@ def main() -> None:
         hardware = SGX_ENCLAVE_COUNTER.with_latency(ms(access_ms))
         cells = []
         for protocol in PROTOCOLS:
-            result = run_point(build_config(protocol, SCALE, hardware=hardware))
+            config = build_config(protocol, SCALE, hardware=hardware)
+            with DeploymentSpec(config).build() as deployment:
+                result = deployment.run_until_target()
             cells.append(f"{result.metrics.throughput_tx_s:11.0f}")
         print(f"{access_ms:<18}" + " ".join(cells))
     print("\nWith fast counters Flexi-ZZ leads; with slow counters every")

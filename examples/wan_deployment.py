@@ -11,7 +11,7 @@ Run with:  python examples/wan_deployment.py
 """
 
 from repro.net.topology import PAPER_REGIONS
-from repro.runtime import ExperimentScale, build_config, run_point
+from repro.runtime import DeploymentSpec, ExperimentScale, build_config
 
 SCALE = ExperimentScale(
     name="example", f=1, num_clients=80, batch_size=10,
@@ -25,7 +25,9 @@ def main() -> None:
         print("  regions  throughput (tx/s)  mean latency (ms)")
         for count in range(1, len(PAPER_REGIONS) + 1):
             regions = PAPER_REGIONS[:count]
-            result = run_point(build_config(protocol, SCALE, regions=regions))
+            config = build_config(protocol, SCALE, regions=regions)
+            with DeploymentSpec(config).build() as deployment:
+                result = deployment.run_until_target()
             print(f"  {count:^7d}  {result.metrics.throughput_tx_s:16.0f}  "
                   f"{result.metrics.mean_latency_ms:17.2f}")
     print("\nLatency jumps when the quorum first needs a remote region and then")

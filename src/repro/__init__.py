@@ -67,15 +67,12 @@ from .runtime import (
     PAPER_SCALE,
     RunResult,
     SMALL_SCALE,
-    build_deployment,
-    build_from_spec,
 )
 from .sharding import (
     ShardRouter,
     ShardedConfig,
     ShardedDeployment,
     ShardedRunResult,
-    build_sharded_deployment,
 )
 
 __version__ = "1.2.0"
@@ -111,9 +108,6 @@ __all__ = [
     "TrustedHardwareSpec",
     "WorkloadConfig",
     "__version__",
-    "build_deployment",
-    "build_from_spec",
-    "build_sharded_deployment",
     "compare_responsiveness",
     "compare_restart_rollback_hardware",
     "compare_rollback_hardware",

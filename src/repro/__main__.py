@@ -1,7 +1,7 @@
 """Command-line entry point: ``python -m repro`` (or the ``repro`` script).
 
 Runs any figure experiment from :data:`repro.runtime.ALL_EXPERIMENTS` and
-prints its row table, or drives the performance harness::
+prints its row table, or checks the determinism digests::
 
     python -m repro list
     python -m repro run figure6_throughput
@@ -19,11 +19,9 @@ prints its row table, or drives the performance harness::
     python -m repro matrix run curves --results matrix-results --csv curves.csv
     python -m repro matrix run --protocols minbft flexi-bft --clients 20 60 120
     python -m repro matrix collate --results matrix-results --csv curves.csv
-    python -m repro perf --scenarios smoke
     python -m repro perf --scenarios fig1 crypto --scale medium
-    python -m repro perf --scenarios smoke --check-baseline benchmarks/baselines
-    python -m repro perf --scenarios smoke --update-baseline benchmarks/baselines
-    python -m repro perf --trend collected-artifacts/
+    python -m repro perf --check-baseline benchmarks/baselines
+    python -m repro perf --scenarios fig1 --update-baseline benchmarks/baselines
 """
 
 from __future__ import annotations
@@ -186,39 +184,27 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="print the rows as a table (default) or JSON")
 
     perf = subparsers.add_parser(
-        "perf", help="run performance scenarios, write BENCH_*.json, "
-                     "optionally gate against committed baselines")
-    perf.add_argument("--scenarios", nargs="+", metavar="NAME",
-                      default=["smoke"],
-                      help="scenario names (fig1, recovery, sharding_scaleout, "
-                           "openloop_overload, openloop_hotspot, "
-                           "openloop_diurnal, live_smoke, live_fig1, "
-                           "live_recovery, obsv_overhead, kernel, network, "
-                           "crypto) and/or suite names "
-                           "(smoke, medium, large); default: smoke")
+        "perf", help="run deterministic scenarios and compare the digest of "
+                     "their simulated rows with committed baselines")
+    perf.add_argument("--scenarios", nargs="+", metavar="NAME", default=None,
+                      help="scenario names (see --list); default: every "
+                           "baseline in the --check-baseline directory, "
+                           "else every scenario")
     perf.add_argument("--scale", default=None,
-                      help="run every selected scenario (and suite) at this "
-                           "scale (smoke, medium, large, wan); without it, "
-                           "suites use their own scale and bare scenarios "
-                           "default to smoke")
-    perf.add_argument("--out", default=".", metavar="DIR",
-                      help="directory BENCH_<scenario>.json files are "
-                           "written to (default: current directory)")
+                      help="run the selected scenarios at this scale "
+                           "(smoke, medium, large); default: smoke, or each "
+                           "checked baseline's own scale")
+    perf.add_argument("--out", default=None, metavar="DIR",
+                      help="also write each BENCH_<scenario>[.<scale>].json "
+                           "into DIR")
     perf.add_argument("--check-baseline", default=None, metavar="DIR",
-                      help="compare fresh results against the baseline JSONs "
-                           "in DIR; exit 1 on regression, digest mismatch or "
-                           "missing baseline")
+                      help="compare fresh digests against the baseline JSONs "
+                           "in DIR; exit 1 on a digest mismatch or a missing "
+                           "or incomparable baseline")
     perf.add_argument("--update-baseline", default=None, metavar="DIR",
                       help="write fresh results into DIR as the new baselines")
     perf.add_argument("--list", action="store_true", dest="list_scenarios",
-                      help="list scenarios, suites and scales, then exit")
-    perf.add_argument("--trend", default=None, metavar="DIR",
-                      help="collate the BENCH_*.json artifacts under DIR "
-                           "(recursive) into per-scenario trend tables and "
-                           "exit; no scenarios are run")
-    perf.add_argument("--report", choices=("table", "json"), default="table",
-                      help="output format: human tables (default) or one "
-                           "JSON document with every scenario payload")
+                      help="list scenarios and scales, then exit")
 
     matrix = subparsers.add_parser(
         "matrix", help="expand, run, resume and collate experiment matrices "
@@ -727,30 +713,32 @@ def run_diag(args) -> int:
     return 0
 
 
-def _resolve_perf_selection(names: list[str],
-                            scale: Optional[str]) -> list[tuple[str, str]]:
-    """Expand suite names; an explicit ``--scale`` overrides every entry."""
-    from .perf import PERF_SCALES, SCENARIOS, SUITES
+def _perf_selection(args) -> list[tuple[str, str]]:
+    """The ``(scenario, scale)`` pairs one ``repro perf`` invocation runs."""
+    from .perf import PERF_SCALES, SCENARIOS, committed_baselines
 
-    selection: list[tuple[str, str]] = []
-    for name in names:
-        if name in SUITES:
-            if scale is not None:
-                selection.extend((scenario, scale) for scenario, _ in SUITES[name])
-            else:
-                selection.extend(SUITES[name])
-        elif name in SCENARIOS:
-            selection.append((name, scale or "smoke"))
-        else:
-            raise SystemExit(
-                f"unknown scenario or suite {name!r}; scenarios: "
-                f"{', '.join(sorted(SCENARIOS))}; suites: "
-                f"{', '.join(sorted(SUITES))}")
-    for _, scale_name in selection:
-        if scale_name not in PERF_SCALES:
-            raise SystemExit(
-                f"unknown scale {scale_name!r}; scales: "
-                f"{', '.join(sorted(PERF_SCALES))}")
+    if args.scale is not None and args.scale not in PERF_SCALES:
+        raise SystemExit(f"unknown scale {args.scale!r}; scales: "
+                         f"{', '.join(sorted(PERF_SCALES))}")
+    if args.scenarios is None and args.check_baseline:
+        # Checking a directory checks every baseline in it, each at the
+        # scale it was recorded at.
+        try:
+            committed = committed_baselines(args.check_baseline)
+        except OSError as error:
+            raise SystemExit(f"--check-baseline: {error}") from None
+        selection = [(scenario, scale) for scenario, scale in committed
+                     if args.scale in (None, scale)]
+        if not selection:
+            raise SystemExit(f"--check-baseline: no BENCH_*.json baseline "
+                             f"to check in {args.check_baseline!r}")
+    else:
+        selection = [(name, args.scale or "smoke")
+                     for name in args.scenarios or SCENARIOS]
+    for name, _ in selection:
+        if name not in SCENARIOS:
+            raise SystemExit(f"unknown scenario {name!r}; scenarios: "
+                             f"{', '.join(sorted(SCENARIOS))}")
     return selection
 
 
@@ -814,87 +802,50 @@ def run_openloop(args) -> int:
 
 
 def run_perf(args) -> int:
-    """Run the selected performance scenarios; optionally gate on baselines."""
-    import json
-    import os
-
+    """Run the selected scenarios; optionally compare or record digests."""
     from .perf import (
         PERF_SCALES,
         SCENARIOS,
-        SUITES,
-        baseline_path,
-        calibrate,
-        compare_result,
+        compare_to_dir,
         format_comparison,
-        load_baseline,
-        result_payload,
+        format_result,
         run_scenario,
-        tolerances_for,
-        trend_report,
         write_bench_json,
     )
-    from .perf.runner import format_result
 
     if args.list_scenarios:
         print("scenarios:", ", ".join(sorted(SCENARIOS)))
-        print("suites:   ", ", ".join(sorted(SUITES)))
         print("scales:   ", ", ".join(sorted(PERF_SCALES)))
         return 0
-    if args.trend:
-        if not os.path.isdir(args.trend):
-            raise SystemExit(f"--trend: {args.trend!r} is not a directory")
-        print(trend_report(args.trend))
-        return 0
-    selection = _resolve_perf_selection(args.scenarios, args.scale)
-    as_json = args.report == "json"
-    calibration = calibrate()
-    if not as_json:
-        print(f"machine calibration: {calibration:.3f}s")
     payloads = []
-    for scenario, scale_name in selection:
-        result = run_scenario(scenario, scale_name,
-                              calibration_seconds=calibration)
-        if not as_json:
-            print(format_result(result))
-        path = write_bench_json(result, args.out)
-        if not as_json:
-            print(f"  -> {path}")
-        payloads.append(result_payload(result))
-    if as_json:
-        print(json.dumps({"calibration_seconds": round(calibration, 4),
-                          "results": payloads},
-                         indent=2, sort_keys=True, default=str))
+    for scenario, scale_name in _perf_selection(args):
+        payload = run_scenario(scenario, scale_name)
+        print(format_result(payload))
+        if args.out:
+            print(f"  -> {write_bench_json(payload, args.out)}")
+        payloads.append(payload)
     # Check before update: with both flags pointing at one directory the
     # comparison must run against the *pre-existing* baselines (comparing
     # fresh results to their own just-written copies would always pass), and
-    # regressed results must not overwrite the baselines they failed against.
+    # results that failed the check must not overwrite the baselines they
+    # failed against.
     if args.check_baseline:
-        failures = 0
-        for payload in payloads:
-            baseline = load_baseline(
-                baseline_path(args.check_baseline, payload["scenario"],
-                              payload.get("scale")))
-            comparison = compare_result(payload, baseline,
-                                        tolerances_for(payload))
+        comparisons = compare_to_dir(payloads, args.check_baseline)
+        for comparison in comparisons:
             print(format_comparison(comparison))
-            if not comparison.ok:
-                failures += 1
+        failures = sum(not comparison.ok for comparison in comparisons)
         if failures:
             if args.update_baseline:
-                print("baselines NOT updated: fix the regression or rerun "
+                print("baselines NOT updated: fix the difference or rerun "
                       "with --update-baseline alone to accept it")
-            print(f"perf check FAILED: {failures} scenario(s) regressed "
-                  f"against {args.check_baseline}")
+            print(f"digest check FAILED: {failures} of {len(payloads)} "
+                  f"scenario(s) differ from {args.check_baseline}")
             return 1
-        print(f"perf check passed against {args.check_baseline}")
+        print(f"digest check passed: {len(payloads)} scenario(s) match "
+              f"{args.check_baseline}")
     if args.update_baseline:
-        os.makedirs(args.update_baseline, exist_ok=True)
         for payload in payloads:
-            path = baseline_path(args.update_baseline, payload["scenario"],
-                                 payload.get("scale"))
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            path = write_bench_json(payload, args.update_baseline)
             print(f"baseline updated: {path}")
     return 0
 

@@ -110,55 +110,55 @@ def run_responsiveness_attack(protocol: str = "minbft", f: int = 2,
         faults=FaultConfig(byzantine=tuple(sorted(byzantine))),
         experiment=ExperimentConfig(seed=42),
     )
-    deployment = Deployment(config)
-    d_names = {deployment.replica_names[i] for i in d}
-    client_name = deployment.client_names[0]
+    with Deployment(config) as deployment:
+        d_names = {deployment.replica_names[i] for i in d}
+        client_name = deployment.client_names[0]
 
-    # Byzantine replicas never talk to D and never answer the client.
-    def byzantine_filter(destination: str, message: object) -> bool:
-        if destination in d_names:
-            return False
-        if destination == client_name:
-            return False
-        return True
+        # Byzantine replicas never talk to D and never answer the client.
+        def byzantine_filter(destination: str, message: object) -> bool:
+            if destination in d_names:
+                return False
+            if destination == client_name:
+                return False
+            return True
 
-    for replica_id in byzantine:
-        deployment.replica(replica_id).make_byzantine(byzantine_filter)
+        for replica_id in byzantine:
+            deployment.replica(replica_id).make_byzantine(byzantine_filter)
 
-    # Prepare messages from the isolated honest replica r towards D are
-    # delayed beyond the experiment horizon (partial synchrony at work).
-    deployment.network.add_rule(MessageRule(
-        name="delay-r-to-D",
-        sources=frozenset({deployment.replica_names[r]}),
-        destinations=frozenset(d_names),
-        matcher=lambda payload: isinstance(payload, Prepare),
-        extra_delay_us=seconds(10 * duration_s),
-    ))
+        # Prepare messages from the isolated honest replica r towards D are
+        # delayed beyond the experiment horizon (partial synchrony at work).
+        deployment.network.add_rule(MessageRule(
+            name="delay-r-to-D",
+            sources=frozenset({deployment.replica_names[r]}),
+            destinations=frozenset(d_names),
+            matcher=lambda payload: isinstance(payload, Prepare),
+            extra_delay_us=seconds(10 * duration_s),
+        ))
 
-    deployment.start_clients()
-    deployment.sim.run(until=seconds(duration_s))
+        deployment.start_clients()
+        deployment.sim.run(until=seconds(duration_s))
 
-    client = deployment.clients[0]
-    honest_executed = sum(
-        1 for replica in deployment.honest_replicas()
-        if replica.ledger.last_executed >= 1)
-    view_changes_completed = max(
-        replica.stats.view_changes_completed
-        for replica in deployment.honest_replicas())
-    vote_counts = [len(votes)
-                   for replica in deployment.honest_replicas()
-                   for votes in replica.view_change_votes.values()]
-    return ResponsivenessReport(
-        protocol=protocol, f=f, n=n,
-        client_completed=client.stats.completed >= 1,
-        responses_at_client=client.responses_for_outstanding()
-        if client.stats.completed == 0 else deployment.spec.reply_policy.fast_quorum(n, f),
-        required_responses=deployment.spec.reply_policy.fast_quorum(n, f),
-        honest_replicas_executed=honest_executed,
-        view_changes_completed=view_changes_completed,
-        view_change_votes=max(vote_counts, default=0),
-        sim_time_s=deployment.sim.now / MICROS_PER_SECOND,
-    )
+        client = deployment.clients[0]
+        honest_executed = sum(
+            1 for replica in deployment.honest_replicas()
+            if replica.ledger.last_executed >= 1)
+        view_changes_completed = max(
+            replica.stats.view_changes_completed
+            for replica in deployment.honest_replicas())
+        vote_counts = [len(votes)
+                       for replica in deployment.honest_replicas()
+                       for votes in replica.view_change_votes.values()]
+        return ResponsivenessReport(
+            protocol=protocol, f=f, n=n,
+            client_completed=client.stats.completed >= 1,
+            responses_at_client=client.responses_for_outstanding()
+            if client.stats.completed == 0 else deployment.spec.reply_policy.fast_quorum(n, f),
+            required_responses=deployment.spec.reply_policy.fast_quorum(n, f),
+            honest_replicas_executed=honest_executed,
+            view_changes_completed=view_changes_completed,
+            view_change_votes=max(vote_counts, default=0),
+            sim_time_s=deployment.sim.now / MICROS_PER_SECOND,
+        )
 
 
 def compare_responsiveness(f: int = 2, duration_s: float = 4.0) -> dict[str, ResponsivenessReport]:
@@ -213,64 +213,64 @@ def run_rollback_attack(hardware: TrustedHardwareSpec = SGX_ENCLAVE_COUNTER,
         faults=FaultConfig(byzantine=(0,)),
         experiment=ExperimentConfig(seed=7),
     )
-    deployment = Deployment(config)
-    n = deployment.n
-    primary = deployment.primary
-    replica_g = deployment.replica(1)   # the honest replica the primary serves first
-    replica_d = deployment.replica(2)   # the honest replica targeted after rollback
-    client_name = deployment.client_names[0]
+    with Deployment(config) as deployment:
+        n = deployment.n
+        primary = deployment.primary
+        replica_g = deployment.replica(1)   # the honest replica the primary serves first
+        replica_d = deployment.replica(2)   # the honest replica targeted after rollback
+        client_name = deployment.client_names[0]
 
-    # Phase 1: the primary only talks to G (and itself); D hears nothing.
-    def phase1_filter(destination: str, message: object) -> bool:
-        return destination not in {replica_d.name}
+        # Phase 1: the primary only talks to G (and itself); D hears nothing.
+        def phase1_filter(destination: str, message: object) -> bool:
+            return destination not in {replica_d.name}
 
-    primary.make_byzantine(phase1_filter)
+        primary.make_byzantine(phase1_filter)
 
-    request_t = _client_request(client_name, 1, "account", "transfer-to-alice")
-    batch_t = RequestBatch(requests=(request_t,))
-    pre_attack_state = primary.trusted.snapshot()
-    primary.propose_batch(batch_t)
-    deployment.sim.run(until=ms(200))
+        request_t = _client_request(client_name, 1, "account", "transfer-to-alice")
+        batch_t = RequestBatch(requests=(request_t,))
+        pre_attack_state = primary.trusted.snapshot()
+        primary.propose_batch(batch_t)
+        deployment.sim.run(until=ms(200))
 
-    responses_first = sum(
-        1 for replica in (primary, replica_g)
-        if replica.reply_cache.get(request_t.request_id) is not None)
+        responses_first = sum(
+            1 for replica in (primary, replica_g)
+            if replica.reply_cache.get(request_t.request_id) is not None)
 
-    # Phase 2: roll back the trusted component and equivocate towards D.
-    rollback_succeeded = True
-    try:
-        primary.trusted.rollback(pre_attack_state)
-    except TrustedComponentError:
-        rollback_succeeded = False
+        # Phase 2: roll back the trusted component and equivocate towards D.
+        rollback_succeeded = True
+        try:
+            primary.trusted.rollback(pre_attack_state)
+        except TrustedComponentError:
+            rollback_succeeded = False
 
-    responses_second = 0
-    if rollback_succeeded:
-        def phase2_filter(destination: str, message: object) -> bool:
-            return destination not in {replica_g.name}
+        responses_second = 0
+        if rollback_succeeded:
+            def phase2_filter(destination: str, message: object) -> bool:
+                return destination not in {replica_g.name}
 
-        primary.outbound_filter = phase2_filter
-        request_t2 = _client_request(client_name, 2, "account", "transfer-to-bob")
-        batch_t2 = RequestBatch(requests=(request_t2,))
-        primary.propose_batch(batch_t2)
-        deployment.sim.run(until=ms(400))
-        # The byzantine primary forges a matching reply so the second client
-        # observation also reaches f + 1 identical responses (it already
-        # "executed" T at seq 1, but nothing stops it from lying about T').
-        responses_second = (
-            (1 if replica_d.reply_cache.get(request_t2.request_id) is not None else 0)
-            + 1)
+            primary.outbound_filter = phase2_filter
+            request_t2 = _client_request(client_name, 2, "account", "transfer-to-bob")
+            batch_t2 = RequestBatch(requests=(request_t2,))
+            primary.propose_batch(batch_t2)
+            deployment.sim.run(until=ms(400))
+            # The byzantine primary forges a matching reply so the second client
+            # observation also reaches f + 1 identical responses (it already
+            # "executed" T at seq 1, but nothing stops it from lying about T').
+            responses_second = (
+                (1 if replica_d.reply_cache.get(request_t2.request_id) is not None else 0)
+                + 1)
 
-    digests = deployment.safety.distinct_digests_at(1)
-    violations = [v.description for v in deployment.safety.violations]
-    return RollbackReport(
-        protocol=protocol, hardware=hardware.name,
-        rollback_succeeded=rollback_succeeded,
-        safety_violated=not deployment.safety.consensus_safe,
-        conflicting_digests_at_seq1=len(digests),
-        responses_for_first=responses_first,
-        responses_for_second=responses_second,
-        violations=violations,
-    )
+        digests = deployment.safety.distinct_digests_at(1)
+        violations = [v.description for v in deployment.safety.violations]
+        return RollbackReport(
+            protocol=protocol, hardware=hardware.name,
+            rollback_succeeded=rollback_succeeded,
+            safety_violated=not deployment.safety.consensus_safe,
+            conflicting_digests_at_seq1=len(digests),
+            responses_for_first=responses_first,
+            responses_for_second=responses_second,
+            violations=violations,
+        )
 
 
 def compare_rollback_hardware(protocol: str = "minbft") -> dict[str, RollbackReport]:
@@ -304,56 +304,56 @@ def run_restart_rollback_attack(hardware: TrustedHardwareSpec = SGX_ENCLAVE_COUN
         faults=FaultConfig(byzantine=(0,)),
         experiment=ExperimentConfig(seed=7),
     )
-    deployment = Deployment(config)
-    primary = deployment.primary
-    replica_g = deployment.replica(1)
-    replica_d = deployment.replica(2)
-    client_name = deployment.client_names[0]
+    with Deployment(config) as deployment:
+        primary = deployment.primary
+        replica_g = deployment.replica(1)
+        replica_d = deployment.replica(2)
+        client_name = deployment.client_names[0]
 
-    # Phase 1: the primary only talks to G (and itself); D hears nothing.
-    def phase1_filter(destination: str, message: object) -> bool:
-        return destination not in {replica_d.name}
+        # Phase 1: the primary only talks to G (and itself); D hears nothing.
+        def phase1_filter(destination: str, message: object) -> bool:
+            return destination not in {replica_d.name}
 
-    primary.make_byzantine(phase1_filter)
-    request_t = _client_request(client_name, 1, "account", "transfer-to-alice")
-    primary.propose_batch(RequestBatch(requests=(request_t,)))
-    deployment.sim.run(until=ms(200))
+        primary.make_byzantine(phase1_filter)
+        request_t = _client_request(client_name, 1, "account", "transfer-to-alice")
+        primary.propose_batch(RequestBatch(requests=(request_t,)))
+        deployment.sim.run(until=ms(200))
 
-    responses_first = sum(
-        1 for replica in (primary, replica_g)
-        if replica.reply_cache.get(request_t.request_id) is not None)
+        responses_first = sum(
+            1 for replica in (primary, replica_g)
+            if replica.reply_cache.get(request_t.request_id) is not None)
 
-    # Phase 2: power-cycle the primary.  No recovery protocol runs — this
-    # host wants amnesia, not a rejoin — and the disk is discarded too.
-    primary = deployment.restart_replica(0, recover=False, wipe_store=True)
-    counter_reset = (not primary.trusted.counters.snapshot()
-                     and not primary.trusted.flexi.snapshot())
+        # Phase 2: power-cycle the primary.  No recovery protocol runs — this
+        # host wants amnesia, not a rejoin — and the disk is discarded too.
+        primary = deployment.restart_replica(0, recover=False, wipe_store=True)
+        counter_reset = (not primary.trusted.counters.snapshot()
+                         and not primary.trusted.flexi.snapshot())
 
-    def phase2_filter(destination: str, message: object) -> bool:
-        return destination not in {replica_g.name}
+        def phase2_filter(destination: str, message: object) -> bool:
+            return destination not in {replica_g.name}
 
-    primary.make_byzantine(phase2_filter)
-    request_t2 = _client_request(client_name, 2, "account", "transfer-to-bob")
-    primary.propose_batch(RequestBatch(requests=(request_t2,)))
-    deployment.sim.run(until=ms(400))
-    # As in the snapshot variant, the byzantine primary forges its own
-    # matching reply towards the client.
-    responses_second = (
-        (1 if replica_d.reply_cache.get(request_t2.request_id) is not None else 0)
-        + 1)
+        primary.make_byzantine(phase2_filter)
+        request_t2 = _client_request(client_name, 2, "account", "transfer-to-bob")
+        primary.propose_batch(RequestBatch(requests=(request_t2,)))
+        deployment.sim.run(until=ms(400))
+        # As in the snapshot variant, the byzantine primary forges its own
+        # matching reply towards the client.
+        responses_second = (
+            (1 if replica_d.reply_cache.get(request_t2.request_id) is not None else 0)
+            + 1)
 
-    digests = deployment.safety.distinct_digests_at(1)
-    violations = [v.description for v in deployment.safety.violations]
-    return RollbackReport(
-        protocol=protocol, hardware=hardware.name,
-        rollback_succeeded=counter_reset,
-        safety_violated=not deployment.safety.consensus_safe,
-        conflicting_digests_at_seq1=len(digests),
-        responses_for_first=responses_first,
-        responses_for_second=responses_second,
-        violations=violations,
-        attack="restart",
-    )
+        digests = deployment.safety.distinct_digests_at(1)
+        violations = [v.description for v in deployment.safety.violations]
+        return RollbackReport(
+            protocol=protocol, hardware=hardware.name,
+            rollback_succeeded=counter_reset,
+            safety_violated=not deployment.safety.consensus_safe,
+            conflicting_digests_at_seq1=len(digests),
+            responses_for_first=responses_first,
+            responses_for_second=responses_second,
+            violations=violations,
+            attack="restart",
+        )
 
 
 def compare_restart_rollback_hardware(protocol: str = "minbft") -> dict[str, RollbackReport]:

@@ -66,11 +66,6 @@ def _keyed_states(secret: bytes, tag: bytes) -> tuple:
     two ``hashlib`` states directly instead of going through an
     ``hmac.HMAC`` object.  Values are identical to
     ``hmac.new(secret, tag + message, hashlib.sha256).digest()``.
-
-    The states are C-level objects that cannot be pickled or deep-copied;
-    since they are a pure function of the secret, copies of a key simply
-    rebuild them (``__getstate__``/``__setstate__`` on the key classes),
-    which keeps whole deployments deep-copyable for warmed-snapshot reuse.
     """
     if len(secret) > _BLOCK_SIZE:
         secret = hashlib.sha256(secret).digest()
@@ -94,14 +89,7 @@ class SigningKey:
 
     def __init__(self, identity: str, secret: bytes) -> None:
         self.identity = identity
-        self._secret = secret
         self._states = _keyed_states(secret, _SIG_TAG)
-
-    def __getstate__(self) -> dict:
-        return {"identity": self.identity, "_secret": self._secret}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["identity"], state["_secret"])
 
     def sign(self, message: Any) -> Signature:
         """Sign the canonical encoding of ``message``."""
@@ -126,15 +114,7 @@ class MacKey:
     def __init__(self, sender: str, receiver: str, secret: bytes) -> None:
         self.sender = sender
         self.receiver = receiver
-        self._secret = secret
         self._states = _keyed_states(secret, _MAC_TAG)
-
-    def __getstate__(self) -> dict:
-        return {"sender": self.sender, "receiver": self.receiver,
-                "_secret": self._secret}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["sender"], state["receiver"], state["_secret"])
 
     def generate(self, message: Any) -> Mac:
         """Authenticate ``message`` from ``sender`` to ``receiver``."""

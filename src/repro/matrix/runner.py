@@ -13,8 +13,8 @@ Realtime cells (live / live-tcp backends) get the same treatment the
 ``repro live`` command applies: every client reply is HMAC-verified while
 the run is in flight, and a run that completes zero requests or verifies
 zero replies is an error, not a data point.  Simulated cells additionally
-record a determinism digest of their row, which ``repro perf --trend``
-folds into its drift tables.
+record a determinism digest of their row, so two result directories of the
+same matrix can be compared cell by cell.
 """
 
 from __future__ import annotations

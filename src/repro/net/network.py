@@ -236,8 +236,8 @@ class Network:
     def _schedule_delivery(self, target: NetworkNode, envelope: Envelope,
                            context=None) -> None:
         """Arrange for ``envelope`` to reach ``target`` at its delivery time."""
-        # partial, not a lambda: in-flight deliveries must survive a deepcopy
-        # of the deployment (warmed-snapshot reuse in recovery experiments).
+        # partial, not a lambda: the delivery stays a named method with its
+        # arguments bound (no closure cell, attributable by the tracers).
         # Deliveries are never cancelled: the kernel's handle-free path.
         self._sim.schedule_call(envelope.delivered_at,
                                 partial(self._deliver, target, envelope,

@@ -1,69 +1,54 @@
-"""Performance harness: named benchmark scenarios, machine-readable results,
-and baseline regression checking.
+"""Determinism digests: named deterministic scenarios and their baselines.
 
-The paper's headline claim is quantitative — FlexiTrust protocols outperform
-their sequential trusted-counter counterparts — so the reproduction needs a
-first-class measurement layer: something that runs named scenarios (figure
-experiments and microbenchmarks of the simulation substrate), records
-wall-clock seconds alongside the simulated metrics, emits
-``BENCH_<scenario>.json`` files, and *gates* changes that make the simulator
-slower via committed baselines with per-metric tolerances.
+Every scenario — figure experiments and microbenchmarks of the simulation
+substrate — returns flat rows of *simulated* results, and the digest over
+those rows is committed as ``benchmarks/baselines/BENCH_<scenario>.json``.
+A change that alters any simulated result changes a digest and has to
+declare it; a change that only makes the code faster or smaller leaves
+every digest byte-identical.  Speed itself is measured by the repo
+benchmark (``BENCHMARK.json`` + ``benchmarks/e2e/``), never here.
 
 Entry points:
 
-* ``python -m repro perf --scenarios smoke`` — run the smoke suite and write
-  one ``BENCH_<scenario>.json`` per scenario.
+* ``python -m repro perf`` — run every scenario at smoke scale and print
+  its digest.
 * ``python -m repro perf --scenarios fig1 --scale medium`` — one scenario at
   an explicit scale.
-* ``--check-baseline benchmarks/baselines/`` — compare fresh results against
-  committed baselines and exit non-zero on regression (the CI gate).
+* ``--check-baseline benchmarks/baselines/`` — compare fresh digests with
+  the committed ones and exit non-zero on any difference (the CI check);
+  without ``--scenarios`` every baseline in the directory is checked at its
+  own scale.
 * ``--update-baseline benchmarks/baselines/`` — refresh the committed
-  baselines after an intentional performance or determinism change.
+  baselines after an intentional behaviour change.
 """
 
 from .baseline import (
-    DEFAULT_TOLERANCES,
-    LIVE_TOLERANCES,
     BaselineComparison,
-    MetricCheck,
-    Tolerance,
     baseline_path,
+    committed_baselines,
     compare_result,
+    compare_to_dir,
     format_comparison,
+    format_result,
     load_baseline,
-    tolerances_for,
-)
-from .runner import (
-    ScenarioResult,
-    calibrate,
-    result_payload,
     run_scenario,
     write_bench_json,
 )
-from .scenarios import PERF_SCALES, SCENARIOS, SUITES, PerfScale
-from .trend import collate_trend, format_trend, trend_report
+from .scenarios import PERF_SCALES, SCENARIOS, PerfScale, metrics_digest
 
 __all__ = [
-    "DEFAULT_TOLERANCES",
-    "LIVE_TOLERANCES",
     "BaselineComparison",
-    "MetricCheck",
-    "Tolerance",
     "baseline_path",
+    "committed_baselines",
     "compare_result",
+    "compare_to_dir",
     "format_comparison",
+    "format_result",
     "load_baseline",
-    "tolerances_for",
-    "ScenarioResult",
-    "calibrate",
-    "result_payload",
     "run_scenario",
     "write_bench_json",
     "PERF_SCALES",
     "SCENARIOS",
-    "SUITES",
     "PerfScale",
-    "collate_trend",
-    "format_trend",
-    "trend_report",
+    "metrics_digest",
 ]

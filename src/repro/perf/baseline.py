@@ -1,128 +1,60 @@
-"""Baseline comparison with per-metric tolerances.
+"""Run a scenario, digest its rows, compare with the committed baseline.
 
-A committed baseline is the ``BENCH_<scenario>.json`` of a known-good run.
-Fresh results are compared against it along two axes:
-
-* **Speed** — tolerant thresholds on machine-normalised wall-clock (and,
-  informationally, raw events/sec).  Only regressions beyond the tolerance
-  fail; noise and small slowdowns pass.
-* **Determinism** — the ``metrics_digest`` over the scenario's simulated rows
-  must match exactly.  An optimisation is only an optimisation if the
-  simulated results are byte-identical; a digest mismatch means behaviour
-  changed and the baseline must be refreshed deliberately
-  (``python -m repro perf --update-baseline``).
+A committed baseline is the ``BENCH_<scenario>[.<scale>].json`` of a
+known-good run: the scenario's simulated rows and the ``metrics_digest``
+over them.  A fresh run must reproduce the digest exactly — a change that
+is only a speed-up leaves the simulated rows byte-identical; a digest
+mismatch means behaviour changed and the baseline must be refreshed
+deliberately (``python -m repro perf --update-baseline``, plus an entry in
+``benchmarks/baselines/REFRESH.txt``).  Nothing here is timed: speed is
+measured by the repo benchmark (``BENCHMARK.json``) and nowhere else.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .scenarios import PERF_SCALES, SCENARIOS, metrics_digest
+
+#: bump when the BENCH_*.json layout changes incompatibly.
+SCHEMA_VERSION = 2
+
 # comparison statuses
 OK = "ok"
-IMPROVED = "improved"
-REGRESSION = "regression"
 MISSING_BASELINE = "missing-baseline"
 DIGEST_MISMATCH = "digest-mismatch"
-#: the baseline cannot gate this result (schema drift, scale mismatch, or no
-#: gated metric present on both sides) — a failure, not a silent pass: a
-#: baseline that compares nothing protects nothing.
+#: the baseline is not a record of this run (schema drift, scenario or scale
+#: mismatch) — a failure, not a silent pass: a baseline that compares
+#: nothing protects nothing.
 INCOMPARABLE = "incomparable"
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Allowed regression for one metric.
-
-    ``max_regression`` is fractional: ``0.25`` fails only when the metric is
-    more than 25% worse than the baseline (slower wall-clock, fewer
-    events/sec).  ``gate=False`` metrics are reported but never fail the
-    comparison — useful for noisy, machine-dependent numbers.
-
-    ``absolute_floor`` (lower-is-better metrics only): a regression beyond
-    the fractional threshold is still not a failure while the current value
-    stays at or below this absolute value — the guard that keeps a gate on a
-    tiny baseline (e.g. a 70 ms live run) from failing honest runs on a
-    slower machine while still catching runs that blow past the floor.
-    """
-
-    metric: str
-    higher_is_better: bool
-    max_regression: float
-    gate: bool = True
-    absolute_floor: Optional[float] = None
+_BENCH_FILE = re.compile(r"^BENCH_(?P<scenario>.+?)(?:\.(?P<scale>[a-z]+))?\.json$")
 
 
-#: wall-clock gates on the calibration-normalised value (25%, per the CI
-#: policy); raw events/sec is reported with a generous, non-gating threshold
-#: because it is not normalised for machine speed.
-DEFAULT_TOLERANCES: tuple[Tolerance, ...] = (
-    Tolerance("normalized_wall", higher_is_better=False, max_regression=0.25),
-    Tolerance("events_per_sec", higher_is_better=True, max_regression=0.50,
-              gate=False),
-)
-
-#: live scenarios mix real injected-latency waits (machine-independent) with
-#: real Python/HMAC/event-loop work (machine-dependent), so neither raw nor
-#: calibration-normalised wall-clock is a clean cross-machine metric.  They
-#: gate on raw wall-clock with very generous headroom (4x) *and* an absolute
-#: floor: a sub-2-second run never fails regardless of the ratio, so a CI
-#: runner several times slower than the recording machine passes, while a
-#: wedged event loop runs to its multi-second cap and trips the gate
-#: unmistakably.  The gate is a hang detector, not a drift meter — drift is
-#: what ``perf --trend`` is for.
-LIVE_TOLERANCES: tuple[Tolerance, ...] = (
-    Tolerance("wall_seconds", higher_is_better=False, max_regression=3.0,
-              absolute_floor=2.0),
-    Tolerance("normalized_wall", higher_is_better=False, max_regression=3.0,
-              gate=False),
-)
-
-
-def tolerances_for(payload: dict) -> tuple[Tolerance, ...]:
-    """The tolerance set gating one fresh result payload.
-
-    Real-time scenarios are recognised by what marks them everywhere else:
-    they carry no determinism digest (see
-    :func:`repro.perf.runner.run_scenario`), so the classification cannot
-    drift out of sync with a scenario's name.
-    """
-    if not payload.get("metrics_digest"):
-        return LIVE_TOLERANCES
-    return DEFAULT_TOLERANCES
-
-
-@dataclass(frozen=True)
-class MetricCheck:
-    """Outcome of one metric's baseline comparison."""
-
-    metric: str
-    baseline_value: float
-    current_value: float
-    #: fractional change in the *worse* direction (negative = improved).
-    regression: float
-    status: str
-    gate: bool
-
-    @property
-    def failed(self) -> bool:
-        return self.gate and self.status == REGRESSION
-
-
-@dataclass(frozen=True)
-class BaselineComparison:
-    """Outcome of comparing one fresh result against its baseline."""
-
-    scenario: str
-    status: str
-    checks: tuple[MetricCheck, ...] = ()
-    notes: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.status in (OK, IMPROVED)
+def run_scenario(name: str, scale_name: str = "smoke") -> dict:
+    """Run one named scenario at one scale; returns its ``BENCH`` payload."""
+    try:
+        scenario = SCENARIOS[name]
+    except KeyError:
+        raise KeyError(f"unknown scenario {name!r}; "
+                       f"available: {', '.join(sorted(SCENARIOS))}") from None
+    try:
+        scale = PERF_SCALES[scale_name]
+    except KeyError:
+        raise KeyError(f"unknown scale {scale_name!r}; "
+                       f"available: {', '.join(sorted(PERF_SCALES))}") from None
+    rows = scenario(scale)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "scenario": name,
+        "scale": scale.name,
+        "metrics_digest": metrics_digest(rows),
+        "rows": rows,
+    }
 
 
 def baseline_path(baseline_dir: str, scenario: str,
@@ -130,7 +62,7 @@ def baseline_path(baseline_dir: str, scenario: str,
     """Where the committed baseline for ``scenario`` (at ``scale``) lives.
 
     Baselines are scale-qualified — ``BENCH_<scenario>.<scale>.json`` — so a
-    ``medium`` run gates against a committed medium baseline instead of
+    ``medium`` run is compared with a committed medium baseline instead of
     failing the smoke one with a scale mismatch.  The smoke scale (and
     callers that do not pass a scale) keep the historical unqualified
     ``BENCH_<scenario>.json`` name.
@@ -138,6 +70,27 @@ def baseline_path(baseline_dir: str, scenario: str,
     if scale and scale != "smoke":
         return os.path.join(baseline_dir, f"BENCH_{scenario}.{scale}.json")
     return os.path.join(baseline_dir, f"BENCH_{scenario}.json")
+
+
+def committed_baselines(baseline_dir: str) -> list[tuple[str, str]]:
+    """The ``(scenario, scale)`` of every ``BENCH_*.json`` in a directory."""
+    found = []
+    for filename in sorted(os.listdir(baseline_dir)):
+        match = _BENCH_FILE.match(filename)
+        if match is not None:
+            found.append((match.group("scenario"),
+                          match.group("scale") or "smoke"))
+    return found
+
+
+def write_bench_json(payload: dict, out_dir: str) -> str:
+    """Write one payload into ``out_dir`` under its baseline name."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = baseline_path(out_dir, payload["scenario"], payload["scale"])
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return path
 
 
 def load_baseline(path: str) -> Optional[dict]:
@@ -148,118 +101,72 @@ def load_baseline(path: str) -> Optional[dict]:
         return json.load(handle)
 
 
-def _check_metric(tolerance: Tolerance, baseline: dict,
-                  current: dict) -> Optional[MetricCheck]:
-    baseline_value = baseline.get(tolerance.metric)
-    current_value = current.get(tolerance.metric)
-    if not isinstance(baseline_value, (int, float)) or \
-            not isinstance(current_value, (int, float)):
-        return None
-    if baseline_value <= 0:
-        return None  # nothing meaningful to compare against
-    change = (current_value - baseline_value) / baseline_value
-    regression = -change if tolerance.higher_is_better else change
-    over_floor = (tolerance.absolute_floor is None
-                  or current_value > tolerance.absolute_floor)
-    if regression > tolerance.max_regression and over_floor:
-        status = REGRESSION
-    elif regression < 0:
-        status = IMPROVED
-    else:
-        status = OK
-    return MetricCheck(
-        metric=tolerance.metric, baseline_value=float(baseline_value),
-        current_value=float(current_value), regression=regression,
-        status=status, gate=tolerance.gate)
+@dataclass(frozen=True)
+class BaselineComparison:
+    """Outcome of comparing one fresh result against its baseline."""
+
+    scenario: str
+    scale: str
+    status: str
+    notes: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.status == OK
 
 
-def compare_result(current: dict, baseline: Optional[dict],
-                   tolerances: Iterable[Tolerance] = DEFAULT_TOLERANCES
-                   ) -> BaselineComparison:
-    """Compare one fresh result payload against its baseline payload.
+def compare_result(current: dict,
+                   baseline: Optional[dict]) -> BaselineComparison:
+    """Compare one fresh payload against its baseline payload.
 
-    Both arguments are ``BENCH_*.json`` payload dictionaries (see
-    :func:`repro.perf.runner.result_payload`); ``baseline`` is ``None`` when
-    no baseline is committed, which is itself a failure — a gated scenario
-    without a baseline gates nothing.
+    ``current`` is what :func:`run_scenario` returned; ``baseline`` is what a
+    file held, so only it is read defensively.  It is ``None`` when no
+    baseline is committed, which is itself a failure — a checked scenario
+    without a baseline checks nothing.
     """
-    scenario = str(current.get("scenario", "?"))
+    scenario, scale = current["scenario"], current["scale"]
     if baseline is None:
         return BaselineComparison(
-            scenario=scenario, status=MISSING_BASELINE,
-            notes=(f"no committed baseline for scenario {scenario!r}; "
-                   "record one with --update-baseline",))
-    notes: list[str] = []
-    if baseline.get("schema_version") != current.get("schema_version"):
-        notes.append(
-            f"schema mismatch: baseline v{baseline.get('schema_version')!r} "
-            f"vs current v{current.get('schema_version')!r}; refresh the "
-            "baselines with --update-baseline")
-        return BaselineComparison(scenario=scenario, status=INCOMPARABLE,
-                                  notes=tuple(notes))
-    if baseline.get("scale") != current.get("scale"):
-        notes.append(
-            f"scale mismatch: baseline {baseline.get('scale')!r} vs "
-            f"current {current.get('scale')!r}")
-        return BaselineComparison(scenario=scenario, status=INCOMPARABLE,
-                                  notes=tuple(notes))
+            scenario, scale, MISSING_BASELINE,
+            (f"no committed baseline for scenario {scenario!r} at scale "
+             f"{scale!r}; record one with --update-baseline",))
+    for field in ("schema_version", "scenario", "scale"):
+        if baseline.get(field) != current[field]:
+            return BaselineComparison(
+                scenario, scale, INCOMPARABLE,
+                (f"{field} mismatch: baseline {baseline.get(field)!r} vs "
+                 f"current {current[field]!r}",))
     baseline_digest = baseline.get("metrics_digest")
-    current_digest = current.get("metrics_digest")
-    if baseline_digest and current_digest and baseline_digest != current_digest:
-        notes.append(
-            "simulated results differ from the baseline "
-            f"({str(baseline_digest)[:12]} != {str(current_digest)[:12]}): "
-            "determinism changed; refresh baselines if intentional")
-        return BaselineComparison(scenario=scenario, status=DIGEST_MISMATCH,
-                                  notes=tuple(notes))
-    checks = tuple(check for tolerance in tolerances
-                   if (check := _check_metric(tolerance, baseline, current)))
-    gated = [check for check in checks if check.gate]
-    if not gated:
+    current_digest = current["metrics_digest"]
+    if baseline_digest != current_digest:
         return BaselineComparison(
-            scenario=scenario, status=INCOMPARABLE, checks=checks,
-            notes=("no gated metric is present in both the baseline and the "
-                   "fresh result; the baseline gates nothing — refresh it "
-                   "with --update-baseline",))
-    if any(check.failed for check in checks):
-        status = REGRESSION
-    elif any(check.status == IMPROVED for check in gated):
-        status = IMPROVED
-    else:
-        status = OK
-    return BaselineComparison(scenario=scenario, status=status, checks=checks)
+            scenario, scale, DIGEST_MISMATCH,
+            ("simulated results differ from the baseline "
+             f"({str(baseline_digest)[:12]} != {str(current_digest)[:12]}): "
+             "determinism changed; refresh baselines if intentional",))
+    return BaselineComparison(scenario, scale, OK)
 
 
-def compare_to_dir(results: Iterable[dict], baseline_dir: str,
-                   tolerances: Optional[Iterable[Tolerance]] = None
-                   ) -> list[BaselineComparison]:
-    """Compare many fresh result payloads against a baseline directory.
-
-    Without an explicit ``tolerances`` override, each payload is gated by
-    its scenario's own tolerance set (:func:`tolerances_for`) — live
-    scenarios gate on raw wall-clock, simulated ones on normalised wall.
-    """
-    fixed = tuple(tolerances) if tolerances is not None else None
+def compare_to_dir(results: Iterable[dict],
+                   baseline_dir: str) -> list[BaselineComparison]:
+    """Compare fresh payloads against the baselines in one directory."""
     return [
-        compare_result(
-            current,
-            load_baseline(baseline_path(baseline_dir,
-                                        str(current.get("scenario", "?")),
-                                        current.get("scale"))),
-            fixed if fixed is not None else tolerances_for(current))
+        compare_result(current, load_baseline(baseline_path(
+            baseline_dir, current["scenario"], current["scale"])))
         for current in results
     ]
 
 
+def format_result(payload: dict) -> str:
+    """One human-readable summary line per scenario run."""
+    return (f"{payload['scenario']:<18} scale={payload['scale']:<7} "
+            f"rows={len(payload['rows']):>3}  "
+            f"digest={payload['metrics_digest'][:12]}")
+
+
 def format_comparison(comparison: BaselineComparison) -> str:
-    """Multi-line human-readable report for one comparison."""
-    lines = [f"[{comparison.status.upper():>16}] {comparison.scenario}"]
-    for check in comparison.checks:
-        marker = "FAIL" if check.failed else check.status
-        lines.append(
-            f"    {check.metric:<18} baseline={check.baseline_value:>12.4f}  "
-            f"current={check.current_value:>12.4f}  "
-            f"improvement={100.0 * -check.regression:+7.1f}%  [{marker}]")
-    for note in comparison.notes:
-        lines.append(f"    note: {note}")
+    """Human-readable report for one comparison."""
+    lines = [f"[{comparison.status.upper():>16}] {comparison.scenario} "
+             f"({comparison.scale})"]
+    lines.extend(f"    note: {note}" for note in comparison.notes)
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Named performance scenarios.
+"""Named deterministic scenarios.
 
 Two families share one registry:
 
@@ -11,14 +11,16 @@ Two families share one registry:
 * **Microbenchmarks** isolate one substrate layer each — the simulation
   kernel (``kernel``), the message transport (``network``), the
   serialisation/crypto layer (``crypto``) and the binary wire framing
-  (``wire_codec``) — so a regression can be attributed before bisecting a
-  full deployment run.
+  (``wire_codec``) — so a behaviour change can be attributed before
+  bisecting a full deployment run.
 
 Every scenario is a function ``(PerfScale) -> list[dict]`` returning flat row
 dictionaries of *simulated* results only (no wall-clock values), so the rows
 can be digested for determinism checking: two runs of the same code must
 produce byte-identical row digests, and an optimisation that changes them has
-changed simulated behaviour, not just speed.
+changed simulated behaviour, not just speed.  Every point is built and run
+the one way everything else is: ``with DeploymentSpec(...).build() as
+deployment`` followed by ``run_until_target()`` (or the open-loop driver).
 """
 
 from __future__ import annotations
@@ -36,10 +38,7 @@ from ..protocols.messages import ClientRequest, RequestBatch
 from ..runtime.experiments import (
     ExperimentScale,
     build_config,
-    build_sharded_config,
     figure_recovery,
-    run_point,
-    run_sharded_point,
 )
 from ..runtime.spec import DeploymentSpec
 from ..sim.kernel import Simulator
@@ -166,22 +165,7 @@ PERF_SCALES: dict[str, PerfScale] = {
             offered_rates_tx_s=(6_000.0, 18_000.0, 36_000.0),
             duration_s=0.5, hotspot_rate_tx_s=18_000.0,
             diurnal_rate_tx_s=12_000.0)),
-    "wan": PerfScale(
-        name="wan",
-        experiment=_MEDIUM_EXPERIMENT,
-        micro_ops=100_000, shard_counts=(1, 2),
-        fig1_protocols=("minbft", "flexi-bft", "flexi-zz"),
-        recovery_protocols=("minbft", "flexi-bft"),
-        recovery=RecoveryParams(num_clients=24, crash_s=0.4, restart_s=0.7,
-                                end_s=1.3, both_hardware_levels=False)),
 }
-
-#: regions used by the ``wan`` scale's figure scenarios (paper order).
-_WAN_REGIONS = ("san-jose", "ashburn", "sydney", "sao-paulo")
-
-
-def _fig1_regions(scale: PerfScale) -> tuple[str, ...]:
-    return _WAN_REGIONS if scale.name == "wan" else ("san-jose",)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +175,9 @@ def scenario_fig1(scale: PerfScale) -> list[dict]:
     """Headline comparison: trust-bft protocols vs their FlexiTrust versions."""
     rows = []
     for protocol in scale.fig1_protocols:
-        config = build_config(protocol, scale.experiment,
-                              regions=_fig1_regions(scale))
-        result = run_point(config)
+        config = build_config(protocol, scale.experiment)
+        with DeploymentSpec(config).build() as deployment:
+            result = deployment.run_until_target()
         row = {"protocol": protocol}
         row.update(result.as_row())
         rows.append(row)
@@ -220,9 +204,13 @@ def scenario_sharding_scaleout(scale: PerfScale) -> list[dict]:
     rows = []
     for protocol in ("minbft", "flexi-bft"):
         for num_shards in scale.shard_counts:
-            config = build_sharded_config(protocol, scale.experiment,
-                                          num_shards=num_shards)
-            result = run_sharded_point(config)
+            # offered load proportional to the shard count
+            config = build_config(
+                protocol, scale.experiment,
+                num_clients=scale.experiment.num_clients * num_shards)
+            with DeploymentSpec(config,
+                                num_shards=num_shards).build() as deployment:
+                result = deployment.run_until_target()
             row = {"protocol": protocol}
             row.update(result.as_row())
             rows.append(row)
@@ -279,10 +267,9 @@ def scenario_openloop_overload(scale: PerfScale) -> list[dict]:
             max_in_flight=params.max_in_flight,
             deadline_us=params.deadline_ms * 1_000.0,
             duration_s=params.duration_s)
-        deployment = _openloop_spec(scale, open_loop).build()
-        try:
+        with _openloop_spec(scale, open_loop).build() as deployment:
             engine, result = run_open_loop(deployment, open_loop)
-            # The million-user contract, enforced on every gated run: engine
+            # The million-user contract, enforced on every checked run: engine
             # state is O(active requests) — free-lane stack + armed deadlines
             # + the arrival/flip/boundary events — never O(num_users).
             assert (engine.stats.peak_resident
@@ -294,8 +281,6 @@ def scenario_openloop_overload(scale: PerfScale) -> list[dict]:
             row.update(open_loop_row(engine, result))
             row["primary_utilisation"] = round(
                 _primary_utilisation(deployment), 4)
-        finally:
-            deployment.close()
         rows.append(row)
     return rows
 
@@ -318,8 +303,7 @@ def scenario_openloop_hotspot(scale: PerfScale) -> list[dict]:
         duration_s=params.duration_s)
     spec = _openloop_spec(scale, open_loop, num_shards=num_shards,
                           records=params.hotspot_records)
-    deployment = spec.build()
-    try:
+    with spec.build() as deployment:
         engine, result = run_open_loop(deployment, open_loop)
         row = {"protocol": _OPENLOOP_PROTOCOL, "shards": num_shards}
         row.update(open_loop_row(engine, result))
@@ -328,8 +312,6 @@ def scenario_openloop_hotspot(scale: PerfScale) -> list[dict]:
         row["hot_shard_share"] = round(max(completed.values()) / total, 4)
         for shard in sorted(completed):
             row[f"shard{shard}_completed"] = completed[shard]
-    finally:
-        deployment.close()
     return [row]
 
 
@@ -347,8 +329,7 @@ def scenario_openloop_diurnal(scale: PerfScale) -> list[dict]:
         max_in_flight=params.max_in_flight,
         deadline_us=params.deadline_ms * 1_000.0,
         segments=params.diurnal_segments)
-    deployment = _openloop_spec(scale, open_loop).build()
-    try:
+    with _openloop_spec(scale, open_loop).build() as deployment:
         engine, result = run_open_loop(deployment, open_loop)
         rows = [dict(segment_row) for segment_row in engine.stats.segment_rows]
         summary = {"protocol": _OPENLOOP_PROTOCOL, "segment": "all"}
@@ -356,168 +337,12 @@ def scenario_openloop_diurnal(scale: PerfScale) -> list[dict]:
         summary["primary_utilisation"] = round(
             _primary_utilisation(deployment), 4)
         rows.append(summary)
-    finally:
-        deployment.close()
     return rows
-
-
-# ---------------------------------------------------------------------------
-# live-backend scenarios
-# ---------------------------------------------------------------------------
-#: sizing of the live smoke run; fixed across perf scales because the live
-#: backend's wall-clock is real time (latency sleeps and crypto), which the
-#: per-scale deployment sizing knobs were not designed to bound.
-_LIVE_EXPERIMENT = ExperimentScale(
-    name="live-smoke", f=1, num_clients=8, batch_size=4,
-    warmup_batches=1, measured_batches=5, worker_threads=4,
-    max_sim_seconds=30.0)
-
-#: protocols driven end to end on the asyncio backend by ``live_smoke``.
-_LIVE_PROTOCOLS = ("minbft", "flexi-bft")
-
-
-def scenario_live_smoke(scale: PerfScale) -> list[dict]:
-    """Live asyncio backend end to end: real clock, real HMAC, real replies.
-
-    Unlike every other scenario this one is *not* deterministic — it runs
-    the unchanged protocol replicas on a real event loop, so its rows hold
-    genuine wall-clock throughput/latency numbers and its result carries no
-    determinism digest (see :func:`repro.perf.runner.run_scenario`).
-    """
-    from ..realtime import run_live_point
-
-    rows = []
-    for protocol in _LIVE_PROTOCOLS:
-        config = build_config(protocol, _LIVE_EXPERIMENT)
-        result = run_live_point(config)
-        row = {"protocol": protocol, "backend": "live"}
-        row.update(result.as_row())
-        rows.append(row)
-    return rows
-
-
-scenario_live_smoke.deterministic = False
-#: the scenario runs its fixed sizing regardless of the requested PerfScale,
-#: so its results are always labeled (and baselined) as smoke scale.
-scenario_live_smoke.fixed_scale = "smoke"
-
-
-#: every core protocol of the paper's headline comparison, run live.
-_LIVE_FIG1_PROTOCOLS = ("pbft", "minbft", "minzz", "flexi-bft", "flexi-zz")
-
-
-def scenario_live_fig1(scale: PerfScale) -> list[dict]:
-    """The fig1 head-to-head on *wall-clock*: every core protocol, live.
-
-    The paper's headline claim — FlexiTrust protocols beat sequential
-    trusted-component protocols — is checked by ``fig1`` on simulated time;
-    this scenario re-runs the same comparison on the asyncio backend so the
-    claim can also be read off real wall-clock throughput numbers (with real
-    HMAC costs and a real scheduler).  Non-deterministic, like every live
-    scenario: no digest, gated on wall-clock only.
-    """
-    from ..realtime import run_live_point
-
-    rows = []
-    for protocol in _LIVE_FIG1_PROTOCOLS:
-        config = build_config(protocol, _LIVE_EXPERIMENT)
-        result = run_live_point(config)
-        row = {"protocol": protocol, "backend": "live"}
-        row.update(result.as_row())
-        rows.append(row)
-    return rows
-
-
-scenario_live_fig1.deterministic = False
-scenario_live_fig1.fixed_scale = "smoke"
-
-
-@dataclass(frozen=True)
-class LiveRecoveryParams:
-    """Wall-clock fault timeline of the ``live_recovery`` scenario."""
-
-    crash_s: float = 0.2
-    restart_s: float = 0.35
-    end_s: float = 0.8
-
-
-#: sizing of the live recovery run (fixed, like every live scenario).
-_LIVE_RECOVERY_EXPERIMENT = ExperimentScale(
-    name="live-recovery", f=1, num_clients=8, batch_size=4,
-    warmup_batches=1, measured_batches=5, worker_threads=4,
-    max_sim_seconds=30.0)
-
-_LIVE_RECOVERY_PROTOCOLS = ("minbft", "flexi-bft")
-
-
-def scenario_live_recovery(scale: PerfScale) -> list[dict]:
-    """Crash → restart → state transfer of a real replica task, live.
-
-    A :class:`~repro.recovery.schedule.FaultSchedule` crashes the highest
-    non-primary replica at a wall-clock instant and restarts it later; the
-    restarted incarnation replays its durable store and state-transfers the
-    missing suffix from its peers over the live transport, all while the
-    clients keep offering load.  Rows carry the same dip/time-to-recover
-    summary as the simulated ``recovery`` scenario, measured in real time.
-    """
-    from ..common.config import RecoveryConfig
-    from ..realtime import LiveDeployment
-    from ..recovery import (
-        FaultSchedule,
-        crash_at,
-        recovery_summary,
-        restart_at,
-    )
-    from ..protocols.registry import get_protocol
-
-    params = LiveRecoveryParams()
-    crash_us = params.crash_s * 1_000_000.0
-    restart_us = params.restart_s * 1_000_000.0
-    end_us = params.end_s * 1_000_000.0
-    rows = []
-    for protocol in _LIVE_RECOVERY_PROTOCOLS:
-        spec = get_protocol(protocol)
-        n = spec.replicas(_LIVE_RECOVERY_EXPERIMENT.f)
-        crashed = n - 1
-        config = build_config(protocol, _LIVE_RECOVERY_EXPERIMENT)
-        config = config.with_updates(recovery=RecoveryConfig(
-            fsync_latency_us=20.0, replay_latency_us=5.0))
-        schedule = FaultSchedule((crash_at(crashed, crash_us),
-                                  restart_at(crashed, restart_us)))
-        deployment = LiveDeployment(config, fault_schedule=schedule)
-        try:
-            result = deployment.run_for(end_us)
-            summary = recovery_summary(
-                deployment.metrics.completions, crash_us, restart_us, end_us,
-                warmup_us=0.25 * crash_us)
-            replica = deployment.replica(crashed)
-            row = {"protocol": protocol, "backend": "live",
-                   "crashed_replica": crashed}
-            row.update(result.as_row())
-            row.update(summary.as_row())
-            row["recovered"] = replica.stats.recoveries_completed > 0
-            row["transfer_batches"] = replica.stats.log_fill_batches_applied
-            rows.append(row)
-        finally:
-            deployment.close()
-    return rows
-
-
-scenario_live_recovery.deterministic = False
-scenario_live_recovery.fixed_scale = "smoke"
 
 
 # ---------------------------------------------------------------------------
 # observability overhead
 # ---------------------------------------------------------------------------
-#: sizing of the observability-overhead run; fixed so the traced/untraced
-#: comparison is the same deployment at every requested scale.
-_OBSV_EXPERIMENT = ExperimentScale(
-    name="obsv-overhead", f=1, num_clients=40, batch_size=10,
-    warmup_batches=2, measured_batches=6, worker_threads=8,
-    max_sim_seconds=20.0)
-
-
 def scenario_obsv_overhead(scale: PerfScale) -> list[dict]:
     """Tracing + health collection must observe a run, never change it.
 
@@ -538,16 +363,15 @@ def scenario_obsv_overhead(scale: PerfScale) -> list[dict]:
     run, so they ride the same determinism digests.
     """
     from ..obsv import ObservabilityConfig, analyze_events
-    from ..runtime.deployment import Deployment
 
-    config = build_config("flexi-bft", _OBSV_EXPERIMENT)
-    baseline = run_point(config)
+    config = build_config("flexi-bft", scale.experiment)
+    with DeploymentSpec(config).build() as deployment:
+        baseline = deployment.run_until_target()
     base_row = {"mode": "untraced"}
     base_row.update(baseline.as_row())
 
     observe = ObservabilityConfig(trace=True, collect_health=True)
-    deployment = Deployment(config, observe=observe)
-    try:
+    with DeploymentSpec(config, observe=observe).build() as deployment:
         traced = deployment.run_until_target()
         tracer = deployment.tracer
         traced_full = traced.as_row()
@@ -565,14 +389,7 @@ def scenario_obsv_overhead(scale: PerfScale) -> list[dict]:
         for kind in sorted(tracer.counts):
             summary[f"count_{kind.replace('.', '_')}"] = tracer.counts[kind]
         summary.update(analyze_events(tracer).as_row())
-    finally:
-        deployment.close()
     return [base_row, traced_row, summary]
-
-
-#: like the live scenarios, the comparison runs its own fixed sizing, so its
-#: results are always labeled (and baselined) as smoke scale.
-scenario_obsv_overhead.fixed_scale = "smoke"
 
 
 # ---------------------------------------------------------------------------
@@ -758,32 +575,11 @@ SCENARIOS: dict[str, object] = {
     "openloop_overload": scenario_openloop_overload,
     "openloop_hotspot": scenario_openloop_hotspot,
     "openloop_diurnal": scenario_openloop_diurnal,
-    "live_smoke": scenario_live_smoke,
-    "live_fig1": scenario_live_fig1,
-    "live_recovery": scenario_live_recovery,
     "obsv_overhead": scenario_obsv_overhead,
     "kernel": scenario_kernel,
     "network": scenario_network,
     "crypto": scenario_crypto,
     "wire_codec": scenario_wire_codec,
-}
-
-#: scenarios that run a fixed live sizing regardless of the requested scale;
-#: the bigger suites skip them rather than re-running the same execution
-#: under a misleading scale label.
-_FIXED_SCALE_SCENARIOS = frozenset(
-    name for name, scenario in SCENARIOS.items()
-    if getattr(scenario, "fixed_scale", None) is not None)
-
-#: suites map one name to (scenario, scale) pairs; ``--scenarios smoke`` runs
-#: every scenario at smoke scale, which is what the CI perf-regression job
-#: gates on.
-SUITES: dict[str, tuple[tuple[str, str], ...]] = {
-    "smoke": tuple((name, "smoke") for name in SCENARIOS),
-    "medium": tuple((name, "medium") for name in SCENARIOS
-                    if name not in _FIXED_SCALE_SCENARIOS),
-    "large": tuple((name, "large") for name in SCENARIOS
-                   if name not in _FIXED_SCALE_SCENARIOS),
 }
 
 
@@ -795,20 +591,3 @@ def metrics_digest(rows: list[dict]) -> str:
     performance optimisation, different whenever simulated results changed.
     """
     return digest(rows).hex()
-
-
-def total_events(rows: list[dict]) -> int:
-    """Kernel events processed across a scenario's rows."""
-    return sum(int(row.get("events", 0)) for row in rows)
-
-
-def peak_throughput(rows: list[dict]) -> float:
-    """Best simulated throughput across rows (0.0 for microbenchmarks)."""
-    best = 0.0
-    for row in rows:
-        for column in ("aggregate_throughput_tx_s", "throughput_tx_s"):
-            value = row.get(column)
-            if isinstance(value, (int, float)):
-                best = max(best, float(value))
-                break
-    return best

@@ -366,10 +366,9 @@ class BaseReplica:
         context = None
         if tracer is not None:
             context = tracer.current
-        # partials, not lambdas, throughout the deferred-work paths: queued
-        # jobs must survive a deepcopy of the deployment (warmed-snapshot
-        # reuse in the recovery experiments) — deepcopy remaps a partial's
-        # bound method and arguments, but returns closures uncopied.
+        # partials, not lambdas, throughout the deferred-work paths: a
+        # queued job stays a named method with its arguments bound — no
+        # closure cell, and the tracers can attribute it to ``_process``.
         self.workers.submit(cost, partial(self._process, payload,
                                           envelope.source, cost, context))
 

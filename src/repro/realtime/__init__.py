@@ -9,27 +9,19 @@ interfaces — but here the kernel is a real asyncio event loop
 configured injected latency (:class:`LiveNetwork`), and every HMAC-SHA256
 signature and MAC is computed and paid for in wall-clock time.
 
-:class:`LiveDeployment` mirrors the simulated
-:class:`~repro.runtime.deployment.Deployment` build/run/collect API and
+A live deployment is built like any other —
+``DeploymentSpec(config, backend="live" | "live-tcp").build()`` — and
 produces the same :class:`~repro.runtime.deployment.RunResult` row schema,
 so every analysis and figure path works on live runs too.
 """
 
 from .kernel import AsyncioKernel, LiveEvent
-from .deployment import (
-    LiveDeployment,
-    LiveShardedDeployment,
-    ReplyVerifier,
-    run_live_point,
-)
+from .deployment import ReplyVerifier
 from .network import LiveNetwork
 
 __all__ = [
     "AsyncioKernel",
-    "LiveDeployment",
     "LiveEvent",
     "LiveNetwork",
-    "LiveShardedDeployment",
     "ReplyVerifier",
-    "run_live_point",
 ]

@@ -160,8 +160,8 @@ class FaultSchedule:
     def install(self, deployment: "Deployment") -> None:
         """Arm one simulator timer per event against ``deployment``."""
         for event in self.events:
-            # partial, not a lambda: pending fault events must survive a
-            # deepcopy of the deployment (warmed-snapshot reuse).
+            # partial, not a lambda: binds this iteration's event (a
+            # closure would see the loop variable's last value).
             deployment.sim.schedule_at(
                 event.at_us, partial(self._fire, deployment, event))
 

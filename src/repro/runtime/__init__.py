@@ -1,6 +1,6 @@
 """Deployment building, metrics and experiment definitions."""
 
-from .deployment import Deployment, RunResult, build_deployment
+from .deployment import Deployment, RunResult
 from .experiments import (
     ALL_EXPERIMENTS,
     ExperimentScale,
@@ -20,11 +20,9 @@ from .experiments import (
     figure_recovery,
     figure_sharding_scaleout,
     print_rows,
-    run_point,
-    run_sharded_point,
 )
 from .metrics import CompletionRecord, MetricsCollector, RunMetrics
-from .spec import DeploymentSpec, build_from_spec
+from .spec import DeploymentSpec
 
 __all__ = [
     "ALL_EXPERIMENTS",
@@ -39,8 +37,6 @@ __all__ = [
     "RunResult",
     "SMALL_SCALE",
     "build_config",
-    "build_deployment",
-    "build_from_spec",
     "build_sharded_config",
     "figure5_trusted_counter_costs",
     "figure6_batching",
@@ -53,6 +49,4 @@ __all__ = [
     "figure_recovery",
     "figure_sharding_scaleout",
     "print_rows",
-    "run_point",
-    "run_sharded_point",
 ]

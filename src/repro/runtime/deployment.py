@@ -497,10 +497,3 @@ class Deployment:
         """Replicas the safety monitor treats as honest."""
         return [r for r in self.replicas
                 if r.replica_id in self.safety.honest_replicas]
-
-
-def build_deployment(config: DeploymentConfig,
-                     replica_factory: Optional[ReplicaFactory] = None,
-                     backend: Union[str, Backend, None] = None) -> Deployment:
-    """Convenience constructor mirroring :class:`Deployment`."""
-    return Deployment(config, replica_factory=replica_factory, backend=backend)

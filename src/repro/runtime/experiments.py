@@ -8,17 +8,17 @@ plotted point / table cell, exactly the rows the bare-list API used to
 return) that also carries the cells behind them and knows how to collate
 itself into curve series.  Existing consumers that iterated or indexed the
 row list keep working; new consumers can resume the same cells from a
-results directory via ``repro matrix run`` or feed their hashes into
-``repro perf --trend``.  The experiments accept an
+results directory via ``repro matrix run``.  The experiments accept an
 :class:`ExperimentScale` so the same code runs both at laptop scale (the
 default, used by the test-suite and benchmarks) and at paper scale (f up to
 32, 97 replicas, thousands of clients) when more time is available.
 
 Two figures stay off the matrix path by construction: Figure 5 injects an
 instrumented replica factory (not expressible as a spec), and the recovery
-figure drives a warm-cache timeline whose rows are pinned byte-identical by
-the perf harness's determinism digests.  Both still return a
-:class:`FigureResult` (with no cells attached).
+figure reads the completion timeline and the restarted replica's statistics
+off the finished deployment, with rows pinned byte-identical by the committed
+determinism digests.  Both still return a :class:`FigureResult` (with no
+cells attached).
 
 Mapping to the paper (see DESIGN.md for the full index):
 
@@ -43,12 +43,11 @@ Beyond the paper's figures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:  # runtime imports stay lazy (repro.sharding builds on repro.runtime)
     from ..sharding.config import ShardedConfig
-    from ..sharding.deployment import ShardedRunResult
 
 from ..common.config import (
     DeploymentConfig,
@@ -196,17 +195,6 @@ def build_config(protocol: str, scale: ExperimentScale, *,
     )
 
 
-def run_point(config: DeploymentConfig, replica_factory=None,
-              backend=None) -> RunResult:
-    """Build and run one deployment (on any backend), returning its result."""
-    deployment = Deployment(config, replica_factory=replica_factory,
-                            backend=backend)
-    try:
-        return deployment.run_until_target()
-    finally:
-        deployment.close()
-
-
 def _row(protocol: str, result: RunResult, **extra) -> dict:
     row = {"protocol": protocol}
     row.update(extra)
@@ -243,7 +231,9 @@ def figure5_trusted_counter_costs(scale: ExperimentScale = SMALL_SCALE,
     rows = []
     for usage in FIGURE5_BARS:
         config = build_config("pbft", scale, worker_threads=1, hardware=hardware)
-        result = run_point(config, replica_factory=instrumented_pbft_factory(usage))
+        with Deployment(config, replica_factory=instrumented_pbft_factory(
+                usage)) as deployment:
+            result = deployment.run_until_target()
         rows.append(_row("pbft", result, bar=usage.label,
                          configuration=usage.description))
     return FigureResult(rows=tuple(rows))
@@ -386,18 +376,6 @@ def build_sharded_config(protocol: str, scale: ExperimentScale, *,
     return ShardedConfig(base=base, num_shards=num_shards)
 
 
-def run_sharded_point(config: "ShardedConfig",
-                      backend=None) -> "ShardedRunResult":
-    """Build and run one sharded deployment, returning its result."""
-    from ..sharding.deployment import ShardedDeployment
-
-    deployment = ShardedDeployment(config, backend=backend)
-    try:
-        return deployment.run_until_target()
-    finally:
-        deployment.close()
-
-
 def figure_sharding_scaleout(scale: ExperimentScale = SMALL_SCALE,
                              protocols: Optional[Iterable[str]] = None,
                              shard_counts: tuple[int, ...] = (1, 2, 4)) -> FigureResult:
@@ -429,8 +407,7 @@ def figure_recovery(scale: ExperimentScale = SMALL_SCALE,
                     hardware_levels: Optional[Iterable[TrustedHardwareSpec]] = None,
                     crash_s: float = 0.8, restart_s: float = 1.4,
                     end_s: float = 2.6,
-                    fsync_latency_us: float = 20.0,
-                    reuse_warmup: bool = True) -> FigureResult:
+                    fsync_latency_us: float = 20.0) -> FigureResult:
     """Throughput dip and time-to-recover after a crash/restart of a replica.
 
     A :class:`~repro.recovery.schedule.FaultSchedule` crashes the highest
@@ -442,30 +419,13 @@ def figure_recovery(scale: ExperimentScale = SMALL_SCALE,
     pre-crash rate — for a sequential trust-bft protocol versus a parallel
     FlexiTrust one, at both trusted-hardware persistence levels (same access
     latency, so only the persistence bit differs).
-
-    With ``reuse_warmup`` (the default) the fault-free warmup up to the
-    crash is simulated once per distinct warmup-relevant configuration and
-    shared — via pickled snapshots — across hardware levels and repeated
-    invocations (see :mod:`repro.runtime.warmcache`).  A point that nothing
-    will share with (a single hardware level, cold cache) runs fresh, so the
-    snapshot cost is only ever paid when a reuse exists to amortise it.
-    Rows are byte-identical either way; ``reuse_warmup=False`` forces fresh
-    full runs (and is what the equivalence tests compare against).
     """
     from ..recovery import FaultSchedule, crash_at, recovery_summary, restart_at
-    from .warmcache import warmed_deployment, warmup_available
 
     rows = []
     protocols = tuple(protocols or ("minbft", "flexi-bft"))
     hardware_levels = tuple(hardware_levels
                             or (SGX_ENCLAVE_COUNTER, ROLLBACK_PROTECTED_COUNTER))
-    # Snapshots only pay off when at least two levels share a warmup — i.e.
-    # they differ solely in the fields the warmup cannot observe (name,
-    # persistence).  Levels with different timing never share, so for them
-    # the serialisation cost would buy nothing.
-    distinct_warmups = {replace(hardware, name="warmup", persistent=False)
-                        for hardware in hardware_levels}
-    warmups_shared = len(distinct_warmups) < len(hardware_levels)
     crash_us, restart_us, end_us = seconds(crash_s), seconds(restart_s), seconds(end_s)
     for protocol in protocols:
         spec = get_protocol(protocol)
@@ -478,30 +438,23 @@ def figure_recovery(scale: ExperimentScale = SMALL_SCALE,
                 replay_latency_us=fsync_latency_us / 4.0))
             schedule = FaultSchedule((crash_at(crashed, crash_us),
                                       restart_at(crashed, restart_us)))
-            snapshot = reuse_warmup and (
-                warmups_shared
-                or warmup_available(config, schedule, crash_us))
-            if snapshot:
-                deployment = warmed_deployment(config, schedule,
-                                               warm_until_us=crash_us)
-            else:
-                deployment = Deployment(config, fault_schedule=schedule)
+            with DeploymentSpec(
+                    config, fault_schedule=schedule).build() as deployment:
                 deployment.start_clients()
-            deployment.sim.run(until=end_us)
-            result = deployment.collect_result(warmup_fraction=0.0)
-            summary = recovery_summary(
-                deployment.metrics.completions, crash_us, restart_us, end_us,
-                warmup_us=0.25 * crash_us)
-            replica = deployment.replica(crashed)
-            row = _row(protocol, result, hardware=hardware.name,
-                       persistent=hardware.persistent, crashed_replica=crashed)
-            row.update(summary.as_row())
-            row["recovered"] = replica.stats.recoveries_completed > 0
-            row["transfer_batches"] = replica.stats.log_fill_batches_applied
+                result = deployment.run_for(end_us)
+                summary = recovery_summary(
+                    deployment.metrics.completions, crash_us, restart_us,
+                    end_us, warmup_us=0.25 * crash_us)
+                replica = deployment.replica(crashed)
+                row = _row(protocol, result, hardware=hardware.name,
+                           persistent=hardware.persistent,
+                           crashed_replica=crashed)
+                row.update(summary.as_row())
+                row["recovered"] = replica.stats.recoveries_completed > 0
+                row["transfer_batches"] = replica.stats.log_fill_batches_applied
             rows.append(row)
-    # No cells: the warm-cache timeline (snapshot reuse across hardware
-    # levels) is not a per-cell run, and these rows are pinned byte-identical
-    # by the perf harness's recovery baselines — they must not gain columns.
+    # No cells: these rows are pinned byte-identical by the committed
+    # recovery digests — they must not gain the columns a cell row carries.
     return FigureResult(rows=tuple(rows))
 
 

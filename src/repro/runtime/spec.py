@@ -15,6 +15,13 @@ construction seam instead of picking a stack by class name::
                    num_shards=4).build()                    # sharded on TCP
     DeploymentSpec(config, fault_schedule=schedule,
                    backend="live").build()                  # live recovery
+
+A built deployment is a context manager, and that is the one way a point is
+run — leaving the block closes it, which releases the backend's resources
+and every internal reference cycle::
+
+    with DeploymentSpec(config).build() as deployment:
+        result = deployment.run_until_target()
 """
 
 from __future__ import annotations
@@ -191,8 +198,3 @@ class DeploymentSpec:
                                  fault_schedules=self.fault_schedules or None,
                                  backend=backend,
                                  observe=self.observe)
-
-
-def build_from_spec(spec: DeploymentSpec) -> Union[Deployment, "ShardedDeployment"]:
-    """Function form of :meth:`DeploymentSpec.build`."""
-    return spec.build()

@@ -1,7 +1,7 @@
 """Sharded multi-group deployments: scale-out consensus over a partitioned keyspace."""
 
 from .config import ShardedConfig
-from .deployment import ShardedDeployment, ShardedRunResult, build_sharded_deployment
+from .deployment import ShardedDeployment, ShardedRunResult
 from .metrics import ShardedMetrics, ShardedRunMetrics
 from .router import ShardRouter
 
@@ -12,5 +12,4 @@ __all__ = [
     "ShardedMetrics",
     "ShardedRunMetrics",
     "ShardedRunResult",
-    "build_sharded_deployment",
 ]

@@ -339,10 +339,3 @@ class ShardedDeployment:
     def shard_of(self, key: str) -> int:
         """The shard owning ``key`` (router shorthand)."""
         return self.router.shard_of(key)
-
-
-def build_sharded_deployment(config: ShardedConfig,
-                             backend: Union[str, Backend, None] = None
-                             ) -> ShardedDeployment:
-    """Convenience constructor mirroring :class:`ShardedDeployment`."""
-    return ShardedDeployment(config, backend=backend)

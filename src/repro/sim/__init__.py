@@ -1,6 +1,6 @@
 """Deterministic discrete-event simulation substrate."""
 
-from .kernel import Event, Simulator, Timer
+from .kernel import Event, Simulator
 from .resources import ResourceStats, SerialDevice, WorkerPool
 from .rng import RngRegistry
 
@@ -10,6 +10,5 @@ __all__ = [
     "RngRegistry",
     "SerialDevice",
     "Simulator",
-    "Timer",
     "WorkerPool",
 ]

@@ -12,8 +12,7 @@ order; every source of randomness in the library draws from seeded
 
 :class:`Simulator` is one of two implementations of the
 :class:`repro.kernel.Kernel` interface (the other is the live
-:class:`~repro.realtime.kernel.AsyncioKernel`); :class:`repro.kernel.Timer`
-is re-exported here for backwards compatibility.
+:class:`~repro.realtime.kernel.AsyncioKernel`).
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ from typing import Callable, Optional
 
 from ..common.errors import SimulationError
 from ..common.types import Micros
-from ..kernel import Timer, collection_deferred
+from ..kernel import collection_deferred
 
-__all__ = ["Event", "Simulator", "Timer"]
+__all__ = ["Event", "Simulator"]
 
 
 @dataclass(order=True, slots=True)

@@ -16,8 +16,9 @@ from __future__ import annotations
 import pytest
 
 from repro.protocols.messages import Response, signed_part_bytes
-from repro.realtime import LiveDeployment
+from repro.runtime.deployment import Deployment
 from repro.runtime.experiments import ExperimentScale, build_config
+from repro.runtime.spec import DeploymentSpec
 
 #: small sizing: live runs pay real latency and real crypto, so the
 #: integration points are kept to a few dozen requests each.
@@ -30,7 +31,7 @@ _SCALE = ExperimentScale(
 class ReplyVerifier:
     """Wraps a client's receive hook to verify every Response signature."""
 
-    def __init__(self, deployment: LiveDeployment) -> None:
+    def __init__(self, deployment: Deployment) -> None:
         self.keystore = deployment.keystore
         self.replica_names = set(deployment.replica_names)
         self.verified = 0
@@ -56,8 +57,7 @@ class ReplyVerifier:
 @pytest.mark.parametrize("protocol", ["pbft", "flexi-zz"])
 def test_live_backend_end_to_end(protocol):
     config = build_config(protocol, _SCALE)
-    deployment = LiveDeployment(config)
-    try:
+    with DeploymentSpec(config, backend="live").build() as deployment:
         verifier = ReplyVerifier(deployment)
         target = 20
         result = deployment.run_until_target(target_requests=target)
@@ -78,31 +78,25 @@ def test_live_backend_end_to_end(protocol):
         assert result.sim_time_s > 0
         assert result.events > 0
         assert result.metrics.throughput_tx_s > 0
-    finally:
-        deployment.close()
 
 
 @pytest.mark.timeout(60)
 def test_live_backend_rows_match_simulated_schema():
     """Live rows must be drop-in compatible with simulated analysis paths."""
-    from repro.runtime.deployment import Deployment
-
     config = build_config("minbft", _SCALE)
-    live = LiveDeployment(config)
-    try:
+    with DeploymentSpec(config, backend="live").build() as live:
         live_result = live.run_until_target(target_requests=12)
-    finally:
-        live.close()
-    simulated_result = Deployment(config).run_until_target(target_requests=12)
+    with DeploymentSpec(config).build() as simulated:
+        simulated_result = simulated.run_until_target(target_requests=12)
     assert set(live_result.as_row()) == set(simulated_result.as_row())
 
 
 @pytest.mark.timeout(60)
 def test_live_deployment_context_manager_closes_loop():
     config = build_config("pbft", _SCALE)
-    with LiveDeployment(config) as deployment:
+    with DeploymentSpec(config, backend="live").build() as deployment:
         deployment.run_until_target(target_requests=8)
-        kernel = deployment.kernel
+        kernel = deployment.sim
     assert kernel.loop.is_closed()
 
 
@@ -110,13 +104,10 @@ def test_live_deployment_context_manager_closes_loop():
 def test_live_backend_surfaces_receive_errors():
     """A raising receive() must fail the run, not silently partition a node."""
     config = build_config("pbft", _SCALE)
-    deployment = LiveDeployment(config)
-    try:
+    with DeploymentSpec(config, backend="live").build() as deployment:
         def exploding_receive(envelope):
             raise RuntimeError("injected receive failure")
 
         deployment.clients[0].receive = exploding_receive
         with pytest.raises(RuntimeError, match="injected receive failure"):
             deployment.run_until_target(target_requests=50)
-    finally:
-        deployment.close()

@@ -17,14 +17,9 @@ from __future__ import annotations
 import pytest
 
 from repro.net.tcp import TcpTransport
-from repro.realtime import (
-    LiveShardedDeployment,
-    ReplyVerifier,
-    run_live_point,
-)
+from repro.realtime import ReplyVerifier
 from repro.runtime.experiments import ExperimentScale, build_config
 from repro.runtime.spec import DeploymentSpec
-from repro.sharding.config import ShardedConfig
 
 _SCALE = ExperimentScale(
     name="tcp-test", f=1, num_clients=6, batch_size=4,
@@ -36,8 +31,7 @@ _SCALE = ExperimentScale(
 @pytest.mark.parametrize("protocol", ["pbft", "flexi-bft"])
 def test_tcp_backend_end_to_end(protocol):
     config = build_config(protocol, _SCALE)
-    deployment = DeploymentSpec(config, backend="live-tcp").build()
-    try:
+    with DeploymentSpec(config, backend="live-tcp").build() as deployment:
         verifier = ReplyVerifier(deployment)
         target = 16
         result = deployment.run_until_target(target_requests=target)
@@ -51,24 +45,24 @@ def test_tcp_backend_end_to_end(protocol):
         assert isinstance(deployment.network, TcpTransport)
         assert deployment.network.port is not None
         assert deployment.network.stats.messages_delivered > 0
-    finally:
-        deployment.close()
 
 
 @pytest.mark.timeout(60)
 def test_tcp_rows_match_live_queue_rows_schema():
     config = build_config("minbft", _SCALE)
-    tcp_result = run_live_point(config, target_requests=8, backend="live-tcp")
-    queue_result = run_live_point(config, target_requests=8, backend="live")
-    assert set(tcp_result.as_row()) == set(queue_result.as_row())
+    rows = []
+    for backend in ("live-tcp", "live"):
+        with DeploymentSpec(config, backend=backend).build() as deployment:
+            rows.append(deployment.run_until_target(target_requests=8).as_row())
+    assert set(rows[0]) == set(rows[1])
 
 
 @pytest.mark.timeout(90)
 @pytest.mark.parametrize("backend", ["live", "live-tcp"])
 def test_live_sharded_deployment_end_to_end(backend):
     config = build_config("flexi-bft", _SCALE, num_clients=8)
-    with LiveShardedDeployment(ShardedConfig(base=config, num_shards=2),
-                               backend=backend) as deployment:
+    with DeploymentSpec(config, backend=backend,
+                        num_shards=2).build() as deployment:
         verifier = ReplyVerifier(deployment)
         target = 16
         result = deployment.run_until_target(target_requests=target)
@@ -87,18 +81,39 @@ def test_live_sharded_deployment_end_to_end(backend):
 
 
 @pytest.mark.timeout(90)
-def test_live_recovery_scenario_restarts_a_real_replica():
-    from repro.perf.scenarios import scenario_live_recovery
+@pytest.mark.parametrize("protocol", ["minbft", "flexi-bft"])
+def test_live_recovery_scenario_restarts_a_real_replica(protocol):
+    """Crash → restart → state transfer of a real replica task, live.
 
-    rows = scenario_live_recovery(None)  # fixed sizing ignores the scale
-    assert len(rows) == 2
-    for row in rows:
-        assert row["recovered"], f"{row['protocol']} never completed recovery"
-        assert row["consensus_safe"]
-        assert row["completed_requests"] > 0
+    The schedule crashes the highest non-primary replica at a wall-clock
+    instant and restarts it later; the restarted incarnation replays its
+    durable store and state-transfers the missing suffix from its peers over
+    the live transport, all while the clients keep offering load.
+    """
+    from repro.common.config import RecoveryConfig
+    from repro.protocols.registry import get_protocol
+    from repro.recovery import FaultSchedule, crash_at, restart_at
+
+    scale = ExperimentScale(
+        name="live-recovery", f=1, num_clients=8, batch_size=4,
+        warmup_batches=1, measured_batches=5, worker_threads=4,
+        max_sim_seconds=30.0)
+    config = build_config(protocol, scale).with_updates(
+        recovery=RecoveryConfig(fsync_latency_us=20.0, replay_latency_us=5.0))
+    crashed = get_protocol(protocol).replicas(scale.f) - 1
+    schedule = FaultSchedule((crash_at(crashed, 200_000.0),
+                              restart_at(crashed, 350_000.0)))
+    with DeploymentSpec(config, fault_schedule=schedule,
+                        backend="live").build() as deployment:
+        result = deployment.run_for(800_000.0)
+        replica = deployment.replica(crashed)
+        assert replica.stats.recoveries_completed > 0, (
+            f"{protocol} never completed recovery")
+        assert result.consensus_safe
+        assert result.metrics.completed_requests > 0
         # State transfer really moved batches from peers to the restarted
         # incarnation over the live transport.
-        assert row["transfer_batches"] > 0
+        assert replica.stats.log_fill_batches_applied > 0
 
 
 @pytest.mark.timeout(60)
@@ -111,8 +126,7 @@ def test_forged_reply_fails_a_live_run():
     from repro.protocols.messages import Response, with_signature
 
     config = build_config("pbft", _SCALE)
-    deployment = DeploymentSpec(config, backend="live").build()
-    try:
+    with DeploymentSpec(config, backend="live").build() as deployment:
         ReplyVerifier(deployment)
         # The forger claims a replica identity but holds different key
         # material (a different keystore seed), like a byzantine network.
@@ -132,5 +146,3 @@ def test_forged_reply_fails_a_live_run():
         deployment.sim.schedule(20_000.0, inject_forged)
         with pytest.raises(InvalidSignature):
             deployment.run_until_target(target_requests=200)
-    finally:
-        deployment.close()

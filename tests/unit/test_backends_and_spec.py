@@ -21,7 +21,7 @@ from repro.backends import (
 from repro.common.errors import ConfigurationError
 from repro.net.tcp import TcpTransport
 from repro.net.network import Network
-from repro.realtime import LiveDeployment, LiveNetwork, LiveShardedDeployment
+from repro.realtime import LiveNetwork
 from repro.realtime.kernel import AsyncioKernel
 from repro.recovery import FaultSchedule, crash_at, restart_at
 from repro.runtime.deployment import Deployment
@@ -94,14 +94,15 @@ class TestDeploymentBackendParameter:
             assert isinstance(deployment.sim, AsyncioKernel)
             assert isinstance(deployment.network, TcpTransport)
 
-    def test_live_deployment_shim_pins_a_realtime_backend(self):
-        from repro.sharding.config import ShardedConfig
-
-        with pytest.raises(ValueError, match="realtime backend"):
-            LiveDeployment(_config(), backend="sim")
-        with pytest.raises(ValueError, match="realtime backend"):
-            LiveShardedDeployment(ShardedConfig(base=_config(), num_shards=2),
-                                  backend="sim")
+    def test_a_live_deployment_is_the_plain_class_on_a_realtime_backend(self):
+        with DeploymentSpec(_config(), backend="live").build() as deployment:
+            assert type(deployment) is Deployment
+            assert deployment.backend.realtime
+        with DeploymentSpec(_config(), backend="live",
+                            num_shards=2).build() as sharded:
+            assert type(sharded) is ShardedDeployment
+            assert sharded.backend.realtime
+            assert isinstance(sharded.sim, AsyncioKernel)
 
     def test_close_on_the_simulator_releases_references_only(self):
         deployment = Deployment(_config())

@@ -199,16 +199,16 @@ class TestAbandonment:
         assert collector.completed_count == 0
 
     def test_sharded_client_stop_abandons_across_shards(self):
-        from repro.runtime.experiments import (ExperimentScale,
-                                               build_sharded_config)
-        from repro.sharding.deployment import build_sharded_deployment
+        from repro.runtime.experiments import ExperimentScale, build_config
+        from repro.runtime.spec import DeploymentSpec
 
         scale = ExperimentScale(
             name="abandon-test", f=1, num_clients=2, batch_size=4,
             warmup_batches=1, measured_batches=2, worker_threads=4,
             max_sim_seconds=10.0)
-        deployment = build_sharded_deployment(
-            build_sharded_config("minbft", scale, num_shards=2))
+        deployment = DeploymentSpec(
+            build_config("minbft", scale, num_clients=2 * scale.num_clients),
+            num_shards=2).build()
         client = deployment.clients[0]
         collector = deployment.metrics.global_collector
         client.start()

@@ -203,6 +203,31 @@ class TestClosedDeploymentsAreFreedByRefcount:
         del sharded, lanes, engine
         assert [ref() for ref in refs] == [None] * len(refs)
 
+    def test_figure_and_attack_functions_leave_no_deployment_behind(
+            self, monkeypatch):
+        # Functions that build many deployments in a row must close each one
+        # before building the next: with the collector off, every deployment
+        # they built has to be dead by the time they return.
+        from repro.core.attacks import run_restart_rollback_attack
+        from repro.runtime.deployment import Deployment
+        from repro.runtime.experiments import figure_recovery
+
+        built = []
+        init = Deployment.__init__
+
+        def recording_init(self, *args, **kwargs):
+            built.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Deployment, "__init__", recording_init)
+        rows = figure_recovery(_SCALE, protocols=("minbft", "flexi-bft"),
+                               crash_s=0.02, restart_s=0.04, end_s=0.1)
+        assert len(rows) == 4 and all(row["recovered"] for row in rows)
+        report = run_restart_rollback_attack()
+        assert report.safety_violated
+        assert [ref() for ref in built] == [None] * len(built)
+        assert len(built) == 5
+
     def test_a_closed_deployment_stays_readable(self):
         deployment = _spec().build()
         result = deployment.run_until_target(target_requests=12)

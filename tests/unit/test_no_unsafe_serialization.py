@@ -1,10 +1,10 @@
-"""Lint gate: no pickle anywhere in the transport stack.
+"""Lint gate: no pickle anywhere in the package.
 
 ``pickle.loads`` on network bytes is arbitrary code execution; the binary
-wire codec exists so nothing under ``src/repro/net/`` or
-``src/repro/realtime/`` ever needs pickle.  The one-release
-``--unsafe-pickle`` escape hatch that used to live outside the fence is
-gone; the codec is the only framing there is.
+wire codec exists so nothing on the transport path ever needs pickle, and
+nothing else under ``src/repro/`` does either, so the fence covers the whole
+package.  The one-release ``--unsafe-pickle`` escape hatch is gone; the
+codec is the only framing there is.
 
 The ban is enforced on the AST (imports of the pickle family), so prose
 mentions in docstrings don't trip it; CI additionally runs a grep over
@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 import pathlib
 
-FENCED_TREES = ("src/repro/net", "src/repro/realtime")
+FENCED_TREES = ("src/repro",)
 BANNED_MODULES = frozenset({"pickle", "cPickle", "dill", "shelve", "marshal"})
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -39,14 +39,14 @@ def _banned_imports(path: pathlib.Path) -> list[str]:
     return offenders
 
 
-def test_no_pickle_under_the_transport_trees():
+def test_no_pickle_under_the_package():
     offenders = []
     for tree in FENCED_TREES:
         for path in sorted((_REPO_ROOT / tree).rglob("*.py")):
             offenders.extend(_banned_imports(path))
     assert not offenders, (
-        "unsafe serialisers are banned under the transport trees (network "
-        "bytes must never reach pickle.loads); use the wire codec:\n"
+        "unsafe serialisers are banned under src/repro (network bytes "
+        "must never reach pickle.loads); use the wire codec:\n"
         + "\n".join(offenders))
 
 

@@ -134,15 +134,16 @@ class TestPerShardVerifyCacheStats:
     """The shared KeyStore attributes cache traffic to the signer's shard."""
 
     def build(self, num_shards=2):
-        from repro.runtime.experiments import ExperimentScale, build_sharded_config
-        from repro.sharding.deployment import build_sharded_deployment
+        from repro.runtime.experiments import ExperimentScale, build_config
+        from repro.runtime.spec import DeploymentSpec
 
         scale = ExperimentScale(
             name="verify-cache-test", f=1, num_clients=8, batch_size=4,
             warmup_batches=1, measured_batches=3, worker_threads=4,
             max_sim_seconds=10.0)
-        config = build_sharded_config("minbft", scale, num_shards=num_shards)
-        return build_sharded_deployment(config)
+        config = build_config("minbft", scale,
+                              num_clients=scale.num_clients * num_shards)
+        return DeploymentSpec(config, num_shards=num_shards).build()
 
     def test_scope_resolver_maps_group_identities(self):
         from repro.sharding.deployment import shard_scope

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import Simulator, Timer
+from repro.kernel import Timer
+from repro.sim import Simulator
 
 
 def test_clock_starts_at_zero():

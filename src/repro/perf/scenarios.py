@@ -28,13 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..common.config import SGX_ENCLAVE_COUNTER
-from ..common.types import RequestId
+from ..common.types import RequestId, seconds
 from ..crypto.digest import combine_digests, digest
 from ..crypto.keystore import KeyStore
 from ..execution.state_machine import Operation
 from ..net.network import Envelope, Network
 from ..net.topology import build_topology
 from ..protocols.messages import ClientRequest, RequestBatch
+from ..protocols.registry import protocol_names
+from ..recovery import FaultSchedule, crash_at, restart_at
 from ..runtime.experiments import (
     ExperimentScale,
     build_config,
@@ -197,6 +199,41 @@ def scenario_recovery(scale: PerfScale) -> list[dict]:
         hardware_levels=hardware_levels,
         crash_s=params.crash_s, restart_s=params.restart_s,
         end_s=params.end_s).rows)
+
+
+def scenario_protocols(scale: PerfScale) -> list[dict]:
+    """Every registered protocol: the normal case, then a view change.
+
+    The one scenario that covers all ten names and the view change of every
+    trust-bft protocol: per protocol one normal-case row, and one row from a
+    fixed f = 1 timeline that crashes the view-0 primary at 0.1 s and
+    restarts it at 0.7 s (the 250 ms request and 500 ms view-change timeouts
+    fit inside the 1 s run), which also pins where every replica ended up.
+    """
+    schedule = FaultSchedule((crash_at(0, seconds(0.1)),
+                              restart_at(0, seconds(0.7))))
+    rows = []
+    for protocol in protocol_names():
+        config = build_config(protocol, scale.experiment)
+        with DeploymentSpec(config).build() as deployment:
+            result = deployment.run_until_target()
+        rows.append({"protocol": protocol, "timeline": "normal",
+                     **result.as_row()})
+        config = build_config(protocol, scale.experiment, f=1,
+                              num_clients=scale.recovery.num_clients)
+        with DeploymentSpec(config,
+                            fault_schedule=schedule).build() as deployment:
+            deployment.start_clients()
+            row = {"protocol": protocol, "timeline": "primary-crash",
+                   **deployment.run_for(seconds(1.0)).as_row()}
+            for replica in deployment.replicas:
+                row[f"r{replica.replica_id}_view"] = replica.view
+                row[f"r{replica.replica_id}_last_executed"] = (
+                    replica.ledger.last_executed)
+                row[f"r{replica.replica_id}_trusted_accesses"] = (
+                    replica.trusted.stats.total if replica.trusted else 0)
+        rows.append(row)
+    return rows
 
 
 def scenario_sharding_scaleout(scale: PerfScale) -> list[dict]:
@@ -571,6 +608,7 @@ def scenario_wire_codec(scale: PerfScale) -> list[dict]:
 SCENARIOS: dict[str, object] = {
     "fig1": scenario_fig1,
     "recovery": scenario_recovery,
+    "protocols": scenario_protocols,
     "sharding_scaleout": scenario_sharding_scaleout,
     "openloop_overload": scenario_openloop_overload,
     "openloop_hotspot": scenario_openloop_hotspot,

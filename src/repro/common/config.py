@@ -41,19 +41,6 @@ class CryptoCostModel:
     #: fixed per-message handling overhead (deserialisation, dispatch).
     message_overhead_us: Micros = 1.0
 
-    def scaled(self, factor: float) -> "CryptoCostModel":
-        """Return a copy with every cost multiplied by ``factor``."""
-        return CryptoCostModel(
-            mac_generate_us=self.mac_generate_us * factor,
-            mac_verify_us=self.mac_verify_us * factor,
-            ds_sign_us=self.ds_sign_us * factor,
-            ds_verify_us=self.ds_verify_us * factor,
-            hash_us=self.hash_us * factor,
-            attestation_verify_us=self.attestation_verify_us * factor,
-            execute_op_us=self.execute_op_us * factor,
-            message_overhead_us=self.message_overhead_us * factor,
-        )
-
 
 @dataclass(frozen=True)
 class TrustedHardwareSpec:

@@ -84,27 +84,6 @@ def format_table(rows: list[ComparisonRow]) -> str:
     return "\n".join(lines)
 
 
-def trusted_access_count(protocol: str, batches: int, replicas: int,
-                         phases_with_tc: int = None) -> int:
-    """Analytical count of trusted accesses per protocol for ``batches``.
-
-    FlexiTrust protocols access trusted hardware once per batch (primary
-    only); trust-bft protocols access it once per message sent, i.e. once per
-    replica per phase that emits an attested message.  This is the O(1) vs
-    O(n) argument of Section 8 (G2) and feeds the Figure 8 discussion.
-    """
-    spec = PROTOCOLS[protocol.lower()]
-    if spec.trusted_abstraction is TrustedAbstraction.NONE:
-        return 0
-    if spec.only_primary_tc:
-        return batches
-    phases = spec.phases if phases_with_tc is None else phases_with_tc
-    # The primary attests its proposal; every replica attests each vote phase.
-    per_batch = 1 + (replicas - 1) * max(0, phases - 1) + (replicas - 1) * (
-        1 if spec.phases == 1 else 0)
-    return batches * max(per_batch, 1)
-
-
 def regime_of(protocol: str) -> ReplicationRegime:
     """Replication regime (2f+1 vs 3f+1) of a registered protocol."""
     return PROTOCOLS[protocol.lower()].regime

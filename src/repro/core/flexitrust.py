@@ -13,9 +13,16 @@ protocol consists of three modifications:
    any two quorums intersect in an honest replica, restoring responsiveness
    and making per-replica trusted logging unnecessary.
 
-:func:`transform` applies the recipe at the level of the protocol registry:
-given a trust-bft protocol it returns the FlexiTrust protocol the paper
-derives from it, together with a record of what changed.
+The code that *runs* the recipe is the difference between two classes of
+:mod:`repro.protocols.family`: ``OwnCounterBinding`` (every replica binds what
+it sends to its own counter; MinBFT, MinZZ) and ``PrimaryOnlyBinding`` (one
+``AppendF`` at the primary, carried along by the votes; Flexi-BFT, Flexi-ZZ).
+``MinBftReplica`` and ``FlexiBftReplica`` declare the same two phases on top
+of one and the other, and the larger quorum follows from ``n``.
+
+:func:`transform` describes the same recipe at the level of the protocol
+registry: given a trust-bft protocol it returns the FlexiTrust protocol the
+paper derives from it, together with a record of what changed.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..common.errors import ConfigurationError
-from ..common.types import ConsensusMode, ReplicationRegime, TrustedAbstraction
+from ..common.types import ConsensusMode, ReplicationRegime
 from ..protocols.registry import PROTOCOLS, ProtocolSpec, get_protocol
 
 #: trust-bft protocol -> its FlexiTrust counterpart, as derived in Section 8.
@@ -100,19 +107,16 @@ def trusted_accesses_per_batch(spec: ProtocolSpec, n: int) -> int:
     """Trusted-hardware operations one batch costs under ``spec``.
 
     FlexiTrust protocols: exactly one (the primary's AppendF).  trust-bft
-    protocols: one per attested message, i.e. the primary's proposal plus one
-    per replica per voting phase that carries an attestation.  Protocols
-    without trusted components: zero.
+    protocols: every replica binds each message it sends — the proposal at the
+    primary, the Prepare (or speculative reply) at a backup, and everyone's
+    Commit when the protocol has a Commit phase — so one per replica, two with
+    three phases.  Protocols without trusted components: zero.
     """
-    if spec.trusted_abstraction is TrustedAbstraction.NONE:
+    if not spec.uses_trusted:
         return 0
     if spec.only_primary_tc:
         return 1
-    attested_vote_phases = max(spec.phases - 1, 1 if spec.phases == 1 else 0)
-    if spec.phases == 1:
-        # Speculative trust-bft (MinZZ): the reply itself is attested.
-        return 1 + (n - 1)
-    return 1 + (n - 1) * attested_vote_phases
+    return n * max(1, spec.phases - 1)
 
 
 def expected_speedup(source: str, outstanding: int = 16) -> float:

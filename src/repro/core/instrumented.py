@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ..protocols.base import ReplicaContext
 from ..protocols.messages import Commit, PrePrepare, Prepare, RequestBatch
-from ..protocols.pbft.replica import PbftReplica
+from ..protocols.family import PbftReplica
 
 
 @dataclass(frozen=True)

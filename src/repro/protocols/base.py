@@ -181,6 +181,10 @@ class BaseReplica:
         self.costs = ctx.crypto_costs
         self.f = ctx.f
         self.n = ctx.n
+        #: matching votes that decide a phase or install a view: ``2f + 1`` of
+        #: ``3f + 1`` replicas, ``f + 1`` of ``2f + 1`` (trusted components
+        #: preclude equivocation, so quorums need only intersect).
+        self.quorum = 2 * self.f + 1 if self.n >= 3 * self.f + 1 else self.f + 1
         self.key: SigningKey = ctx.keystore.register(self.name)
         self.state_machine = ctx.state_machine
         self.ledger = Ledger()
@@ -726,10 +730,6 @@ class BaseReplica:
                           detail=batch.digest().hex()[:12], view=self.view)
         self.propose_batch(batch)
 
-    def propose_batch(self, batch: RequestBatch) -> None:
-        """Protocol-specific proposal logic (assign a sequence number, send)."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------ instances
     def instance(self, seq: SeqNum, view: Optional[ViewNum] = None) -> Instance:
         """Get or create the bookkeeping record for ``seq``."""
@@ -1274,10 +1274,6 @@ class BaseReplica:
         """Votes needed before a replica joins a view change it did not start."""
         return self.f + 1
 
-    def view_change_completion_quorum(self) -> int:
-        """Votes the new primary needs before installing the new view."""
-        return 2 * self.f + 1 if self.n >= 3 * self.f + 1 else self.f + 1
-
     def _on_progress_timeout(self) -> None:
         if not self.active or self.in_view_change or self.recovering:
             return
@@ -1329,7 +1325,7 @@ class BaseReplica:
             self.initiate_view_change(vc.new_view)
             votes = self.view_change_votes.get(vc.new_view, {})
         if (self.primary_of(vc.new_view) == self.replica_id
-                and len(votes) >= self.view_change_completion_quorum()
+                and len(votes) >= self.quorum
                 and vc.new_view not in self.new_view_sent):
             self._install_new_view(vc.new_view, votes)
 
@@ -1448,19 +1444,6 @@ class BaseReplica:
                 # re-proposed (by the new primary or after a client resend).
                 for request in inst.batch.requests:
                     self.proposed_requests.discard(request.request_id)
-
-    # --------------------------------------------------------- protocol hooks
-    def on_preprepare(self, preprepare: PrePrepare, source: str) -> None:
-        """Handle the primary's proposal; protocol-specific."""
-        raise NotImplementedError
-
-    def on_prepare(self, prepare: Prepare, source: str) -> None:
-        """Handle a Prepare vote; protocol-specific (optional)."""
-        raise NotImplementedError
-
-    def on_commit(self, commit: Commit, source: str) -> None:
-        """Handle a Commit vote; protocol-specific (optional)."""
-        raise NotImplementedError
 
     # --------------------------------------------------------------- helpers
     def verify_client_request(self, request: ClientRequest) -> bool:

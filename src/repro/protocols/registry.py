@@ -19,13 +19,9 @@ from typing import Callable, Optional
 from ..common.errors import ConfigurationError
 from ..common.types import ConsensusMode, ReplicationRegime, TrustedAbstraction, replicas_for
 from .base import BaseReplica, ReplicaContext
-from .flexibft.replica import FlexiBftReplica
-from .flexizz.replica import FlexiZzReplica
-from .minbft.replica import MinBftReplica
-from .minzz.replica import MinZzReplica
-from .pbft.replica import PbftReplica
-from .pbft_ea.replica import OpbftEaReplica, PbftEaReplica
-from .zyzzyva.replica import ZyzzyvaReplica
+from .family import (FlexiBftReplica, FlexiZzReplica, MinBftReplica,
+                     MinZzReplica, NormalCaseReplica, OpbftEaReplica,
+                     PbftEaReplica, PbftReplica, ZyzzyvaReplica)
 
 
 @dataclass(frozen=True)
@@ -69,11 +65,10 @@ class ProtocolSpec:
 
     name: str
     display_name: str
-    replica_class: type[BaseReplica]
+    replica_class: type[NormalCaseReplica]
     regime: ReplicationRegime
     trusted_abstraction: TrustedAbstraction
     consensus_mode: ConsensusMode
-    phases: int
     reply_policy: ReplyPolicy
     #: does every replica need an active trusted component (vs. primary only)?
     trusted_at_all_replicas: bool
@@ -86,6 +81,11 @@ class ProtocolSpec:
     def replicas(self, f: int) -> int:
         """Number of replicas deployed for fault threshold ``f``."""
         return replicas_for(self.regime, f)
+
+    @property
+    def phases(self) -> int:
+        """Rounds per consensus instance, as the replica class declares them."""
+        return self.replica_class.phases
 
     @property
     def uses_trusted(self) -> bool:
@@ -109,7 +109,7 @@ PBFT = _register(ProtocolSpec(
     name="pbft", display_name="Pbft", replica_class=PbftReplica,
     regime=ReplicationRegime.THREE_F_PLUS_ONE,
     trusted_abstraction=TrustedAbstraction.NONE,
-    consensus_mode=ConsensusMode.PARALLEL, phases=3,
+    consensus_mode=ConsensusMode.PARALLEL,
     reply_policy=ReplyPolicy(fast_quorum_rule="f+1"),
     trusted_at_all_replicas=False, bft_liveness=True, out_of_order=True,
     trusted_memory="none", only_primary_tc=False))
@@ -118,7 +118,7 @@ ZYZZYVA = _register(ProtocolSpec(
     name="zyzzyva", display_name="Zyzzyva", replica_class=ZyzzyvaReplica,
     regime=ReplicationRegime.THREE_F_PLUS_ONE,
     trusted_abstraction=TrustedAbstraction.NONE,
-    consensus_mode=ConsensusMode.PARALLEL, phases=1,
+    consensus_mode=ConsensusMode.PARALLEL,
     reply_policy=ReplyPolicy(fast_quorum_rule="n", slow_path=True,
                              cert_rule="2f+1", ack_rule="2f+1"),
     trusted_at_all_replicas=False, bft_liveness=True, out_of_order=True,
@@ -128,7 +128,7 @@ PBFT_EA = _register(ProtocolSpec(
     name="pbft-ea", display_name="Pbft-EA", replica_class=PbftEaReplica,
     regime=ReplicationRegime.TWO_F_PLUS_ONE,
     trusted_abstraction=TrustedAbstraction.LOG,
-    consensus_mode=ConsensusMode.SEQUENTIAL, phases=3,
+    consensus_mode=ConsensusMode.SEQUENTIAL,
     reply_policy=ReplyPolicy(fast_quorum_rule="f+1"),
     trusted_at_all_replicas=True, bft_liveness=False, out_of_order=False,
     trusted_memory="high", only_primary_tc=False))
@@ -137,7 +137,7 @@ OPBFT_EA = _register(ProtocolSpec(
     name="opbft-ea", display_name="Opbft-ea", replica_class=OpbftEaReplica,
     regime=ReplicationRegime.TWO_F_PLUS_ONE,
     trusted_abstraction=TrustedAbstraction.LOG,
-    consensus_mode=ConsensusMode.PARALLEL, phases=3,
+    consensus_mode=ConsensusMode.PARALLEL,
     reply_policy=ReplyPolicy(fast_quorum_rule="f+1"),
     trusted_at_all_replicas=True, bft_liveness=False, out_of_order=True,
     trusted_memory="high", only_primary_tc=False))
@@ -146,7 +146,7 @@ MINBFT = _register(ProtocolSpec(
     name="minbft", display_name="MinBFT", replica_class=MinBftReplica,
     regime=ReplicationRegime.TWO_F_PLUS_ONE,
     trusted_abstraction=TrustedAbstraction.COUNTER,
-    consensus_mode=ConsensusMode.SEQUENTIAL, phases=2,
+    consensus_mode=ConsensusMode.SEQUENTIAL,
     reply_policy=ReplyPolicy(fast_quorum_rule="f+1"),
     trusted_at_all_replicas=True, bft_liveness=False, out_of_order=False,
     trusted_memory="low", only_primary_tc=False))
@@ -155,7 +155,7 @@ MINZZ = _register(ProtocolSpec(
     name="minzz", display_name="MinZZ", replica_class=MinZzReplica,
     regime=ReplicationRegime.TWO_F_PLUS_ONE,
     trusted_abstraction=TrustedAbstraction.COUNTER,
-    consensus_mode=ConsensusMode.SEQUENTIAL, phases=1,
+    consensus_mode=ConsensusMode.SEQUENTIAL,
     reply_policy=ReplyPolicy(fast_quorum_rule="n", slow_path=True,
                              cert_rule="f+1", ack_rule="f+1"),
     trusted_at_all_replicas=True, bft_liveness=False, out_of_order=False,
@@ -165,7 +165,7 @@ FLEXI_BFT = _register(ProtocolSpec(
     name="flexi-bft", display_name="Flexi-BFT", replica_class=FlexiBftReplica,
     regime=ReplicationRegime.THREE_F_PLUS_ONE,
     trusted_abstraction=TrustedAbstraction.COUNTER,
-    consensus_mode=ConsensusMode.PARALLEL, phases=2,
+    consensus_mode=ConsensusMode.PARALLEL,
     reply_policy=ReplyPolicy(fast_quorum_rule="f+1"),
     trusted_at_all_replicas=False, bft_liveness=True, out_of_order=True,
     trusted_memory="low", only_primary_tc=True))
@@ -174,7 +174,7 @@ FLEXI_ZZ = _register(ProtocolSpec(
     name="flexi-zz", display_name="Flexi-ZZ", replica_class=FlexiZzReplica,
     regime=ReplicationRegime.THREE_F_PLUS_ONE,
     trusted_abstraction=TrustedAbstraction.COUNTER,
-    consensus_mode=ConsensusMode.PARALLEL, phases=1,
+    consensus_mode=ConsensusMode.PARALLEL,
     reply_policy=ReplyPolicy(fast_quorum_rule="2f+1"),
     trusted_at_all_replicas=False, bft_liveness=True, out_of_order=True,
     trusted_memory="low", only_primary_tc=True))
@@ -183,7 +183,7 @@ O_FLEXI_BFT = _register(ProtocolSpec(
     name="oflexi-bft", display_name="oFlexi-BFT", replica_class=FlexiBftReplica,
     regime=ReplicationRegime.THREE_F_PLUS_ONE,
     trusted_abstraction=TrustedAbstraction.COUNTER,
-    consensus_mode=ConsensusMode.SEQUENTIAL, phases=2,
+    consensus_mode=ConsensusMode.SEQUENTIAL,
     reply_policy=ReplyPolicy(fast_quorum_rule="f+1"),
     trusted_at_all_replicas=False, bft_liveness=True, out_of_order=False,
     trusted_memory="low", only_primary_tc=True))
@@ -192,7 +192,7 @@ O_FLEXI_ZZ = _register(ProtocolSpec(
     name="oflexi-zz", display_name="oFlexi-ZZ", replica_class=FlexiZzReplica,
     regime=ReplicationRegime.THREE_F_PLUS_ONE,
     trusted_abstraction=TrustedAbstraction.COUNTER,
-    consensus_mode=ConsensusMode.SEQUENTIAL, phases=1,
+    consensus_mode=ConsensusMode.SEQUENTIAL,
     reply_policy=ReplyPolicy(fast_quorum_rule="2f+1"),
     trusted_at_all_replicas=False, bft_liveness=True, out_of_order=False,
     trusted_memory="low", only_primary_tc=True))

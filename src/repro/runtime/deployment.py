@@ -97,7 +97,145 @@ class RunResult:
         return row
 
 
-class Deployment:
+class RunLoop:
+    """How a deployment is run: the part plain and sharded deployments share.
+
+    A subclass builds ``sim``, ``backend``, ``clients``, ``metrics``,
+    ``observe``, ``health_samples`` and ``experiment`` (the
+    ``ExperimentConfig`` that sizes a run) and supplies
+    :meth:`default_target_requests`, ``close`` and ``collect_result``;
+    starting and stopping load, the two ways to run, the live-backend stall
+    watchdog and health sampling are the same for both.
+    """
+
+    # -------------------------------------------------------------- running
+    def start_clients(self, stagger_us: Micros = 50.0) -> None:
+        """Start every client, staggered slightly to avoid lockstep."""
+        for index, client in enumerate(self.clients):
+            client.start(initial_delay_us=index * stagger_us)
+
+    def stop_clients(self) -> None:
+        """Stop every client's closed loop (outstanding requests abandoned)."""
+        for client in self.clients:
+            client.stop()
+
+    def run_until_target(self, target_requests: Optional[int] = None,
+                         max_sim_time_us: Optional[Micros] = None):
+        """Run until ``target_requests`` complete (or the time cap is hit).
+
+        On the live backends ``max_sim_time_us`` bounds *wall-clock* time —
+        there the two are the same clock.
+        """
+        if target_requests is None:
+            target_requests = self.default_target_requests()
+        if max_sim_time_us is None:
+            max_sim_time_us = self.experiment.max_sim_time_us
+        self.start_clients()
+        watchdog = self._arm_watchdog(max_sim_time_us)
+        sampler = self._start_health_sampler()
+        try:
+            self.backend.run(
+                self.sim, until_us=max_sim_time_us,
+                stop_when=lambda: self.metrics.completed_count >= target_requests)
+        finally:
+            if watchdog is not None:
+                watchdog.cancel()
+            if sampler is not None:
+                sampler.stop()
+            if self.backend.realtime:
+                self.stop_clients()
+        self._check_live_progress(target_requests)
+        return self.collect_result(measurement_warmup_fraction(self.experiment))
+
+    def run_for(self, duration_us: Micros):
+        """Run for a fixed span of kernel time.
+
+        On the simulator this drives attack/recovery scenarios that start
+        their own clients; on the live backends (where a span of real time
+        only measures something if load is offered) the clients are started
+        and stopped around the run.
+        """
+        if self.backend.realtime:
+            self.start_clients()
+            self.backend.run_for(self.sim, duration_us)
+            self.stop_clients()
+        else:
+            self.backend.run_for(self.sim, duration_us)
+        return self.collect_result(warmup_fraction=0.0)
+
+    # -------------------------------------------------------- observability
+    def health(self) -> DeploymentHealth:
+        """Snapshot every replica's health plus kernel state, right now."""
+        return deployment_health(self)
+
+    def _arm_watchdog(self, cap_us: Optional[Micros]) -> Optional[StallWatchdog]:
+        """Arm the stall watchdog on live backends (None on the simulator).
+
+        On the simulator a wedged run simply drains its event queue and
+        stops — no wall-clock is lost and determinism forbids extra events.
+        On a live backend the same wedge burns real seconds until the cap,
+        so the watchdog fires as soon as ``stall_after_us`` passes with zero
+        completed requests: by default a third of the cap, clamped to
+        [0.5s, 10s], or exactly ``observe.stall_after_us`` when set.
+        """
+        if not self.backend.realtime:
+            return None
+        stall_after = self.observe.stall_after_us
+        if stall_after is None:
+            cap = cap_us if cap_us is not None else 30_000_000.0
+            stall_after = min(10_000_000.0, max(500_000.0, cap / 3.0))
+        watchdog = StallWatchdog(
+            self.sim, progress=lambda: self.metrics.completed_count,
+            stall_after_us=stall_after, on_stall=self._on_stall)
+        watchdog.arm()
+        return watchdog
+
+    def _on_stall(self, watchdog: StallWatchdog) -> None:
+        """Watchdog callback: snapshot diagnostics, fail the run typed."""
+        seconds = watchdog.stalled_for_us / 1_000_000.0
+        bundle = snapshot_diagnostics(
+            self, reason=f"no completed request for {seconds:.1f}s "
+            f"(stall threshold {watchdog.stall_after_us / 1_000_000.0:.1f}s)")
+        suspect = bundle["suspect"]
+        self.sim.fail(StallError(
+            f"live run stalled: {bundle['reason']}; suspect {suspect} "
+            f"({bundle['suspect_reason']})",
+            suspect=suspect, diagnostics=bundle))
+
+    def _start_health_sampler(self) -> Optional[HealthSampler]:
+        """Start periodic health sampling when an interval is configured."""
+        interval = self.observe.health_interval_us
+        if interval is None:
+            return None
+        sampler = HealthSampler(self.sim, self.health, interval)
+        sampler.start()
+        self.health_samples = sampler.samples
+        return sampler
+
+    def _check_live_progress(self, target_requests: int) -> None:
+        """Turn a capped-but-short live run into a typed, diagnosed failure."""
+        if not self.backend.realtime:
+            return
+        completed = self.metrics.completed_count
+        if completed >= target_requests:
+            return
+        bundle = snapshot_diagnostics(
+            self, reason=f"wall-clock cap hit at {completed}/{target_requests} "
+            "completed requests")
+        raise StallError(
+            f"live run hit its wall-clock cap at {completed}/{target_requests} "
+            f"completed requests; suspect {bundle['suspect']} "
+            f"({bundle['suspect_reason']})",
+            suspect=bundle["suspect"], diagnostics=bundle)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class Deployment(RunLoop):
     """A fully wired deployment of one protocol.
 
     By default a deployment owns every substrate it needs (kernel, rng
@@ -124,6 +262,7 @@ class Deployment:
                  observe: Optional[ObservabilityConfig] = None,
                  tracer: Optional[Tracer] = None) -> None:
         self.config = config
+        self.experiment = config.experiment
         self.backend = resolve_backend(backend)
         self.spec = spec if spec is not None else get_protocol(config.protocol)
         self.n = self.spec.replicas(config.f)
@@ -262,127 +401,10 @@ class Deployment:
             for name in self.replica_names[1:])
         return latencies[len(latencies) // 2]
 
-    # -------------------------------------------------------------- running
-    def start_clients(self, stagger_us: Micros = 50.0) -> None:
-        """Start every client, staggered slightly to avoid lockstep."""
-        for index, client in enumerate(self.clients):
-            client.start(initial_delay_us=index * stagger_us)
-
-    def stop_clients(self) -> None:
-        """Stop every client's closed loop (outstanding requests abandoned)."""
-        for client in self.clients:
-            client.stop()
-
-    def run_until_target(self, target_requests: Optional[int] = None,
-                         max_sim_time_us: Optional[Micros] = None) -> RunResult:
-        """Run until ``target_requests`` complete (or the time cap is hit).
-
-        On the live backends ``max_sim_time_us`` bounds *wall-clock* time —
-        there the two are the same clock.
-        """
-        experiment = self.config.experiment
-        if target_requests is None:
-            target_requests = ((experiment.warmup_batches + experiment.measured_batches)
-                               * self.protocol_config.batch_size)
-        if max_sim_time_us is None:
-            max_sim_time_us = experiment.max_sim_time_us
-        self.start_clients()
-        watchdog = self._arm_watchdog(max_sim_time_us)
-        sampler = self._start_health_sampler()
-        try:
-            self.backend.run(
-                self.sim, until_us=max_sim_time_us,
-                stop_when=lambda: self.metrics.completed_count >= target_requests)
-        finally:
-            if watchdog is not None:
-                watchdog.cancel()
-            if sampler is not None:
-                sampler.stop()
-            if self.backend.realtime:
-                self.stop_clients()
-        self._check_live_progress(target_requests)
-        return self.collect_result(measurement_warmup_fraction(experiment))
-
-    def run_for(self, duration_us: Micros) -> RunResult:
-        """Run for a fixed span of kernel time.
-
-        On the simulator this drives attack/recovery scenarios that start
-        their own clients; on the live backends (where a span of real time
-        only measures something if load is offered) the clients are started
-        and stopped around the run.
-        """
-        if self.backend.realtime:
-            self.start_clients()
-            self.backend.run_for(self.sim, duration_us)
-            self.stop_clients()
-        else:
-            self.backend.run_for(self.sim, duration_us)
-        return self.collect_result(warmup_fraction=0.0)
-
-    # -------------------------------------------------------- observability
-    def health(self) -> DeploymentHealth:
-        """Snapshot every replica's health plus kernel state, right now."""
-        return deployment_health(self)
-
-    def _arm_watchdog(self, cap_us: Optional[Micros]) -> Optional[StallWatchdog]:
-        """Arm the stall watchdog on live backends (None on the simulator).
-
-        On the simulator a wedged run simply drains its event queue and
-        stops — no wall-clock is lost and determinism forbids extra events.
-        On a live backend the same wedge burns real seconds until the cap,
-        so the watchdog fires as soon as ``stall_after_us`` passes with zero
-        completed requests: by default a third of the cap, clamped to
-        [0.5s, 10s], or exactly ``observe.stall_after_us`` when set.
-        """
-        if not self.backend.realtime:
-            return None
-        stall_after = self.observe.stall_after_us
-        if stall_after is None:
-            cap = cap_us if cap_us is not None else 30_000_000.0
-            stall_after = min(10_000_000.0, max(500_000.0, cap / 3.0))
-        watchdog = StallWatchdog(
-            self.sim, progress=lambda: self.metrics.completed_count,
-            stall_after_us=stall_after, on_stall=self._on_stall)
-        watchdog.arm()
-        return watchdog
-
-    def _on_stall(self, watchdog: StallWatchdog) -> None:
-        """Watchdog callback: snapshot diagnostics, fail the run typed."""
-        seconds = watchdog.stalled_for_us / 1_000_000.0
-        bundle = snapshot_diagnostics(
-            self, reason=f"no completed request for {seconds:.1f}s "
-            f"(stall threshold {watchdog.stall_after_us / 1_000_000.0:.1f}s)")
-        suspect = bundle["suspect"]
-        self.sim.fail(StallError(
-            f"live run stalled: {bundle['reason']}; suspect {suspect} "
-            f"({bundle['suspect_reason']})",
-            suspect=suspect, diagnostics=bundle))
-
-    def _start_health_sampler(self) -> Optional[HealthSampler]:
-        """Start periodic health sampling when an interval is configured."""
-        interval = self.observe.health_interval_us
-        if interval is None:
-            return None
-        sampler = HealthSampler(self.sim, self.health, interval)
-        sampler.start()
-        self.health_samples = sampler.samples
-        return sampler
-
-    def _check_live_progress(self, target_requests: int) -> None:
-        """Turn a capped-but-short live run into a typed, diagnosed failure."""
-        if not self.backend.realtime:
-            return
-        completed = self.metrics.completed_count
-        if completed >= target_requests:
-            return
-        bundle = snapshot_diagnostics(
-            self, reason=f"wall-clock cap hit at {completed}/{target_requests} "
-            "completed requests")
-        raise StallError(
-            f"live run hit its wall-clock cap at {completed}/{target_requests} "
-            f"completed requests; suspect {bundle['suspect']} "
-            f"({bundle['suspect_reason']})",
-            suspect=bundle["suspect"], diagnostics=bundle)
+    def default_target_requests(self) -> int:
+        """Requests :meth:`run_until_target` waits for: warmup + measured batches."""
+        return ((self.experiment.warmup_batches + self.experiment.measured_batches)
+                * self.protocol_config.batch_size)
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
@@ -408,12 +430,6 @@ class Deployment:
         """Close every replica and client (a sharded parent closes groups)."""
         for node in (*self.replicas, *self.clients):
             node.close()
-
-    def __enter__(self) -> "Deployment":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def collect_result(self, warmup_fraction: float = 0.1) -> RunResult:
         """Snapshot metrics and substrate statistics into a :class:`RunResult`."""

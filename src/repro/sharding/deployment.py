@@ -20,20 +20,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..backends import Backend, resolve_backend
-from ..common.errors import ConfigurationError, StallError
-from ..common.types import Micros
+from ..common.errors import ConfigurationError
 from ..crypto.keystore import KeyStore, KeyStoreStats
-from ..obsv.health import (DeploymentHealth, HealthSampler,
-                           ObservabilityConfig)
+from ..obsv.health import ObservabilityConfig
 from ..obsv.trace import Tracer
-from ..obsv.watchdog import (StallWatchdog, deployment_health,
-                             snapshot_diagnostics)
 from ..recovery.schedule import FaultSchedule
-from ..runtime.deployment import (
-    Deployment,
-    measurement_warmup_fraction,
-    substrate_columns,
-)
+from ..runtime.deployment import Deployment, RunLoop, substrate_columns
 from ..sim.rng import RngRegistry
 from ..workload.sharded_client import ShardedClient
 from ..workload.ycsb import YcsbWorkload
@@ -84,7 +76,7 @@ def shard_scope(identity: str) -> Optional[int]:
 SPLIT_VERIFY_CACHE_SHARDS = 8
 
 
-class ShardedDeployment:
+class ShardedDeployment(RunLoop):
     """*K* consensus groups over a partitioned keyspace on one kernel.
 
     ``backend`` picks the kernel/transport pair for every group (``sim`` by
@@ -99,6 +91,7 @@ class ShardedDeployment:
                  observe: Optional[ObservabilityConfig] = None) -> None:
         config.validate()
         self.config = config
+        self.experiment = config.base.experiment
         self.backend = resolve_backend(backend)
         self.num_shards = config.num_shards
         self.sim = self.backend.build_kernel()
@@ -165,116 +158,13 @@ class ShardedDeployment:
                 global_sink=self.metrics.global_collector,
                 shard_sinks=self.metrics.shard_collectors))
 
-    # -------------------------------------------------------------- running
-    def start_clients(self, stagger_us: Micros = 50.0) -> None:
-        """Start every cross-shard client, staggered to avoid lockstep."""
-        for index, client in enumerate(self.clients):
-            client.start(initial_delay_us=index * stagger_us)
+    def default_target_requests(self) -> int:
+        """Per-group work comparable to a single-group run.
 
-    def stop_clients(self) -> None:
-        """Stop every cross-shard client (outstanding requests abandoned)."""
-        for client in self.clients:
-            client.stop()
-
-    def run_until_target(self, target_requests: Optional[int] = None,
-                         max_sim_time_us: Optional[Micros] = None) -> ShardedRunResult:
-        """Run until ``target_requests`` logical requests complete.
-
-        On the live backends ``max_sim_time_us`` bounds *wall-clock* time.
+        The target scales with the shard count so every group commits
+        roughly the configured number of measured batches.
         """
-        experiment = self.config.base.experiment
-        if target_requests is None:
-            # Per-group work comparable to a single-group run: the target
-            # scales with the shard count so every group commits roughly the
-            # configured number of measured batches.
-            batch_size = self.groups[0].protocol_config.batch_size
-            target_requests = ((experiment.warmup_batches + experiment.measured_batches)
-                               * batch_size * self.num_shards)
-        if max_sim_time_us is None:
-            max_sim_time_us = experiment.max_sim_time_us
-        self.start_clients()
-        watchdog = self._arm_watchdog(max_sim_time_us)
-        sampler = self._start_health_sampler()
-        try:
-            self.backend.run(
-                self.sim, until_us=max_sim_time_us,
-                stop_when=lambda: self.metrics.completed_count >= target_requests)
-        finally:
-            if watchdog is not None:
-                watchdog.cancel()
-            if sampler is not None:
-                sampler.stop()
-            if self.backend.realtime:
-                self.stop_clients()
-        self._check_live_progress(target_requests)
-        return self.collect_result(measurement_warmup_fraction(experiment))
-
-    def run_for(self, duration_us: Micros) -> ShardedRunResult:
-        """Run for a fixed span of kernel time (wall-clock when live)."""
-        if self.backend.realtime:
-            self.start_clients()
-            self.backend.run_for(self.sim, duration_us)
-            self.stop_clients()
-        else:
-            self.backend.run_for(self.sim, duration_us)
-        return self.collect_result(warmup_fraction=0.0)
-
-    # -------------------------------------------------------- observability
-    def health(self) -> DeploymentHealth:
-        """Snapshot every group's replicas plus kernel state, right now."""
-        return deployment_health(self)
-
-    def _arm_watchdog(self, cap_us: Optional[Micros]) -> Optional[StallWatchdog]:
-        """Arm the stall watchdog on live backends (None on the simulator)."""
-        if not self.backend.realtime:
-            return None
-        stall_after = self.observe.stall_after_us
-        if stall_after is None:
-            cap = cap_us if cap_us is not None else 30_000_000.0
-            stall_after = min(10_000_000.0, max(500_000.0, cap / 3.0))
-        watchdog = StallWatchdog(
-            self.sim, progress=lambda: self.metrics.completed_count,
-            stall_after_us=stall_after, on_stall=self._on_stall)
-        watchdog.arm()
-        return watchdog
-
-    def _on_stall(self, watchdog: StallWatchdog) -> None:
-        """Watchdog callback: snapshot diagnostics, fail the run typed."""
-        seconds = watchdog.stalled_for_us / 1_000_000.0
-        bundle = snapshot_diagnostics(
-            self, reason=f"no completed request for {seconds:.1f}s "
-            f"(stall threshold {watchdog.stall_after_us / 1_000_000.0:.1f}s)")
-        suspect = bundle["suspect"]
-        self.sim.fail(StallError(
-            f"live sharded run stalled: {bundle['reason']}; suspect {suspect} "
-            f"({bundle['suspect_reason']})",
-            suspect=suspect, diagnostics=bundle))
-
-    def _start_health_sampler(self) -> Optional[HealthSampler]:
-        """Start periodic health sampling when an interval is configured."""
-        interval = self.observe.health_interval_us
-        if interval is None:
-            return None
-        sampler = HealthSampler(self.sim, self.health, interval)
-        sampler.start()
-        self.health_samples = sampler.samples
-        return sampler
-
-    def _check_live_progress(self, target_requests: int) -> None:
-        """Turn a capped-but-short live run into a typed, diagnosed failure."""
-        if not self.backend.realtime:
-            return
-        completed = self.metrics.completed_count
-        if completed >= target_requests:
-            return
-        bundle = snapshot_diagnostics(
-            self, reason=f"wall-clock cap hit at {completed}/{target_requests} "
-            "completed logical requests")
-        raise StallError(
-            f"live sharded run hit its wall-clock cap at {completed}/"
-            f"{target_requests} completed requests; suspect {bundle['suspect']} "
-            f"({bundle['suspect_reason']})",
-            suspect=bundle["suspect"], diagnostics=bundle)
+        return self.groups[0].default_target_requests() * self.num_shards
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
@@ -291,12 +181,6 @@ class ShardedDeployment:
             group.close_nodes()
         for client in self.clients:
             client.close()
-
-    def __enter__(self) -> "ShardedDeployment":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def collect_result(self, warmup_fraction: float = 0.1) -> ShardedRunResult:
         """Snapshot metrics and substrate statistics across every group."""

@@ -11,7 +11,14 @@ from repro.core.flexitrust import (
     trusted_accesses_per_batch,
 )
 from repro.protocols import PROTOCOLS, get_protocol, protocol_names
+from repro.protocols.family import PrimaryOnlyBinding
 from repro.protocols.registry import ReplyPolicy
+from repro.runtime.experiments import ExperimentScale, build_config
+from repro.runtime.spec import DeploymentSpec
+
+CENSUS_SCALE = ExperimentScale(
+    name="census", f=1, num_clients=40, batch_size=10, warmup_batches=2,
+    measured_batches=10, worker_threads=8, max_sim_seconds=20.0)
 
 
 class TestRegistry:
@@ -62,6 +69,22 @@ class TestRegistry:
         assert get_protocol("flexi-bft").phases == 2
         assert get_protocol("minzz").phases == 1
         assert get_protocol("flexi-zz").phases == 1
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_the_spec_says_what_the_replica_class_declares(self, name):
+        spec = PROTOCOLS[name]
+        assert spec.uses_trusted == spec.replica_class.attested
+        assert spec.only_primary_tc == issubclass(spec.replica_class,
+                                                  PrimaryOnlyBinding)
+        sequential = spec.consensus_mode is ConsensusMode.SEQUENTIAL
+        for f in (1, 2, 3):
+            config = build_config(name, CENSUS_SCALE, f=f, num_clients=1)
+            with DeploymentSpec(config).build() as deployment:
+                pinned = deployment.protocol_config.max_outstanding == 1
+                assert pinned == sequential
+                expected = (f + 1 if spec.regime is ReplicationRegime.TWO_F_PLUS_ONE
+                            else 2 * f + 1)
+                assert {r.quorum for r in deployment.replicas} == {expected}
 
 
 class TestFigure1:
@@ -124,3 +147,44 @@ class TestTransformation:
         assert flexi == 1
         assert minbft > flexi
         assert pbft == 0
+
+
+def _census_rates(spec):
+    """Trusted accesses per batch at the primary and at a backup, and the
+    one-off ``Create`` of a FlexiTrust primary, by what the component binds."""
+    if spec.only_primary_tc:
+        return 1, 0, 1
+    per_replica = 2 if spec.trusted_abstraction is TrustedAbstraction.LOG else 1
+    return per_replica, per_replica, 0
+
+
+class TestTrustedAccessCensus:
+    """The paper's G2 (Section 8): O(1) against O(n) trusted accesses."""
+
+    @pytest.mark.parametrize("f", (1, 2))
+    @pytest.mark.parametrize(
+        "name", [name for name in sorted(PROTOCOLS) if PROTOCOLS[name].uses_trusted])
+    def test_replicas_access_trusted_hardware_as_often_as_predicted(self, name, f):
+        spec = PROTOCOLS[name]
+        k_primary, k_backup, creates = _census_rates(spec)
+        with DeploymentSpec(build_config(name, CENSUS_SCALE, f=f)).build() as deployment:
+            deployment.run_until_target()
+            window = deployment.protocol_config.max_outstanding
+            for replica in deployment.replicas:
+                rate, extra = ((k_primary, creates) if replica.is_primary
+                               else (k_backup, 0))
+                executed = replica.stats.batches_executed
+                assert executed > 0
+                assert (rate * executed + extra
+                        <= replica.trusted.stats.total
+                        <= rate * (executed + window) + extra)
+            n = len(deployment.replicas)
+        assert trusted_accesses_per_batch(spec, n) == k_primary + (n - 1) * k_backup
+
+    def test_pbft_ea_binds_two_messages_per_replica_and_flexitrust_one_in_all(self):
+        for n in (3, 5):
+            assert trusted_accesses_per_batch(PROTOCOLS["pbft-ea"], n) == 2 * n
+            assert trusted_accesses_per_batch(PROTOCOLS["opbft-ea"], n) == 2 * n
+            assert trusted_accesses_per_batch(PROTOCOLS["minbft"], n) == n
+            assert trusted_accesses_per_batch(PROTOCOLS["minzz"], n) == n
+        assert trusted_accesses_per_batch(PROTOCOLS["flexi-zz"], 7) == 1

@@ -7,7 +7,8 @@ Two families share one registry:
   (sequential trusted-counter protocols versus their FlexiTrust
   transformations, with Pbft as the untrusted baseline), ``recovery`` is the
   crash → restart → state-transfer experiment, ``sharding_scaleout`` the
-  multi-group scale-out experiment.
+  multi-group scale-out experiment, and ``figures`` every other experiment
+  of ``ALL_EXPERIMENTS`` on a shrunken sweep.
 * **Microbenchmarks** isolate one substrate layer each — the simulation
   kernel (``kernel``), the message transport (``network``), the
   serialisation/crypto layer (``crypto``) and the binary wire framing
@@ -38,6 +39,7 @@ from ..protocols.messages import ClientRequest, RequestBatch
 from ..protocols.registry import protocol_names
 from ..recovery import FaultSchedule, crash_at, restart_at
 from ..runtime.experiments import (
+    ALL_EXPERIMENTS,
     ExperimentScale,
     build_config,
     figure_recovery,
@@ -199,6 +201,32 @@ def scenario_recovery(scale: PerfScale) -> list[dict]:
         hardware_levels=hardware_levels,
         crash_s=params.crash_s, restart_s=params.restart_s,
         end_s=params.end_s).rows)
+
+
+#: the two protocols every protocol-selecting figure sweeps in ``figures``.
+_FIGURE_PROTOCOLS = ("minzz", "flexi-bft")
+
+
+def scenario_figures(scale: PerfScale) -> list[dict]:
+    """Every figure experiment except ``figure_recovery``, on a small sweep.
+
+    Each experiment of ``ALL_EXPERIMENTS`` runs at the scale's sizing with
+    two values per swept axis and two protocols per sweep; every row is
+    tagged with its figure name.  Rows of the cell-backed figures carry the
+    ``cell`` column, so the digest pins the figures' cell hashes as well as
+    their results.  ``figure_recovery`` is pinned by ``recovery``.
+    """
+    experiment = replace(scale.experiment, f_values=(1, 2),
+                         client_values=(20, 40), batch_values=(5, 20),
+                         regions_max=2, tc_latencies_ms=(0.025, 2.5))
+    rows = []
+    for name, figure in ALL_EXPERIMENTS.items():
+        if name == "figure_recovery":
+            continue
+        kwargs = {} if name == "figure5" else {"protocols": _FIGURE_PROTOCOLS}
+        rows.extend({"figure": name, **row}
+                    for row in figure(experiment, **kwargs))
+    return rows
 
 
 def scenario_protocols(scale: PerfScale) -> list[dict]:
@@ -609,6 +637,7 @@ SCENARIOS: dict[str, object] = {
     "fig1": scenario_fig1,
     "recovery": scenario_recovery,
     "protocols": scenario_protocols,
+    "figures": scenario_figures,
     "sharding_scaleout": scenario_sharding_scaleout,
     "openloop_overload": scenario_openloop_overload,
     "openloop_hotspot": scenario_openloop_hotspot,

@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--protocols", nargs="+", metavar="PROTOCOL",
                      type=_protocol_arg,
                      help="restrict the experiment to these protocols "
-                          "(experiments that fix their protocol ignore this)")
+                          "(experiments that fix their protocol reject this)")
 
     parent = _deployment_parent()
     live = subparsers.add_parser(
@@ -558,8 +558,11 @@ def run_live(args) -> int:
 
 
 def _collate_and_report(payloads, axis: str, csv_path: Optional[str],
-                        as_json: bool) -> dict:
-    """Collate payloads into curves; print tables/JSON; return the report."""
+                        as_json: bool, **counts: int) -> None:
+    """Collate payloads into curves; print them as tables or one JSON report.
+
+    ``counts`` (a run's executed/resumed cells) are keys of the JSON report.
+    """
     import json
 
     from .matrix import collate_payloads, write_curves_csv
@@ -568,7 +571,8 @@ def _collate_and_report(payloads, axis: str, csv_path: Optional[str],
     report = {"axis": axis,
               "series": [{"protocol": one.protocol, "backend": one.backend,
                           "points": [point.as_row() for point in one.points]}
-                         for one in series]}
+                         for one in series],
+              **counts}
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
     else:
@@ -579,7 +583,6 @@ def _collate_and_report(payloads, axis: str, csv_path: Optional[str],
     if csv_path:
         count = write_curves_csv(series, csv_path)
         print(f"curves written: {csv_path} ({count} points)")
-    return report
 
 
 def run_matrix(args, parser) -> int:
@@ -646,17 +649,12 @@ def run_matrix(args, parser) -> int:
     runner = MatrixRunner(results_dir=args.results,
                           log=None if as_json else print)
     result = runner.run(list(unique.values()))
-    summary = (f"cells: {len(result)} (executed {result.executed}, "
-               f"resumed {result.resumed}) -> {args.results}")
-    report = _collate_and_report([outcome.payload for outcome in result],
-                                 args.axis, args.csv, as_json)
+    _collate_and_report([outcome.payload for outcome in result],
+                        args.axis, args.csv, as_json,
+                        executed=result.executed, resumed=result.resumed)
     if not as_json:
-        print(summary)
-    else:
-        import json
-
-        report["executed"] = result.executed
-        report["resumed"] = result.resumed
+        print(f"cells: {len(result)} (executed {result.executed}, "
+              f"resumed {result.resumed}) -> {args.results}")
     if args.assert_resumed and result.executed:
         print(f"--assert-resumed: {result.executed} cell(s) executed "
               "instead of resuming")

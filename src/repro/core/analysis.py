@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..common.types import ReplicationRegime, TrustedAbstraction
+from ..common.types import TrustedAbstraction
 from ..protocols.registry import PROTOCOLS, ProtocolSpec
 
 
@@ -82,8 +82,3 @@ def format_table(rows: list[ComparisonRow]) -> str:
                   "yes" if row.only_primary_tc else "no"]
         lines.append("  ".join(f"{str(v):<15}" for v in values))
     return "\n".join(lines)
-
-
-def regime_of(protocol: str) -> ReplicationRegime:
-    """Replication regime (2f+1 vs 3f+1) of a registered protocol."""
-    return PROTOCOLS[protocol.lower()].regime

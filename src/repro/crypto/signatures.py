@@ -100,9 +100,6 @@ class SigningKey:
         return Signature(signer=self.identity,
                          value=_authenticate(self._states, encoded))
 
-    def _verify(self, message: Any, signature: Signature) -> bool:
-        return self._verify_bytes(canonical_bytes(message), signature)
-
     def _verify_bytes(self, encoded: bytes, signature: Signature) -> bool:
         return hmac.compare_digest(_authenticate(self._states, encoded),
                                    signature.value)

@@ -134,10 +134,6 @@ class SafetyMonitor:
         """True when no RSM-safety violation has been recorded."""
         return not any(v.kind == "rsm-safety" for v in self.violations)
 
-    def executions_at(self, seq: SeqNum) -> dict[ReplicaId, ExecutionRecord]:
-        """All execution records for a sequence number."""
-        return dict(self.executions.get(seq, {}))
-
     def honest_executions_at(self, seq: SeqNum) -> dict[ReplicaId, ExecutionRecord]:
         """Execution records from honest replicas only."""
         return {rid: rec for rid, rec in self.executions.get(seq, {}).items()

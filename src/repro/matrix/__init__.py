@@ -6,7 +6,7 @@ The matrix layer turns one-off experiment runs into a systematic engine:
   (a :class:`~repro.runtime.spec.DeploymentSpec` plus its plotted axes),
   identified by the content hash of its canonical description;
 * :class:`~repro.matrix.spec.MatrixSpec` — declarative axis lists
-  (protocol × backend × clients × batch size × f × shards × fault plan)
+  (protocol × backend × clients × batch size × fault plan, at one scale)
   expanded into the validated, duplicate-free cell product;
 * :class:`~repro.matrix.runner.MatrixRunner` — fan-out over cells with
   per-cell resumable results (``results/<hash>.json``); unchanged cells

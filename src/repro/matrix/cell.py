@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..backends import resolve_backend
+from ..common.errors import ConfigurationError
 from ..runtime.spec import DeploymentSpec
 
 
@@ -96,9 +97,24 @@ class Cell:
         row["cell"] = self.content_hash
         return row
 
-    def describe(self) -> dict:
-        """The spec's canonical description (the hashing surface)."""
-        return self.spec.describe()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<Cell {self.label} {self.content_hash}>"
+
+
+def unique_cells(name: str, cells: list[Cell]) -> list[Cell]:
+    """``cells`` unchanged, refused if two resolve to the same deployment.
+
+    Two such cells would silently share one result file; within one spec it
+    is an axis combination too many, across a named matrix's specs one
+    member too many.
+    """
+    seen: dict[str, str] = {}
+    for cell in cells:
+        content_hash = cell.content_hash
+        if content_hash in seen:
+            raise ConfigurationError(
+                f"matrix {name!r}: cells {seen[content_hash]!r} and "
+                f"{cell.label!r} resolve to the same deployment "
+                f"({content_hash})")
+        seen[content_hash] = cell.label
+    return cells

@@ -23,21 +23,24 @@ The committed names:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..common.errors import ConfigurationError
-from .cell import Cell
+from ..runtime.experiments import SMALL_SCALE
+from .cell import Cell, unique_cells
 from .spec import FaultPlan, MatrixSpec
 
 #: live cells run small fixed sizings: the live backends' wall-clock cost is
 #: real time (latency sleeps and crypto), so the matrix shrinks the batch
 #: counts instead of trusting the simulated-scale knobs to bound it.
-_LIVE_SIZING = dict(batch_sizes=(4,), warmup_batches=1, measured_batches=5,
-                    max_seconds=30.0)
+_LIVE_SIZING = dict(batch_sizes=(4,), scale=replace(
+    SMALL_SCALE, warmup_batches=1, measured_batches=5, max_sim_seconds=30.0))
 
 _SMOKE_SIM = MatrixSpec(
     name="smoke-sim",
     protocols=("minbft", "flexi-bft"),
     client_counts=(20, 40),
-    warmup_batches=2, measured_batches=6)
+    scale=replace(SMALL_SCALE, warmup_batches=2, measured_batches=6))
 
 _SMOKE_LIVE = MatrixSpec(
     name="smoke-live",
@@ -82,16 +85,5 @@ def matrix_cells(name: str) -> list[Cell]:
         raise ConfigurationError(
             f"unknown matrix {name!r}; known matrices: "
             f"{', '.join(sorted(MATRICES))}") from None
-    cells: list[Cell] = []
-    seen: dict[str, str] = {}
-    for spec in specs:
-        for cell in spec.cells():
-            content_hash = cell.content_hash
-            if content_hash in seen:
-                raise ConfigurationError(
-                    f"matrix {name!r}: cells {seen[content_hash]!r} and "
-                    f"{cell.label!r} resolve to the same deployment "
-                    f"({content_hash})")
-            seen[content_hash] = cell.label
-            cells.append(cell)
-    return cells
+    return unique_cells(name, [cell for spec in specs
+                               for cell in spec.cells()])

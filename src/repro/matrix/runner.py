@@ -139,39 +139,23 @@ class MatrixRunner:
     def run_cell(self, cell: Cell) -> dict:
         """Build, run and measure one cell, returning its result payload."""
         started = time.perf_counter()
-        deployment = cell.spec.build()
         verifier = None
-        engine = None
-        try:
+        with cell.spec.build() as deployment:
             if cell.realtime:
                 from ..realtime import ReplyVerifier
 
                 verifier = ReplyVerifier(deployment)
-            open_loop = cell.spec.open_loop
-            if open_loop is not None:
-                # Open-loop cells: the arrival engine drives the clients
-                # (as lanes) for the configured duration; closed-loop
-                # start/stop paths never run.
-                from ..workload.openloop import run_open_loop
-
-                engine, run_result = run_open_loop(deployment, open_loop)
+            horizon_us = cell.fixed_horizon_us
+            if horizon_us is None:
+                run_result = deployment.run_until_target()
             else:
-                horizon_us = cell.fixed_horizon_us
-                if horizon_us is not None:
-                    if not cell.realtime:
-                        # run_for on the simulator assumes the scenario
-                        # starts its own load (the live path starts clients
-                        # itself).
-                        deployment.start_clients()
-                    run_result = deployment.run_for(horizon_us)
-                else:
-                    run_result = deployment.run_until_target()
-        finally:
-            deployment.close()
+                if not cell.realtime:
+                    # run_for on the simulator assumes the scenario starts
+                    # its own load (the live path starts clients itself).
+                    deployment.start_clients()
+                run_result = deployment.run_for(horizon_us)
         wall_seconds = time.perf_counter() - started
         row = cell.row(run_result)
-        if engine is not None:
-            row.update(engine.row_columns(engine.config))
         if cell.realtime:
             if row.get("completed_requests", 0) == 0:
                 raise ConfigurationError(

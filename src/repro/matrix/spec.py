@@ -1,14 +1,14 @@
 """Axis lists and their expansion into the cell product.
 
 A :class:`MatrixSpec` names one experiment matrix declaratively: lists of
-axis values (protocol × backend × client count × batch size × f × shard
-count × fault plan) plus the sizing scale they apply to.  ``cells()``
-expands the product into fully-resolved :class:`~repro.matrix.cell.Cell`
-objects, validating every axis value against the live registries up front
-(unknown protocol or backend names fail before anything runs) and refusing
-matrices whose expansion contains duplicate content hashes — two axis
-combinations that resolve to the same deployment are a specification bug,
-not two data points.
+axis values (protocol × backend × client count × batch size × fault plan)
+plus the sizing scale they apply to.  ``cells()`` expands the product into
+fully-resolved :class:`~repro.matrix.cell.Cell` objects, validating every
+axis value against the live registries up front (unknown protocol or
+backend names fail before anything runs) and refusing matrices whose
+expansion contains duplicate content hashes — two axis combinations that
+resolve to the same deployment are a specification bug, not two data
+points.
 
 Axes left at their default contribute neither product terms nor row
 columns, so a matrix that only sweeps clients produces rows whose axis
@@ -18,18 +18,18 @@ tables had.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 from ..common.errors import ConfigurationError
 from ..backends import resolve_backend
+from ..runtime.experiments import SMALL_SCALE, ExperimentScale, build_config
 from ..runtime.spec import DeploymentSpec
-from .cell import Cell
+from .cell import Cell, unique_cells
 
 if TYPE_CHECKING:
     from ..recovery.schedule import FaultSchedule
-    from ..runtime.experiments import ExperimentScale
-    from ..workload.openloop import OpenLoopConfig
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,7 @@ class FaultPlan:
     restart_s: float
     #: fixed run horizon; folded into the cell's hashed experiment config
     #: (``max_sim_time_us``), so plans with different horizons hash apart.
-    end_s: float = 0.0
-    wipe_store: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.end_s:
-            object.__setattr__(self, "end_s", self.restart_s * 2.0)
+    end_s: float
 
     def schedule(self, protocol: str, f: int) -> "FaultSchedule":
         """Resolve the plan against one protocol's replica count."""
@@ -62,8 +57,7 @@ class FaultPlan:
         crashed = get_protocol(protocol).replicas(f) - 1
         return FaultSchedule((
             crash_at(crashed, self.crash_s * 1_000_000.0),
-            restart_at(crashed, self.restart_s * 1_000_000.0,
-                       wipe_store=self.wipe_store),
+            restart_at(crashed, self.restart_s * 1_000_000.0),
         ))
 
 
@@ -79,41 +73,12 @@ class MatrixSpec:
     name: str
     protocols: tuple[str, ...]
     backends: tuple[str, ...] = ("sim",)
-    #: closed-loop client counts (sharded cells read these per shard).
     client_counts: tuple[Optional[int], ...] = _UNSET
     batch_sizes: tuple[Optional[int], ...] = _UNSET
-    f_values: tuple[Optional[int], ...] = _UNSET
-    shard_counts: tuple[Optional[int], ...] = _UNSET
     fault_plans: tuple[Optional[FaultPlan], ...] = _UNSET
-    #: open-loop offered rates (tx/s); sweeping this axis drives every cell
-    #: through the arrival engine instead of the closed loop, using
-    #: ``open_loop`` as the template (``None``: engine defaults).
-    arrival_rates_tx_s: tuple[Optional[float], ...] = _UNSET
-    #: template for open-loop cells; its ``arrival_rate_tx_s`` is replaced
-    #: by each swept rate.  Setting it without sweeping rates makes every
-    #: cell open-loop at the template's own rate.
-    open_loop: Optional["OpenLoopConfig"] = None
-    #: sizing scale; ``None`` means the laptop-scale default
-    #: (:data:`~repro.runtime.experiments.SMALL_SCALE`).
-    scale: Optional["ExperimentScale"] = None
-    #: experiment-length overrides applied on top of ``scale`` — live cells
-    #: shrink these so wall-clock matrices stay tractable.
-    warmup_batches: Optional[int] = None
-    measured_batches: Optional[int] = None
-    max_seconds: Optional[float] = None
-
-    def _scale(self) -> "ExperimentScale":
-        from ..runtime.experiments import SMALL_SCALE
-
-        scale = self.scale if self.scale is not None else SMALL_SCALE
-        overrides = {}
-        if self.warmup_batches is not None:
-            overrides["warmup_batches"] = self.warmup_batches
-        if self.measured_batches is not None:
-            overrides["measured_batches"] = self.measured_batches
-        if self.max_seconds is not None:
-            overrides["max_sim_seconds"] = self.max_seconds
-        return replace(scale, **overrides) if overrides else scale
+    #: the one sizing of every cell; live matrices shrink it with
+    #: ``replace(SMALL_SCALE, ...)`` so wall-clock matrices stay tractable.
+    scale: ExperimentScale = SMALL_SCALE
 
     def validate(self) -> None:
         """Reject unknown axis values before anything is built or run."""
@@ -129,119 +94,40 @@ class MatrixSpec:
         for backend in self.backends:
             resolve_backend(backend)  # raises ConfigurationError when unknown
         for axis, values in (("client_counts", self.client_counts),
-                             ("batch_sizes", self.batch_sizes),
-                             ("f_values", self.f_values),
-                             ("shard_counts", self.shard_counts)):
+                             ("batch_sizes", self.batch_sizes)):
             for value in values:
                 if value is not None and (not isinstance(value, int) or value <= 0):
                     raise ConfigurationError(
                         f"matrix {self.name!r}: {axis} value {value!r} is not "
                         "a positive integer")
-        for rate in self.arrival_rates_tx_s:
-            if rate is not None and (not isinstance(rate, (int, float))
-                                     or rate <= 0):
-                raise ConfigurationError(
-                    f"matrix {self.name!r}: arrival_rates_tx_s value "
-                    f"{rate!r} is not a positive number")
-        if self.open_loop is not None:
-            self.open_loop.validate()
 
     def cells(self) -> list[Cell]:
         """Expand the axis product into fully-resolved cells."""
-        from ..runtime.experiments import build_config
-
         self.validate()
-        scale = self._scale()
+        scale = self.scale
         cells: list[Cell] = []
-        seen: dict[str, str] = {}
-        for protocol in self.protocols:
-            for backend_name in self.backends:
-                backend = resolve_backend(backend_name)
-                for clients in self.client_counts:
-                    for batch_size in self.batch_sizes:
-                        for f in self.f_values:
-                            for shards in self.shard_counts:
-                                for plan in self.fault_plans:
-                                    for rate in self.arrival_rates_tx_s:
-                                        cells.append(self._cell(
-                                            build_config, scale, protocol,
-                                            backend, clients, batch_size, f,
-                                            shards, plan, rate))
-        for cell in cells:
-            content_hash = cell.content_hash
-            if content_hash in seen:
-                raise ConfigurationError(
-                    f"matrix {self.name!r}: cells {seen[content_hash]!r} and "
-                    f"{cell.label!r} resolve to the same deployment "
-                    f"({content_hash}); remove one axis combination")
-            seen[content_hash] = cell.label
-        return cells
-
-    def _cell(self, build_config, scale, protocol, backend, clients,
-              batch_size, f, shards, plan, rate=None) -> Cell:
-        effective_f = scale.f if f is None else f
-        # Open-loop cells: the clients become the engine's request lanes,
-        # so their count is the template's admission limit, not an axis.
-        open_loop = None
-        if self.open_loop is not None or rate is not None:
-            from ..workload.openloop import OpenLoopConfig
-
-            template = (self.open_loop if self.open_loop is not None
-                        else OpenLoopConfig())
-            open_loop = (template if rate is None
-                         else replace(template, arrival_rate_tx_s=float(rate)))
-        # Sharded cells keep the offered load per group constant, like the
-        # scale-out figure: the client axis is read per shard.
-        total_clients = clients
-        if open_loop is not None:
-            total_clients = open_loop.max_in_flight
-        elif shards is not None:
-            per_shard = scale.num_clients if clients is None else clients
-            total_clients = per_shard * shards
-        config = build_config(protocol, scale, f=f,
-                              num_clients=total_clients,
-                              batch_size=batch_size)
-        schedule = None
-        if plan is not None:
-            schedule = plan.schedule(protocol, effective_f)
-            config = config.with_updates(experiment=replace(
-                config.experiment, max_sim_time_us=plan.end_s * 1_000_000.0))
-        spec = DeploymentSpec(config, backend=backend,
-                              num_shards=shards,
-                              num_clients=(total_clients if shards is not None
-                                           and open_loop is not None else None),
-                              fault_schedule=schedule,
-                              open_loop=open_loop)
-        axes: dict[str, object] = {}
-        if self.client_counts != _UNSET:
-            axes["clients"] = (scale.num_clients if clients is None
-                               else clients)
-        if self.batch_sizes != _UNSET:
-            axes["batch_size"] = (scale.batch_size if batch_size is None
-                                  else batch_size)
-        if self.f_values != _UNSET:
-            axes["f"] = effective_f
-        if self.shard_counts != _UNSET and shards is not None:
-            axes["shards_axis"] = shards  # 'shards' itself comes from as_row()
-        if self.fault_plans != _UNSET:
-            axes["fault"] = "none" if plan is None else plan.name
-        if self.arrival_rates_tx_s != _UNSET and rate is not None:
-            axes["offered_tx_s"] = round(float(rate), 1)
-        return Cell(spec=spec, axes=axes)
-
-    def axis_names(self) -> tuple[str, ...]:
-        """The swept axis columns, in display order."""
-        names = []
-        if self.client_counts != _UNSET:
-            names.append("clients")
-        if self.batch_sizes != _UNSET:
-            names.append("batch_size")
-        if self.f_values != _UNSET:
-            names.append("f")
-        if self.shard_counts != _UNSET:
-            names.append("shards_axis")
-        if self.fault_plans != _UNSET:
-            names.append("fault")
-        if self.arrival_rates_tx_s != _UNSET:
-            names.append("offered_tx_s")
-        return tuple(names)
+        for protocol, backend, clients, batch_size, plan in itertools.product(
+                self.protocols, self.backends, self.client_counts,
+                self.batch_sizes, self.fault_plans):
+            config = build_config(protocol, scale, num_clients=clients,
+                                  batch_size=batch_size)
+            schedule = None
+            if plan is not None:
+                schedule = plan.schedule(protocol, scale.f)
+                config = config.with_updates(experiment=replace(
+                    config.experiment,
+                    max_sim_time_us=plan.end_s * 1_000_000.0))
+            axes: dict[str, object] = {}
+            if self.client_counts != _UNSET:
+                axes["clients"] = (scale.num_clients if clients is None
+                                   else clients)
+            if self.batch_sizes != _UNSET:
+                axes["batch_size"] = (scale.batch_size if batch_size is None
+                                      else batch_size)
+            if self.fault_plans != _UNSET:
+                axes["fault"] = "none" if plan is None else plan.name
+            cells.append(Cell(
+                spec=DeploymentSpec(config, backend=backend,
+                                    fault_schedule=schedule),
+                axes=axes))
+        return unique_cells(self.name, cells)

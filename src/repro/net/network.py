@@ -286,10 +286,6 @@ class Network:
         if rule in self._rules:
             self._rules.remove(rule)
 
-    def clear_rules(self) -> None:
-        """Remove every rule (full network heal)."""
-        self._rules.clear()
-
     def rules(self) -> list[MessageRule]:
         """Currently installed rules (read-only copy)."""
         return list(self._rules)

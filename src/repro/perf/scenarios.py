@@ -194,13 +194,11 @@ def scenario_recovery(scale: PerfScale) -> list[dict]:
     experiment = replace(scale.experiment, num_clients=params.num_clients)
     hardware_levels = None if params.both_hardware_levels else (
         SGX_ENCLAVE_COUNTER,)
-    # .rows: the digest gates on the bare row list (tuples and lists encode
-    # identically, but the FigureResult wrapper itself must not be digested).
-    return list(figure_recovery(
+    return figure_recovery(
         experiment, protocols=scale.recovery_protocols,
         hardware_levels=hardware_levels,
         crash_s=params.crash_s, restart_s=params.restart_s,
-        end_s=params.end_s).rows)
+        end_s=params.end_s)
 
 
 #: the two protocols every protocol-selecting figure sweeps in ``figures``.

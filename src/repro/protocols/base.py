@@ -1446,13 +1446,6 @@ class BaseReplica:
                     self.proposed_requests.discard(request.request_id)
 
     # --------------------------------------------------------------- helpers
-    def verify_client_request(self, request: ClientRequest) -> bool:
-        """Check the client's signature on a request (primary-side)."""
-        if request.signature is None:
-            return request.client.startswith("__")
-        return self.ctx.keystore.is_valid_encoded(signed_part_bytes(request),
-                                                  request.signature)
-
     def verify_preprepare_attestation(self, preprepare: PrePrepare,
                                       expected_component: str) -> bool:
         """Check a Preprepare's trusted attestation binds this batch digest."""

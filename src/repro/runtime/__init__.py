@@ -4,11 +4,9 @@ from .deployment import Deployment, RunResult
 from .experiments import (
     ALL_EXPERIMENTS,
     ExperimentScale,
-    FigureResult,
     PAPER_SCALE,
     SMALL_SCALE,
     build_config,
-    build_sharded_config,
     figure5_trusted_counter_costs,
     figure6_batching,
     figure6_scalability,
@@ -30,14 +28,12 @@ __all__ = [
     "Deployment",
     "DeploymentSpec",
     "ExperimentScale",
-    "FigureResult",
     "MetricsCollector",
     "PAPER_SCALE",
     "RunMetrics",
     "RunResult",
     "SMALL_SCALE",
     "build_config",
-    "build_sharded_config",
     "figure5_trusted_counter_costs",
     "figure6_batching",
     "figure6_scalability",

@@ -2,13 +2,10 @@
 
 Each ``figure*`` function is a thin *matrix definition*: it expands its
 sweep into content-hashed :class:`~repro.matrix.cell.Cell` objects, runs
-them through the :class:`~repro.matrix.runner.MatrixRunner`, and returns a
-:class:`FigureResult` — a sequence of flat row dictionaries (one per
-plotted point / table cell, exactly the rows the bare-list API used to
-return) that also carries the cells behind them and knows how to collate
-itself into curve series.  Existing consumers that iterated or indexed the
-row list keep working; new consumers can resume the same cells from a
-results directory via ``repro matrix run``.  The experiments accept an
+them through the :class:`~repro.matrix.runner.MatrixRunner`, and returns
+the flat row dictionaries (one per plotted point / table cell) as a plain
+``list[dict]``; ``collate_curves(rows, axis=...)`` turns them into
+figure-6-style curve series.  The experiments accept an
 :class:`ExperimentScale` so the same code runs both at laptop scale (the
 default, used by the test-suite and benchmarks) and at paper scale (f up to
 32, 97 replicas, thousands of clients) when more time is available.
@@ -17,8 +14,7 @@ Two figures stay off the matrix path by construction: Figure 5 injects an
 instrumented replica factory (not expressible as a spec), and the recovery
 figure reads the completion timeline and the restarted replica's statistics
 off the finished deployment, with rows pinned byte-identical by the committed
-determinism digests.  Both still return a :class:`FigureResult` (with no
-cells attached).
+determinism digests.  Both return the same kind of row list.
 
 Mapping to the paper (see DESIGN.md for the full index):
 
@@ -43,11 +39,8 @@ Beyond the paper's figures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
-
-if TYPE_CHECKING:  # runtime imports stay lazy (repro.sharding builds on repro.runtime)
-    from ..sharding.config import ShardedConfig
 
 from ..common.config import (
     DeploymentConfig,
@@ -70,7 +63,6 @@ from .spec import DeploymentSpec
 
 if TYPE_CHECKING:
     from ..matrix.cell import Cell
-    from ..matrix.collate import CurveSeries
 
 
 @dataclass(frozen=True)
@@ -112,58 +104,15 @@ PAPER_SCALE = ExperimentScale(
 
 
 # ---------------------------------------------------------------------------
-# structured figure results
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class FigureResult:
-    """What one figure experiment produced: rows, cells, curves.
-
-    Behaves as a read-only sequence of the flat row dictionaries the
-    ``figure*`` functions historically returned (iteration, indexing,
-    ``len``), so pre-matrix consumers work unchanged.  ``cells`` are the
-    content-hashed experiment points behind the rows (empty for the two
-    figures that cannot run through the matrix engine), and ``curves()``
-    collates the rows into figure-6-style per-protocol series along the
-    figure's natural axis.
-    """
-
-    rows: tuple[dict, ...]
-    cells: tuple["Cell", ...] = ()
-    #: the row column curves are plotted along (``None``: no natural axis).
-    axis: Optional[str] = None
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index):
-        return self.rows[index]
-
-    def curves(self, axis: Optional[str] = None) -> list["CurveSeries"]:
-        """Collate the rows into per-(protocol, backend) curve series."""
-        from ..matrix.collate import collate_curves
-
-        axis = axis or self.axis
-        if axis is None:
-            return []
-        return collate_curves(self.rows, axis=axis)
-
-
-def _figure(cells: list["Cell"], axis: Optional[str] = None) -> FigureResult:
-    """Run cells through the matrix runner (no persistence) into a result."""
-    # Imported lazily: repro.matrix builds on repro.runtime.
-    from ..matrix.runner import MatrixRunner
-
-    outcome = MatrixRunner().run(cells)
-    return FigureResult(rows=tuple(outcome.rows), cells=tuple(cells),
-                        axis=axis)
-
-
-# ---------------------------------------------------------------------------
 # shared runner
 # ---------------------------------------------------------------------------
+def _run_cells(cells: list["Cell"]) -> list[dict]:
+    """Run cells through the matrix runner (no persistence) into rows."""
+    from ..matrix.runner import MatrixRunner  # lazy: matrix builds on runtime
+
+    return MatrixRunner().run(cells).rows
+
+
 def build_config(protocol: str, scale: ExperimentScale, *,
                  f: Optional[int] = None,
                  num_clients: Optional[int] = None,
@@ -222,7 +171,7 @@ def print_rows(title: str, rows: list[dict]) -> None:
 # Figure 5: trusted counter / signature attestation costs on Pbft
 # ---------------------------------------------------------------------------
 def figure5_trusted_counter_costs(scale: ExperimentScale = SMALL_SCALE,
-                                  hardware: TrustedHardwareSpec = SGX_ENCLAVE_COUNTER) -> FigureResult:
+                                  hardware: TrustedHardwareSpec = SGX_ENCLAVE_COUNTER) -> list[dict]:
     """Peak Pbft throughput for each of the seven bars (single worker).
 
     Stays off the matrix path: each bar injects an instrumented replica
@@ -236,28 +185,28 @@ def figure5_trusted_counter_costs(scale: ExperimentScale = SMALL_SCALE,
             result = deployment.run_until_target()
         rows.append(_row("pbft", result, bar=usage.label,
                          configuration=usage.description))
-    return FigureResult(rows=tuple(rows))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # Figure 6(i): throughput vs latency as the client population grows
 # ---------------------------------------------------------------------------
 def figure6_throughput_latency(scale: ExperimentScale = SMALL_SCALE,
-                               protocols: Optional[Iterable[str]] = None) -> FigureResult:
+                               protocols: Optional[Iterable[str]] = None) -> list[dict]:
     """Throughput/latency pairs per protocol as offered load increases."""
     from ..matrix.spec import MatrixSpec
 
     matrix = MatrixSpec(name="figure6_throughput",
                         protocols=tuple(protocols or scale.protocols),
                         client_counts=scale.client_values, scale=scale)
-    return _figure(matrix.cells(), axis="clients")
+    return _run_cells(matrix.cells())
 
 
 # ---------------------------------------------------------------------------
 # Figure 6(ii)/(iii): scalability in the number of replicas
 # ---------------------------------------------------------------------------
 def figure6_scalability(scale: ExperimentScale = SMALL_SCALE,
-                        protocols: Optional[Iterable[str]] = None) -> FigureResult:
+                        protocols: Optional[Iterable[str]] = None) -> list[dict]:
     """Throughput and latency as ``f`` (and hence n) grows."""
     from ..matrix.cell import Cell
 
@@ -268,14 +217,14 @@ def figure6_scalability(scale: ExperimentScale = SMALL_SCALE,
             config = build_config(protocol, scale, f=f)
             cells.append(Cell(spec=DeploymentSpec(config),
                               axes={"f": f, "n": spec.replicas(f)}))
-    return _figure(cells, axis="f")
+    return _run_cells(cells)
 
 
 # ---------------------------------------------------------------------------
 # Figure 6(iv)/(v): batching
 # ---------------------------------------------------------------------------
 def figure6_batching(scale: ExperimentScale = SMALL_SCALE,
-                     protocols: Optional[Iterable[str]] = None) -> FigureResult:
+                     protocols: Optional[Iterable[str]] = None) -> list[dict]:
     """Throughput and latency as the batch size grows.
 
     The client count is coupled to the batch size (enough offered load to
@@ -292,14 +241,14 @@ def figure6_batching(scale: ExperimentScale = SMALL_SCALE,
                                   num_clients=clients)
             cells.append(Cell(spec=DeploymentSpec(config),
                               axes={"batch_size": batch_size}))
-    return _figure(cells, axis="batch_size")
+    return _run_cells(cells)
 
 
 # ---------------------------------------------------------------------------
 # Figure 6(vi)/(vii): wide-area replication
 # ---------------------------------------------------------------------------
 def figure6_wan(scale: ExperimentScale = SMALL_SCALE,
-                protocols: Optional[Iterable[str]] = None) -> FigureResult:
+                protocols: Optional[Iterable[str]] = None) -> list[dict]:
     """Throughput and latency as replicas spread over 1..6 regions."""
     from ..matrix.cell import Cell
 
@@ -310,7 +259,7 @@ def figure6_wan(scale: ExperimentScale = SMALL_SCALE,
             config = build_config(protocol, scale, f=scale.wan_f, regions=regions)
             cells.append(Cell(spec=DeploymentSpec(config),
                               axes={"regions": region_count}))
-    return _figure(cells, axis="regions")
+    return _run_cells(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +267,7 @@ def figure6_wan(scale: ExperimentScale = SMALL_SCALE,
 # ---------------------------------------------------------------------------
 def figure7_failure(scale: ExperimentScale = SMALL_SCALE,
                     protocols: Optional[Iterable[str]] = None,
-                    f_values: Optional[tuple[int, ...]] = None) -> FigureResult:
+                    f_values: Optional[tuple[int, ...]] = None) -> list[dict]:
     """Throughput/latency with one crashed non-primary replica."""
     from ..matrix.cell import Cell
 
@@ -331,14 +280,14 @@ def figure7_failure(scale: ExperimentScale = SMALL_SCALE,
             config = build_config(protocol, scale, f=f, crashed=(n - 1,))
             cells.append(Cell(spec=DeploymentSpec(config),
                               axes={"f": f, "n": n, "crashed": 1}))
-    return _figure(cells, axis="f")
+    return _run_cells(cells)
 
 
 # ---------------------------------------------------------------------------
 # Figure 8: sweep of the trusted-hardware access latency
 # ---------------------------------------------------------------------------
 def figure8_hardware_sweep(scale: ExperimentScale = SMALL_SCALE,
-                           protocols: Optional[Iterable[str]] = None) -> FigureResult:
+                           protocols: Optional[Iterable[str]] = None) -> list[dict]:
     """Peak throughput versus trusted-counter access cost."""
     from ..matrix.cell import Cell
 
@@ -350,35 +299,15 @@ def figure8_hardware_sweep(scale: ExperimentScale = SMALL_SCALE,
             config = build_config(protocol, scale, hardware=hardware)
             cells.append(Cell(spec=DeploymentSpec(config),
                               axes={"access_cost_ms": access_ms}))
-    return _figure(cells, axis="access_cost_ms")
+    return _run_cells(cells)
 
 
 # ---------------------------------------------------------------------------
 # Sharding scale-out: aggregate throughput vs. number of consensus groups
 # ---------------------------------------------------------------------------
-def build_sharded_config(protocol: str, scale: ExperimentScale, *,
-                         num_shards: int,
-                         clients_per_shard: Optional[int] = None,
-                         hardware: TrustedHardwareSpec = SGX_ENCLAVE_COUNTER,
-                         seed: int = 1) -> "ShardedConfig":
-    """Sharded configuration with offered load proportional to the shard count."""
-    # Imported lazily: repro.sharding builds on repro.runtime, so a module-
-    # level import here would be circular.
-    from ..sharding.config import ShardedConfig
-
-    clients_per_shard = (scale.num_clients if clients_per_shard is None
-                         else clients_per_shard)
-    total_clients = clients_per_shard * num_shards
-    base = build_config(protocol, scale, num_clients=total_clients,
-                        hardware=hardware, seed=seed)
-    # num_clients is left to default from base.workload.num_clients — one
-    # source of truth for the offered load.
-    return ShardedConfig(base=base, num_shards=num_shards)
-
-
 def figure_sharding_scaleout(scale: ExperimentScale = SMALL_SCALE,
                              protocols: Optional[Iterable[str]] = None,
-                             shard_counts: tuple[int, ...] = (1, 2, 4)) -> FigureResult:
+                             shard_counts: tuple[int, ...] = (1, 2, 4)) -> list[dict]:
     """Aggregate throughput as the number of consensus groups grows.
 
     Keeps the offered load per shard constant (``scale.num_clients`` clients
@@ -396,7 +325,7 @@ def figure_sharding_scaleout(scale: ExperimentScale = SMALL_SCALE,
                                 num_clients=scale.num_clients * num_shards)
             cells.append(Cell(
                 spec=DeploymentSpec(base, num_shards=num_shards)))
-    return _figure(cells, axis="shards")  # 'shards' comes from as_row()
+    return _run_cells(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +336,7 @@ def figure_recovery(scale: ExperimentScale = SMALL_SCALE,
                     hardware_levels: Optional[Iterable[TrustedHardwareSpec]] = None,
                     crash_s: float = 0.8, restart_s: float = 1.4,
                     end_s: float = 2.6,
-                    fsync_latency_us: float = 20.0) -> FigureResult:
+                    fsync_latency_us: float = 20.0) -> list[dict]:
     """Throughput dip and time-to-recover after a crash/restart of a replica.
 
     A :class:`~repro.recovery.schedule.FaultSchedule` crashes the highest
@@ -455,14 +384,14 @@ def figure_recovery(scale: ExperimentScale = SMALL_SCALE,
             rows.append(row)
     # No cells: these rows are pinned byte-identical by the committed
     # recovery digests — they must not gain the columns a cell row carries.
-    return FigureResult(rows=tuple(rows))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # Figure 9: throughput per machine
 # ---------------------------------------------------------------------------
 def figure9_throughput_per_machine(scale: ExperimentScale = SMALL_SCALE,
-                                   protocols: Optional[Iterable[str]] = None) -> FigureResult:
+                                   protocols: Optional[Iterable[str]] = None) -> list[dict]:
     """Total throughput divided by the number of replicas, per ``f``."""
     from ..matrix.cell import Cell
 
@@ -474,11 +403,11 @@ def figure9_throughput_per_machine(scale: ExperimentScale = SMALL_SCALE,
             config = build_config(protocol, scale, f=f)
             cells.append(Cell(spec=DeploymentSpec(config),
                               axes={"f": f, "n": spec.replicas(f)}))
-    result = _figure(cells, axis="f")
-    for row in result.rows:
+    rows = _run_cells(cells)
+    for row in rows:
         row["throughput_per_machine"] = round(
             row["throughput_tx_s"] / row["n"], 1)
-    return result
+    return rows
 
 
 ALL_EXPERIMENTS = {

@@ -10,18 +10,21 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.matrix import MatrixRunner, MatrixSpec, load_results
+from repro.runtime import SMALL_SCALE
 
 
 @pytest.fixture
 def tiny_cells():
     spec = MatrixSpec(name="tiny", protocols=("minbft", "flexi-bft"),
-                      client_counts=(10,), warmup_batches=1,
-                      measured_batches=3)
+                      client_counts=(10,),
+                      scale=replace(SMALL_SCALE, warmup_batches=1,
+                                    measured_batches=3))
     return spec.cells()
 
 
@@ -135,6 +138,20 @@ def test_fault_cell_runs_its_fixed_horizon(tmp_path):
     assert row["consensus_safe"] is True
     # The horizon came from the hashed spec, not a runner-side parameter.
     assert cell.fixed_horizon_us == pytest.approx(450_000.0)
+
+
+def test_json_report_counts_executed_then_resumed_cells(tmp_path, capsys):
+    from repro.__main__ import main
+
+    argv = ["matrix", "run", "--protocols", "minbft", "--clients", "10",
+            "--results", str(tmp_path), "--report", "json"]
+    reports = []
+    for _ in range(2):
+        assert main(argv) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert (reports[0]["executed"], reports[0]["resumed"]) == (1, 0)
+    assert (reports[1]["executed"], reports[1]["resumed"]) == (0, 1)
+    assert reports[1]["series"] == reports[0]["series"]
 
 
 def test_unknown_matrix_name_is_a_configuration_error():

@@ -120,7 +120,6 @@ def test_matrix_expands_the_axis_product():
     assert {cell.protocol for cell in cells} == {"pbft", "minbft"}
     # Unswept axes contribute no row columns.
     assert all(set(cell.axes) == {"clients"} for cell in cells)
-    assert spec.axis_names() == ("clients",)
 
 
 def test_matrix_validates_axis_values_up_front():
@@ -156,14 +155,6 @@ def test_fault_plan_cells_fix_the_run_horizon():
     assert other.content_hash != cell.content_hash
 
 
-def test_sharded_cells_scale_clients_per_shard():
-    spec = MatrixSpec(name="t", protocols=("flexi-bft",),
-                      client_counts=(10,), shard_counts=(2,))
-    (cell,) = spec.cells()
-    assert cell.spec.num_shards == 2
-    assert cell.spec.config.workload.num_clients == 20
-
-
 def test_named_matrices_expand_cleanly():
     for name in MATRICES:
         cells = matrix_cells(name)
@@ -172,6 +163,17 @@ def test_named_matrices_expand_cleanly():
         assert len(set(hashes)) == len(hashes), name
     with pytest.raises(ConfigurationError, match="unknown matrix"):
         matrix_cells("nosuch")
+
+
+def test_named_matrix_whose_specs_collide_is_refused(monkeypatch):
+    # Each spec is duplicate-free on its own; together they name one
+    # deployment twice, which would share a single result file.
+    first = MatrixSpec(name="a", protocols=("pbft", "minbft"),
+                       client_counts=(10,))
+    second = MatrixSpec(name="b", protocols=("minbft",), client_counts=(10,))
+    monkeypatch.setitem(MATRICES, "colliding", (first, second))
+    with pytest.raises(ConfigurationError, match="same deployment"):
+        matrix_cells("colliding")
 
 
 # ---------------------------------------------------------------- collation

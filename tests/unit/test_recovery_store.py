@@ -198,3 +198,13 @@ class TestCli:
         from repro.__main__ import run_experiment
         with pytest.raises(SystemExit):
             run_experiment("figure5", "small", ["pbft"])
+
+    def test_run_refuses_protocols_where_the_help_says_it_does(self, capsys):
+        from repro.__main__ import main
+        with pytest.raises(SystemExit,
+                           match="figure5 does not take a protocol selection"):
+            main(["run", "figure5", "--protocols", "pbft"])
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "experiments that fix their protocol reject this" in help_text

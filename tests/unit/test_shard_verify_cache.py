@@ -15,7 +15,8 @@ import pytest
 
 from repro.common.errors import InvalidSignature, UnknownKey
 from repro.crypto.keystore import KeyStore
-from repro.runtime.experiments import ExperimentScale, build_sharded_config
+from repro.runtime.experiments import ExperimentScale, build_config
+from repro.sharding.config import ShardedConfig
 from repro.sharding.deployment import (
     SPLIT_VERIFY_CACHE_SHARDS,
     ShardedDeployment,
@@ -28,9 +29,15 @@ _SCALE = ExperimentScale(
     max_sim_seconds=20.0)
 
 
+def _config(num_shards: int) -> ShardedConfig:
+    # two clients per shard: offered load proportional to the shard count
+    return ShardedConfig(
+        base=build_config("flexi-bft", _SCALE, num_clients=2 * num_shards),
+        num_shards=num_shards)
+
+
 def _run(num_shards: int):
-    config = build_sharded_config("flexi-bft", _SCALE, num_shards=num_shards,
-                                  clients_per_shard=2)
+    config = _config(num_shards)
     deployment = ShardedDeployment(config)
     result = deployment.run_until_target()
     return deployment, result
@@ -76,8 +83,7 @@ class TestEightShardHitRates:
     def test_rows_identical_with_and_without_split(self):
         # The split must be invisible to simulated results: force both modes
         # at the same shard count and compare the full row.
-        config = build_sharded_config("flexi-bft", _SCALE, num_shards=2,
-                                      clients_per_shard=2)
+        config = _config(2)
         plain = ShardedDeployment(config)
         assert not plain.keystore.verify_cache_split
         plain_result = plain.run_until_target()

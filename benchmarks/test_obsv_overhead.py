@@ -27,13 +27,17 @@ from repro.runtime import DeploymentSpec
 from repro.runtime.experiments import build_config
 
 #: alternating A/B pairs; the per-mode minimum is compared, so one noisy
-#: neighbour burst cannot fail (or pass) the gate on its own.  Five pairs
-#: (not three) because each timed run is only ~20 ms: the per-mode minimum
-#: needs that many samples to converge on shared runners.
+#: neighbour burst cannot fail (or pass) the gate on its own.
 _PAIRS = 5
 
-#: CI-safe ceiling for traced/untraced wall-clock; the real signal printed
-#: alongside is typically a few percent.
+#: requests per timed run: ten times the smoke scale's own target, so each
+#: run lasts about a tenth of a second rather than ten milliseconds and the
+#: minimum of five settles instead of tracking scheduler jitter.
+_TARGET_REQUESTS = 800
+
+#: CI-safe ceiling for traced/untraced wall-clock.  The ring append and the
+#: span contexts are a fixed cost per message, so the ratio grows as the
+#: untraced path gets faster; it reads about 1.15 on a 2-core x86 box.
 _MAX_OVERHEAD_RATIO = 1.25
 
 
@@ -41,7 +45,7 @@ def _timed_run(observe):
     config = build_config("flexi-bft", PERF_SCALES["smoke"].experiment)
     with DeploymentSpec(config, observe=observe).build() as deployment:
         started = time.perf_counter()
-        result = deployment.run_until_target()
+        result = deployment.run_until_target(_TARGET_REQUESTS)
         elapsed = time.perf_counter() - started
     assert result.consensus_safe and result.rsm_safe
     return elapsed

@@ -28,7 +28,7 @@ any context without pulling in :mod:`repro.realtime`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Union
+from typing import TYPE_CHECKING, List, Union
 
 from .common.errors import ConfigurationError
 from .common.types import Micros
@@ -66,12 +66,12 @@ class Backend:
         raise NotImplementedError
 
     # -------------------------------------------------------------- running
-    def run(self, kernel: Kernel, until_us: Micros,
-            stop_when: Optional[Callable[[], bool]] = None) -> Micros:
-        """Drive ``kernel`` until ``stop_when`` (or the time cap ``until_us``).
+    def run(self, kernel: Kernel, until_us: Micros) -> Micros:
+        """Drive ``kernel`` until ``kernel.request_stop()`` (or the cap).
 
-        On the simulator the cap is simulated time; on the live backends it
-        is wall-clock — the same clock ``kernel.now`` reports either way.
+        On the simulator the cap ``until_us`` is simulated time; on the live
+        backends it is wall-clock — the same clock ``kernel.now`` reports
+        either way.
         """
         raise NotImplementedError
 
@@ -108,9 +108,8 @@ class SimBackend(Backend):
 
         return Network
 
-    def run(self, kernel: Kernel, until_us: Micros,
-            stop_when: Optional[Callable[[], bool]] = None) -> Micros:
-        return kernel.run(until=until_us, stop_when=stop_when)
+    def run(self, kernel: Kernel, until_us: Micros) -> Micros:
+        return kernel.run(until=until_us)
 
     def run_for(self, kernel: Kernel, duration_us: Micros) -> Micros:
         # Simulated attack/recovery scenarios historically run to an
@@ -136,11 +135,8 @@ class _AsyncioBackend(Backend):
 
         return AsyncioKernel()
 
-    def run(self, kernel: Kernel, until_us: Micros,
-            stop_when: Optional[Callable[[], bool]] = None) -> Micros:
-        condition = stop_when if stop_when is not None else lambda: False
-        return kernel.run_until(condition,
-                                max_wall_seconds=until_us / 1_000_000.0)
+    def run(self, kernel: Kernel, until_us: Micros) -> Micros:
+        return kernel.run_until(max_wall_seconds=until_us / 1_000_000.0)
 
     def run_for(self, kernel: Kernel, duration_us: Micros) -> Micros:
         return kernel.run_for(duration_us)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..crypto.digest import canonical_cacheable
+from ..crypto.digest import canonical_cacheable, stores_fields
 
 # A replica is identified by a small non-negative integer, exactly like the
 # paper's "replica with identifier i" used for round-robin primary rotation.
@@ -84,6 +84,7 @@ class ConsensusMode(enum.Enum):
 
 
 @canonical_cacheable
+@stores_fields(memoise_hash=True)
 @dataclass(frozen=True)
 class RequestId:
     """Globally unique identifier of a client request.
@@ -93,11 +94,21 @@ class RequestId:
     replicas use for reply deduplication.  Canonically cacheable: the same
     instance is encoded inside every message that references the request
     (request, pre-prepare batch, n replica responses), so the encode-once
-    cache pays for itself many times over per transaction.
+    cache pays for itself many times over per transaction.  For the same
+    reason its hash is memoised at construction — ids key every dedup set
+    and reply cache, about 25 lookups per request — and equality starts
+    with identity, which is how the shared instance compares to itself.
     """
 
     client: ClientId
     number: int
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return self.client == other.client and self.number == other.number
+        return NotImplemented
 
     def __str__(self) -> str:
         # Memoised like the canonical encoding: ledgers and tracers stringify

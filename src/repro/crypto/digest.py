@@ -24,7 +24,7 @@ messages.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
@@ -310,9 +310,134 @@ class FunctionSource:
     def line(self, indent: str, text: str) -> None:
         self.lines.append(indent + text)
 
+    def store_fields(self, indent: str, target: str, cls: type,
+                     values: list[str], pinned: str | None = None) -> None:
+        """Statements storing ``values`` as the fields of ``target``.
+
+        ``target`` is a bare ``cls`` instance (``object.__new__``); the
+        statements are what ``cls.__init__`` does whenever
+        :func:`constructs_by_storing` holds: each value goes straight into
+        the instance ``__dict__`` or its slot, never through
+        ``object.__setattr__``.  ``pinned`` (an expression) is stored as the
+        canonical-encoding cache as well, on a ``__dict__``-backed class.
+        """
+        names = [f.name for f in fields(cls)]
+        if _slotted(cls):
+            for name, value in zip(names, values):
+                setter = self.bind(getattr(cls, name).__set__)
+                self.line(indent, f"{setter}({target}, {value})")
+            return
+        self.line(indent, f"_d = {target}.__dict__")
+        for name, value in zip(names, values):
+            self.line(indent, f"_d[{name!r}] = {value}")
+        if cls.__dict__.get("__hash__") is _memoised_hash:
+            hashed = [value for f, value in zip(fields(cls), values)
+                      if (f.compare if f.hash is None else f.hash)]
+            self.line(indent, f"_d[{_HASH_MEMO!r}] = "
+                              f"{self.bind(hash)}(({', '.join(hashed)},))")
+        if pinned is not None:
+            self.line(indent, f"_d[{_CANONICAL_CACHE!r}] = {pinned}")
+
     def compile(self, filename: str, function: str):
         exec(compile("\n".join(self.lines), filename, "exec"), self.namespace)
         return self.namespace[function]
+
+
+# ---------------------------------------------------------------------------
+# generated per-class constructors
+# ---------------------------------------------------------------------------
+# A frozen dataclass's ``__init__`` stores every field through
+# ``object.__setattr__`` (its own ``__setattr__`` refuses), one builtin call
+# per field; for the value types built once or more per message that is most
+# of their construction cost.  :func:`stores_fields` gives such a class an
+# ``__init__`` generated from its field list — same signature, same
+# defaults — that stores straight into the instance ``__dict__`` or slots,
+# and the wire decoders emit the very same statements inline
+# (:meth:`FunctionSource.store_fields`), so a value is built one way whether
+# a replica constructed it or decoded it off the wire.
+
+#: where :func:`stores_fields` ``(memoise_hash=True)`` pins the field hash.
+_HASH_MEMO = "_repro_hash"
+
+
+def _slotted(cls: type) -> bool | None:
+    """True when ``cls`` instances are fully slotted, False when fully
+    ``__dict__``-backed, None when part of the hierarchy is each."""
+    slotted = ["__slots__" in vars(base) for base in cls.__mro__[:-1]]
+    return True if all(slotted) else (None if any(slotted) else False)
+
+
+def _memoised_hash(self) -> int:
+    return self._repro_hash
+
+
+def stores_fields(cls=None, *, memoise_hash: bool = False):
+    """Class decorator: a generated constructor that stores fields directly.
+
+    For dataclasses (frozen ones especially) whose ``__init__`` only stores
+    its fields: no ``__post_init__``, no ``default_factory``, no ``init=False``
+    or keyword-only field, and no field name starting with an underscore
+    (the generated code's own names do).  The generated ``__init__`` has the
+    dataclass's signature, defaults and annotations, and frozen instances
+    still refuse assignment.
+
+    ``memoise_hash=True`` computes the dataclass hash — ``hash`` of the
+    tuple of hashed fields, the same value — once, at construction, and
+    ``__hash__`` returns it.  Only for classes no code clones with a field
+    rewritten (as :func:`drop_whole_value_caches` callers do).
+    """
+    if cls is None:
+        return lambda cls: stores_fields(cls, memoise_hash=memoise_hash)
+    if not (isinstance(cls, type) and is_dataclass(cls)):
+        raise TypeError(f"stores_fields needs a dataclass, not {cls!r}")
+    members = fields(cls)
+    problems = [f"field {f.name!r} is not a plain, public positional "
+                "parameter"
+                for f in members
+                if not f.init or getattr(f, "kw_only", False)
+                or f.default_factory is not MISSING or f.name.startswith("_")]
+    if hasattr(cls, "__post_init__"):
+        problems.append("it defines __post_init__")
+    if _slotted(cls) is None:
+        problems.append("its instances are part slotted, part __dict__-backed")
+    if memoise_hash and (_slotted(cls)
+                         or not cls.__dataclass_params__.frozen):
+        problems.append("a memoised hash needs a frozen, __dict__-backed class")
+    if problems:
+        raise TypeError(f"cannot generate a storing constructor for "
+                        f"{cls.__name__}: {'; '.join(problems)}")
+    if memoise_hash:
+        cls.__hash__ = _memoised_hash
+    source = FunctionSource({})
+    params = [f.name if f.default is MISSING
+              else f"{f.name}={source.bind(f.default)}" for f in members]
+    source.line("", f"def __init__(self, {', '.join(params)}):")
+    source.store_fields(" ", "self", cls, [f.name for f in members])
+    init = source.compile(f"<generated constructor {cls.__name__}>",
+                          "__init__")
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in members},
+                            "return": None}
+    init.__stores_fields__ = True
+    cls.__init__ = init
+    return cls
+
+
+def constructs_by_storing(cls: type) -> bool:
+    """Whether building ``cls`` is nothing but storing its fields.
+
+    True for a constructor generated by :func:`stores_fields`, and for the
+    ``__init__`` ``@dataclass`` wrote for exactly this class when there is no
+    ``__post_init__`` and instances are fully slotted or fully
+    ``__dict__``-backed; anything else must be constructed by calling it.
+    """
+    init = cls.__dict__.get("__init__")
+    if getattr(init, "__stores_fields__", False):
+        return True
+    return (getattr(init, "__qualname__", None) == f"{cls.__qualname__}.__init__"
+            and init.__code__.co_filename == "<string>"
+            and not hasattr(cls, "__post_init__")
+            and _slotted(cls) is not None)
 
 
 class _EncoderSource(FunctionSource):

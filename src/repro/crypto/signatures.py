@@ -27,13 +27,14 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..common.errors import InvalidMac, InvalidSignature
-from .digest import canonical_bytes, canonical_cacheable
+from .digest import canonical_bytes, canonical_cacheable, stores_fields
 
 _SIG_TAG = b"repro-ds-v1"
 _MAC_TAG = b"repro-mac-v1"
 
 
 @canonical_cacheable
+@stores_fields
 @dataclass(frozen=True)
 class Signature:
     """A digital signature: the signer's identity plus the HMAC value."""

@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..common.types import Micros, SeqNum
+from ..crypto.digest import stores_fields
 from .state_machine import OperationResult
 
 
+@stores_fields
 @dataclass(frozen=True)
 class ExecutedBatch:
     """A batch the replica has executed at a given sequence number."""

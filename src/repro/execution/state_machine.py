@@ -13,9 +13,10 @@ import abc
 from dataclasses import dataclass
 from typing import Any
 
-from ..crypto.digest import canonical_cacheable
+from ..crypto.digest import canonical_cacheable, stores_fields
 
 
+@stores_fields
 @dataclass(frozen=True)
 class Operation:
     """One state-machine operation: a named action plus its arguments."""
@@ -26,13 +27,16 @@ class Operation:
 
 
 @canonical_cacheable
+@stores_fields(memoise_hash=True)
 @dataclass(frozen=True)
 class OperationResult:
     """The value returned to the client for one operation.
 
     Canonically cacheable: state machines intern their constant results
     (every successful write is the same ``ok`` object), so the shared
-    instances are encoded once and reused across every reply digest.
+    instances are encoded once and reused across every reply digest.  The
+    hash is memoised for the same reason: replicas look reply digests up
+    by result, once per reply.
     """
 
     ok: bool

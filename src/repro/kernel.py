@@ -4,8 +4,9 @@ The protocol stack — replicas, clients, worker pools, trusted devices,
 durable stores and the network — never cares *which* clock drives it.  It
 needs exactly four things: the current time in microseconds, relative and
 absolute scheduling of callbacks, and cancellable handles for the events it
-schedules (plus a handle-free variant for events nobody cancels, and a way
-to drop everything queued at teardown).  This module names that contract so
+schedules (plus a handle-free variant for events nobody cancels, a way to
+end the current run early, and a way to drop everything queued at
+teardown).  This module names that contract so
 two backends can implement it:
 
 * :class:`~repro.sim.kernel.Simulator` — the deterministic discrete-event
@@ -108,6 +109,12 @@ class Kernel(Protocol):
 
         Same ordering as :meth:`schedule_at`, no handle returned — kernels
         that can schedule such an event more cheaply do.
+        """
+
+    def request_stop(self) -> None:
+        """End the current run after the callback in progress.
+
+        Called between runs, it ends the next run after its first callback.
         """
 
     def cancel_pending(self) -> None:

@@ -16,11 +16,13 @@ from functools import partial
 from typing import Callable, Iterable, Optional, Protocol, runtime_checkable
 
 from ..common.types import Micros
+from ..crypto.digest import stores_fields
 from ..kernel import Kernel
 from ..sim.rng import RngRegistry
 from .topology import Topology
 
 
+@stores_fields
 @dataclass(frozen=True, slots=True)
 class Envelope:
     """A message in flight: payload plus addressing metadata."""

@@ -75,7 +75,6 @@ import importlib
 import re
 import struct
 from dataclasses import fields, is_dataclass
-from types import MemberDescriptorType
 from typing import Any, Callable, Optional, get_origin
 
 from ..common.errors import (
@@ -100,6 +99,7 @@ from ..crypto.digest import (
     _token,
     canonical_bytes,
     class_fields,
+    constructs_by_storing,
     optional_of,
     tuple_of,
 )
@@ -710,44 +710,21 @@ class _DecoderSource(FunctionSource):
 
     def construct(self, indent: str, target: str, entry: _RegisteredClass,
                   values: list, pinned: str) -> None:
-        """Build ``entry``'s class from ``values``; pin its received bytes."""
+        """Build ``entry``'s class from ``values``; pin its received bytes.
+
+        A class whose constructor only stores its fields is built by the
+        same statements, inline (:meth:`FunctionSource.store_fields`);
+        anything else is called.
+        """
         cls = self.bind(entry.cls)
-        names = [f.name for f in fields(entry.cls)]
-        slots = [getattr(entry.cls, name, None) for name in names]
-        if not _dataclass_init(entry.cls):
-            self.line(indent, f"{target} = {cls}({', '.join(values)})")
-            if entry.cacheable:
-                self.line(indent, f"_setattr({target}, _CACHE, {pinned})")
-        elif all(isinstance(slot, MemberDescriptorType) for slot in slots):
-            # What the generated ``__init__`` of a slotted dataclass does,
-            # minus its ``object.__setattr__`` indirection per field.
+        pin = pinned if entry.cacheable else None
+        if constructs_by_storing(entry.cls):
             self.line(indent, f"{target} = _new({cls})")
-            for slot, value in zip(slots, values):
-                self.line(indent, f"{self.bind(slot.__set__)}({target}, {value})")
-        else:
-            # Likewise for a ``__dict__``-backed one (every cacheable class).
-            self.line(indent, f"{target} = _new({cls})")
-            self.line(indent, f"_d = {target}.__dict__")
-            for name, value in zip(names, values):
-                self.line(indent, f"_d[{name!r}] = {value}")
-            if entry.cacheable:
-                self.line(indent, f"_d[_CACHE] = {pinned}")
-
-
-def _dataclass_init(cls: type) -> bool:
-    """Whether constructing ``cls`` only stores its fields.
-
-    True when ``__init__`` is the one ``@dataclass`` wrote for exactly this
-    class, there is no ``__post_init__``, and instances are either fully
-    slotted or fully ``__dict__``-backed; anything else is constructed by
-    calling the class.
-    """
-    init = cls.__dict__.get("__init__")
-    slotted = ["__slots__" in vars(base) for base in cls.__mro__[:-1]]
-    return (getattr(init, "__qualname__", None) == f"{cls.__qualname__}.__init__"
-            and init.__code__.co_filename == "<string>"
-            and not hasattr(cls, "__post_init__")
-            and (all(slotted) or not any(slotted)))
+            self.store_fields(indent, target, entry.cls, values, pin)
+            return
+        self.line(indent, f"{target} = {cls}({', '.join(values)})")
+        if pin is not None:
+            self.line(indent, f"_setattr({target}, _CACHE, {pin})")
 
 
 def _decoder_pending(decoder, pos, depth):

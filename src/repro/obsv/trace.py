@@ -190,8 +190,7 @@ class Tracer:
             tid, span_id, parent_id, dur_us))
         self.counts[kind] = self.counts.get(kind, 0) + 1
         self.total += 1
-        return TraceContext(trace_id=tid, span_id=span_id,
-                            parent_span_id=parent_id)
+        return TraceContext(tid, span_id, parent_id)
 
     # ------------------------------------------------------------ inspection
     def __len__(self) -> int:

@@ -71,6 +71,7 @@ from .messages import (
     Response,
     ViewChange,
     noop_batch,
+    reply_to,
     sign_in_place,
     signed_part_bytes,
 )
@@ -846,7 +847,9 @@ class BaseReplica:
     def _build_reply(self, request: ClientRequest, seq: SeqNum, view: ViewNum,
                      results: tuple[OperationResult, ...],
                      speculative: bool) -> Optional[Response]:
-        if request.client.startswith("__"):
+        request_id = request.request_id
+        client = request_id.client
+        if client.startswith("__"):
             return None  # no-op filler batches have no client to answer
         # Result digests repeat heavily — every replica computes the same
         # digest for the same execution outcome, and write-dominated
@@ -857,21 +860,19 @@ class BaseReplica:
             result_digest = digest(results)
             if len(_RESULT_DIGESTS) < _RESULT_DIGESTS_MAX:
                 _RESULT_DIGESTS[results] = result_digest
-        response = Response(
-            request_id=request.request_id, seq=seq, view=view,
-            replica=self.replica_id, result=results[0],
-            result_digest=result_digest, speculative=speculative)
-        response = self.signed(response)
-        self.reply_cache[request.request_id] = response
-        latest = self.latest_reply.get(request.client)
-        if latest is None or latest.request_id.number <= request.request_id.number:
-            self.latest_reply[request.client] = response
+        response = self.signed(reply_to(
+            request, seq, view, self.replica_id, results[0], result_digest,
+            speculative))
+        self.reply_cache[request_id] = response
+        latest = self.latest_reply.get(client)
+        if latest is None or latest.request_id.number <= request_id.number:
+            self.latest_reply[client] = response
         tracer = self._tracer
         if tracer is not None:
             # Keyed by the request-id string: the same key the client's
             # req.submit/req.complete events carry, closing the lifecycle.
             tracer.record("req.reply", node=self.name, seq=seq, view=view,
-                          detail=str(request.request_id))
+                          detail=str(request_id))
         return response
 
     def _send_replies(self, responses: list[tuple[str, Response]],

@@ -25,6 +25,7 @@ from ..crypto.digest import (
     encode_fixed_attrs,
     encode_fixed_key_dict,
     pinned,
+    stores_fields,
 )
 from ..crypto.signatures import Signature
 from ..execution.state_machine import Operation, OperationResult
@@ -105,6 +106,7 @@ def sign_in_place(message, signature: Signature):
 # --------------------------------------------------------------------- client
 @wire_serializable
 @canonical_cacheable
+@stores_fields
 @dataclass(frozen=True)
 class ClientRequest:
     """A signed client transaction ``⟨T⟩_c`` (possibly several operations)."""
@@ -141,6 +143,7 @@ class ClientRequest:
 
 @wire_serializable
 @canonical_cacheable
+@stores_fields
 @dataclass(frozen=True)
 class RequestBatch:
     """A batch of client requests ordered as one consensus decision."""
@@ -159,6 +162,7 @@ class RequestBatch:
 
 @wire_serializable
 @canonical_cacheable
+@stores_fields
 @dataclass(frozen=True)
 class Response:
     """Reply from a replica to a client for one request."""
@@ -183,6 +187,30 @@ class Response:
         return (self.request_id, self.seq, self.view, self.result_digest)
 
 
+def reply_to(request: ClientRequest, seq: SeqNum, view: ViewNum,
+             replica: ReplicaId, result: OperationResult,
+             result_digest: bytes, speculative: bool = False) -> Response:
+    """An unsigned reply to ``request``, its signed part encoded once.
+
+    Every replica answering ``request`` signs the same ``request_id, seq,
+    view, result_digest`` bytes, and on the simulator they all hold the one
+    request object the primary's batch carried.  The first reply built pins
+    ``(seq, view, result_digest, bytes)`` on that request; a later reply
+    reuses the bytes only when all three match, and is encoded afresh
+    (re-pinning) otherwise.
+    """
+    reply = Response(request.request_id, seq, view, replica, result,
+                     result_digest, speculative)
+    shared = request.__dict__.get("_reply_signed_part")
+    if (shared is not None and shared[0] == seq and shared[1] == view
+            and shared[2] == result_digest):
+        object.__setattr__(reply, "_signed_part_bytes", shared[3])
+    else:
+        object.__setattr__(request, "_reply_signed_part", (
+            seq, view, result_digest, signed_part_bytes(reply)))
+    return reply
+
+
 @wire_serializable
 @canonical_cacheable
 @dataclass(frozen=True)
@@ -195,6 +223,7 @@ class ResendRequest:
 # ------------------------------------------------------------------ consensus
 @wire_serializable
 @canonical_cacheable
+@stores_fields
 @dataclass(frozen=True)
 class PrePrepare:
     """The primary's proposal binding a batch to a sequence number."""
@@ -216,6 +245,7 @@ class PrePrepare:
 
 @wire_serializable
 @canonical_cacheable
+@stores_fields
 @dataclass(frozen=True)
 class Prepare:
     """A replica's vote supporting a (sequence number, batch) pairing."""
@@ -236,6 +266,7 @@ class Prepare:
 
 @wire_serializable
 @canonical_cacheable
+@stores_fields
 @dataclass(frozen=True)
 class Commit:
     """A replica's vote that a batch is prepared and may be committed."""
@@ -276,6 +307,7 @@ class CommitCertificate:
 
 @wire_serializable
 @canonical_cacheable
+@stores_fields
 @dataclass(frozen=True)
 class CommitAck:
     """A replica's acknowledgement of a client commit certificate."""
@@ -300,6 +332,7 @@ class CommitAck:
 # ----------------------------------------------------------------- liveness
 @wire_serializable
 @canonical_cacheable
+@stores_fields
 @dataclass(frozen=True)
 class Checkpoint:
     """Periodic state digest exchanged to garbage-collect logs."""

@@ -73,7 +73,10 @@ class AsyncioKernel:
         self._running = False
         self._error: Optional[BaseException] = None
         self._stop_when: Optional[Callable[[], bool]] = None
+        #: the run is stopping: due events stay queued for the next run.
         self._stop_requested = False
+        #: set by :meth:`request_stop`; read where ``_stop_when`` is asked.
+        self._stop_pending = False
         self._tracer = None
 
     def set_tracer(self, tracer) -> None:
@@ -172,8 +175,8 @@ class AsyncioKernel:
                 # otherwise a whole batch of due events (e.g. an extra round
                 # of client requests) runs past the requested target before
                 # the driving coroutine's next poll notices.
-                if (self._stop_when is not None and not self._stop_requested
-                        and self._stop_when()):
+                if self._stop_pending or (self._stop_when is not None
+                                          and self._stop_when()):
                     self._stop_requested = True
                     break
         except BaseException as exc:  # noqa: BLE001 — re-raised by run_until
@@ -196,11 +199,13 @@ class AsyncioKernel:
                               detail=type(error).__name__)
 
     # -------------------------------------------------------------- driving
-    def run_until(self, stop_when: Callable[[], bool],
+    def run_until(self, stop_when: Optional[Callable[[], bool]] = None,
                   max_wall_seconds: float = 30.0) -> Micros:
-        """Drive the loop until ``stop_when`` returns True (or the cap).
+        """Drive the loop until ``stop_when`` holds (or the cap).
 
-        The live analogue of ``Simulator.run(stop_when=...)``: returns the
+        The live analogue of ``Simulator.run(stop_when=...)``: the condition
+        is checked after every callback and on every poll, and
+        :meth:`request_stop` ends the run at the same points.  Returns the
         kernel time at which the loop stopped.  The cyclic collector's
         old-generation passes are deferred while the loop is driven
         (:func:`~repro.kernel.collection_deferred`).
@@ -218,7 +223,9 @@ class AsyncioKernel:
         async def _drive() -> None:
             deadline = self._loop.time() + max_wall_seconds
             while (self._error is None and not self._stop_requested
-                   and not stop_when() and self._loop.time() < deadline):
+                   and not self._stop_pending
+                   and (stop_when is None or not stop_when())
+                   and self._loop.time() < deadline):
                 await asyncio.sleep(_POLL_SECONDS)
 
         try:
@@ -227,6 +234,7 @@ class AsyncioKernel:
         finally:
             self._running = False
             self._stop_when = None
+            self._stop_pending = False
             tracer = self._tracer
             if tracer is not None:
                 tracer.record("kernel.stop", node="live")
@@ -234,6 +242,12 @@ class AsyncioKernel:
             error, self._error = self._error, None
             raise error
         return self.now
+
+    def request_stop(self) -> None:
+        """End the run after the callback in progress (the pushed form of
+        ``stop_when``; between runs, it ends the next one where a condition
+        that already holds would)."""
+        self._stop_pending = True
 
     def run_until_idle(self, max_wall_seconds: float = 30.0) -> Micros:
         """Drive the loop until no live events remain (or the cap)."""

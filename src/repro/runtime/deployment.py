@@ -134,10 +134,14 @@ class RunLoop:
         watchdog = self._arm_watchdog(max_sim_time_us)
         sampler = self._start_health_sampler()
         try:
-            self.backend.run(
-                self.sim, until_us=max_sim_time_us,
-                stop_when=lambda: self.metrics.completed_count >= target_requests)
+            # The sink pushes the stop when the target completes, instead of
+            # the kernel polling the count after every event.  The hook is
+            # cleared again, so the sink keeps no reference to the kernel
+            # and no later run is stopped by a stale target.
+            self.metrics.notify_at(target_requests, self.sim.request_stop)
+            self.backend.run(self.sim, until_us=max_sim_time_us)
         finally:
+            self.metrics.notify_at(None)
             if watchdog is not None:
                 watchdog.cancel()
             if sampler is not None:

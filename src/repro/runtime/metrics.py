@@ -11,11 +11,13 @@ simulator works in completed-transaction counts instead, trimming the first
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..common.types import MICROS_PER_SECOND, Micros, RequestId
+from ..crypto.digest import stores_fields
 
 
+@stores_fields
 @dataclass(frozen=True, slots=True)
 class CompletionRecord:
     """One completed client request."""
@@ -56,6 +58,11 @@ class MetricsCollector:
     submissions: int = 0
     completions: list[CompletionRecord] = field(default_factory=list)
     abandonments: list[AbandonmentRecord] = field(default_factory=list)
+    #: completion count at which ``_on_target`` runs (see :meth:`notify_at`).
+    _target: Optional[int] = field(default=None, init=False, repr=False,
+                                   compare=False)
+    _on_target: Optional[Callable[[], None]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------- sink interface
     def record_submission(self, client: str, request_id: RequestId,
@@ -65,9 +72,11 @@ class MetricsCollector:
     def record_completion(self, client: str, request_id: RequestId,
                           submitted_at: Micros, completed_at: Micros,
                           operations: int) -> None:
-        self.completions.append(CompletionRecord(
-            client=client, request_id=request_id, submitted_at=submitted_at,
-            completed_at=completed_at, operations=operations))
+        completions = self.completions
+        completions.append(CompletionRecord(
+            client, request_id, submitted_at, completed_at, operations))
+        if len(completions) == self._target:
+            self._on_target()
 
     def record_abandonment(self, client: str, request_id: RequestId,
                            submitted_at: Micros, abandoned_at: Micros,
@@ -75,6 +84,17 @@ class MetricsCollector:
         self.abandonments.append(AbandonmentRecord(
             client=client, request_id=request_id, submitted_at=submitted_at,
             abandoned_at=abandoned_at, operations=operations, reason=reason))
+
+    def notify_at(self, target: Optional[int],
+                  callback: Optional[Callable[[], None]] = None) -> None:
+        """Call ``callback`` once, when the completed count reaches ``target``.
+
+        At once if it already has; ``notify_at(None)`` disarms.  This is how
+        a run learns its target completed without asking after every event.
+        """
+        self._target, self._on_target = target, callback
+        if target is not None and len(self.completions) >= target:
+            callback()
 
     # ----------------------------------------------------------- inspection
     @property

@@ -10,6 +10,7 @@ a global roll-up comparable to single-group runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..crypto.keystore import KeyStoreStats
 from ..runtime.metrics import MetricsCollector, RunMetrics
@@ -96,6 +97,11 @@ class ShardedMetrics:
     def shard_completed_count(self, shard: int) -> int:
         """Sub-requests completed by one shard so far."""
         return self.shard_collectors[shard].completed_count
+
+    def notify_at(self, target: int | None,
+                  callback: Callable[[], None] | None = None) -> None:
+        """:meth:`MetricsCollector.notify_at` over logical completions."""
+        self.global_collector.notify_at(target, callback)
 
     # -------------------------------------------------------------- summary
     def summarise(self, warmup_fraction: float = 0.1,

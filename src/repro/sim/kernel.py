@@ -64,8 +64,8 @@ class Simulator:
     against a queue full of dead entries.
     """
 
-    __slots__ = ("_queue", "_seq", "_now", "_events_processed", "_running",
-                 "_cancelled_pending", "_tracer")
+    __slots__ = ("_queue", "_seq", "now", "_events_processed", "_running",
+                 "_cancelled_pending", "_stop_pending", "_tracer")
 
     #: compaction triggers once at least this many cancelled entries make up
     #: the majority of the queue (the floor keeps tiny queues compaction-free).
@@ -78,10 +78,14 @@ class Simulator:
         #: heap comparisons are a measurable slice of a deployment run.
         self._queue: list[tuple[Micros, int, Event]] = []
         self._seq = itertools.count()
-        self._now: Micros = 0.0
+        #: current simulated time in microseconds.  A plain slot, not a
+        #: property: every handler, timer and send reads it, dozens of
+        #: times per request.  Only the run loop writes it.
+        self.now: Micros = 0.0
         self._events_processed = 0
         self._running = False
         self._cancelled_pending = 0
+        self._stop_pending = False
         self._tracer = None
 
     def set_tracer(self, tracer) -> None:
@@ -92,11 +96,6 @@ class Simulator:
     def heap_size(self) -> int:
         """Raw heap length, cancelled entries included (diagnostics only)."""
         return len(self._queue)
-
-    @property
-    def now(self) -> Micros:
-        """Current simulated time in microseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -131,13 +130,13 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` microseconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} us in the past")
-        return self.schedule_at(self._now + delay, callback)
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, time: Micros, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at an absolute simulated time."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time} us, clock already at {self._now} us")
+                f"cannot schedule at {time} us, clock already at {self.now} us")
         seq = next(self._seq)
         # Positional construction: this runs once per scheduled event and the
         # generated dataclass __init__ parses keywords measurably slower.
@@ -155,9 +154,9 @@ class Simulator:
         allocation.  Network deliveries — the majority of all events in a
         deployment run — take this path.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time} us, clock already at {self._now} us")
+                f"cannot schedule at {time} us, clock already at {self.now} us")
         heapq.heappush(self._queue, (time, next(self._seq), callback))
 
     def run(self, until: Optional[Micros] = None,
@@ -167,10 +166,10 @@ class Simulator:
 
         The loop stops when the queue is empty, when simulated time would pass
         ``until``, after ``max_events`` callbacks, or as soon as ``stop_when``
-        returns True (checked after every callback).  Returns the simulated
-        time at which the loop stopped.  The cyclic collector's
-        old-generation passes are deferred while the loop runs
-        (:func:`~repro.kernel.collection_deferred`).
+        returns True or :meth:`request_stop` was called (both checked after
+        every callback).  Returns the simulated time at which the loop
+        stopped.  The cyclic collector's old-generation passes are deferred
+        while the loop runs (:func:`~repro.kernel.collection_deferred`).
         """
         with collection_deferred():
             return self._drain(until, max_events, stop_when)
@@ -200,36 +199,48 @@ class Simulator:
                         self._cancelled_pending -= 1
                         continue
                     if until is not None and event.time > until:
-                        self._now = until
+                        self.now = until
                         break
                     heappop(queue)
                     event.owner = None
-                    self._now = event.time
+                    self.now = event.time
                     callback = event.callback
                 else:
                     # A bare schedule_call callback: never cancellable, its
                     # time lives in the heap key.
                     if until is not None and entry[0] > until:
-                        self._now = until
+                        self.now = until
                         break
                     heappop(queue)
-                    self._now = entry[0]
+                    self.now = entry[0]
                     callback = event
                 callback()
                 self._events_processed += 1
                 budget -= 1
-                if stop_when is not None and stop_when():
+                if self._stop_pending or (stop_when is not None
+                                          and stop_when()):
                     break
             else:
                 if until is not None and not queue:
                     # Idle until the requested horizon.
-                    self._now = max(self._now, until)
+                    self.now = max(self.now, until)
         finally:
             self._running = False
+            self._stop_pending = False
             tracer = self._tracer
             if tracer is not None:
                 tracer.record("kernel.stop", node="sim")
-        return self._now
+        return self.now
+
+    def request_stop(self) -> None:
+        """End the run after the callback in progress.
+
+        The pushed form of ``stop_when``: whoever learns that the run's goal
+        is met says so once, instead of the loop asking after every event.
+        Called between runs, it ends the next run after its first callback —
+        exactly where a ``stop_when`` that already holds would.
+        """
+        self._stop_pending = True
 
     def run_until_idle(self, max_events: Optional[int] = None) -> Micros:
         """Run until no events remain; convenience wrapper around :meth:`run`."""

@@ -144,9 +144,10 @@ class WorkerPool:
                 # method with its arguments bound — no closure cell, no extra
                 # frame per event, and the benchmark's tracer can attribute
                 # it to the method that runs (later merged jobs ride the
-                # same event through the shared batch list).
-                self._sim.schedule_at(done_at,
-                                      partial(self._finish_batch, done_at, batch))
+                # same event through the shared batch list).  Nothing
+                # cancels a batch, so it takes the kernel's handle-free path.
+                self._sim.schedule_call(done_at,
+                                        partial(self._finish_batch, done_at, batch))
 
     def _finish_batch(self, done_at: Micros, batch: list[_Job]) -> None:
         # The whole batch finishes at this instant: drop it from the merge

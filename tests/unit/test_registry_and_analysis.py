@@ -11,7 +11,6 @@ from repro.core.flexitrust import (
     trusted_accesses_per_batch,
 )
 from repro.protocols import PROTOCOLS, get_protocol, protocol_names
-from repro.protocols.family import PrimaryOnlyBinding
 from repro.protocols.registry import ReplyPolicy
 from repro.runtime.experiments import ExperimentScale, build_config
 from repro.runtime.spec import DeploymentSpec
@@ -70,21 +69,70 @@ class TestRegistry:
         assert get_protocol("minzz").phases == 1
         assert get_protocol("flexi-zz").phases == 1
 
-    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
-    def test_the_spec_says_what_the_replica_class_declares(self, name):
-        spec = PROTOCOLS[name]
-        assert spec.uses_trusted == spec.replica_class.attested
-        assert spec.only_primary_tc == issubclass(spec.replica_class,
-                                                  PrimaryOnlyBinding)
-        sequential = spec.consensus_mode is ConsensusMode.SEQUENTIAL
-        for f in (1, 2, 3):
+
+
+#: What every registry name deploys, pinned as literals: whether consensus
+#: runs sequentially, then for f = 1, 2, 3 the replica count, the replicas'
+#: vote quorum, the client's fast reply quorum, and the slow path's
+#: (commit-certificate, ack) sizes — None for protocols without a slow path.
+PINNED = {
+    "pbft": (False, [(4, 3, 2, None), (7, 5, 3, None), (10, 7, 4, None)]),
+    "zyzzyva": (False, [(4, 3, 4, (3, 3)), (7, 5, 7, (5, 5)), (10, 7, 10, (7, 7))]),
+    "pbft-ea": (True, [(3, 2, 2, None), (5, 3, 3, None), (7, 4, 4, None)]),
+    "opbft-ea": (False, [(3, 2, 2, None), (5, 3, 3, None), (7, 4, 4, None)]),
+    "minbft": (True, [(3, 2, 2, None), (5, 3, 3, None), (7, 4, 4, None)]),
+    "minzz": (True, [(3, 2, 3, (2, 2)), (5, 3, 5, (3, 3)), (7, 4, 7, (4, 4))]),
+    "flexi-bft": (False, [(4, 3, 2, None), (7, 5, 3, None), (10, 7, 4, None)]),
+    "flexi-zz": (False, [(4, 3, 3, None), (7, 5, 5, None), (10, 7, 7, None)]),
+    "oflexi-bft": (True, [(4, 3, 2, None), (7, 5, 3, None), (10, 7, 4, None)]),
+    "oflexi-zz": (True, [(4, 3, 3, None), (7, 5, 5, None), (10, 7, 7, None)]),
+}
+
+#: ``format_table(figure1_table(include_baselines=True))``, byte for byte.
+FIGURE1_TEXT = "\n".join([
+    "Protocol         Replicas         Trusted          BFT liveness     Out-of-order     Memory           Only primary TC",
+    "Flexi-BFT        3f+1             counter          yes              yes              low              yes            ",
+    "Flexi-ZZ         3f+1             counter          yes              yes              low              yes            ",
+    "MinBFT           2f+1             counter          no               no               low              no             ",
+    "MinZZ            2f+1             counter          no               no               low              no             ",
+    "Opbft-ea         2f+1             log              no               yes              high             no             ",
+    "Pbft             3f+1             none             yes              yes              none             no             ",
+    "Pbft-EA          2f+1             log              no               no               high             no             ",
+    "Zyzzyva          3f+1             none             yes              yes              none             no             ",
+])
+
+
+def _reply_sizes(spec, n, f):
+    """The client's fast quorum and slow-path (certificate, ack) sizes."""
+    policy = spec.reply_policy
+    slow = ((policy.cert_size(n, f), policy.ack_quorum(n, f))
+            if policy.slow_path else None)
+    return policy.fast_quorum(n, f), slow
+
+
+class TestPinnedDerivation:
+    """The differential check for registry edits: every consequence of a
+    protocol's declaration, as literals, so a rewrite of how they are derived
+    must reproduce each of them."""
+
+    def test_pinned_table_covers_every_protocol(self):
+        assert sorted(PINNED) == protocol_names()
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_protocol_deploys_as_pinned(self, name):
+        spec = get_protocol(name)
+        sequential, per_f = PINNED[name]
+        for f, (n, quorum, fast, slow) in zip((1, 2, 3), per_f):
+            assert spec.replicas(f) == n
+            assert _reply_sizes(spec, n, f) == (fast, slow)
             config = build_config(name, CENSUS_SCALE, f=f, num_clients=1)
             with DeploymentSpec(config).build() as deployment:
-                pinned = deployment.protocol_config.max_outstanding == 1
-                assert pinned == sequential
-                expected = (f + 1 if spec.regime is ReplicationRegime.TWO_F_PLUS_ONE
-                            else 2 * f + 1)
-                assert {r.quorum for r in deployment.replicas} == {expected}
+                assert deployment.n == n
+                assert {r.quorum for r in deployment.replicas} == {quorum}
+                assert (deployment.protocol_config.max_outstanding == 1) == sequential
+
+    def test_figure1_text_is_pinned(self):
+        assert format_table(figure1_table(include_baselines=True)) == FIGURE1_TEXT
 
 
 class TestFigure1:

@@ -37,7 +37,6 @@ from ..common.config import (
     RecoveryConfig,
     TrustedHardwareSpec,
 )
-from ..common.errors import ProtocolError
 from ..common.types import FaultKind, Micros, ReplicaId, RequestId, SeqNum, ViewNum
 from ..crypto.keystore import KeyStore
 from ..crypto.signatures import Signature, SigningKey
@@ -444,7 +443,7 @@ class BaseReplica:
 
     # -------------------------------------------------------------- dispatch
     def dispatch(self, payload: object, source: str) -> None:
-        """Route a message to its handler; unknown types raise ProtocolError."""
+        """Route a message to its handler; a type no handler takes is dropped."""
         if (isinstance(payload, (PrePrepare, Prepare, Commit))
                 and payload.seq <= self.ledger.stable_checkpoint
                 and payload.seq <= self.ledger.last_executed):
@@ -491,10 +490,8 @@ class BaseReplica:
             self.on_checkpoint_reply(payload, source)
         elif isinstance(payload, LogFill):
             self.on_log_fill(payload, source)
-        else:
-            raise ProtocolError(
-                f"{self.protocol_name} replica cannot handle "
-                f"{type(payload).__name__}")
+        # Anything else (a CommitAck, say) is nothing a replica is ever sent
+        # by a correct peer: a byzantine sender's, and dropped like one.
 
     # ------------------------------------------------------- cost accounting
     def inbound_verification_cost(self, payload: object) -> Micros:
@@ -1387,10 +1384,10 @@ class BaseReplica:
 
     def on_new_view(self, new_view: NewView, source: str) -> None:
         """Validate and install a new view, then process its re-proposals."""
-        if new_view.view < self.view:
-            return
-        if self.primary_of(new_view.view) != new_view.primary:
-            raise ProtocolError("NewView sent by a replica that is not its primary")
+        if (new_view.view < self.view
+                or self.primary_of(new_view.view) != new_view.primary
+                or source != self.ctx.replica_names[new_view.primary]):
+            return  # not from the new view's primary: a byzantine sender
         self.enter_view(new_view.view)
         self.stats.view_changes_completed += 1
         # Re-arm the exactly-once window for every reissued request *after*

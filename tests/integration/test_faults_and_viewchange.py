@@ -1,5 +1,8 @@
 """Fault-injection integration tests: crashes, view changes, WAN, hardware sweep."""
 
+import dataclasses
+from functools import partial
+
 import pytest
 
 from repro.common.config import (
@@ -11,8 +14,10 @@ from repro.common.config import (
     SGX_ENCLAVE_COUNTER,
     WorkloadConfig,
 )
-from repro.common.types import ms
+from repro.common.types import RequestId, ms
+from repro.protocols.messages import CommitAck, NewView
 from repro.runtime import Deployment
+from repro.runtime.spec import DeploymentSpec
 
 
 def config_with(protocol, f=1, clients=20, batch=5, crashed=(), regions=("san-jose",),
@@ -28,6 +33,28 @@ def config_with(protocol, f=1, clients=20, batch=5, crashed=(), regions=("san-jo
         faults=FaultConfig(crashed=crashed),
         experiment=ExperimentConfig(warmup_batches=1, measured_batches=8, seed=seed),
     )
+
+
+class TestForgedReplicaMessages:
+    """A byzantine backup's stray message is dropped, not fatal to the run."""
+
+    def _run_with(self, message):
+        config = config_with("flexi-bft", clients=10)
+        config = dataclasses.replace(config, faults=FaultConfig(byzantine=(3,)))
+        with DeploymentSpec(config).build() as deployment:
+            deployment.sim.schedule(ms(1.0), partial(
+                deployment.network.send, "replica-3", "replica-2", message))
+            result = deployment.run_until_target(target_requests=40)
+            assert deployment.metrics.completed_count >= 40
+        assert result.consensus_safe
+
+    def test_new_view_from_a_replica_that_is_not_the_views_primary(self):
+        self._run_with(NewView(view=1, primary=3, view_change_replicas=(0, 1, 3),
+                               proposals=()))
+
+    def test_message_no_replica_handles(self):
+        self._run_with(CommitAck(request_id=RequestId(client="client-0", number=1),
+                                 seq=1, view=0, replica=3, result_digest=b"r"))
 
 
 class TestNonPrimaryCrash:

@@ -60,29 +60,6 @@ class FaultKind(enum.Enum):
     BYZANTINE = "byzantine"
 
 
-class TrustedAbstraction(enum.Enum):
-    """The trusted-component abstraction a protocol relies on (Figure 1)."""
-
-    NONE = "none"
-    COUNTER = "counter"
-    LOG = "log"
-    COUNTER_AND_LOG = "counter+log"
-
-
-class ReplicationRegime(enum.Enum):
-    """Replication factor family a protocol belongs to (2f+1 vs 3f+1)."""
-
-    TWO_F_PLUS_ONE = "2f+1"
-    THREE_F_PLUS_ONE = "3f+1"
-
-
-class ConsensusMode(enum.Enum):
-    """Whether a protocol can run consensus instances concurrently."""
-
-    SEQUENTIAL = "sequential"
-    PARALLEL = "parallel"
-
-
 @canonical_cacheable
 @stores_fields(memoise_hash=True)
 @dataclass(frozen=True)
@@ -118,20 +95,3 @@ class RequestId:
             cached = f"{self.client}#{self.number}"
             object.__setattr__(self, "_str", cached)
         return cached
-
-
-def quorum_2f_plus_1(f: int) -> int:
-    """Size of the large quorum used by bft / FlexiTrust protocols."""
-    return 2 * f + 1
-
-
-def quorum_f_plus_1(f: int) -> int:
-    """Size of the small quorum used by 2f+1 trust-bft protocols."""
-    return f + 1
-
-
-def replicas_for(regime: ReplicationRegime, f: int) -> int:
-    """Number of replicas a protocol deploys for a given fault threshold."""
-    if regime is ReplicationRegime.TWO_F_PLUS_ONE:
-        return 2 * f + 1
-    return 3 * f + 1

@@ -1,16 +1,20 @@
 """Protocol property analysis — the comparison table of Figure 1.
 
-The table is derived from the protocol registry: trusted abstraction, whether
-the protocol keeps the liveness guarantees of standard bft protocols, whether
-it supports out-of-order (parallel) consensus, how much trusted memory it
-needs, and whether only the primary requires an active trusted component.
+Every column follows from what a protocol's trusted component binds and
+whether its consensus is sequential:
+
+* binding every replica's messages (Section 4) means 2f + 1 replicas, hence
+  f + 1 quorums, which lose bft liveness (responsiveness, Section 5);
+* a trusted log costs high trusted memory, a counter low, no binding none;
+* only the primary touches trusted hardware under FlexiTrust (Section 8.1);
+* out-of-order consensus is exactly non-sequential consensus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..common.types import TrustedAbstraction
+from ..protocols.family import OwnLogBinding
 from ..protocols.registry import PROTOCOLS, ProtocolSpec
 
 
@@ -40,13 +44,20 @@ class ComparisonRow:
 
 def comparison_row(spec: ProtocolSpec) -> ComparisonRow:
     """Build the Figure 1 row for one protocol."""
+    if not spec.uses_trusted:
+        trusted, memory = "none", "none"
+    elif issubclass(spec.replica_class, OwnLogBinding):
+        trusted, memory = "log", "high"
+    else:
+        trusted, memory = "counter", "low"
+    two_f_plus_one = spec.trusted_at_all_replicas
     return ComparisonRow(
         protocol=spec.display_name,
-        replicas=spec.regime.value,
-        trusted_abstraction=spec.trusted_abstraction.value,
-        bft_liveness=spec.bft_liveness,
-        out_of_order=spec.out_of_order,
-        trusted_memory=spec.trusted_memory,
+        replicas="2f+1" if two_f_plus_one else "3f+1",
+        trusted_abstraction=trusted,
+        bft_liveness=not two_f_plus_one,
+        out_of_order=not spec.sequential,
+        trusted_memory=memory,
         only_primary_tc=spec.only_primary_tc,
     )
 
@@ -63,7 +74,7 @@ def figure1_table(include_baselines: bool = False) -> list[ComparisonRow]:
         spec = PROTOCOLS[name]
         if name.startswith("oflexi"):
             continue  # ablation variants, not separate designs
-        if not include_baselines and spec.trusted_abstraction is TrustedAbstraction.NONE:
+        if not include_baselines and not spec.uses_trusted:
             continue
         rows.append(comparison_row(spec))
     return rows

@@ -148,12 +148,13 @@ def run_responsiveness_attack(protocol: str = "minbft", f: int = 2,
         vote_counts = [len(votes)
                        for replica in deployment.honest_replicas()
                        for votes in replica.view_change_votes.values()]
+        required = deployment.spec.reply_policy(n, f).fast_quorum
         return ResponsivenessReport(
             protocol=protocol, f=f, n=n,
             client_completed=client.stats.completed >= 1,
             responses_at_client=client.responses_for_outstanding()
-            if client.stats.completed == 0 else deployment.spec.reply_policy.fast_quorum(n, f),
-            required_responses=deployment.spec.reply_policy.fast_quorum(n, f),
+            if client.stats.completed == 0 else required,
+            required_responses=required,
             honest_replicas_executed=honest_executed,
             view_changes_completed=view_changes_completed,
             view_change_votes=max(vote_counts, default=0),

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..common.errors import ConfigurationError
-from ..common.types import ConsensusMode, ReplicationRegime
 from ..protocols.registry import PROTOCOLS, ProtocolSpec, get_protocol
 
 #: trust-bft protocol -> its FlexiTrust counterpart, as derived in Section 8.
@@ -80,7 +79,7 @@ def transform(protocol: str) -> Transformation:
     and the FlexiTrust protocols are already transformed).
     """
     source = get_protocol(protocol)
-    if source.regime is not ReplicationRegime.TWO_F_PLUS_ONE:
+    if not source.trusted_at_all_replicas:
         raise ConfigurationError(
             f"{source.display_name} is not a 2f+1 trust-bft protocol; the "
             "FlexiTrust transformation does not apply")
@@ -92,8 +91,7 @@ def transform(protocol: str) -> Transformation:
             after="AppendF(q, x): the component increments internally"),
         TransformationStep(
             name="trusted accesses",
-            before=("every replica, once per outgoing message"
-                    if source.trusted_at_all_replicas else "primary per message"),
+            before="every replica, once per outgoing message",
             after="primary only, once per consensus invocation"),
         TransformationStep(
             name="replication and quorums",
@@ -127,7 +125,6 @@ def expected_speedup(source: str, outstanding: int = 16) -> float:
     trusted-access costs this bounds the achievable speedup, which is the
     dominant effect in Figure 6(i).
     """
-    transformation = transform(source)
-    if transformation.target.consensus_mode is ConsensusMode.PARALLEL:
-        return float(outstanding)
-    return 1.0
+    if transform(source).target.sequential:
+        return 1.0
+    return float(outstanding)

@@ -70,41 +70,6 @@ class KeyStore:
         #: deployment's lifetime, so the resolver runs once per signer
         #: instead of on every verification (a hot path).
         self._scope_memo: dict[str, Optional[object]] = {}
-        #: scope -> private LRU, populated only after
-        #: :meth:`split_verify_cache_by_scope`; ``None`` means one shared
-        #: cache (the default).
-        self._split_caches: Optional[dict[object, OrderedDict]] = None
-
-    def split_verify_cache_by_scope(self) -> None:
-        """Give every scope its own LRU domain (each with the full size).
-
-        With the default shared cache, a hot scope's entries can evict
-        another scope's under saturation; after splitting, each scope is
-        bounded independently, so cross-scope eviction contention is
-        structurally impossible.  Requires a scope resolver; signers the
-        resolver maps to ``None`` share one residual domain.  Splitting only
-        changes real-world caching behaviour, never verification outcomes —
-        simulated rows are identical either way.
-        """
-        if self._scope_resolver is None:
-            raise UnknownKey(
-                "split_verify_cache_by_scope needs a scope resolver "
-                "(call set_scope_resolver first)")
-        if self._split_caches is None:
-            self._split_caches = {}
-            self._verify_cache.clear()
-
-    @property
-    def verify_cache_split(self) -> bool:
-        """Whether the verification cache is split into per-scope domains."""
-        return self._split_caches is not None
-
-    def verify_cache_sizes(self) -> dict[object, int]:
-        """Entry counts per cache domain (``{None: n}`` when unsplit)."""
-        if self._split_caches is None:
-            return {None: len(self._verify_cache)}
-        return {scope: len(cache)
-                for scope, cache in self._split_caches.items()}
 
     def set_scope_resolver(
             self, resolver: Optional[Callable[[str], Optional[object]]]) -> None:
@@ -120,37 +85,20 @@ class KeyStore:
         """
         self._scope_resolver = resolver
         self._scope_memo.clear()
-        if self._split_caches is not None:
-            # Old scopes are meaningless under a new resolver; start over.
-            self._split_caches = {} if resolver is not None else None
-
-    def _scope_of(self, signer: str) -> Optional[object]:
-        try:
-            return self._scope_memo[signer]
-        except KeyError:
-            scope = self._scope_memo[signer] = self._scope_resolver(signer)
-            return scope
 
     def _scoped(self, signer: str) -> Optional[KeyStoreStats]:
         if self._scope_resolver is None:
             return None
-        scope = self._scope_of(signer)
+        try:
+            scope = self._scope_memo[signer]
+        except KeyError:
+            scope = self._scope_memo[signer] = self._scope_resolver(signer)
         if scope is None:
             return None
         stats = self.scoped_stats.get(scope)
         if stats is None:
             stats = self.scoped_stats[scope] = KeyStoreStats()
         return stats
-
-    def _cache_for(self, signer: str) -> OrderedDict:
-        """The LRU domain serving ``signer`` (shared unless split)."""
-        if self._split_caches is None:
-            return self._verify_cache
-        scope = self._scope_of(signer)
-        cache = self._split_caches.get(scope)
-        if cache is None:
-            cache = self._split_caches[scope] = OrderedDict()
-        return cache
 
     # ------------------------------------------------------------------ setup
     def register(self, identity: str) -> SigningKey:
@@ -199,10 +147,7 @@ class KeyStore:
         key = self.signing_key(signature.signer)
         cache_key = (signature.signer, encoded, signature.value)
         scoped = self._scoped(signature.signer)
-        # Inline the unsplit fast path: one attribute check instead of a
-        # method call per verification (this is the crypto hot loop).
-        cache = (self._verify_cache if self._split_caches is None
-                 else self._cache_for(signature.signer))
+        cache = self._verify_cache
         cached = cache.get(cache_key)
         if cached is not None:
             cache.move_to_end(cache_key)
@@ -219,13 +164,13 @@ class KeyStore:
         try:
             verify_with_key(key, None, signature, encoded=encoded)
         except InvalidSignature:
-            self._remember_verification(cache, cache_key, False)
+            self._remember_verification(cache_key, False)
             raise
-        self._remember_verification(cache, cache_key, True)
+        self._remember_verification(cache_key, True)
 
-    def _remember_verification(self, cache: OrderedDict,
-                               cache_key: tuple[str, bytes, bytes],
+    def _remember_verification(self, cache_key: tuple[str, bytes, bytes],
                                outcome: bool) -> None:
+        cache = self._verify_cache
         cache[cache_key] = outcome
         if len(cache) > self._verify_cache_size:
             cache.popitem(last=False)

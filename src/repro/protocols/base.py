@@ -87,6 +87,16 @@ _RESULT_DIGESTS: dict[tuple, bytes] = {}
 _RESULT_DIGESTS_MAX = 8192
 
 
+def quorum(n: int, f: int) -> int:
+    """Matching votes that decide among ``n`` replicas tolerating ``f``.
+
+    ``2f + 1`` of ``3f + 1``, so any two quorums share an honest replica;
+    ``f + 1`` of ``2f + 1``, because trusted components preclude
+    equivocation and quorums need only intersect.
+    """
+    return 2 * f + 1 if n >= 3 * f + 1 else f + 1
+
+
 @dataclass
 class ReplicaContext:
     """Everything a replica needs from its deployment."""
@@ -181,10 +191,7 @@ class BaseReplica:
         self.costs = ctx.crypto_costs
         self.f = ctx.f
         self.n = ctx.n
-        #: matching votes that decide a phase or install a view: ``2f + 1`` of
-        #: ``3f + 1`` replicas, ``f + 1`` of ``2f + 1`` (trusted components
-        #: preclude equivocation, so quorums need only intersect).
-        self.quorum = 2 * self.f + 1 if self.n >= 3 * self.f + 1 else self.f + 1
+        self.quorum = quorum(self.n, self.f)
         self.key: SigningKey = ctx.keystore.register(self.name)
         self.state_machine = ctx.state_machine
         self.ledger = Ledger()

@@ -1,86 +1,61 @@
-"""Protocol registry: one :class:`ProtocolSpec` per evaluated protocol.
+"""Protocol registry: the ten protocols of Section 9.2, one line each.
 
-The spec captures everything the rest of the library needs to know about a
-protocol without importing its replica class directly: how many replicas it
-deploys for a given ``f``, whether replicas need trusted components, how many
-matching replies a client must collect, whether consensus invocations run in
-parallel, and the qualitative properties tabulated in the paper's Figure 1.
+A protocol is declared by two choices: its replica class in
+:mod:`repro.protocols.family` (a phase count on top of a trusted binding) and
+whether its consensus invocations run one at a time.  Everything else the
+library needs follows from those, by the paper's own rules:
 
-The ten registered protocols are exactly the ones in Section 9.2: Pbft,
-Zyzzyva, Pbft-EA, Opbft-ea, MinBFT, MinZZ, Flexi-BFT, Flexi-ZZ, and the
-sequential ablations oFlexi-BFT / oFlexi-ZZ.
+* n = 2f + 1 when every replica binds what it sends to its own trusted
+  component (Section 4: :class:`OwnCounterBinding`, :class:`OwnLogBinding`),
+  3f + 1 otherwise — and :func:`quorum` of that n decides every phase;
+* a client completes on f + 1 matching replies, unless the protocol is
+  speculative (one phase): then on a quorum when only the primary's proposal
+  is attested (Section 8.3), else on all n, with a slow path behind it;
+* the Figure 1 columns (:mod:`repro.core.analysis`).
+
+The ten names are Pbft, Zyzzyva, Pbft-EA, Opbft-ea, MinBFT, MinZZ, Flexi-BFT,
+Flexi-ZZ, and the sequential ablations oFlexi-BFT / oFlexi-ZZ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from ..common.errors import ConfigurationError
-from ..common.types import ConsensusMode, ReplicationRegime, TrustedAbstraction, replicas_for
-from .base import BaseReplica, ReplicaContext
+from .base import quorum
 from .family import (FlexiBftReplica, FlexiZzReplica, MinBftReplica,
                      MinZzReplica, NormalCaseReplica, OpbftEaReplica,
-                     PbftEaReplica, PbftReplica, ZyzzyvaReplica)
+                     OwnCounterBinding, OwnLogBinding, PbftEaReplica,
+                     PbftReplica, PrimaryOnlyBinding, ZyzzyvaReplica)
 
 
 @dataclass(frozen=True)
 class ReplyPolicy:
     """How a client decides a request is complete.
 
-    ``fast_quorum_rule`` is one of ``"f+1"``, ``"2f+1"`` or ``"n"``.  When the
-    fast path needs every replica (Zyzzyva, MinZZ), a slow path exists: the
-    client broadcasts a commit certificate once it holds ``cert_rule`` matching
-    replies and completes after ``ack_rule`` acknowledgements.
+    ``fast_quorum`` matching replies complete it.  A protocol whose fast path
+    needs every replica (Zyzzyva, MinZZ) has a slow path: once a client holds
+    ``slow_quorum`` matching replies it broadcasts them as a commit
+    certificate, and ``slow_quorum`` acknowledgements complete the request.
     """
 
-    fast_quorum_rule: str
-    slow_path: bool = False
-    cert_rule: str = "2f+1"
-    ack_rule: str = "2f+1"
-
-    def fast_quorum(self, n: int, f: int) -> int:
-        return _quorum(self.fast_quorum_rule, n, f)
-
-    def cert_size(self, n: int, f: int) -> int:
-        return _quorum(self.cert_rule, n, f)
-
-    def ack_quorum(self, n: int, f: int) -> int:
-        return _quorum(self.ack_rule, n, f)
-
-
-def _quorum(rule: str, n: int, f: int) -> int:
-    if rule == "f+1":
-        return f + 1
-    if rule == "2f+1":
-        return 2 * f + 1
-    if rule == "n":
-        return n
-    raise ConfigurationError(f"unknown quorum rule {rule!r}")
+    fast_quorum: int
+    #: commit-certificate and acknowledgement size; None: no slow path.
+    slow_quorum: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Static description of one protocol."""
+    """One protocol: its replica class and whether consensus is sequential."""
 
     name: str
     display_name: str
     replica_class: type[NormalCaseReplica]
-    regime: ReplicationRegime
-    trusted_abstraction: TrustedAbstraction
-    consensus_mode: ConsensusMode
-    reply_policy: ReplyPolicy
-    #: does every replica need an active trusted component (vs. primary only)?
-    trusted_at_all_replicas: bool
-    #: Figure 1 columns.
-    bft_liveness: bool
-    out_of_order: bool
-    trusted_memory: str
-    only_primary_tc: bool
-
-    def replicas(self, f: int) -> int:
-        """Number of replicas deployed for fault threshold ``f``."""
-        return replicas_for(self.regime, f)
+    #: consensus invocations run one at a time (the deployment pins
+    #: ``max_outstanding`` to 1): Section 7's trust-bft protocols, and the
+    #: oFlexi ablations of the Flexi classes.
+    sequential: bool = False
 
     @property
     def phases(self) -> int:
@@ -90,119 +65,43 @@ class ProtocolSpec:
     @property
     def uses_trusted(self) -> bool:
         """Whether the protocol uses trusted components at all."""
-        return self.trusted_abstraction is not TrustedAbstraction.NONE
+        return self.replica_class.attested
 
-    def build_replica(self, replica_id: int, ctx: ReplicaContext) -> BaseReplica:
-        """Instantiate one replica of this protocol."""
-        return self.replica_class(replica_id, ctx)
+    @property
+    def trusted_at_all_replicas(self) -> bool:
+        """Every replica binds what it sends to its own trusted component."""
+        return issubclass(self.replica_class, (OwnCounterBinding, OwnLogBinding))
+
+    @property
+    def only_primary_tc(self) -> bool:
+        """Only the primary's proposal touches trusted hardware (Section 8.1)."""
+        return issubclass(self.replica_class, PrimaryOnlyBinding)
+
+    def replicas(self, f: int) -> int:
+        """Number of replicas deployed for fault threshold ``f``."""
+        return 2 * f + 1 if self.trusted_at_all_replicas else 3 * f + 1
+
+    def reply_policy(self, n: int, f: int) -> ReplyPolicy:
+        """What a client of ``n`` replicas tolerating ``f`` waits for."""
+        if self.phases != 1:
+            return ReplyPolicy(fast_quorum=f + 1)
+        if self.only_primary_tc:
+            return ReplyPolicy(fast_quorum=quorum(n, f))
+        return ReplyPolicy(fast_quorum=n, slow_quorum=quorum(n, f))
 
 
-PROTOCOLS: dict[str, ProtocolSpec] = {}
-
-
-def _register(spec: ProtocolSpec) -> ProtocolSpec:
-    PROTOCOLS[spec.name] = spec
-    return spec
-
-
-PBFT = _register(ProtocolSpec(
-    name="pbft", display_name="Pbft", replica_class=PbftReplica,
-    regime=ReplicationRegime.THREE_F_PLUS_ONE,
-    trusted_abstraction=TrustedAbstraction.NONE,
-    consensus_mode=ConsensusMode.PARALLEL,
-    reply_policy=ReplyPolicy(fast_quorum_rule="f+1"),
-    trusted_at_all_replicas=False, bft_liveness=True, out_of_order=True,
-    trusted_memory="none", only_primary_tc=False))
-
-ZYZZYVA = _register(ProtocolSpec(
-    name="zyzzyva", display_name="Zyzzyva", replica_class=ZyzzyvaReplica,
-    regime=ReplicationRegime.THREE_F_PLUS_ONE,
-    trusted_abstraction=TrustedAbstraction.NONE,
-    consensus_mode=ConsensusMode.PARALLEL,
-    reply_policy=ReplyPolicy(fast_quorum_rule="n", slow_path=True,
-                             cert_rule="2f+1", ack_rule="2f+1"),
-    trusted_at_all_replicas=False, bft_liveness=True, out_of_order=True,
-    trusted_memory="none", only_primary_tc=False))
-
-PBFT_EA = _register(ProtocolSpec(
-    name="pbft-ea", display_name="Pbft-EA", replica_class=PbftEaReplica,
-    regime=ReplicationRegime.TWO_F_PLUS_ONE,
-    trusted_abstraction=TrustedAbstraction.LOG,
-    consensus_mode=ConsensusMode.SEQUENTIAL,
-    reply_policy=ReplyPolicy(fast_quorum_rule="f+1"),
-    trusted_at_all_replicas=True, bft_liveness=False, out_of_order=False,
-    trusted_memory="high", only_primary_tc=False))
-
-OPBFT_EA = _register(ProtocolSpec(
-    name="opbft-ea", display_name="Opbft-ea", replica_class=OpbftEaReplica,
-    regime=ReplicationRegime.TWO_F_PLUS_ONE,
-    trusted_abstraction=TrustedAbstraction.LOG,
-    consensus_mode=ConsensusMode.PARALLEL,
-    reply_policy=ReplyPolicy(fast_quorum_rule="f+1"),
-    trusted_at_all_replicas=True, bft_liveness=False, out_of_order=True,
-    trusted_memory="high", only_primary_tc=False))
-
-MINBFT = _register(ProtocolSpec(
-    name="minbft", display_name="MinBFT", replica_class=MinBftReplica,
-    regime=ReplicationRegime.TWO_F_PLUS_ONE,
-    trusted_abstraction=TrustedAbstraction.COUNTER,
-    consensus_mode=ConsensusMode.SEQUENTIAL,
-    reply_policy=ReplyPolicy(fast_quorum_rule="f+1"),
-    trusted_at_all_replicas=True, bft_liveness=False, out_of_order=False,
-    trusted_memory="low", only_primary_tc=False))
-
-MINZZ = _register(ProtocolSpec(
-    name="minzz", display_name="MinZZ", replica_class=MinZzReplica,
-    regime=ReplicationRegime.TWO_F_PLUS_ONE,
-    trusted_abstraction=TrustedAbstraction.COUNTER,
-    consensus_mode=ConsensusMode.SEQUENTIAL,
-    reply_policy=ReplyPolicy(fast_quorum_rule="n", slow_path=True,
-                             cert_rule="f+1", ack_rule="f+1"),
-    trusted_at_all_replicas=True, bft_liveness=False, out_of_order=False,
-    trusted_memory="low", only_primary_tc=False))
-
-FLEXI_BFT = _register(ProtocolSpec(
-    name="flexi-bft", display_name="Flexi-BFT", replica_class=FlexiBftReplica,
-    regime=ReplicationRegime.THREE_F_PLUS_ONE,
-    trusted_abstraction=TrustedAbstraction.COUNTER,
-    consensus_mode=ConsensusMode.PARALLEL,
-    reply_policy=ReplyPolicy(fast_quorum_rule="f+1"),
-    trusted_at_all_replicas=False, bft_liveness=True, out_of_order=True,
-    trusted_memory="low", only_primary_tc=True))
-
-FLEXI_ZZ = _register(ProtocolSpec(
-    name="flexi-zz", display_name="Flexi-ZZ", replica_class=FlexiZzReplica,
-    regime=ReplicationRegime.THREE_F_PLUS_ONE,
-    trusted_abstraction=TrustedAbstraction.COUNTER,
-    consensus_mode=ConsensusMode.PARALLEL,
-    reply_policy=ReplyPolicy(fast_quorum_rule="2f+1"),
-    trusted_at_all_replicas=False, bft_liveness=True, out_of_order=True,
-    trusted_memory="low", only_primary_tc=True))
-
-O_FLEXI_BFT = _register(ProtocolSpec(
-    name="oflexi-bft", display_name="oFlexi-BFT", replica_class=FlexiBftReplica,
-    regime=ReplicationRegime.THREE_F_PLUS_ONE,
-    trusted_abstraction=TrustedAbstraction.COUNTER,
-    consensus_mode=ConsensusMode.SEQUENTIAL,
-    reply_policy=ReplyPolicy(fast_quorum_rule="f+1"),
-    trusted_at_all_replicas=False, bft_liveness=True, out_of_order=False,
-    trusted_memory="low", only_primary_tc=True))
-
-O_FLEXI_ZZ = _register(ProtocolSpec(
-    name="oflexi-zz", display_name="oFlexi-ZZ", replica_class=FlexiZzReplica,
-    regime=ReplicationRegime.THREE_F_PLUS_ONE,
-    trusted_abstraction=TrustedAbstraction.COUNTER,
-    consensus_mode=ConsensusMode.SEQUENTIAL,
-    reply_policy=ReplyPolicy(fast_quorum_rule="2f+1"),
-    trusted_at_all_replicas=False, bft_liveness=True, out_of_order=False,
-    trusted_memory="low", only_primary_tc=True))
-
-#: Names of the trust-bft protocols analysed in Sections 5–7.
-TRUST_BFT_PROTOCOLS = ("pbft-ea", "minbft", "minzz")
-#: Names of the traditional bft baselines.
-BFT_PROTOCOLS = ("pbft", "zyzzyva")
-#: Names of the paper's contributed protocols.
-FLEXITRUST_PROTOCOLS = ("flexi-bft", "flexi-zz")
+PROTOCOLS: dict[str, ProtocolSpec] = {spec.name: spec for spec in (
+    ProtocolSpec("pbft", "Pbft", PbftReplica),
+    ProtocolSpec("zyzzyva", "Zyzzyva", ZyzzyvaReplica),
+    ProtocolSpec("pbft-ea", "Pbft-EA", PbftEaReplica, sequential=True),
+    ProtocolSpec("opbft-ea", "Opbft-ea", OpbftEaReplica),
+    ProtocolSpec("minbft", "MinBFT", MinBftReplica, sequential=True),
+    ProtocolSpec("minzz", "MinZZ", MinZzReplica, sequential=True),
+    ProtocolSpec("flexi-bft", "Flexi-BFT", FlexiBftReplica),
+    ProtocolSpec("flexi-zz", "Flexi-ZZ", FlexiZzReplica),
+    ProtocolSpec("oflexi-bft", "oFlexi-BFT", FlexiBftReplica, sequential=True),
+    ProtocolSpec("oflexi-zz", "oFlexi-ZZ", FlexiZzReplica, sequential=True),
+)}
 
 
 def get_protocol(name: str) -> ProtocolSpec:

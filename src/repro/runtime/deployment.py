@@ -35,7 +35,7 @@ from typing import Callable, Optional, Union
 from ..backends import Backend, resolve_backend
 from ..common.config import DeploymentConfig, sequential_variant
 from ..common.errors import StallError
-from ..common.types import ConsensusMode, Micros
+from ..common.types import Micros
 from ..crypto.keystore import KeyStore
 from ..execution.kvstore import KeyValueStore
 from ..execution.safety import SafetyMonitor
@@ -47,7 +47,7 @@ from ..obsv.trace import Tracer
 from ..obsv.watchdog import (StallWatchdog, deployment_health,
                              snapshot_diagnostics)
 from ..protocols.base import BaseReplica, ReplicaContext
-from ..protocols.registry import ProtocolSpec, get_protocol
+from ..protocols.registry import get_protocol
 from ..recovery.schedule import FaultSchedule
 from ..recovery.store import DurableStore
 from ..sim.resources import SerialDevice
@@ -255,7 +255,6 @@ class Deployment(RunLoop):
 
     def __init__(self, config: DeploymentConfig,
                  replica_factory: Optional[ReplicaFactory] = None,
-                 spec: Optional[ProtocolSpec] = None,
                  sim: Optional[Kernel] = None,
                  rng: Optional[RngRegistry] = None,
                  keystore: Optional[KeyStore] = None,
@@ -268,14 +267,14 @@ class Deployment(RunLoop):
         self.config = config
         self.experiment = config.experiment
         self.backend = resolve_backend(backend)
-        self.spec = spec if spec is not None else get_protocol(config.protocol)
+        self.spec = get_protocol(config.protocol)
         self.n = self.spec.replicas(config.f)
         config.validate(self.n)
         self.f = config.f
         self._replica_factory = replica_factory
 
         protocol_config = config.protocol_config
-        if self.spec.consensus_mode is ConsensusMode.SEQUENTIAL:
+        if self.spec.sequential:
             protocol_config = sequential_variant(protocol_config)
         self.protocol_config = protocol_config
 
@@ -340,6 +339,7 @@ class Deployment(RunLoop):
             fault_schedule.install(self)
 
         self.clients: list[Client] = []
+        reply_policy = self.spec.reply_policy(self.n, self.f)
         for index, name in enumerate(self.client_names):
             workload = YcsbWorkload(config.workload,
                                     self.rng.stream(f"workload/{name}"))
@@ -347,8 +347,8 @@ class Deployment(RunLoop):
                 name=name, sim=self.sim, network=self.network,
                 keystore=self.keystore, workload=workload,
                 workload_config=config.workload,
-                replica_names=self.replica_names, f=self.f,
-                reply_policy=self.spec.reply_policy, sink=self.metrics,
+                replica_names=self.replica_names,
+                reply_policy=reply_policy, sink=self.metrics,
                 request_timeout_us=protocol_config.request_timeout_us,
                 tracer=self.tracer)
             self.clients.append(client)
@@ -394,7 +394,7 @@ class Deployment(RunLoop):
             tracer=self.tracer)
         if replica_factory is not None:
             return replica_factory(replica_id, ctx)
-        return self.spec.build_replica(replica_id, ctx)
+        return self.spec.replica_class(replica_id, ctx)
 
     def _typical_one_way_latency(self) -> Micros:
         """Median one-way latency from the initial primary to the other replicas."""

@@ -71,11 +71,6 @@ def shard_scope(identity: str) -> Optional[int]:
         return None
 
 
-#: shard count at which the shared verification cache is split into
-#: per-group LRU domains; below it one shared cache measurably suffices.
-SPLIT_VERIFY_CACHE_SHARDS = 8
-
-
 class ShardedDeployment(RunLoop):
     """*K* consensus groups over a partitioned keyspace on one kernel.
 
@@ -107,18 +102,12 @@ class ShardedDeployment(RunLoop):
         base_seed = config.base.experiment.seed
         self.rng = RngRegistry(base_seed)
         self.keystore = KeyStore(seed=base_seed)
-        # The verification cache is deployment-global but shared by every
+        # The verification cache is deployment-global and shared by every
         # group: attribute its traffic to the signer's shard so contention
-        # is measurable.  Measured hit rates are identical across shard
-        # counts while the shared LRU stays unsaturated (see
-        # tests/unit/test_shard_verify_cache.py), so small deployments keep
-        # one cache; at high shard counts the working set scales with the
-        # group count, so each group gets its own LRU domain — cross-group
-        # eviction becomes structurally impossible, and simulated rows are
-        # unchanged either way (the cache only skips real-world HMAC work).
+        # is measurable.  Measured hit rates are identical to the
+        # single-shard rate through 32 shards, with the shared LRU far from
+        # full (tests/unit/test_shard_verify_cache.py).
         self.keystore.set_scope_resolver(shard_scope)
-        if config.num_shards >= SPLIT_VERIFY_CACHE_SHARDS:
-            self.keystore.split_verify_cache_by_scope()
         self.router = ShardRouter(config.num_shards, seed=config.router_seed)
         self.metrics = ShardedMetrics(config.num_shards)
 

@@ -80,7 +80,7 @@ class Client:
     def __init__(self, name: str, sim: Kernel, network: Transport,
                  keystore: KeyStore, workload: Optional[YcsbWorkload],
                  workload_config: WorkloadConfig,
-                 replica_names: list[str], f: int,
+                 replica_names: list[str],
                  reply_policy: ReplyPolicy, sink: Optional[CompletionSink] = None,
                  request_timeout_us: Micros = 250_000.0,
                  on_complete: Optional[Callable[[], None]] = None,
@@ -94,8 +94,6 @@ class Client:
         self.workload_config = workload_config
         self.replica_names = replica_names
         self.n = len(replica_names)
-        self.f = f
-        self.reply_policy = reply_policy
         self.sink = sink
         self.request_timeout_us = request_timeout_us
         #: when set, the client is a lane driven by an external coordinator
@@ -108,9 +106,8 @@ class Client:
         self._next_number = 0
         self._pending: Optional[_PendingRequest] = None
         self._timer = Timer(sim, self._on_timeout)
-        self._fast_quorum = reply_policy.fast_quorum(self.n, f)
-        self._cert_size = reply_policy.cert_size(self.n, f)
-        self._ack_quorum = reply_policy.ack_quorum(self.n, f)
+        self._fast_quorum = reply_policy.fast_quorum
+        self._slow_quorum = reply_policy.slow_quorum
 
     # ------------------------------------------------------------ lifecycle
     def start(self, initial_delay_us: Micros = 0.0) -> None:
@@ -233,11 +230,12 @@ class Client:
 
     def _on_ack(self, ack: CommitAck) -> None:
         pending = self._pending
-        if pending is None or ack.request_id != pending.request.request_id:
+        if (pending is None or self._slow_quorum is None
+                or ack.request_id != pending.request.request_id):
             return
         group = pending.acks.setdefault(ack.match_key(), set())
         group.add(ack.replica)
-        if len(group) >= self._ack_quorum:
+        if len(group) >= self._slow_quorum:
             self.view = max(self.view, ack.view)
             self._complete(pending)
 
@@ -264,8 +262,8 @@ class Client:
         if pending is None or not self.active:
             return
         best_key, best_group = self._best_group(pending)
-        if (self.reply_policy.slow_path and best_group is not None
-                and len(best_group) >= self._cert_size
+        if (self._slow_quorum is not None and best_group is not None
+                and len(best_group) >= self._slow_quorum
                 and not pending.certificate_sent):
             # Speculative slow path: turn the partial reply set into a commit
             # certificate and ask every replica to acknowledge it.

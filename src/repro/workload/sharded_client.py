@@ -83,8 +83,8 @@ class ShardedClient:
             lane = Client(
                 name=name, sim=sim, network=group.network, keystore=keystore,
                 workload=None, workload_config=workload_config,
-                replica_names=group.replica_names, f=group.f,
-                reply_policy=group.spec.reply_policy, sink=sink,
+                replica_names=group.replica_names,
+                reply_policy=group.spec.reply_policy(group.n, group.f), sink=sink,
                 request_timeout_us=group.protocol_config.request_timeout_us,
                 on_complete=partial(self._on_lane_complete, shard),
                 tracer=group.tracer)

@@ -71,8 +71,8 @@ def test_live_backend_end_to_end(protocol):
         # Every completion needed a verified reply quorum; at least
         # quorum-many verified replies per completed request must have
         # arrived (f+1 for pbft, 2f+1 for flexi-zz).
-        quorum = deployment.spec.reply_policy.fast_quorum(deployment.n,
-                                                          deployment.f)
+        quorum = deployment.spec.reply_policy(deployment.n,
+                                              deployment.f).fast_quorum
         assert verifier.verified >= target * quorum
         # The live clock really ran: wall-clock time elapsed and events fired.
         assert result.sim_time_s > 0

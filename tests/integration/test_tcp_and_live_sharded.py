@@ -37,8 +37,8 @@ def test_tcp_backend_end_to_end(protocol):
         result = deployment.run_until_target(target_requests=target)
         assert deployment.metrics.completed_count == target
         assert result.consensus_safe and result.rsm_safe
-        quorum = deployment.spec.reply_policy.fast_quorum(deployment.n,
-                                                          deployment.f)
+        quorum = deployment.spec.reply_policy(deployment.n,
+                                              deployment.f).fast_quorum
         assert verifier.verified >= target * quorum
         # Frames really crossed sockets: the transport bound a port and
         # delivered what was sent (minus whatever teardown dropped).

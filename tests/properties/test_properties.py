@@ -4,10 +4,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.types import quorum_2f_plus_1, quorum_f_plus_1, replicas_for, ReplicationRegime
 from repro.crypto import KeyStore, canonical_bytes, digest
 from repro.crypto.digest import combine_digests
 from repro.execution import ExecutedBatch, Ledger
+from repro.protocols.base import quorum as quorum_of
 from repro.sim import Simulator
 from repro.trusted import FlexiTrustCounterSet, TrustedCounterSet, TrustedLogSet
 from repro.workload import ZipfianGenerator
@@ -110,8 +110,9 @@ class TestQuorumProperties:
     @given(st.integers(min_value=1, max_value=100))
     @settings(max_examples=100, deadline=None)
     def test_3f1_quorums_intersect_in_an_honest_replica(self, f):
-        n = replicas_for(ReplicationRegime.THREE_F_PLUS_ONE, f)
-        quorum = quorum_2f_plus_1(f)
+        n = 3 * f + 1
+        quorum = quorum_of(n, f)
+        assert quorum == 2 * f + 1
         # Two quorums of size 2f+1 out of 3f+1 overlap in at least f+1 replicas.
         overlap = 2 * quorum - n
         assert overlap >= f + 1
@@ -119,8 +120,9 @@ class TestQuorumProperties:
     @given(st.integers(min_value=1, max_value=100))
     @settings(max_examples=100, deadline=None)
     def test_2f1_weak_quorums_may_share_only_one_replica(self, f):
-        n = replicas_for(ReplicationRegime.TWO_F_PLUS_ONE, f)
-        quorum = quorum_f_plus_1(f)
+        n = 2 * f + 1
+        quorum = quorum_of(n, f)
+        assert quorum == f + 1
         overlap = 2 * quorum - n
         # The paper's responsiveness argument: the overlap can be as small as
         # a single replica, so one honest-but-isolated replica is all that is

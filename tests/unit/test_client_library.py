@@ -57,7 +57,7 @@ def build_client(reply_policy, replicas=4, timeout_us=5_000.0):
     sink = SinkRecorder()
     client = Client(name="client-0", sim=sim, network=network, keystore=keystore,
                     workload=workload, workload_config=config,
-                    replica_names=names, f=1, reply_policy=reply_policy,
+                    replica_names=names, reply_policy=reply_policy,
                     sink=sink, request_timeout_us=timeout_us)
     network.register(client)
     return sim, client, stubs, sink
@@ -75,14 +75,14 @@ def respond(sim, client, request_id, replicas, digest=b"r", view=0, seq=1):
 
 class TestClient:
     def test_first_request_goes_to_primary_only(self):
-        sim, client, stubs, _ = build_client(ReplyPolicy(fast_quorum_rule="f+1"))
+        sim, client, stubs, _ = build_client(ReplyPolicy(fast_quorum=2))
         client.start()
         sim.run(until=1_000.0)
         assert len(stubs["replica-0"].received) == 1
         assert all(not stubs[f"replica-{i}"].received for i in range(1, 4))
 
     def test_completion_requires_fast_quorum_of_matching_replies(self):
-        sim, client, stubs, sink = build_client(ReplyPolicy(fast_quorum_rule="f+1"))
+        sim, client, stubs, sink = build_client(ReplyPolicy(fast_quorum=2))
         client.start()
         sim.run(until=1_000.0)
         request_id = client.outstanding_request.request_id
@@ -92,7 +92,7 @@ class TestClient:
         assert len(sink.completions) == 1
 
     def test_mismatched_replies_do_not_complete(self):
-        sim, client, stubs, sink = build_client(ReplyPolicy(fast_quorum_rule="f+1"))
+        sim, client, stubs, sink = build_client(ReplyPolicy(fast_quorum=2))
         client.start()
         sim.run(until=1_000.0)
         request_id = client.outstanding_request.request_id
@@ -102,7 +102,7 @@ class TestClient:
         assert client.responses_for_outstanding() == 1
 
     def test_completion_issues_next_request(self):
-        sim, client, stubs, sink = build_client(ReplyPolicy(fast_quorum_rule="f+1"))
+        sim, client, stubs, sink = build_client(ReplyPolicy(fast_quorum=2))
         client.start()
         sim.run(until=1_000.0)
         first = client.outstanding_request.request_id
@@ -110,7 +110,7 @@ class TestClient:
         assert client.outstanding_request.request_id.number == first.number + 1
 
     def test_timeout_rebroadcasts_request_to_all_replicas(self):
-        sim, client, stubs, _ = build_client(ReplyPolicy(fast_quorum_rule="f+1"),
+        sim, client, stubs, _ = build_client(ReplyPolicy(fast_quorum=2),
                                              timeout_us=2_000.0)
         client.start()
         sim.run(until=10_000.0)
@@ -121,8 +121,7 @@ class TestClient:
         assert client.stats.resends >= 1
 
     def test_slow_path_sends_commit_certificate_and_completes_on_acks(self):
-        policy = ReplyPolicy(fast_quorum_rule="n", slow_path=True,
-                             cert_rule="2f+1", ack_rule="2f+1")
+        policy = ReplyPolicy(fast_quorum=4, slow_quorum=3)
         sim, client, stubs, sink = build_client(policy, timeout_us=2_000.0)
         client.start()
         sim.run(until=1_000.0)
@@ -141,7 +140,7 @@ class TestClient:
 
     def test_stop_halts_the_closed_loop(self):
         sim, client, stubs, sink = build_client(
-            ReplyPolicy(fast_quorum_rule="f+1"))
+            ReplyPolicy(fast_quorum=2))
         client.start()
         sim.run(until=1_000.0)
         request_id = client.outstanding_request.request_id
@@ -161,12 +160,12 @@ class TestAbandonment:
     """Dropped-at-deadline / dropped-at-shutdown accounting (open-loop lanes)."""
 
     def test_abandon_with_nothing_outstanding_returns_none(self):
-        _, client, _, sink = build_client(ReplyPolicy(fast_quorum_rule="f+1"))
+        _, client, _, sink = build_client(ReplyPolicy(fast_quorum=2))
         assert client.abandon_pending() is None
         assert sink.abandonments == []
 
     def test_abandon_reports_reason_and_frees_the_client(self):
-        sim, client, _, sink = build_client(ReplyPolicy(fast_quorum_rule="f+1"))
+        sim, client, _, sink = build_client(ReplyPolicy(fast_quorum=2))
         client.start()
         sim.run(until=1_000.0)
         request_id = client.outstanding_request.request_id
@@ -186,7 +185,7 @@ class TestAbandonment:
     def test_metrics_collector_separates_abandoned_from_in_flight(self):
         from repro.runtime.metrics import MetricsCollector
 
-        sim, client, _, _ = build_client(ReplyPolicy(fast_quorum_rule="f+1"))
+        sim, client, _, _ = build_client(ReplyPolicy(fast_quorum=2))
         collector = MetricsCollector()
         client.sink = collector
         client.start()

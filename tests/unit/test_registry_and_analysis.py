@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.common.types import ConsensusMode, ReplicationRegime, TrustedAbstraction
 from repro.core.analysis import figure1_table, format_table
 from repro.core.flexitrust import (
     transform,
@@ -11,7 +10,7 @@ from repro.core.flexitrust import (
     trusted_accesses_per_batch,
 )
 from repro.protocols import PROTOCOLS, get_protocol, protocol_names
-from repro.protocols.registry import ReplyPolicy
+from repro.protocols.family import OwnLogBinding
 from repro.runtime.experiments import ExperimentScale, build_config
 from repro.runtime.spec import DeploymentSpec
 
@@ -40,26 +39,22 @@ class TestRegistry:
 
     def test_trust_bft_protocols_are_sequential(self):
         for name in ("pbft-ea", "minbft", "minzz"):
-            assert get_protocol(name).consensus_mode is ConsensusMode.SEQUENTIAL
+            assert get_protocol(name).sequential
 
     def test_flexitrust_protocols_are_parallel_3f1(self):
         for name in ("flexi-bft", "flexi-zz"):
             spec = get_protocol(name)
-            assert spec.consensus_mode is ConsensusMode.PARALLEL
-            assert spec.regime is ReplicationRegime.THREE_F_PLUS_ONE
+            assert not spec.sequential
+            assert spec.replicas(1) == 4
             assert spec.only_primary_tc
 
     def test_reply_policies_match_paper(self):
         f, m = 8, 25
-        assert get_protocol("pbft").reply_policy.fast_quorum(m, f) == 9
-        assert get_protocol("flexi-bft").reply_policy.fast_quorum(m, f) == 9
-        assert get_protocol("flexi-zz").reply_policy.fast_quorum(m, f) == 17
-        assert get_protocol("zyzzyva").reply_policy.fast_quorum(m, f) == 25
-        assert get_protocol("minzz").reply_policy.fast_quorum(17, f) == 17
-
-    def test_reply_policy_rejects_unknown_rule(self):
-        with pytest.raises(ConfigurationError):
-            ReplyPolicy(fast_quorum_rule="all of them").fast_quorum(4, 1)
+        assert get_protocol("pbft").reply_policy(m, f).fast_quorum == 9
+        assert get_protocol("flexi-bft").reply_policy(m, f).fast_quorum == 9
+        assert get_protocol("flexi-zz").reply_policy(m, f).fast_quorum == 17
+        assert get_protocol("zyzzyva").reply_policy(m, f).fast_quorum == 25
+        assert get_protocol("minzz").reply_policy(17, f).fast_quorum == 17
 
     def test_phase_counts(self):
         assert get_protocol("pbft").phases == 3
@@ -68,7 +63,6 @@ class TestRegistry:
         assert get_protocol("flexi-bft").phases == 2
         assert get_protocol("minzz").phases == 1
         assert get_protocol("flexi-zz").phases == 1
-
 
 
 #: What every registry name deploys, pinned as literals: whether consensus
@@ -104,10 +98,9 @@ FIGURE1_TEXT = "\n".join([
 
 def _reply_sizes(spec, n, f):
     """The client's fast quorum and slow-path (certificate, ack) sizes."""
-    policy = spec.reply_policy
-    slow = ((policy.cert_size(n, f), policy.ack_quorum(n, f))
-            if policy.slow_path else None)
-    return policy.fast_quorum(n, f), slow
+    policy = spec.reply_policy(n, f)
+    slow = policy.slow_quorum
+    return policy.fast_quorum, None if slow is None else (slow, slow)
 
 
 class TestPinnedDerivation:
@@ -202,7 +195,7 @@ def _census_rates(spec):
     one-off ``Create`` of a FlexiTrust primary, by what the component binds."""
     if spec.only_primary_tc:
         return 1, 0, 1
-    per_replica = 2 if spec.trusted_abstraction is TrustedAbstraction.LOG else 1
+    per_replica = 2 if issubclass(spec.replica_class, OwnLogBinding) else 1
     return per_replica, per_replica, 0
 
 

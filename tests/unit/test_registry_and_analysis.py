@@ -10,7 +10,8 @@ from repro.core.flexitrust import (
     trusted_accesses_per_batch,
 )
 from repro.protocols import PROTOCOLS, get_protocol, protocol_names
-from repro.protocols.family import OwnLogBinding
+from repro.protocols.family import (OwnCounterBinding, OwnLogBinding,
+                                    PrimaryOnlyBinding)
 from repro.runtime.experiments import ExperimentScale, build_config
 from repro.runtime.spec import DeploymentSpec
 
@@ -63,6 +64,24 @@ class TestRegistry:
         assert get_protocol("flexi-bft").phases == 2
         assert get_protocol("minzz").phases == 1
         assert get_protocol("flexi-zz").phases == 1
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_the_spec_says_what_the_replica_class_declares(self, name):
+        spec = PROTOCOLS[name]
+        assert spec.uses_trusted == spec.replica_class.attested
+        assert spec.only_primary_tc == issubclass(spec.replica_class,
+                                                  PrimaryOnlyBinding)
+        assert spec.trusted_at_all_replicas == issubclass(
+            spec.replica_class, (OwnCounterBinding, OwnLogBinding))
+        for f in (1, 2, 3):
+            config = build_config(name, CENSUS_SCALE, f=f, num_clients=1)
+            with DeploymentSpec(config).build() as deployment:
+                assert all(type(r) is spec.replica_class
+                           for r in deployment.replicas)
+                pinned = deployment.protocol_config.max_outstanding == 1
+                assert pinned == spec.sequential
+                expected = f + 1 if spec.trusted_at_all_replicas else 2 * f + 1
+                assert {r.quorum for r in deployment.replicas} == {expected}
 
 
 #: What every registry name deploys, pinned as literals: whether consensus

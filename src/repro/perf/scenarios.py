@@ -280,6 +280,59 @@ def scenario_sharding_scaleout(scale: PerfScale) -> list[dict]:
     return rows
 
 
+#: protocols the claims table runs through the Section 5 attack (f = 2).
+_CLAIMS_RESPONSIVENESS = ("pbft", "minbft", "minzz", "pbft-ea",
+                          "flexi-bft", "flexi-zz")
+#: protocols the claims table runs through the Section 6 attacks (f = 1).
+_CLAIMS_ROLLBACK = ("minbft", "flexi-bft", "flexi-zz")
+
+
+def scenario_claims(scale: PerfScale) -> list[dict]:
+    """The paper's Section 5–7 claims, one row per protocol and attack.
+
+    Independent of the scale: every attack runs at its own fixed size.
+    """
+    from ..common.config import (
+        ROLLBACK_PROTECTED_COUNTER,
+        SGX_PERSISTENT_COUNTER,
+    )
+    from ..core.attacks import (
+        run_responsiveness_attack,
+        run_restart_rollback_attack,
+        run_rollback_attack,
+        run_sequentiality_demo,
+    )
+
+    rows = []
+    for protocol in _CLAIMS_RESPONSIVENESS:
+        report = run_responsiveness_attack(protocol, f=2)
+        rows.append({"section": 5, "attack": "delayed-prepare",
+                     **vars(report)})
+    for protocol in _CLAIMS_ROLLBACK:
+        for attack, hardware in (
+                ("host-snapshot", SGX_ENCLAVE_COUNTER),
+                ("host-snapshot", SGX_PERSISTENT_COUNTER),
+                ("restart", SGX_ENCLAVE_COUNTER),
+                ("restart", ROLLBACK_PROTECTED_COUNTER)):
+            run = (run_rollback_attack if attack == "host-snapshot"
+                   else run_restart_rollback_attack)
+            report = run(hardware, protocol)
+            rows.append({
+                "section": 6, "attack": report.attack,
+                "protocol": report.protocol, "hardware": report.hardware,
+                "rollback_succeeded": report.rollback_succeeded,
+                "safety_violated": report.safety_violated,
+                "conflicting_digests_at_seq1":
+                    report.conflicting_digests_at_seq1,
+                "responses_for_first": report.responses_for_first,
+                "responses_for_second": report.responses_for_second,
+                "violations": len(report.violations),
+            })
+    rows.append({"section": 7, "attack": "out-of-order-bind",
+                 "protocol": "minbft", **vars(run_sequentiality_demo())})
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # open-loop scenarios (million-user arrival engine)
 # ---------------------------------------------------------------------------
@@ -637,6 +690,7 @@ SCENARIOS: dict[str, object] = {
     "protocols": scenario_protocols,
     "figures": scenario_figures,
     "sharding_scaleout": scenario_sharding_scaleout,
+    "claims": scenario_claims,
     "openloop_overload": scenario_openloop_overload,
     "openloop_hotspot": scenario_openloop_hotspot,
     "openloop_diurnal": scenario_openloop_diurnal,

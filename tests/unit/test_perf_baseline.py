@@ -251,12 +251,12 @@ class TestPerfCli:
         with pytest.raises(SystemExit):
             main(["perf", "--check-baseline", str(tmp_path / "missing")])
 
-    def test_list_shows_thirteen_scenarios_and_three_scales(self, capsys):
+    def test_list_shows_fourteen_scenarios_and_three_scales(self, capsys):
         from repro.__main__ import main
 
         assert main(["perf", "--list"]) == 0
         scenarios, scales = capsys.readouterr().out.strip().splitlines()
-        assert len(scenarios.split(":")[1].split(",")) == 13
+        assert len(scenarios.split(":")[1].split(",")) == 14
         assert scales.split(":")[1].split() == ["large,", "medium,", "smoke"]
 
     def test_unknown_scenario_exits_with_error(self, tmp_path):

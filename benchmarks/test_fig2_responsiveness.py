@@ -1,26 +1,24 @@
 """Figure 2 / Section 5: responsiveness attack on MinBFT versus Pbft."""
 
-from repro.core.attacks import run_responsiveness_attack
+from repro.core.claims import responsiveness_row
 
 
 def test_fig2_minbft_loses_responsiveness(benchmark):
-    report = benchmark.pedantic(
-        lambda: run_responsiveness_attack("minbft", f=2, duration_s=2.0),
-        rounds=1, iterations=1)
-    print(f"\nMinBFT: client completed={report.client_completed}, "
-          f"honest replicas executed={report.honest_replicas_executed}, "
-          f"view changes completed={report.view_changes_completed}")
-    assert not report.client_completed
-    assert report.honest_replicas_executed == 1
-    assert report.view_changes_completed == 0
+    row = benchmark.pedantic(
+        lambda: responsiveness_row("minbft", f=2), rounds=1, iterations=1)
+    print(f"\nMinBFT: client completed={row['client_completed']}, "
+          f"honest replicas executed={row['honest_replicas_executed']}, "
+          f"view changes completed={row['view_changes_completed']}")
+    assert not row["client_completed"]
+    assert row["honest_replicas_executed"] == 1
+    assert row["view_changes_completed"] == 0
 
 
 def test_fig2_pbft_stays_responsive(benchmark):
-    report = benchmark.pedantic(
-        lambda: run_responsiveness_attack("pbft", f=2, duration_s=2.0),
-        rounds=1, iterations=1)
-    print(f"\nPbft: client completed={report.client_completed}, "
-          f"honest replicas executed={report.honest_replicas_executed}, "
-          f"view changes completed={report.view_changes_completed}")
-    assert report.client_completed
-    assert report.honest_replicas_executed >= report.f + 1
+    row = benchmark.pedantic(
+        lambda: responsiveness_row("pbft", f=2), rounds=1, iterations=1)
+    print(f"\nPbft: client completed={row['client_completed']}, "
+          f"honest replicas executed={row['honest_replicas_executed']}, "
+          f"view changes completed={row['view_changes_completed']}")
+    assert row["client_completed"]
+    assert row["honest_replicas_executed"] >= row["f"] + 1

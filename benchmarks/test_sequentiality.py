@@ -1,15 +1,15 @@
 """Section 7: sequential consensus demonstration and throughput bound."""
 
-from repro.core.attacks import run_sequentiality_demo, sequential_throughput_bound
+from repro.core.claims import sequential_throughput_bound, sequentiality_row
 
 
 def test_sequentiality_demo(benchmark):
-    report = benchmark(run_sequentiality_demo)
-    print(f"\nout-of-order Append rejected: {report.out_of_order_rejected}; "
-          f"sequential bound {report.sequential_bound_tx_s:.0f} tx/s vs "
-          f"parallel estimate {report.parallel_estimate_tx_s:.0f} tx/s")
-    assert report.out_of_order_rejected
-    assert report.parallel_speedup > 1.0
+    row = benchmark(sequentiality_row)
+    print(f"\nout-of-order Append rejected: {row['out_of_order_rejected']}; "
+          f"sequential bound {row['sequential_bound_tx_s']:.0f} tx/s vs "
+          f"parallel estimate {row['parallel_estimate_tx_s']:.0f} tx/s")
+    assert row["out_of_order_rejected"]
+    assert row["parallel_estimate_tx_s"] > row["sequential_bound_tx_s"]
 
 
 def test_throughput_bound_matches_paper_back_of_envelope(benchmark):

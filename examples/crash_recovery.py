@@ -20,10 +20,12 @@ from repro.common.config import (
     DeploymentConfig,
     ExperimentConfig,
     ProtocolConfig,
+    ROLLBACK_PROTECTED_COUNTER,
+    SGX_ENCLAVE_COUNTER,
     WorkloadConfig,
 )
 from repro.common.types import ms, seconds
-from repro.core.attacks import compare_restart_rollback_hardware
+from repro.core.claims import rollback_row
 from repro.recovery import FaultSchedule, heal_at, partition_at
 from repro.runtime import DeploymentSpec, SMALL_SCALE, figure_recovery, print_rows
 
@@ -45,25 +47,27 @@ def partition_lag_demo() -> None:
         partition_at((3,), ms(200), name="isolate-3"),
         heal_at(ms(600), name="isolate-3"),
     ))
-    deployment = DeploymentSpec(config, fault_schedule=schedule).build()
-    deployment.start_clients()
-    deployment.sim.run(until=seconds(1.5))
-    lagged = deployment.replica(3)
-    print("\n== Partition + heal: lag-triggered state transfer ==")
-    print(f"replica 3 recoveries: started={lagged.stats.recoveries_started} "
-          f"completed={lagged.stats.recoveries_completed}")
-    print(f"last executed: {[r.ledger.last_executed for r in deployment.replicas]}")
-    print(f"consensus safe: {deployment.safety.consensus_safe}")
+    with DeploymentSpec(config, fault_schedule=schedule).build() as deployment:
+        deployment.start_clients()
+        deployment.sim.run(until=seconds(1.5))
+        lagged = deployment.replica(3)
+        print("\n== Partition + heal: lag-triggered state transfer ==")
+        print(f"replica 3 recoveries: started={lagged.stats.recoveries_started} "
+              f"completed={lagged.stats.recoveries_completed}")
+        print(f"last executed: {[r.ledger.last_executed for r in deployment.replicas]}")
+        print(f"consensus safe: {deployment.safety.consensus_safe}")
 
 
 def restart_rollback_demo() -> None:
     print("\n== Restart-based rollback attack (Section 6 variant) ==")
-    for level, report in compare_restart_rollback_hardware().items():
-        outcome = ("SAFETY VIOLATED" if report.safety_violated
+    for hardware in (SGX_ENCLAVE_COUNTER, ROLLBACK_PROTECTED_COUNTER):
+        row = rollback_row(hardware, "minbft", "restart")
+        outcome = ("SAFETY VIOLATED" if row["safety_violated"]
                    else "attack defeated")
-        print(f"{level:>10} ({report.hardware}): counter reset="
-              f"{report.rollback_succeeded}, "
-              f"digests at seq 1={report.conflicting_digests_at_seq1} -> {outcome}")
+        level = "persistent" if hardware.persistent else "volatile"
+        print(f"{level:>10} ({row['hardware']}): counter reset="
+              f"{row['rollback_succeeded']}, "
+              f"digests at seq 1={row['conflicting_digests_at_seq1']} -> {outcome}")
 
 
 if __name__ == "__main__":

@@ -12,18 +12,18 @@ runs the same scenario, replaces the primary, and the client completes.
 Run with:  python examples/responsiveness_attack.py
 """
 
-from repro.core.attacks import run_responsiveness_attack
+from repro.core.claims import responsiveness_row
 
 
-def describe(name: str, f: int = 2) -> None:
-    report = run_responsiveness_attack(name, f=f, duration_s=3.0)
-    print(f"\n--- {name} (n = {report.n}, f = {report.f}) ---")
-    print(f"client received a validated answer : {report.client_completed}")
-    print(f"matching replies needed / received : {report.required_responses} / "
-          f"{report.required_responses if report.client_completed else report.responses_at_client}")
-    print(f"honest replicas that executed      : {report.honest_replicas_executed}")
-    print(f"view changes completed             : {report.view_changes_completed}")
-    print(f"view-change votes collected        : {report.view_change_votes}")
+def describe(name: str) -> None:
+    row = responsiveness_row(name)
+    print(f"\n--- {name} (n = {row['n']}, f = {row['f']}) ---")
+    print(f"client received a validated answer : {row['client_completed']}")
+    print(f"matching replies needed / received : {row['required_responses']} / "
+          f"{row['responses_at_client']}")
+    print(f"honest replicas that executed      : {row['honest_replicas_executed']}")
+    print(f"view changes completed             : {row['view_changes_completed']}")
+    print(f"view-change votes collected        : {row['view_change_votes']}")
 
 
 def main() -> None:

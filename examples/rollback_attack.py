@@ -13,20 +13,19 @@ Run with:  python examples/rollback_attack.py
 """
 
 from repro.common.config import SGX_ENCLAVE_COUNTER, SGX_PERSISTENT_COUNTER, TPM_COUNTER
-from repro.core.attacks import run_rollback_attack
+from repro.core.claims import rollback_row
 
 
 def describe(hardware) -> None:
-    report = run_rollback_attack(hardware)
-    print(f"\n--- trusted hardware: {report.hardware} "
+    row = rollback_row(hardware, "minbft", "host-snapshot")
+    print(f"\n--- trusted hardware: {row['hardware']} "
           f"(persistent = {hardware.persistent}) ---")
-    print(f"rollback possible                  : {report.rollback_succeeded}")
-    print(f"consensus safety violated          : {report.safety_violated}")
-    print(f"distinct batches executed at seq 1 : {report.conflicting_digests_at_seq1}")
-    print(f"replies for T / for T'             : {report.responses_for_first} / "
-          f"{report.responses_for_second}")
-    for violation in report.violations:
-        print(f"violation: {violation}")
+    print(f"rollback possible                  : {row['rollback_succeeded']}")
+    print(f"consensus safety violated          : {row['safety_violated']}")
+    print(f"distinct batches executed at seq 1 : {row['conflicting_digests_at_seq1']}")
+    print(f"replies for T / for T'             : {row['responses_for_first']} / "
+          f"{row['responses_for_second']}")
+    print(f"violations flagged                 : {row['violations']}")
 
 
 def main() -> None:

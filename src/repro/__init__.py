@@ -7,7 +7,7 @@ The package is organised bottom-up:
   network, crypto, trusted components, state machine, YCSB clients).
 * :mod:`repro.protocols` — the ten consensus protocols of the evaluation.
 * :mod:`repro.core` — the paper's contribution: the FlexiTrust transformation,
-  the Figure 1 analysis, and the Section 5–7 attack scenarios.
+  the Figure 1 analysis, and the Section 5–7 claims as table rows.
 * :mod:`repro.recovery` — crash recovery: durable replica stores, timed fault
   schedules, and peer state transfer for restart/rejoin scenarios.
 * :mod:`repro.runtime` — deployments, metrics, and the per-figure experiments.
@@ -40,14 +40,11 @@ from .common import (
     WorkloadConfig,
 )
 from .core import (
-    compare_responsiveness,
-    compare_restart_rollback_hardware,
-    compare_rollback_hardware,
+    claims_table,
     figure1_table,
-    run_responsiveness_attack,
-    run_restart_rollback_attack,
-    run_rollback_attack,
-    run_sequentiality_demo,
+    responsiveness_row,
+    rollback_row,
+    sequentiality_row,
     transform,
 )
 from .protocols import PROTOCOLS, get_protocol, protocol_names
@@ -108,9 +105,7 @@ __all__ = [
     "TrustedHardwareSpec",
     "WorkloadConfig",
     "__version__",
-    "compare_responsiveness",
-    "compare_restart_rollback_hardware",
-    "compare_rollback_hardware",
+    "claims_table",
     "crash_at",
     "figure1_table",
     "get_protocol",
@@ -118,10 +113,9 @@ __all__ = [
     "partition_at",
     "protocol_names",
     "resolve_backend",
+    "responsiveness_row",
     "restart_at",
-    "run_responsiveness_attack",
-    "run_restart_rollback_attack",
-    "run_rollback_attack",
-    "run_sequentiality_demo",
+    "rollback_row",
+    "sequentiality_row",
     "transform",
 ]

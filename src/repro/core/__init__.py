@@ -1,18 +1,12 @@
-"""The paper's core contribution: analysis, attacks, and the FlexiTrust recipe."""
+"""The paper's core contribution: analysis, claims, and the FlexiTrust recipe."""
 
 from .analysis import ComparisonRow, comparison_row, figure1_table, format_table
-from .attacks import (
-    ResponsivenessReport,
-    RollbackReport,
-    SequentialityReport,
-    compare_responsiveness,
-    compare_restart_rollback_hardware,
-    compare_rollback_hardware,
-    run_responsiveness_attack,
-    run_restart_rollback_attack,
-    run_rollback_attack,
-    run_sequentiality_demo,
+from .claims import (
+    claims_table,
+    responsiveness_row,
+    rollback_row,
     sequential_throughput_bound,
+    sequentiality_row,
 )
 from .flexitrust import (
     Transformation,
@@ -28,25 +22,19 @@ __all__ = [
     "ComparisonRow",
     "FIGURE5_BARS",
     "InstrumentedPbftReplica",
-    "ResponsivenessReport",
-    "RollbackReport",
-    "SequentialityReport",
     "Transformation",
     "TransformationStep",
     "TrustedUsage",
+    "claims_table",
     "comparison_row",
-    "compare_responsiveness",
-    "compare_restart_rollback_hardware",
-    "compare_rollback_hardware",
     "expected_speedup",
     "figure1_table",
     "format_table",
     "instrumented_pbft_factory",
-    "run_responsiveness_attack",
-    "run_restart_rollback_attack",
-    "run_rollback_attack",
-    "run_sequentiality_demo",
+    "responsiveness_row",
+    "rollback_row",
     "sequential_throughput_bound",
+    "sequentiality_row",
     "transform",
     "transformable_protocols",
     "trusted_accesses_per_batch",

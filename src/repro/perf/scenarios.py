@@ -7,8 +7,9 @@ Two families share one registry:
   (sequential trusted-counter protocols versus their FlexiTrust
   transformations, with Pbft as the untrusted baseline), ``recovery`` is the
   crash → restart → state-transfer experiment, ``sharding_scaleout`` the
-  multi-group scale-out experiment, and ``figures`` every other experiment
-  of ``ALL_EXPERIMENTS`` on a shrunken sweep.
+  multi-group scale-out experiment, ``figures`` every other experiment
+  of ``ALL_EXPERIMENTS`` on a shrunken sweep, and ``claims`` the paper's
+  Section 5–7 attack outcomes (:func:`~repro.core.claims.claims_table`).
 * **Microbenchmarks** isolate one substrate layer each — the simulation
   kernel (``kernel``), the message transport (``network``), the
   serialisation/crypto layer (``crypto``) and the binary wire framing
@@ -30,9 +31,11 @@ from dataclasses import dataclass, replace
 
 from ..common.config import SGX_ENCLAVE_COUNTER
 from ..common.types import RequestId, seconds
+from ..core.claims import claims_table
 from ..crypto.digest import combine_digests, digest
 from ..crypto.keystore import KeyStore
 from ..execution.state_machine import Operation
+from ..matrix.spec import MatrixSpec
 from ..net.network import Envelope, Network
 from ..net.topology import build_topology
 from ..protocols.messages import ClientRequest, RequestBatch
@@ -41,8 +44,10 @@ from ..recovery import FaultSchedule, crash_at, restart_at
 from ..runtime.experiments import (
     ALL_EXPERIMENTS,
     ExperimentScale,
+    _run_cells,
     build_config,
     figure_recovery,
+    figure_sharding_scaleout,
 )
 from ..runtime.spec import DeploymentSpec
 from ..sim.kernel import Simulator
@@ -175,17 +180,18 @@ PERF_SCALES: dict[str, PerfScale] = {
 # ---------------------------------------------------------------------------
 # figure scenarios
 # ---------------------------------------------------------------------------
+def _without_cell_columns(rows: list[dict]) -> list[dict]:
+    """Cell rows minus the ``backend`` and ``cell`` columns they end with."""
+    for row in rows:
+        del row["backend"], row["cell"]
+    return rows
+
+
 def scenario_fig1(scale: PerfScale) -> list[dict]:
     """Headline comparison: trust-bft protocols vs their FlexiTrust versions."""
-    rows = []
-    for protocol in scale.fig1_protocols:
-        config = build_config(protocol, scale.experiment)
-        with DeploymentSpec(config).build() as deployment:
-            result = deployment.run_until_target()
-        row = {"protocol": protocol}
-        row.update(result.as_row())
-        rows.append(row)
-    return rows
+    cells = MatrixSpec(name="fig1", protocols=scale.fig1_protocols,
+                       scale=scale.experiment).cells()
+    return _without_cell_columns(_run_cells(cells))
 
 
 def scenario_recovery(scale: PerfScale) -> list[dict]:
@@ -264,27 +270,8 @@ def scenario_protocols(scale: PerfScale) -> list[dict]:
 
 def scenario_sharding_scaleout(scale: PerfScale) -> list[dict]:
     """Aggregate throughput as the number of consensus groups grows."""
-    rows = []
-    for protocol in ("minbft", "flexi-bft"):
-        for num_shards in scale.shard_counts:
-            # offered load proportional to the shard count
-            config = build_config(
-                protocol, scale.experiment,
-                num_clients=scale.experiment.num_clients * num_shards)
-            with DeploymentSpec(config,
-                                num_shards=num_shards).build() as deployment:
-                result = deployment.run_until_target()
-            row = {"protocol": protocol}
-            row.update(result.as_row())
-            rows.append(row)
-    return rows
-
-
-#: protocols the claims table runs through the Section 5 attack (f = 2).
-_CLAIMS_RESPONSIVENESS = ("pbft", "minbft", "minzz", "pbft-ea",
-                          "flexi-bft", "flexi-zz")
-#: protocols the claims table runs through the Section 6 attacks (f = 1).
-_CLAIMS_ROLLBACK = ("minbft", "flexi-bft", "flexi-zz")
+    return _without_cell_columns(figure_sharding_scaleout(
+        scale.experiment, shard_counts=scale.shard_counts))
 
 
 def scenario_claims(scale: PerfScale) -> list[dict]:
@@ -292,45 +279,7 @@ def scenario_claims(scale: PerfScale) -> list[dict]:
 
     Independent of the scale: every attack runs at its own fixed size.
     """
-    from ..common.config import (
-        ROLLBACK_PROTECTED_COUNTER,
-        SGX_PERSISTENT_COUNTER,
-    )
-    from ..core.attacks import (
-        run_responsiveness_attack,
-        run_restart_rollback_attack,
-        run_rollback_attack,
-        run_sequentiality_demo,
-    )
-
-    rows = []
-    for protocol in _CLAIMS_RESPONSIVENESS:
-        report = run_responsiveness_attack(protocol, f=2)
-        rows.append({"section": 5, "attack": "delayed-prepare",
-                     **vars(report)})
-    for protocol in _CLAIMS_ROLLBACK:
-        for attack, hardware in (
-                ("host-snapshot", SGX_ENCLAVE_COUNTER),
-                ("host-snapshot", SGX_PERSISTENT_COUNTER),
-                ("restart", SGX_ENCLAVE_COUNTER),
-                ("restart", ROLLBACK_PROTECTED_COUNTER)):
-            run = (run_rollback_attack if attack == "host-snapshot"
-                   else run_restart_rollback_attack)
-            report = run(hardware, protocol)
-            rows.append({
-                "section": 6, "attack": report.attack,
-                "protocol": report.protocol, "hardware": report.hardware,
-                "rollback_succeeded": report.rollback_succeeded,
-                "safety_violated": report.safety_violated,
-                "conflicting_digests_at_seq1":
-                    report.conflicting_digests_at_seq1,
-                "responses_for_first": report.responses_for_first,
-                "responses_for_second": report.responses_for_second,
-                "violations": len(report.violations),
-            })
-    rows.append({"section": 7, "attack": "out-of-order-bind",
-                 "protocol": "minbft", **vars(run_sequentiality_demo())})
-    return rows
+    return claims_table()
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +292,11 @@ _OPENLOOP_PROTOCOL = "flexi-bft"
 def _openloop_spec(scale: PerfScale, open_loop, *, num_shards=None,
                    records=None) -> DeploymentSpec:
     """A deployment spec sized for one open-loop point."""
-    from dataclasses import replace as _replace
-
     config = build_config(_OPENLOOP_PROTOCOL, scale.experiment,
                           num_clients=open_loop.max_in_flight)
     if records is not None:
         config = config.with_updates(
-            workload=_replace(config.workload, records=records))
+            workload=replace(config.workload, records=records))
     num_clients = open_loop.max_in_flight if num_shards is not None else None
     return DeploymentSpec(config, num_shards=num_shards,
                           num_clients=num_clients, open_loop=open_loop)

@@ -14,7 +14,7 @@ from repro.common.config import (
 )
 from repro.common.errors import ConfigurationError
 from repro.common.types import ms, seconds
-from repro.core.attacks import run_restart_rollback_attack
+from repro.core.claims import rollback_row
 from repro.recovery import (
     FaultSchedule,
     crash_at,
@@ -133,17 +133,17 @@ class TestCrashRestartRejoin:
 
 class TestRestartRollback:
     def test_volatile_counter_restart_rollback_flagged(self):
-        report = run_restart_rollback_attack(SGX_ENCLAVE_COUNTER)
-        assert report.attack == "restart"
-        assert report.rollback_succeeded          # the counter reset to zero
-        assert report.safety_violated             # flagged by the monitor
-        assert report.conflicting_digests_at_seq1 == 2
+        report = rollback_row(SGX_ENCLAVE_COUNTER, "minbft", "restart")
+        assert report["attack"] == "restart"
+        assert report["rollback_succeeded"]       # the counter reset to zero
+        assert report["safety_violated"]          # flagged by the monitor
+        assert report["conflicting_digests_at_seq1"] == 2
 
     def test_persistent_counter_restart_rollback_defeated(self):
-        report = run_restart_rollback_attack(ROLLBACK_PROTECTED_COUNTER)
-        assert not report.rollback_succeeded      # the counter resumed
-        assert not report.safety_violated
-        assert report.conflicting_digests_at_seq1 == 1
+        report = rollback_row(ROLLBACK_PROTECTED_COUNTER, "minbft", "restart")
+        assert not report["rollback_succeeded"]   # the counter resumed
+        assert not report["safety_violated"]
+        assert report["conflicting_digests_at_seq1"] == 1
 
 
 class TestByzantineResistantTransfer:

@@ -208,7 +208,8 @@ class TestClosedDeploymentsAreFreedByRefcount:
         # Functions that build many deployments in a row must close each one
         # before building the next: with the collector off, every deployment
         # they built has to be dead by the time they return.
-        from repro.core.attacks import run_restart_rollback_attack
+        from repro.common.config import SGX_ENCLAVE_COUNTER
+        from repro.core.claims import rollback_row
         from repro.runtime.deployment import Deployment
         from repro.runtime.experiments import figure_recovery
 
@@ -223,8 +224,8 @@ class TestClosedDeploymentsAreFreedByRefcount:
         rows = figure_recovery(_SCALE, protocols=("minbft", "flexi-bft"),
                                crash_s=0.02, restart_s=0.04, end_s=0.1)
         assert len(rows) == 4 and all(row["recovered"] for row in rows)
-        report = run_restart_rollback_attack()
-        assert report.safety_violated
+        row = rollback_row(SGX_ENCLAVE_COUNTER, "minbft", "restart")
+        assert row["safety_violated"]
         assert [ref() for ref in built] == [None] * len(built)
         assert len(built) == 5
 

@@ -7,6 +7,7 @@ The table reports dip depth and time-to-recover per protocol and per
 trusted-hardware persistence level.
 """
 
+from repro.recovery import FaultPlan
 from repro.runtime import ExperimentScale, figure_recovery, print_rows
 
 #: Smaller than BENCH_SCALE: the experiment runs a fixed simulated timeline
@@ -22,7 +23,8 @@ def test_figure_recovery_dip_and_rejoin(benchmark):
     rows = benchmark.pedantic(
         lambda: figure_recovery(RECOVERY_SCALE,
                                 protocols=("minbft", "flexi-bft"),
-                                crash_s=0.4, restart_s=0.7, end_s=1.4),
+                                plan=FaultPlan("crash-restart", crash_s=0.4,
+                                               restart_s=0.7, end_s=1.4)),
         rounds=1, iterations=1)
     print_rows("Recovery: dip depth and time-to-recover", rows)
     assert len(rows) == 4

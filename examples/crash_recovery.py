@@ -2,7 +2,7 @@
 
 Three demonstrations:
 
-1. ``figure_recovery`` — a timed FaultSchedule crashes a replica mid-run and
+1. ``figure_recovery`` — a FaultPlan crashes a replica mid-run and
    restarts it; the table reports the throughput dip and the time until the
    deployment is back above 90% of its pre-crash rate.
 2. A manual schedule with a partition: the cut-off replica falls behind,
@@ -26,13 +26,14 @@ from repro.common.config import (
 )
 from repro.common.types import ms, seconds
 from repro.core.claims import rollback_row
-from repro.recovery import FaultSchedule, heal_at, partition_at
+from repro.recovery import FaultPlan, FaultSchedule, heal_at, partition_at
 from repro.runtime import DeploymentSpec, SMALL_SCALE, figure_recovery, print_rows
 
 
 def recovery_figure() -> None:
+    plan = FaultPlan("crash-restart", crash_s=0.5, restart_s=0.9, end_s=1.8)
     rows = figure_recovery(SMALL_SCALE, protocols=("minbft", "flexi-bft"),
-                           crash_s=0.5, restart_s=0.9, end_s=1.8)
+                           plan=plan)
     print_rows("Recovery: crash at 0.5s, restart at 0.9s", rows)
 
 

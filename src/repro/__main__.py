@@ -19,7 +19,7 @@ prints its row table, or checks the determinism digests::
     python -m repro matrix run curves --results matrix-results --csv curves.csv
     python -m repro matrix run --protocols minbft flexi-bft --clients 20 60 120
     python -m repro matrix collate --results matrix-results --csv curves.csv
-    python -m repro perf --scenarios fig1 crypto --scale medium
+    python -m repro perf --scenarios fig1 obsv_overhead --scale medium
     python -m repro perf --check-baseline benchmarks/baselines
     python -m repro perf --scenarios fig1 --update-baseline benchmarks/baselines
 """
@@ -756,12 +756,11 @@ def _parse_segments(text: Optional[str]) -> tuple:
 
 
 def run_openloop(args) -> int:
-    """Run one open-loop experiment and print its overload row."""
+    """Run one open-loop experiment and print its rows."""
     import json
 
-    from .runtime.experiments import build_config
-    from .runtime.spec import DeploymentSpec
-    from .workload.openloop import OpenLoopConfig, open_loop_row, run_open_loop
+    from .runtime.experiments import figure_openloop
+    from .workload.openloop import OpenLoopConfig
 
     open_loop = OpenLoopConfig(
         num_users=args.users,
@@ -774,22 +773,9 @@ def run_openloop(args) -> int:
                      else args.deadline_ms * 1_000.0),
         duration_s=args.duration,
         segments=_parse_segments(args.segments))
-    config = build_config(args.protocol, SCALES[args.scale],
-                          num_clients=args.max_in_flight)
-    sharded = args.sharded
-    spec = DeploymentSpec(config, backend=args.backend,
-                          num_shards=args.shards if sharded else None,
-                          num_clients=args.max_in_flight if sharded else None,
-                          open_loop=open_loop)
-    deployment = spec.build()
-    try:
-        engine, result = run_open_loop(deployment, open_loop)
-    finally:
-        deployment.close()
-    row = {"protocol": args.protocol}
-    row.update(open_loop_row(engine, result))
-    rows = list(engine.stats.segment_rows) + [row] \
-        if engine.stats.segment_rows and open_loop.segments else [row]
+    rows = figure_openloop(SCALES[args.scale], open_loop, args.protocol,
+                           backend=args.backend,
+                           num_shards=args.shards if args.sharded else None)
     if args.report == "json":
         print(json.dumps(rows, indent=2, sort_keys=True, default=str))
     else:

@@ -20,45 +20,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..common.errors import ConfigurationError
 from ..backends import resolve_backend
+from ..recovery.schedule import FaultPlan
 from ..runtime.experiments import SMALL_SCALE, ExperimentScale, build_config
 from ..runtime.spec import DeploymentSpec
 from .cell import Cell, unique_cells
-
-if TYPE_CHECKING:
-    from ..recovery.schedule import FaultSchedule
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """One value of the fault-schedule axis.
-
-    Crashes the highest-numbered replica (always a non-primary) at
-    ``crash_s`` and restarts it at ``restart_s`` — the timeline of the
-    recovery figures — parameterised so one plan applies across protocols
-    whose replica counts differ.
-    """
-
-    name: str
-    crash_s: float
-    restart_s: float
-    #: fixed run horizon; folded into the cell's hashed experiment config
-    #: (``max_sim_time_us``), so plans with different horizons hash apart.
-    end_s: float
-
-    def schedule(self, protocol: str, f: int) -> "FaultSchedule":
-        """Resolve the plan against one protocol's replica count."""
-        from ..protocols.registry import get_protocol
-        from ..recovery.schedule import FaultSchedule, crash_at, restart_at
-
-        crashed = get_protocol(protocol).replicas(f) - 1
-        return FaultSchedule((
-            crash_at(crashed, self.crash_s * 1_000_000.0),
-            restart_at(crashed, self.restart_s * 1_000_000.0),
-        ))
 
 
 #: sentinel tuple meaning "axis not swept": contributes no product term and

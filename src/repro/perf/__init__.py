@@ -1,12 +1,12 @@
 """Determinism digests: named deterministic scenarios and their baselines.
 
-Every scenario — figure experiments and microbenchmarks of the simulation
-substrate — returns flat rows of *simulated* results, and the digest over
-those rows is committed as ``benchmarks/baselines/BENCH_<scenario>.json``.
-A change that alters any simulated result changes a digest and has to
-declare it; a change that only makes the code faster or smaller leaves
-every digest byte-identical.  Speed itself is measured by the repo
-benchmark (``BENCHMARK.json`` + ``benchmarks/e2e/``), never here.
+Every scenario runs experiments of the evaluation and returns flat rows of
+*simulated* results, and the digest over those rows is committed as
+``benchmarks/baselines/BENCH_<scenario>.json``.  A change that alters any
+simulated result changes a digest and has to declare it; a change that only
+makes the code faster or smaller leaves every digest byte-identical.  Speed
+is measured by the repo benchmark (``BENCHMARK.json`` +
+``benchmarks/e2e/``, per layer by ``benchmarks/e2e/probes.py``), never here.
 
 Entry points:
 

@@ -29,6 +29,7 @@ from .analysis import RecoverySummary, recovery_summary, windowed_throughput
 from .schedule import (
     FaultEvent,
     FaultEventKind,
+    FaultPlan,
     FaultSchedule,
     crash_at,
     heal_at,
@@ -43,6 +44,7 @@ __all__ = [
     "DurableStoreStats",
     "FaultEvent",
     "FaultEventKind",
+    "FaultPlan",
     "FaultSchedule",
     "RecoverySummary",
     "StateTransferSession",

@@ -17,7 +17,9 @@ rejoin scenarios need:
 Schedules are plain data: build one with the ``crash_at`` / ``restart_at`` /
 ``partition_at`` / ``heal_at`` helpers and pass it to
 :class:`~repro.runtime.deployment.Deployment` (or, per group, to
-:class:`~repro.sharding.deployment.ShardedDeployment`).
+:class:`~repro.sharding.deployment.ShardedDeployment`).  A
+:class:`FaultPlan` names the one crash → restart timeline the recovery
+figure and the matrix fault axis share, resolved per protocol.
 """
 
 from __future__ import annotations
@@ -183,3 +185,32 @@ class FaultSchedule:
             for rule in deployment.network.rules():
                 if rule.name == event.name:
                     deployment.network.remove_rule(rule)
+
+
+@dataclass(frozen=True)
+class FaultPlan:
+    """A crash → restart timeline that applies across protocols.
+
+    Crashes the highest-numbered replica (always a non-primary) at
+    ``crash_s`` and restarts it at ``restart_s`` — the timeline of the
+    recovery figure and the matrix fault axis — parameterised so one plan
+    applies across protocols whose replica counts differ.
+    """
+
+    name: str
+    crash_s: float
+    restart_s: float
+    #: fixed run horizon; folded into a matrix cell's hashed experiment
+    #: config (``max_sim_time_us``), so plans with different horizons hash
+    #: apart.
+    end_s: float
+
+    def schedule(self, protocol: str, f: int) -> FaultSchedule:
+        """Resolve the plan against one protocol's replica count."""
+        from ..protocols.registry import get_protocol
+
+        crashed = get_protocol(protocol).replicas(f) - 1
+        return FaultSchedule((
+            crash_at(crashed, self.crash_s * 1_000_000.0),
+            restart_at(crashed, self.restart_s * 1_000_000.0),
+        ))

@@ -15,6 +15,7 @@ from .experiments import (
     figure7_failure,
     figure8_hardware_sweep,
     figure9_throughput_per_machine,
+    figure_openloop,
     figure_recovery,
     figure_sharding_scaleout,
     print_rows,
@@ -42,6 +43,7 @@ __all__ = [
     "figure7_failure",
     "figure8_hardware_sweep",
     "figure9_throughput_per_machine",
+    "figure_openloop",
     "figure_recovery",
     "figure_sharding_scaleout",
     "print_rows",

@@ -10,11 +10,12 @@ figure-6-style curve series.  The experiments accept an
 default, used by the test-suite and benchmarks) and at paper scale (f up to
 32, 97 replicas, thousands of clients) when more time is available.
 
-Two figures stay off the matrix path by construction: Figure 5 injects an
+Three figures stay off the matrix path by construction: Figure 5 injects an
 instrumented replica factory (not expressible as a spec), and the recovery
-figure reads the completion timeline and the restarted replica's statistics
-off the finished deployment, with rows pinned byte-identical by the committed
-determinism digests.  Both return the same kind of row list.
+and open-loop figures read the completion timeline, the restarted replica's
+statistics or the arrival engine's counters off the finished deployment,
+with rows pinned byte-identical by the committed determinism digests.  All
+return the same kind of row list.
 
 Mapping to the paper (see DESIGN.md for the full index):
 
@@ -35,11 +36,14 @@ Beyond the paper's figures:
   timed crash → restart of one replica, with state transfer from peers, for
   a sequential trust-bft protocol vs a FlexiTrust one at both trusted-
   hardware persistence levels.
+* :func:`figure_openloop` — one open-loop run (million-user arrivals,
+  admission shedding, deadlines), the one definition behind ``repro
+  openloop`` and the ``openloop_*`` determinism scenarios.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..common.config import (
@@ -58,6 +62,8 @@ from ..common.types import ms, seconds
 from ..core.instrumented import FIGURE5_BARS, instrumented_pbft_factory
 from ..net.topology import PAPER_REGIONS
 from ..protocols.registry import get_protocol
+from ..recovery.schedule import FaultPlan
+from ..workload.openloop import OpenLoopConfig, open_loop_row, run_open_loop
 from .deployment import Deployment, RunResult
 from .spec import DeploymentSpec
 
@@ -334,39 +340,37 @@ def figure_sharding_scaleout(scale: ExperimentScale = SMALL_SCALE,
 def figure_recovery(scale: ExperimentScale = SMALL_SCALE,
                     protocols: Optional[Iterable[str]] = None,
                     hardware_levels: Optional[Iterable[TrustedHardwareSpec]] = None,
-                    crash_s: float = 0.8, restart_s: float = 1.4,
-                    end_s: float = 2.6,
-                    fsync_latency_us: float = 20.0) -> list[dict]:
+                    plan: FaultPlan = FaultPlan("crash-restart", crash_s=0.8,
+                                                restart_s=1.4, end_s=2.6),
+                    ) -> list[dict]:
     """Throughput dip and time-to-recover after a crash/restart of a replica.
 
-    A :class:`~repro.recovery.schedule.FaultSchedule` crashes the highest
-    non-primary replica at ``crash_s`` and restarts it at ``restart_s``; the
-    restarted replica replays its durable store, state-transfers the missing
-    suffix from its peers, and rejoins consensus.  Rows report the pre-crash
-    throughput, the deepest windowed dip, the post-recovery throughput and
-    the time from the restart until throughput is back above 90% of the
-    pre-crash rate — for a sequential trust-bft protocol versus a parallel
-    FlexiTrust one, at both trusted-hardware persistence levels (same access
-    latency, so only the persistence bit differs).
+    The ``plan`` crashes the highest non-primary replica at ``plan.crash_s``
+    and restarts it at ``plan.restart_s``; the run ends at ``plan.end_s``.
+    The restarted replica replays its durable store (20 µs per fsync),
+    state-transfers the missing suffix from its peers, and rejoins
+    consensus.  Rows report the pre-crash throughput, the deepest windowed
+    dip, the post-recovery throughput and the time from the restart until
+    throughput is back above 90% of the pre-crash rate — for a sequential
+    trust-bft protocol versus a parallel FlexiTrust one, at both
+    trusted-hardware persistence levels (same access latency, so only the
+    persistence bit differs).
     """
-    from ..recovery import FaultSchedule, crash_at, recovery_summary, restart_at
+    from ..recovery import recovery_summary
 
     rows = []
     protocols = tuple(protocols or ("minbft", "flexi-bft"))
     hardware_levels = tuple(hardware_levels
                             or (SGX_ENCLAVE_COUNTER, ROLLBACK_PROTECTED_COUNTER))
-    crash_us, restart_us, end_us = seconds(crash_s), seconds(restart_s), seconds(end_s)
+    crash_us, restart_us, end_us = (
+        seconds(plan.crash_s), seconds(plan.restart_s), seconds(plan.end_s))
+    recovery = RecoveryConfig(fsync_latency_us=20.0, replay_latency_us=5.0)
     for protocol in protocols:
-        spec = get_protocol(protocol)
-        n = spec.replicas(scale.f)
-        crashed = n - 1
+        schedule = plan.schedule(protocol, scale.f)
+        (crashed,) = schedule.crashed_replicas()
         for hardware in hardware_levels:
             config = build_config(protocol, scale, hardware=hardware)
-            config = config.with_updates(recovery=RecoveryConfig(
-                fsync_latency_us=fsync_latency_us,
-                replay_latency_us=fsync_latency_us / 4.0))
-            schedule = FaultSchedule((crash_at(crashed, crash_us),
-                                      restart_at(crashed, restart_us)))
+            config = config.with_updates(recovery=recovery)
             with DeploymentSpec(
                     config, fault_schedule=schedule).build() as deployment:
                 deployment.start_clients()
@@ -385,6 +389,57 @@ def figure_recovery(scale: ExperimentScale = SMALL_SCALE,
     # No cells: these rows are pinned byte-identical by the committed
     # recovery digests — they must not gain the columns a cell row carries.
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Open loop: offered load, shedding and deadlines over a million users
+# ---------------------------------------------------------------------------
+def figure_openloop(scale: ExperimentScale, open_loop: OpenLoopConfig,
+                    protocol: str = "flexi-bft", *, backend: str = "sim",
+                    num_shards: Optional[int] = None,
+                    records: Optional[int] = None) -> list[dict]:
+    """One open-loop run: a row per rate segment if any, then a whole-run row.
+
+    The deployment is sized by ``scale`` with one client per lane
+    (``open_loop.max_in_flight``); ``records`` shrinks the keyspace so the
+    Zipf head concentrates on a few keys.  The whole-run row carries the
+    engine and deployment columns plus the view-0 primary's worker-pool
+    utilisation — or, sharded, each shard's completions and the hottest
+    shard's share of them.
+    """
+    config = build_config(protocol, scale, num_clients=open_loop.max_in_flight)
+    if records is not None:
+        config = config.with_updates(
+            workload=replace(config.workload, records=records))
+    spec = DeploymentSpec(
+        config, backend=backend, num_shards=num_shards,
+        num_clients=open_loop.max_in_flight if num_shards else None,
+        open_loop=open_loop)
+    with spec.build() as deployment:
+        engine, result = run_open_loop(deployment, open_loop)
+        # The million-user contract: engine state is O(active requests) —
+        # free-lane stack + armed deadlines + the arrival/flip/boundary
+        # events — never O(num_users).
+        assert engine.stats.peak_resident <= 2 * open_loop.max_in_flight + 3, (
+            f"open-loop resident state {engine.stats.peak_resident} exceeds "
+            f"the O(active) bound for {open_loop.max_in_flight} lanes")
+        row = {"protocol": protocol}
+        if open_loop.segments:
+            row["segment"] = "all"
+        row.update(open_loop_row(engine, result))
+        if num_shards:
+            completed = result.per_shard_completed
+            total = max(1, sum(completed.values()))
+            row["hot_shard_share"] = round(max(completed.values()) / total, 4)
+            for shard in sorted(completed):
+                row[f"shard{shard}_completed"] = completed[shard]
+        else:
+            row["primary_utilisation"] = round(
+                deployment.primary.workers.stats.utilisation(
+                    deployment.sim.now,
+                    deployment.protocol_config.worker_threads), 4)
+    segment_rows = engine.stats.segment_rows if open_loop.segments else []
+    return [*segment_rows, row]
 
 
 # ---------------------------------------------------------------------------

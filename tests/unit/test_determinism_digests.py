@@ -35,7 +35,7 @@ def _id(pair):
 
 
 def test_every_scenario_has_a_committed_smoke_baseline():
-    assert len(COMMITTED) == 19
+    assert len(COMMITTED) == 15
     assert {scenario for scenario, scale in COMMITTED
             if scale == "smoke"} == set(SCENARIOS)
 

@@ -210,6 +210,7 @@ class TestClosedDeploymentsAreFreedByRefcount:
         # they built has to be dead by the time they return.
         from repro.common.config import SGX_ENCLAVE_COUNTER
         from repro.core.claims import rollback_row
+        from repro.recovery import FaultPlan
         from repro.runtime.deployment import Deployment
         from repro.runtime.experiments import figure_recovery
 
@@ -221,8 +222,10 @@ class TestClosedDeploymentsAreFreedByRefcount:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Deployment, "__init__", recording_init)
+        plan = FaultPlan("crash-restart", crash_s=0.02, restart_s=0.04,
+                         end_s=0.1)
         rows = figure_recovery(_SCALE, protocols=("minbft", "flexi-bft"),
-                               crash_s=0.02, restart_s=0.04, end_s=0.1)
+                               plan=plan)
         assert len(rows) == 4 and all(row["recovered"] for row in rows)
         row = rollback_row(SGX_ENCLAVE_COUNTER, "minbft", "restart")
         assert row["safety_violated"]

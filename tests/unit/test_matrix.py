@@ -155,6 +155,20 @@ def test_fault_plan_cells_fix_the_run_horizon():
     assert other.content_hash != cell.content_hash
 
 
+@pytest.mark.parametrize("protocol, crashed", [
+    ("minbft", 2), ("pbft", 3), ("flexi-bft", 3)])
+def test_fault_plan_crashes_and_restarts_the_last_replica(protocol, crashed):
+    plan = FaultPlan("crash-restart", crash_s=0.2, restart_s=0.35, end_s=0.7)
+    schedule = plan.schedule(protocol, f=1)
+    # The highest-numbered replica: never the view-0 primary, and the
+    # number follows the protocol's replica count (2f+1 or 3f+1).
+    assert schedule.events == (
+        FaultEvent(kind=FaultEventKind.CRASH, at_us=200_000.0,
+                   replica=crashed),
+        FaultEvent(kind=FaultEventKind.RESTART, at_us=350_000.0,
+                   replica=crashed))
+
+
 def test_named_matrices_expand_cleanly():
     for name in MATRICES:
         cells = matrix_cells(name)

@@ -144,6 +144,25 @@ class TestNetwork:
         sim.run_until_idle()
         assert len(nodes["replica-1"].received) == 1
 
+    def test_every_send_is_one_delivery_event(self):
+        # Default jitter and per-message wire cost: each point-to-point send
+        # is delivered exactly once, by exactly one kernel event.
+        sim = Simulator()
+        names = [f"replica-{i}" for i in range(4)]
+        network = Network(sim, build_topology(names, [], ("san-jose",), 120.0),
+                          RngRegistry(7))
+        nodes = [Recorder(name) for name in names]
+        for node in nodes:
+            network.register(node)
+        for i in range(400):
+            network.send(names[i % 4], names[(i + 1 + i % 3) % 4], i)
+        sim.run_until_idle()
+        stats = network.stats
+        assert stats.messages_sent == stats.messages_delivered == 400
+        assert sum(len(node.received) for node in nodes) == 400
+        assert sim.events_processed == 400
+        assert stats.messages_dropped == 0
+
     def test_stats_per_message_type(self):
         sim, network, nodes = make_network()
         network.send("replica-0", "replica-1", "a string")

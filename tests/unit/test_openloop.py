@@ -7,6 +7,8 @@ reassignable ``on_complete``), plus a handful of integration tests on a
 real deployment, including the million-user bound the roadmap promises.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -379,3 +381,33 @@ class TestDeploymentIntegration:
         for name in ("openloop_overload", "openloop_hotspot",
                      "openloop_diurnal"):
             assert name in SCENARIOS
+
+
+_CLI_OPEN_LOOP = OpenLoopConfig(arrival_rate_tx_s=4_000.0, max_in_flight=8,
+                                deadline_us=25_000.0, duration_s=0.05)
+
+
+@pytest.mark.parametrize("flags, open_loop, num_shards", [
+    ((), _CLI_OPEN_LOOP, None),
+    (("--sharded",), _CLI_OPEN_LOOP, 2),
+    (("--segments", "0.03:0.5,0.03:2.0"),
+     replace(_CLI_OPEN_LOOP, segments=((0.03, 0.5), (0.03, 2.0))), None),
+], ids=["single-group", "sharded", "segments"])
+def test_openloop_cli_prints_the_open_loop_figure_rows(
+        flags, open_loop, num_shards, capsys):
+    import json
+
+    from repro.__main__ import main
+    from repro.runtime.experiments import SMALL_SCALE, figure_openloop
+
+    assert main(["openloop", "--rate", "4000", "--max-in-flight", "8",
+                 "--deadline-ms", "25", "--duration", "0.05", *flags,
+                 "--report", "json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    rows = figure_openloop(SMALL_SCALE, open_loop, num_shards=num_shards)
+    assert printed == json.loads(json.dumps(rows, default=str))
+    # A row per rate segment, then the whole-run row with the columns the
+    # open-loop scenarios pin.
+    assert len(printed) == len(open_loop.segments) + 1
+    assert ("hot_shard_share" if num_shards
+            else "primary_utilisation") in printed[-1]

@@ -24,7 +24,7 @@ from repro.perf.baseline import (
 )
 
 
-def payload(scenario="crypto", scale="smoke", digest="abc123"):
+def payload(scenario="fig1", scale="smoke", digest="abc123"):
     return {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario,
@@ -66,8 +66,8 @@ class TestCompareResult:
     def test_scenario_mismatch_fails(self):
         # A baseline copied to another scenario's file name is not that
         # scenario's baseline, even at the same digest.
-        comparison = compare_result(payload(scenario="kernel"),
-                                    payload(scenario="crypto"))
+        comparison = compare_result(payload(scenario="obsv_overhead"),
+                                    payload(scenario="fig1"))
         assert comparison.status == INCOMPARABLE
         assert not comparison.ok
 
@@ -84,19 +84,19 @@ class TestCompareResult:
                                     payload(scale="medium", digest="aaa"))
         text = format_comparison(comparison)
         assert "DIGEST-MISMATCH" in text
-        assert "crypto (medium)" in text
+        assert "fig1 (medium)" in text
         assert "aaa != bbb" in text
 
 
 class TestCompareToDir:
     def test_loads_baselines_by_scenario_name(self, tmp_path):
-        write_bench_json(payload(scenario="crypto"), str(tmp_path))
+        write_bench_json(payload(scenario="fig1"), str(tmp_path))
         comparisons = compare_to_dir(
-            [payload(scenario="crypto"), payload(scenario="kernel")],
+            [payload(scenario="fig1"), payload(scenario="obsv_overhead")],
             str(tmp_path))
         by_scenario = {c.scenario: c for c in comparisons}
-        assert by_scenario["crypto"].ok
-        assert by_scenario["kernel"].status == MISSING_BASELINE
+        assert by_scenario["fig1"].ok
+        assert by_scenario["obsv_overhead"].status == MISSING_BASELINE
 
     def test_load_baseline_missing_returns_none(self, tmp_path):
         assert load_baseline(str(tmp_path / "nope.json")) is None
@@ -129,14 +129,14 @@ class TestScaleQualifiedBaselines:
 
 
 class TestRunner:
-    def test_crypto_scenario_runs_and_is_deterministic(self):
-        first = run_scenario("crypto", "smoke")
-        second = run_scenario("crypto", "smoke")
+    def test_fig1_scenario_runs_and_is_deterministic(self):
+        first = run_scenario("fig1", "smoke")
+        second = run_scenario("fig1", "smoke")
         assert first["metrics_digest"] == second["metrics_digest"] != ""
         assert first["rows"] == second["rows"]
 
     def test_a_payload_carries_no_wall_clock(self):
-        result = run_scenario("kernel", "smoke")
+        result = run_scenario("obsv_overhead", "smoke")
         assert sorted(result) == ["metrics_digest", "rows", "scale",
                                   "scenario", "schema_version"]
 
@@ -144,12 +144,12 @@ class TestRunner:
         with pytest.raises(KeyError):
             run_scenario("nope", "smoke")
         with pytest.raises(KeyError):
-            run_scenario("crypto", "nope")
+            run_scenario("fig1", "nope")
 
     def test_write_bench_json_roundtrips_through_comparison(self, tmp_path):
-        result = run_scenario("crypto", "smoke")
+        result = run_scenario("fig1", "smoke")
         path = write_bench_json(result, str(tmp_path))
-        assert path.endswith("BENCH_crypto.json")
+        assert path.endswith("BENCH_fig1.json")
         stored = load_baseline(path)
         assert stored == result
         assert compare_result(result, stored).ok
@@ -161,19 +161,19 @@ class TestPerfCli:
 
         out = tmp_path / "out"
         baselines = tmp_path / "baselines"
-        assert main(["perf", "--scenarios", "crypto", "kernel",
+        assert main(["perf", "--scenarios", "fig1", "obsv_overhead",
                      "--out", str(out),
                      "--update-baseline", str(baselines)]) == 0
-        assert (out / "BENCH_crypto.json").exists()
-        assert (baselines / "BENCH_kernel.json").exists()
-        assert main(["perf", "--scenarios", "crypto", "kernel",
+        assert (out / "BENCH_fig1.json").exists()
+        assert (baselines / "BENCH_obsv_overhead.json").exists()
+        assert main(["perf", "--scenarios", "fig1", "obsv_overhead",
                      "--out", str(out),
                      "--check-baseline", str(baselines)]) == 0
 
     def test_check_against_missing_baseline_fails(self, tmp_path):
         from repro.__main__ import main
 
-        assert main(["perf", "--scenarios", "crypto",
+        assert main(["perf", "--scenarios", "fig1",
                      "--out", str(tmp_path / "out"),
                      "--check-baseline", str(tmp_path / "empty")]) == 1
 
@@ -182,14 +182,14 @@ class TestPerfCli:
 
         out = tmp_path / "out"
         baselines = tmp_path / "baselines"
-        assert main(["perf", "--scenarios", "crypto", "--out", str(out),
+        assert main(["perf", "--scenarios", "fig1", "--out", str(out),
                      "--update-baseline", str(baselines)]) == 0
-        path = baselines / "BENCH_crypto.json"
+        path = baselines / "BENCH_fig1.json"
         stored = json.load(open(path, encoding="utf-8"))
         stored["metrics_digest"] = "0" * 64
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(stored, handle)
-        assert main(["perf", "--scenarios", "crypto", "--out", str(out),
+        assert main(["perf", "--scenarios", "fig1", "--out", str(out),
                      "--check-baseline", str(baselines)]) == 1
 
     def test_combined_flags_check_old_baselines_and_keep_them_on_failure(
@@ -198,9 +198,9 @@ class TestPerfCli:
 
         out = tmp_path / "out"
         baselines = tmp_path / "baselines"
-        assert main(["perf", "--scenarios", "crypto", "--out", str(out),
+        assert main(["perf", "--scenarios", "fig1", "--out", str(out),
                      "--update-baseline", str(baselines)]) == 0
-        path = baselines / "BENCH_crypto.json"
+        path = baselines / "BENCH_fig1.json"
         stored = json.load(open(path, encoding="utf-8"))
         stored["metrics_digest"] = "0" * 64
         with open(path, "w", encoding="utf-8") as handle:
@@ -208,7 +208,7 @@ class TestPerfCli:
         # Both flags on one directory: the check must run against the old
         # (tampered) baseline — not a freshly written copy of itself — and a
         # failing check must not overwrite that baseline.
-        assert main(["perf", "--scenarios", "crypto", "--out", str(out),
+        assert main(["perf", "--scenarios", "fig1", "--out", str(out),
                      "--check-baseline", str(baselines),
                      "--update-baseline", str(baselines)]) == 1
         kept = json.load(open(path, encoding="utf-8"))
@@ -219,23 +219,23 @@ class TestPerfCli:
         from repro.__main__ import main
 
         baselines = tmp_path / "baselines"
-        # The kernel microbenchmark is cheap enough to run at medium scale.
-        assert main(["perf", "--scenarios", "kernel", "--scale", "medium",
-                     "--update-baseline", str(baselines)]) == 0
-        assert main(["perf", "--scenarios", "crypto",
+        # obsv_overhead is cheap enough to run at medium scale.
+        assert main(["perf", "--scenarios", "obsv_overhead", "--scale",
+                     "medium", "--update-baseline", str(baselines)]) == 0
+        assert main(["perf", "--scenarios", "fig1",
                      "--update-baseline", str(baselines)]) == 0
         assert sorted(os.listdir(baselines)) == [
-            "BENCH_crypto.json", "BENCH_kernel.medium.json"]
+            "BENCH_fig1.json", "BENCH_obsv_overhead.medium.json"]
         cwd = tmp_path / "cwd"
         cwd.mkdir()
         monkeypatch.chdir(cwd)
         capsys.readouterr()
         assert main(["perf", "--check-baseline", str(baselines)]) == 0
         out = capsys.readouterr().out
-        assert "crypto (smoke)" in out and "kernel (medium)" in out
+        assert "fig1 (smoke)" in out and "obsv_overhead (medium)" in out
         # A check writes nothing unless --out is given.
         assert os.listdir(cwd) == []
-        path = baselines / "BENCH_kernel.medium.json"
+        path = baselines / "BENCH_obsv_overhead.medium.json"
         stored = json.loads(path.read_text())
         stored["metrics_digest"] = "0" * 64
         path.write_text(json.dumps(stored))
@@ -251,12 +251,12 @@ class TestPerfCli:
         with pytest.raises(SystemExit):
             main(["perf", "--check-baseline", str(tmp_path / "missing")])
 
-    def test_list_shows_fourteen_scenarios_and_three_scales(self, capsys):
+    def test_list_shows_ten_scenarios_and_three_scales(self, capsys):
         from repro.__main__ import main
 
         assert main(["perf", "--list"]) == 0
         scenarios, scales = capsys.readouterr().out.strip().splitlines()
-        assert len(scenarios.split(":")[1].split(",")) == 14
+        assert len(scenarios.split(":")[1].split(",")) == 10
         assert scales.split(":")[1].split() == ["large,", "medium,", "smoke"]
 
     def test_unknown_scenario_exits_with_error(self, tmp_path):

@@ -100,6 +100,31 @@ def test_events_scheduled_during_run_are_processed():
     assert sim.now == 6.0
 
 
+def test_counts_and_clock_carry_across_runs():
+    # Bulk timers with every third one cancelled, drained; then a
+    # self-rescheduling chain on the same simulator: only fired events
+    # count, and the second run continues from the first run's clock.
+    sim = Simulator()
+    events = [sim.schedule(float(i % 97) + 1.0, lambda: None)
+              for i in range(300)]
+    for event in events[::3]:
+        event.cancel()
+    assert sim.pending_events == 200
+    sim.run_until_idle()
+    assert (sim.events_processed, sim.now) == (200, 97.0)
+    remaining = [300]
+
+    def chain():
+        remaining[0] -= 1
+        if remaining[0]:
+            sim.schedule(1.0, chain)
+
+    sim.schedule(1.0, chain)
+    sim.run_until_idle()
+    assert (sim.events_processed, sim.now) == (500, 397.0)
+    assert sim.pending_events == 0
+
+
 def test_simulator_not_reentrant():
     sim = Simulator()
 

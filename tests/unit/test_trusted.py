@@ -11,6 +11,7 @@ from repro.common.errors import (
 )
 from repro.crypto import KeyStore, digest
 from repro.trusted import (
+    CREATE_DIGEST,
     FlexiTrustCounterSet,
     TrustedComponentHost,
     TrustedCounterSet,
@@ -196,3 +197,65 @@ class TestTrustedComponentHost:
         assert host.stats.flexi_appends == 1
         assert host.stats.creates == 1
         assert host.stats.total == 5
+
+
+class TestTrustedApiPin:
+    """The attestations a fixed call sequence produces, byte for byte.
+
+    Each host uses one API family: trust-bft ``Append`` on the first,
+    FlexiTrust ``Create`` / ``AppendF`` on the second.  The pinned tuples are
+    ``(counter_id, value, payload label, signature prefix)``; the label
+    ``None`` stands for ``CREATE_DIGEST``.
+    """
+
+    @staticmethod
+    def _host():
+        key = KeyStore(seed=32).register("tc/replica-0")
+        return TrustedComponentHost(key, SGX_ENCLAVE_COUNTER)
+
+    @staticmethod
+    def _pin(attestation, label):
+        expected = digest(label) if label is not None else CREATE_DIGEST
+        assert attestation.payload_digest == expected
+        return (attestation.counter_id, attestation.value, label,
+                attestation.signature.value.hex()[:16])
+
+    def test_append_with_and_without_value_then_rollback(self):
+        host = self._host()
+        pins = [self._pin(host.counter_append(0, None, digest("a")), "a"),
+                self._pin(host.counter_append(0, 5, digest("b")), "b"),
+                self._pin(host.counter_append(1, None, digest("c")), "c")]
+        snapshot = host.snapshot()
+        pins.append(self._pin(host.counter_append(0, None, digest("d")), "d"))
+        host.rollback(snapshot)
+        pins.append(self._pin(host.counter_append(0, None, digest("e")), "e"))
+        assert pins == [
+            (0, 1, "a", "26014e81af8c8c86"),
+            (0, 5, "b", "000165498e3dfec3"),
+            (1, 1, "c", "ecbd56b263a0b7eb"),
+            (0, 6, "d", "7c5d7c10fed69504"),
+            (0, 6, "e", "70c4ab856c237664"),
+        ]
+
+    def test_create_and_append_f_then_rollback(self):
+        host = self._host()
+        first, created = host.create_counter(0)
+        pins = [self._pin(created, None),
+                self._pin(host.append_f(first, digest("x")), "x")]
+        snapshot = host.snapshot()
+        second, created = host.create_counter(10)
+        pins += [self._pin(created, None),
+                 self._pin(host.append_f(second, digest("y")), "y")]
+        host.rollback(snapshot)
+        # The rollback hands the second counter's identifier out again.
+        third, created = host.create_counter(3)
+        pins += [self._pin(created, None),
+                 self._pin(host.append_f(third, digest("z")), "z")]
+        assert pins == [
+            (0, 0, None, "2bb55c119b72e3e1"),
+            (0, 1, "x", "e7448c002bcb633e"),
+            (1, 10, None, "3900afeb695d8df7"),
+            (1, 11, "y", "353eb0ce9722e07d"),
+            (1, 3, None, "5217ff5a87ccb167"),
+            (1, 4, "z", "a00e4ee221766725"),
+        ]

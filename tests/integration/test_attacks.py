@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.common.config import SGX_ENCLAVE_COUNTER, SGX_PERSISTENT_COUNTER
+from repro.common.config import (
+    DeploymentConfig,
+    ExperimentConfig,
+    FaultConfig,
+    ProtocolConfig,
+    SGX_ENCLAVE_COUNTER,
+    SGX_PERSISTENT_COUNTER,
+    WorkloadConfig,
+)
 from repro.common.errors import ConfigurationError
+from repro.common.types import RequestId, ms
 from repro.core.claims import (
     RESPONSIVENESS_PROTOCOLS,
     ROLLBACK_PROTOCOLS,
@@ -14,6 +23,15 @@ from repro.core.claims import (
     sequential_throughput_bound,
     sequentiality_row,
 )
+from repro.execution.state_machine import Operation
+from repro.protocols.messages import (
+    ClientRequest,
+    Commit,
+    PrePrepare,
+    Prepare,
+    RequestBatch,
+)
+from repro.runtime.deployment import Deployment
 
 
 class TestResponsiveness:
@@ -162,3 +180,65 @@ class TestClaimsTable:
     def test_section_7_rejects_the_out_of_order_bind(self, table):
         (row,) = self._rows(table, 7)
         assert row["out_of_order_rejected"]
+
+
+def _batch(number: int, value: str) -> RequestBatch:
+    request = ClientRequest(
+        request_id=RequestId(client="client-0", number=number),
+        operations=(Operation(action="write", key="account", value=value),))
+    return RequestBatch(requests=(request,))
+
+
+def _equivocate_at_seq1(protocol: str, create_per_batch: bool = False):
+    """A byzantine primary attests two batches and serves both as seq 1.
+
+    The primary binds ``T`` and then ``T'`` through its own binding (two
+    counter values, two log slots or two ``AppendF`` values) and sends each
+    to one honest backup as the proposal for sequence 1, followed by its own
+    Prepare and Commit votes for it.  With ``create_per_batch`` a FlexiTrust
+    primary mints a fresh counter before each batch, so both attestations
+    carry value 1.  Returns the deployment's safety monitor.
+    """
+    config = DeploymentConfig(
+        protocol=protocol, f=1,
+        workload=WorkloadConfig(num_clients=1, records=16),
+        protocol_config=ProtocolConfig(batch_size=1, checkpoint_interval=10_000),
+        faults=FaultConfig(byzantine=(0,)),
+        experiment=ExperimentConfig(seed=7),
+    )
+    with Deployment(config) as deployment:
+        primary = deployment.primary
+        for target, batch in ((1, _batch(1, "to-alice")), (2, _batch(2, "to-bob"))):
+            name = deployment.replica(target).name
+            primary.make_byzantine(lambda destination, message, name=name:
+                                   destination == name)
+            batch_digest = batch.digest()
+            if create_per_batch:
+                counter_id, _ = primary.trusted.create_counter(0)
+                attestation = primary.trusted.append_f(counter_id, batch_digest)
+            else:
+                _, attestation = primary.order(batch_digest)
+            fields = dict(view=0, seq=1, batch_digest=batch_digest,
+                          attestation=attestation)
+            primary.broadcast(primary.signed(PrePrepare(
+                batch=batch, primary=0, **fields)))
+            primary.broadcast(primary.signed(Prepare(replica=0, **fields)))
+            primary.broadcast(primary.signed(Commit(replica=0, **fields)))
+        deployment.sim.run(until=ms(200))
+        return deployment.safety
+
+
+class TestProposalBinding:
+    """Backups check which (counter, value) a proposal's attestation binds.
+
+    An attestation that verifies proves only that the primary's component
+    bound the batch to *some* slot; a backup must also check that the slot
+    is the one the proposal claims, or the primary equivocates freely.
+    """
+
+    @pytest.mark.parametrize("protocol", ["minbft", "minzz", "pbft-ea",
+                                          "opbft-ea", "flexi-zz", "flexi-bft"])
+    def test_primary_cannot_serve_two_attested_batches_at_seq1(self, protocol):
+        safety = _equivocate_at_seq1(protocol)
+        assert safety.consensus_safe
+        assert len(safety.distinct_digests_at(1)) <= 1

@@ -78,6 +78,11 @@ class NormalCaseReplica(BaseReplica):
         """What attests this replica's own vote or speculative reply."""
         return None
 
+    def proposal_slot(self, seq: SeqNum) -> tuple[Optional[int], int]:
+        """Backup: the (counter or log id, value) a proposal for ``seq`` must
+        be attested at; ``None`` accepts any id.  Asked only when attested."""
+        raise NotImplementedError
+
     # ------------------------------------------------------------- proposing
     def propose_batch(self, batch: RequestBatch) -> None:
         """Order the batch, broadcast the Preprepare, and cast the primary's vote."""
@@ -113,8 +118,10 @@ class NormalCaseReplica(BaseReplica):
     def on_preprepare(self, preprepare: PrePrepare, source: str) -> None:
         if preprepare.view < self.view or preprepare.primary != self.primary_of(preprepare.view):
             return
-        if self.attested and not self.verify_preprepare_attestation(
-                preprepare, f"tc/{self.ctx.replica_names[preprepare.primary]}"):
+        if self.attested and not (
+                self.verify_preprepare_attestation(
+                    preprepare, f"tc/{self.ctx.replica_names[preprepare.primary]}")
+                and self._binds_proposal_slot(preprepare)):
             return
         seq, batch_digest = preprepare.seq, preprepare.batch_digest
         inst = self.instance(seq, preprepare.view)
@@ -172,6 +179,18 @@ class NormalCaseReplica(BaseReplica):
         inst = self.instance(commit.seq, commit.view)
         inst.commits[commit.replica] = commit
         self._check_committed(commit.seq)
+
+    def _binds_proposal_slot(self, preprepare: PrePrepare) -> bool:
+        """Whether the proposal's attestation binds the slot its seq names.
+
+        A valid attestation only proves that the primary's component bound
+        the batch to *some* (counter, value); without this check a primary
+        attests ``T`` and then ``T'`` and serves each as the same seq.
+        """
+        counter_id, value = self.proposal_slot(preprepare.seq)
+        attestation = preprepare.attestation
+        return attestation.value == value and (
+            counter_id is None or attestation.counter_id == counter_id)
 
     # --------------------------------------------------------------- quorums
     def _check_prepared(self, seq: SeqNum) -> None:
@@ -234,6 +253,9 @@ class OwnCounterBinding(NormalCaseReplica):
     def bind(self, kind, seq, batch_digest, proposal):
         return self.trusted.counter_append(MESSAGE_COUNTER, None, batch_digest)
 
+    def proposal_slot(self, seq):
+        return ORDER_COUNTER, seq
+
 
 class OwnLogBinding(NormalCaseReplica):
     """Section 4: every message is appended to the sender's trusted log.
@@ -257,6 +279,11 @@ class OwnLogBinding(NormalCaseReplica):
             # One log per (kind, sequence number): appends never conflict.
             return self.trusted.log_append(kind * 1_000_000 + seq, None, batch_digest)
         return self.trusted.log_append(kind, seq, batch_digest)
+
+    def proposal_slot(self, seq):
+        if self.parallel_logs:
+            return PREPREPARE * 1_000_000 + seq, 1
+        return PREPREPARE, seq
 
 
 class PrimaryOnlyBinding(NormalCaseReplica):
@@ -288,6 +315,11 @@ class PrimaryOnlyBinding(NormalCaseReplica):
 
     def bind(self, kind, seq, batch_digest, proposal):
         return proposal
+
+    def proposal_slot(self, seq):
+        # Any counter: a backup cannot tell which one the view's Create
+        # minted, because NewView does not carry that attestation.
+        return None, seq
 
     # ------------------------------------------------------------ view change
     def prepare_new_view_counter(self, new_view: ViewNum, lowest_seq: SeqNum) -> None:

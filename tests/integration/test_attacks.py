@@ -242,3 +242,13 @@ class TestProposalBinding:
         safety = _equivocate_at_seq1(protocol)
         assert safety.consensus_safe
         assert len(safety.distinct_digests_at(1)) <= 1
+
+    @pytest.mark.parametrize("protocol", [
+        pytest.param("flexi-zz", marks=pytest.mark.xfail(
+            strict=True, reason="a backup cannot tell the view's counter from "
+            "a fresh Create: NewView does not carry the Create attestation")),
+        "flexi-bft",
+    ])
+    def test_primary_cannot_create_a_counter_per_batch(self, protocol):
+        safety = _equivocate_at_seq1(protocol, create_per_batch=True)
+        assert safety.consensus_safe

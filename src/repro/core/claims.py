@@ -181,8 +181,7 @@ def rollback_row(hardware: TrustedHardwareSpec, protocol: str,
         if attack == "restart":
             primary = deployment.restart_replica(0, recover=False,
                                                  wipe_store=True)
-            rewound = not (primary.trusted.counters.snapshot()
-                           or primary.trusted.flexi.snapshot())
+            rewound = not primary.trusted.counters.snapshot()
             equivocates = True
         else:
             try:

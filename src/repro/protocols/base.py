@@ -283,9 +283,8 @@ class BaseReplica:
         value, verify-cache hit rate — in one frozen
         :class:`~repro.obsv.health.ReplicaHealth`.  ``verify_hit_rate`` is
         the deployment-wide key store's rate (the store is shared), and
-        ``trusted_counter`` is the larger of the replica's trust-bft and
-        FlexiTrust counter 0 values (-1 when the protocol runs no trusted
-        component).
+        ``trusted_counter`` is the value of the replica's counter 0 (-1 when
+        the protocol runs no trusted component).
         """
         from ..obsv.health import ReplicaHealth
 
@@ -294,8 +293,7 @@ class BaseReplica:
             trusted_counter = -1
             trusted_accesses = 0
         else:
-            trusted_counter = max(trusted.counters.value(0),
-                                  trusted.flexi.value(0))
+            trusted_counter = trusted.counters.value(0)
             trusted_accesses = trusted.stats.total
         return ReplicaHealth(
             name=self.name,

@@ -1,7 +1,8 @@
 """A replica's trusted component: functional state plus a timed device.
 
-:class:`TrustedComponentHost` bundles the three functional abstractions
-(counters, logs, FlexiTrust counters) with the hardware model of the
+:class:`TrustedComponentHost` bundles the two functional abstractions — one
+bank of counters, which trust-bft ``Append`` and FlexiTrust ``AppendF`` /
+``Create`` share, and the attested logs — with the hardware model of the
 deployment: a :class:`~repro.sim.resources.SerialDevice` whose per-operation
 latency comes from the configured :class:`~repro.common.config.TrustedHardwareSpec`.
 
@@ -30,7 +31,6 @@ from ..crypto.signatures import SigningKey
 from ..sim.resources import SerialDevice
 from .attestation import Attestation
 from .counter import TrustedCounterSet
-from .flexi import FlexiTrustCounterSet
 from .log import TrustedLogSet
 
 
@@ -57,7 +57,6 @@ class TrustedSnapshot:
 
     counters: dict
     logs: dict
-    flexi: dict
 
 
 class TrustedComponentHost:
@@ -70,7 +69,6 @@ class TrustedComponentHost:
         self.device = device
         self.counters = TrustedCounterSet(key=key)
         self.logs = TrustedLogSet(key=key)
-        self.flexi = FlexiTrustCounterSet(key=key)
         self.stats = TrustedAccessStats()
         self._pending_accesses = 0
 
@@ -109,17 +107,17 @@ class TrustedComponentHost:
 
     # ------------------------------------------------------------ FlexiTrust
     def append_f(self, counter_id: int, payload_digest: bytes) -> Attestation:
-        """FlexiTrust ``AppendF``: component-chosen, contiguous values."""
+        """FlexiTrust ``AppendF``: ``Append`` with the value left to the component."""
         self._require(self.spec.supports_counters, "counters")
-        attestation = self.flexi.append_f(counter_id, payload_digest)
+        attestation = self.counters.append(counter_id, None, payload_digest)
         self._account()
         self.stats.flexi_appends += 1
         return attestation
 
     def create_counter(self, initial_value: int = 0) -> tuple[int, Attestation]:
-        """FlexiTrust ``Create``: mint a fresh counter after a view change."""
+        """FlexiTrust ``Create``: mint a fresh counter in the same bank."""
         self._require(self.spec.supports_counters, "counters")
-        counter_id, attestation = self.flexi.create(initial_value)
+        counter_id, attestation = self.counters.create(initial_value)
         self._account()
         self.stats.creates += 1
         return counter_id, attestation
@@ -144,7 +142,6 @@ class TrustedComponentHost:
         return TrustedSnapshot(
             counters=self.counters.snapshot(),
             logs=self.logs.snapshot(),
-            flexi=self.flexi.snapshot(),
         )
 
     def rollback(self, snapshot: TrustedSnapshot) -> None:
@@ -158,7 +155,6 @@ class TrustedComponentHost:
                 f"{self.spec.name} state is persistent; rollback is not possible")
         self.counters.restore(snapshot.counters)
         self.logs.restore(snapshot.logs)
-        self.flexi.restore(snapshot.flexi)
 
     # -------------------------------------------------------------- helpers
     def _require(self, supported: bool, feature: str) -> None:

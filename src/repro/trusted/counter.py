@@ -6,6 +6,13 @@ the caller-supplied ``k_new`` (which must exceed the current value) or, when
 no value is supplied, to ``current + 1``.  The call returns an attestation of
 the binding.  Counters store no history, which is why their memory footprint
 is "Low" in Figure 1.
+
+FlexiTrust (Section 8.1) acts on the same counters through a narrower API.
+``AppendF(q, x)`` is ``Append(q, None, x)``: the component, not the caller,
+picks the next value, so sequence numbers stay contiguous and a byzantine
+primary cannot propose a value far in the future.  ``Create(k)`` mints a
+fresh counter at an attested start value, which a new primary uses after a
+view change to restart proposals at the right sequence number.
 """
 
 from __future__ import annotations
@@ -16,6 +23,9 @@ from typing import Optional
 from ..common.errors import CounterRegression, TrustedComponentError
 from ..crypto.signatures import SigningKey
 from .attestation import Attestation, make_attestation
+
+#: digest attached to Create attestations — there is no payload to bind.
+CREATE_DIGEST = b"\x00" * 32
 
 
 @dataclass
@@ -37,6 +47,7 @@ class TrustedCounterSet:
 
     key: SigningKey
     counters: dict[int, CounterState] = field(default_factory=dict)
+    _next_counter_id: int = 0
 
     @property
     def identity(self) -> str:
@@ -48,7 +59,7 @@ class TrustedCounterSet:
         return self.counters.get(counter_id, CounterState()).value
 
     def total_appends(self) -> int:
-        """Total number of Append operations across all counters."""
+        """Total number of Append (and AppendF) operations across all counters."""
         return sum(state.appends for state in self.counters.values())
 
     def append(self, counter_id: int, new_value: Optional[int],
@@ -71,12 +82,32 @@ class TrustedCounterSet:
         state.appends += 1
         return make_attestation(self.key, counter_id, new_value, payload_digest)
 
+    def create(self, initial_value: int = 0) -> tuple[int, Attestation]:
+        """``Create(k)``: mint a new counter starting at ``initial_value``.
+
+        Returns the fresh counter identifier and an attestation proving the
+        counter is new and starts at ``initial_value``.  Identifiers already
+        appended to are never handed out.
+        """
+        if initial_value < 0:
+            raise TrustedComponentError("counter cannot start at a negative value")
+        while self._next_counter_id in self.counters:
+            self._next_counter_id += 1
+        counter_id = self._next_counter_id
+        self._next_counter_id += 1
+        self.counters[counter_id] = CounterState(value=initial_value)
+        return counter_id, make_attestation(self.key, counter_id, initial_value,
+                                             CREATE_DIGEST)
+
     def snapshot(self) -> dict[int, int]:
         """Copy of every counter's current value (used by checkpoints)."""
         return {cid: state.value for cid, state in self.counters.items()}
 
     def restore(self, snapshot: dict[int, int]) -> None:
         """Overwrite counter values from a snapshot.
+
+        ``Create`` then resumes after the snapshot's highest identifier, so a
+        rewound component hands out identifiers it already minted.
 
         This is the *rollback attack* primitive of Section 6.  The hardware
         host should never be able to do this; volatile SGX counters allow it,
@@ -87,10 +118,5 @@ class TrustedCounterSet:
         self.counters = {
             cid: CounterState(value=value) for cid, value in snapshot.items()
         }
-
-    def ensure_counter(self, counter_id: int, initial: int = 0) -> None:
-        """Create a counter with an initial value if it does not exist."""
-        if counter_id in self.counters:
-            raise TrustedComponentError(
-                f"counter {counter_id} already exists")
-        self.counters[counter_id] = CounterState(value=initial)
+        if self.counters:
+            self._next_counter_id = max(self.counters) + 1

@@ -9,7 +9,7 @@ from repro.crypto.digest import combine_digests
 from repro.execution import ExecutedBatch, Ledger
 from repro.protocols.base import quorum as quorum_of
 from repro.sim import Simulator
-from repro.trusted import FlexiTrustCounterSet, TrustedCounterSet, TrustedLogSet
+from repro.trusted import TrustedCounterSet, TrustedLogSet
 from repro.workload import ZipfianGenerator
 
 # Strategy for plain-data values the canonical encoder supports.
@@ -71,8 +71,8 @@ class TestTrustedComponentProperties:
     @given(st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_appendf_values_are_contiguous(self, payloads):
-        flexi = FlexiTrustCounterSet(key=KeyStore(seed=1).register("tc"))
-        values = [flexi.append_f(0, digest(p)).value for p in payloads]
+        counters = TrustedCounterSet(key=KeyStore(seed=1).register("tc"))
+        values = [counters.append(0, None, digest(p)).value for p in payloads]
         assert values == list(range(1, len(payloads) + 1))
 
     @given(st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=30))

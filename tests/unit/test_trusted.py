@@ -1,4 +1,4 @@
-"""Unit tests for trusted counters, logs, FlexiTrust counters and rollback."""
+"""Unit tests for trusted counters (Append, AppendF, Create), logs and rollback."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.common.errors import (
 from repro.crypto import KeyStore, digest
 from repro.trusted import (
     CREATE_DIGEST,
-    FlexiTrustCounterSet,
     TrustedComponentHost,
     TrustedCounterSet,
     TrustedLogSet,
@@ -80,12 +79,14 @@ class TestTrustedCounter:
         with pytest.raises(InvalidAttestation):
             verify_attestation(keystore, attestation, expected_digest=digest("y"))
 
-    def test_ensure_counter_refuses_duplicates(self, tc_key):
+    def test_create_skips_identifiers_already_appended_to(self, tc_key):
         counters = TrustedCounterSet(key=tc_key)
-        counters.ensure_counter(3, initial=7)
-        assert counters.value(3) == 7
-        with pytest.raises(TrustedComponentError):
-            counters.ensure_counter(3)
+        counters.append(0, None, digest("x"))
+        counters.append(1, 7, digest("y"))
+        counter_id, attestation = counters.create(3)
+        assert counter_id == 2
+        assert attestation.value == 3
+        assert (counters.value(0), counters.value(1)) == (1, 7)
 
 
 class TestTrustedLog:
@@ -131,33 +132,37 @@ class TestTrustedLog:
         assert logs.last_slot(0) == 1
 
 
-class TestFlexiCounter:
+class TestAppendFAndCreate:
+    """FlexiTrust's API on the same bank: AppendF is Append without a value."""
+
     def test_append_f_is_contiguous(self, tc_key):
-        flexi = FlexiTrustCounterSet(key=tc_key)
-        values = [flexi.append_f(0, digest(i)).value for i in range(5)]
+        counters = TrustedCounterSet(key=tc_key)
+        values = [counters.append(0, None, digest(i)).value for i in range(5)]
         assert values == [1, 2, 3, 4, 5]
 
     def test_create_returns_fresh_identifiers(self, tc_key):
-        flexi = FlexiTrustCounterSet(key=tc_key)
-        id1, att1 = flexi.create(0)
-        id2, att2 = flexi.create(10)
+        counters = TrustedCounterSet(key=tc_key)
+        id1, att1 = counters.create(0)
+        id2, att2 = counters.create(10)
         assert id1 != id2
         assert att2.value == 10
-        assert flexi.append_f(id2, digest("x")).value == 11
+        assert att2.payload_digest == CREATE_DIGEST
+        assert counters.append(id2, None, digest("x")).value == 11
 
     def test_create_negative_initial_rejected(self, tc_key):
-        flexi = FlexiTrustCounterSet(key=tc_key)
+        counters = TrustedCounterSet(key=tc_key)
         with pytest.raises(TrustedComponentError):
-            flexi.create(-1)
+            counters.create(-1)
 
     def test_snapshot_restore_preserves_next_id(self, tc_key):
-        flexi = FlexiTrustCounterSet(key=tc_key)
-        cid, _ = flexi.create(0)
-        flexi.append_f(cid, digest("x"))
-        snap = flexi.snapshot()
-        flexi.append_f(cid, digest("y"))
-        flexi.restore(snap)
-        assert flexi.value(cid) == 1
+        counters = TrustedCounterSet(key=tc_key)
+        cid, _ = counters.create(0)
+        counters.append(cid, None, digest("x"))
+        snap = counters.snapshot()
+        counters.append(cid, None, digest("y"))
+        counters.restore(snap)
+        assert counters.value(cid) == 1
+        assert counters.create(0)[0] == cid + 1
 
 
 class TestTrustedComponentHost:
@@ -183,6 +188,12 @@ class TestTrustedComponentHost:
         host.append_f(0, digest("y"))
         assert host.take_pending_accesses() == 2
         assert host.take_pending_accesses() == 0
+
+    def test_append_and_append_f_share_one_counter(self, tc_key):
+        host = TrustedComponentHost(tc_key, SGX_ENCLAVE_COUNTER)
+        host.counter_append(0, None, digest("x"))
+        assert host.append_f(0, digest("y")).value == 2
+        assert host.counters.value(0) == 2
 
     def test_stats_track_operation_kinds(self, tc_key):
         host = TrustedComponentHost(tc_key, SGX_ENCLAVE_COUNTER)

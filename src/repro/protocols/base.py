@@ -31,12 +31,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Optional
 
-from ..common.config import (
-    CryptoCostModel,
-    ProtocolConfig,
-    RecoveryConfig,
-    TrustedHardwareSpec,
-)
+from ..common.config import CryptoCostModel, ProtocolConfig, RecoveryConfig
 from ..common.types import FaultKind, Micros, ReplicaId, RequestId, SeqNum, ViewNum
 from ..crypto.keystore import KeyStore
 from ..crypto.signatures import Signature, SigningKey
@@ -48,7 +43,6 @@ from ..recovery.store import DurableStore
 from ..recovery.transfer import StateTransferSession
 from ..kernel import Kernel, Timer
 from ..sim.resources import SerialDevice, WorkerPool
-from ..trusted.attestation import verify_attestation
 from ..trusted.component import TrustedComponentHost
 from ..crypto.digest import digest
 from .messages import (
@@ -109,12 +103,10 @@ class ReplicaContext:
     f: int
     n: int
     replica_names: list[str]
-    client_names: list[str]
     state_machine: StateMachine
     safety: SafetyMonitor
     trusted: Optional[TrustedComponentHost] = None
     trusted_device: Optional[SerialDevice] = None
-    trusted_spec: Optional[TrustedHardwareSpec] = None
     #: typical one-way replica-to-replica latency; sequential speculative
     #: protocols use it to model the completion of a consensus invocation.
     one_way_latency_us: Micros = 120.0
@@ -1449,19 +1441,6 @@ class BaseReplica:
                     self.proposed_requests.discard(request.request_id)
 
     # --------------------------------------------------------------- helpers
-    def verify_preprepare_attestation(self, preprepare: PrePrepare,
-                                      expected_component: str) -> bool:
-        """Check a Preprepare's trusted attestation binds this batch digest."""
-        if preprepare.attestation is None:
-            return False
-        try:
-            verify_attestation(self.ctx.keystore, preprepare.attestation,
-                               expected_component=expected_component,
-                               expected_digest=preprepare.batch_digest)
-        except Exception:
-            return False
-        return True
-
     def executed_digest(self, seq: SeqNum) -> Optional[bytes]:
         """Digest of the batch executed at ``seq`` (None if not executed)."""
         entry = self.ledger.entry(seq)

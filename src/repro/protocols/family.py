@@ -12,9 +12,11 @@ differs in three places, and this module is written the same way:
   a replica sends* to the sender's own counter (:class:`OwnCounterBinding`) or
   per-phase log (:class:`OwnLogBinding`); Section 8.1's FlexiTrust protocols
   bind *only the primary's proposal*, through ``AppendF``
-  (:class:`PrimaryOnlyBinding`).  A binding is two hooks: ``order``, how the
-  primary obtains the sequence number and attestation of a batch, and
-  ``bind``, what attests a replica's own vote or speculative reply.
+  (:class:`PrimaryOnlyBinding`).  A binding is three hooks: ``order``, how
+  the primary obtains the sequence number and attestation of a batch;
+  ``proposal_slot``, the (counter or log id, value) a backup requires that
+  attestation to bind for the proposal's seq; and ``bind``, what attests a
+  replica's own vote or speculative reply.
 * the **quorum** — ``f + 1`` of ``2f + 1`` replicas or ``2f + 1`` of ``3f + 1``,
   derived from ``n`` once as :attr:`BaseReplica.quorum`.
 
@@ -28,9 +30,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..common.errors import ProtocolError, SlotOccupied
+from ..common.errors import InvalidAttestation, ProtocolError, SlotOccupied
 from ..common.types import SeqNum, ViewNum
-from ..trusted.attestation import Attestation
+from ..trusted.attestation import Attestation, verify_attestation
 from .base import BaseReplica
 from .messages import Commit, PrePrepare, Prepare, RequestBatch
 
@@ -80,7 +82,7 @@ class NormalCaseReplica(BaseReplica):
 
     def proposal_slot(self, seq: SeqNum) -> tuple[Optional[int], int]:
         """Backup: the (counter or log id, value) a proposal for ``seq`` must
-        be attested at; ``None`` accepts any id.  Asked only when attested."""
+        be attested at (id ``None``: any).  Asked only when ``attested``."""
         raise NotImplementedError
 
     # ------------------------------------------------------------- proposing
@@ -118,10 +120,7 @@ class NormalCaseReplica(BaseReplica):
     def on_preprepare(self, preprepare: PrePrepare, source: str) -> None:
         if preprepare.view < self.view or preprepare.primary != self.primary_of(preprepare.view):
             return
-        if self.attested and not (
-                self.verify_preprepare_attestation(
-                    preprepare, f"tc/{self.ctx.replica_names[preprepare.primary]}")
-                and self._binds_proposal_slot(preprepare)):
+        if self.attested and not self._attested_at_slot(preprepare):
             return
         seq, batch_digest = preprepare.seq, preprepare.batch_digest
         inst = self.instance(seq, preprepare.view)
@@ -180,17 +179,25 @@ class NormalCaseReplica(BaseReplica):
         inst.commits[commit.replica] = commit
         self._check_committed(commit.seq)
 
-    def _binds_proposal_slot(self, preprepare: PrePrepare) -> bool:
-        """Whether the proposal's attestation binds the slot its seq names.
+    def _attested_at_slot(self, preprepare: PrePrepare) -> bool:
+        """Whether the primary's component bound this batch to the slot that
+        :meth:`proposal_slot` names for the proposal's seq.
 
-        A valid attestation only proves that the primary's component bound
-        the batch to *some* (counter, value); without this check a primary
-        attests ``T`` and then ``T'`` and serves each as the same seq.
+        A valid signature alone proves only *some* binding: without the slot
+        check a primary attests ``T``, then ``T'``, and serves both as one seq.
         """
-        counter_id, value = self.proposal_slot(preprepare.seq)
         attestation = preprepare.attestation
-        return attestation.value == value and (
-            counter_id is None or attestation.counter_id == counter_id)
+        if attestation is None:
+            return False
+        try:
+            verify_attestation(
+                self.ctx.keystore, attestation,
+                expected_component=f"tc/{self.ctx.replica_names[preprepare.primary]}",
+                expected_digest=preprepare.batch_digest)
+        except InvalidAttestation:
+            return False
+        counter_id, value = self.proposal_slot(preprepare.seq)
+        return attestation.value == value and counter_id in (None, attestation.counter_id)
 
     # --------------------------------------------------------------- quorums
     def _check_prepared(self, seq: SeqNum) -> None:

@@ -385,9 +385,8 @@ class Deployment(RunLoop):
             crypto_costs=self.config.crypto,
             protocol_config=self.protocol_config,
             f=self.f, n=self.n, replica_names=self.replica_names,
-            client_names=self.client_names, state_machine=state_machine,
-            safety=self.safety, trusted=trusted, trusted_device=trusted_device,
-            trusted_spec=self.config.trusted_hardware,
+            state_machine=state_machine, safety=self.safety,
+            trusted=trusted, trusted_device=trusted_device,
             one_way_latency_us=self._typical_one_way_latency(),
             store=self.stores[replica_id],
             recovery_config=self.config.recovery,

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.protocols.messages import Response, signed_part_bytes
-from repro.runtime.deployment import Deployment
+from repro.realtime import ReplyVerifier
 from repro.runtime.experiments import ExperimentScale, build_config
 from repro.runtime.spec import DeploymentSpec
 
@@ -26,31 +25,6 @@ _SCALE = ExperimentScale(
     name="live-test", f=1, num_clients=6, batch_size=4,
     warmup_batches=1, measured_batches=4, worker_threads=4,
     max_sim_seconds=30.0)
-
-
-class ReplyVerifier:
-    """Wraps a client's receive hook to verify every Response signature."""
-
-    def __init__(self, deployment: Deployment) -> None:
-        self.keystore = deployment.keystore
-        self.replica_names = set(deployment.replica_names)
-        self.verified = 0
-        for client in deployment.clients:
-            client.receive = self._wrap(client.receive)
-
-    def _wrap(self, receive):
-        def verified_receive(envelope):
-            payload = envelope.payload
-            if isinstance(payload, Response):
-                assert payload.signature is not None, "unsigned reply"
-                assert payload.signature.signer in self.replica_names, (
-                    f"reply signed by non-replica {payload.signature.signer!r}")
-                # Raises InvalidSignature on a forged or corrupted reply.
-                self.keystore.verify_encoded(signed_part_bytes(payload),
-                                             payload.signature)
-                self.verified += 1
-            receive(envelope)
-        return verified_receive
 
 
 @pytest.mark.timeout(60)

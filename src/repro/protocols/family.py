@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..common.errors import InvalidAttestation, ProtocolError, SlotOccupied
+from ..common.errors import ProtocolError, SlotOccupied
 from ..common.types import SeqNum, ViewNum
 from ..trusted.attestation import Attestation, verify_attestation
 from .base import BaseReplica
@@ -194,7 +194,7 @@ class NormalCaseReplica(BaseReplica):
                 self.ctx.keystore, attestation,
                 expected_component=f"tc/{self.ctx.replica_names[preprepare.primary]}",
                 expected_digest=preprepare.batch_digest)
-        except InvalidAttestation:
+        except Exception:
             return False
         counter_id, value = self.proposal_slot(preprepare.seq)
         return attestation.value == value and counter_id in (None, attestation.counter_id)

@@ -132,7 +132,7 @@ class TestTrustedLog:
         assert logs.last_slot(0) == 1
 
 
-class TestAppendFAndCreate:
+class TestFlexiCounter:
     """FlexiTrust's API on the same bank: AppendF is Append without a value."""
 
     def test_append_f_is_contiguous(self, tc_key):

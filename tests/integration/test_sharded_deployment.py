@@ -131,3 +131,39 @@ class TestShardedRuns:
             aggregates.append(result.metrics.aggregate_throughput_tx_s)
         assert aggregates == sorted(aggregates)
         assert aggregates[-1] > 2.0 * aggregates[0]
+
+
+class TestShardedObservabilityPin:
+    """A sharded run with health collection, pinned byte for byte.
+
+    Nothing else runs a sharded deployment with observability on, so this
+    pins the row (with its ``health_*`` and ``shard<i>_tx_s`` columns), the
+    per-shard completion counts and the aggregated health.
+    """
+
+    def test_two_shard_flexi_bft_row_with_health_is_pinned(self):
+        from repro.obsv.health import ObservabilityConfig
+        from repro.perf.scenarios import metrics_digest
+        from repro.runtime.experiments import ExperimentScale, build_config
+        from repro.runtime.spec import DeploymentSpec
+
+        scale = ExperimentScale(
+            name="sharded-health-pin", f=1, num_clients=16, batch_size=4,
+            warmup_batches=1, measured_batches=3, worker_threads=4,
+            max_sim_seconds=20.0)
+        spec = DeploymentSpec(build_config("flexi-bft", scale), num_shards=2,
+                              observe=ObservabilityConfig(collect_health=True))
+        with spec.build() as deployment:
+            result = deployment.run_until_target()
+            aggregate = deployment.health().aggregate()
+        row = result.as_row()
+        assert row["shards"] == 2
+        assert "shard0_tx_s" in row and "shard1_tx_s" in row
+        assert row["health_replicas"] == 8
+        assert metrics_digest([row])[:16] == "aaf7918406667d0f"
+        assert result.per_shard_completed == {0: 16, 1: 16}
+        assert aggregate == {
+            "replicas": 8, "active": 8, "recovering": 0, "max_view": 0,
+            "min_last_executed": 4, "max_checkpoint_lag": 6,
+            "queued_jobs": 0, "pending_requests": 1,
+            "verify_hit_rate": 0.6667}

@@ -146,3 +146,19 @@ def test_forged_reply_fails_a_live_run():
         deployment.sim.schedule(20_000.0, inject_forged)
         with pytest.raises(InvalidSignature):
             deployment.run_until_target(target_requests=200)
+
+
+@pytest.mark.timeout(60)
+def test_repro_live_sharded_cli_reports_json(capsys):
+    """``repro live --sharded`` runs two live groups and reports one row."""
+    import json
+
+    from repro.__main__ import main
+
+    code = main(["live", "--backend", "live", "--sharded", "--shards", "2",
+                 "--clients", "8", "--requests", "40", "--report", "json"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    report = json.loads(out)
+    assert report["row"]["shards"] == 2
+    assert report["replies_verified"] > 0

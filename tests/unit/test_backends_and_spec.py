@@ -200,6 +200,44 @@ class TestDeploymentSpec:
             deployment.close()
 
 
+_LATE = pytest.mark.xfail(
+    strict=True, reason="DeploymentSpec.validate does not check the sharding "
+    "knobs: a plain spec ignores them, a sharded build rejects them late")
+
+
+class TestSpecValidation:
+    """``validate`` refuses what a build would ignore or reject late."""
+
+    @_LATE
+    @pytest.mark.parametrize("knobs", [{"num_clients": 3}, {"router_seed": 9},
+                                       {"num_clients": 3, "router_seed": 9}],
+                             ids=["clients", "router-seed", "both"])
+    def test_plain_spec_refuses_sharding_knobs(self, knobs):
+        spec = DeploymentSpec(_config(), **knobs)
+        with pytest.raises(ConfigurationError, match="sharded"):
+            spec.validate()
+
+    @_LATE
+    @pytest.mark.parametrize("knobs", [{"num_shards": 0}, {"num_shards": -1},
+                                       {"num_shards": 2, "num_clients": 0}],
+                             ids=["zero-shards", "negative-shards", "zero-clients"])
+    def test_sharded_spec_refuses_non_positive_counts(self, knobs):
+        with pytest.raises(ConfigurationError):
+            DeploymentSpec(_config(), **knobs).validate()
+
+    @_LATE
+    @pytest.mark.parametrize("shard", [2, -1])
+    def test_sharded_spec_refuses_schedules_for_missing_shards(self, shard):
+        schedule = FaultSchedule((crash_at(2, 1000.0),))
+        spec = DeploymentSpec(_config(), num_shards=2,
+                              fault_schedules={shard: schedule})
+        with pytest.raises(ConfigurationError, match="shards"):
+            spec.validate()
+
+    def test_router_seed_zero_is_the_plain_default(self):
+        DeploymentSpec(_config(), router_seed=0).validate()
+
+
 class TestCustomBackendObject:
     def test_a_backend_instance_is_usable_directly(self):
         class CountingSim(SimBackend):

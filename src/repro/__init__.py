@@ -65,12 +65,7 @@ from .runtime import (
     RunResult,
     SMALL_SCALE,
 )
-from .sharding import (
-    ShardRouter,
-    ShardedConfig,
-    ShardedDeployment,
-    ShardedRunResult,
-)
+from .sharding import ShardRouter, ShardedDeployment
 
 __version__ = "1.2.0"
 
@@ -98,9 +93,7 @@ __all__ = [
     "SGX_PERSISTENT_COUNTER",
     "SMALL_SCALE",
     "ShardRouter",
-    "ShardedConfig",
     "ShardedDeployment",
-    "ShardedRunResult",
     "TPM_COUNTER",
     "TrustedHardwareSpec",
     "WorkloadConfig",

@@ -146,8 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "bundle to FILE (default: diagnostics.json)")
     live.add_argument("--report", choices=("table", "json"), default="table",
                       help="output format: human table (default) or a JSON "
-                           "document with the result row, health aggregate "
-                           "and per-shard verify-cache report")
+                           "document with the result row and health aggregate")
 
     openloop = subparsers.add_parser(
         "openloop", parents=[_deployment_parent(default_backend="sim")],
@@ -521,10 +520,6 @@ def run_live(args) -> int:
         _stop_exporter(deployment, exporter)
         deployment.close()
     row = {"protocol": protocol, "backend": backend.name}
-    if args.sharded:
-        completed = result.metrics.global_metrics.completed_requests
-    else:
-        completed = result.metrics.completed_requests
     row.update(result.as_row())
     shape = f"{args.shards} shards" if args.sharded else "single group"
     if args.report == "json":
@@ -535,20 +530,15 @@ def run_live(args) -> int:
                   "health": (result.metrics.health
                              if result.metrics.health is not None else {}),
                   "health_samples": list(deployment.health_samples)}
-        if args.sharded:
-            report["verify_cache"] = result.metrics.verify_cache_report()
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
     else:
         print_rows(f"live {protocol} ({args.scale} sizing, {backend.name} "
                    f"backend, {shape})", [row])
-        if args.sharded and result.metrics.shard_verify_cache:
-            print_rows("per-shard verification cache",
-                       result.metrics.verify_cache_report())
         print(f"client replies HMAC-verified: {verifier.verified}")
     # A wedged backend times out with zero completions and clean safety bits
     # (the monitors saw nothing conflicting because they saw nothing at all);
     # completing no work is a failure, not a success.
-    if completed == 0:
+    if result.metrics.completed_requests == 0:
         print("live run FAILED: no requests completed before the wall-clock cap")
         return 1
     if verifier.verified == 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable
 
 from ..common.errors import InvalidSignature, UnknownKey
 from .digest import canonical_bytes
@@ -54,6 +54,8 @@ class KeyStore:
     caches *both* outcomes (a forged signature stays invalid on every
     lookup).  Simulated verification CPU cost is charged by the replica
     runtime regardless; the cache only removes redundant real-world work.
+    A sharded deployment shares one store across its groups, so ``stats``
+    counts the whole deployment's verifications.
     """
 
     def __init__(self, seed: int = 0, verify_cache_size: int = 8192) -> None:
@@ -63,42 +65,6 @@ class KeyStore:
         self._verify_cache: OrderedDict[tuple[str, bytes, bytes], bool] = OrderedDict()
         self._verify_cache_size = verify_cache_size
         self.stats = KeyStoreStats()
-        #: per-scope cache counters; populated only when a resolver is set.
-        self.scoped_stats: dict[object, KeyStoreStats] = {}
-        self._scope_resolver: Optional[Callable[[str], Optional[object]]] = None
-        #: signer -> resolved scope memo; identities are stable for a
-        #: deployment's lifetime, so the resolver runs once per signer
-        #: instead of on every verification (a hot path).
-        self._scope_memo: dict[str, Optional[object]] = {}
-
-    def set_scope_resolver(
-            self, resolver: Optional[Callable[[str], Optional[object]]]) -> None:
-        """Attribute cache hits/misses to scopes derived from the signer.
-
-        Sharded deployments share one deployment-global store across every
-        consensus group; before deciding whether that shared cache contends
-        at high shard counts, its traffic has to be attributable per group.
-        ``resolver(signer_identity)`` returns a scope key (e.g. the shard
-        index) or ``None`` for identities outside any scope; counters land
-        in :attr:`scoped_stats` keyed by scope.  With no resolver installed
-        (the default) the per-scope accounting costs nothing.
-        """
-        self._scope_resolver = resolver
-        self._scope_memo.clear()
-
-    def _scoped(self, signer: str) -> Optional[KeyStoreStats]:
-        if self._scope_resolver is None:
-            return None
-        try:
-            scope = self._scope_memo[signer]
-        except KeyError:
-            scope = self._scope_memo[signer] = self._scope_resolver(signer)
-        if scope is None:
-            return None
-        stats = self.scoped_stats.get(scope)
-        if stats is None:
-            stats = self.scoped_stats[scope] = KeyStoreStats()
-        return stats
 
     # ------------------------------------------------------------------ setup
     def register(self, identity: str) -> SigningKey:
@@ -146,21 +112,16 @@ class KeyStore:
         """
         key = self.signing_key(signature.signer)
         cache_key = (signature.signer, encoded, signature.value)
-        scoped = self._scoped(signature.signer)
         cache = self._verify_cache
         cached = cache.get(cache_key)
         if cached is not None:
             cache.move_to_end(cache_key)
             self.stats.verify_cache_hits += 1
-            if scoped is not None:
-                scoped.verify_cache_hits += 1
             if not cached:
                 raise InvalidSignature(
                     f"signature by {signature.signer!r} does not verify")
             return
         self.stats.verify_cache_misses += 1
-        if scoped is not None:
-            scoped.verify_cache_misses += 1
         try:
             verify_with_key(key, None, signature, encoded=encoded)
         except InvalidSignature:

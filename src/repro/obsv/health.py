@@ -2,12 +2,14 @@
 
 :meth:`~repro.protocols.base.BaseReplica.health` snapshots one replica's
 runtime state — queue depths, view, last-executed sequence, checkpoint lag,
-trusted-counter value, verify-cache hit rate — into a :class:`ReplicaHealth`.
-A deployment folds every replica's snapshot plus kernel state into a
-:class:`DeploymentHealth`, whose :meth:`~DeploymentHealth.aggregate` columns
-ride into ``RunMetrics``/``ShardedRunMetrics.as_row()`` when health
-collection is enabled (and stay entirely out of the row schema — and hence
-the perf harness's determinism digests — when it is not).
+trusted-counter value, verify-cache hit rate (of the key store, which a
+sharded deployment shares across its groups) — into a :class:`ReplicaHealth`.
+A plain or sharded deployment folds the snapshot of every replica in
+``deployment.replicas`` plus kernel state into a :class:`DeploymentHealth`,
+whose :meth:`~DeploymentHealth.aggregate` columns ride into
+``RunResult.as_row()`` when health collection is enabled (and stay entirely
+out of the row schema — and hence the perf harness's determinism digests —
+when it is not).
 
 The same snapshots feed the stall watchdog's diagnostics bundle, so "what
 was replica 3 doing when the run wedged" has one answer everywhere.

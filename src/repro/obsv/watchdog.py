@@ -120,23 +120,6 @@ def diagnose_suspect(healths: Sequence[ReplicaHealth]
     return healths[0].name, "no primary found in the current view"
 
 
-def _iter_replicas(deployment) -> list:
-    """Replicas of a plain or sharded deployment, in seat order."""
-    replicas = getattr(deployment, "replicas", None)
-    if replicas is not None:
-        return list(replicas)
-    return [replica for group in deployment.groups
-            for replica in group.replicas]
-
-
-def _iter_networks(deployment) -> list:
-    """Transports of a plain or sharded deployment."""
-    network = getattr(deployment, "network", None)
-    if network is not None:
-        return [network]
-    return [group.network for group in deployment.groups]
-
-
 def _client_state(client) -> dict:
     """What one client is blocked on (duck-typed across client kinds)."""
     state: dict = {"name": client.name}
@@ -171,8 +154,7 @@ def deployment_health(deployment) -> DeploymentHealth:
         events_processed=kernel.events_processed,
         pending_events=kernel.pending_events,
         completed_requests=deployment.metrics.completed_count,
-        replicas=tuple(replica.health()
-                       for replica in _iter_replicas(deployment)),
+        replicas=tuple(replica.health() for replica in deployment.replicas),
     )
 
 
@@ -212,7 +194,7 @@ def snapshot_diagnostics(deployment,
         bundle["trace_counts"] = dict(sorted(tracer.counts.items()))
         bundle["trace_dropped"] = tracer.dropped
     connections = []
-    for network in _iter_networks(deployment):
+    for network in deployment.networks:
         states = getattr(network, "connection_states", None)
         if states is not None:
             connections.append(states())

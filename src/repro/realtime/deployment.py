@@ -22,12 +22,8 @@ the run instead of completing a request.
 
 from __future__ import annotations
 
-from typing import Union
-
 from ..common.errors import InvalidSignature
 from ..protocols.messages import Response, signed_part_bytes
-from ..runtime.deployment import Deployment
-from ..sharding.deployment import ShardedDeployment
 
 
 class ReplyVerifier:
@@ -41,19 +37,13 @@ class ReplyVerifier:
     replies that passed.
     """
 
-    def __init__(self, deployment: Union[Deployment, ShardedDeployment]) -> None:
+    def __init__(self, deployment) -> None:
         self.keystore = deployment.keystore
         self.verified = 0
-        if isinstance(deployment, ShardedDeployment):
-            self.replica_names = {name for group in deployment.groups
-                                  for name in group.replica_names}
-            clients = [lane for client in deployment.clients
-                       for lane in client.lanes]
-        else:
-            self.replica_names = set(deployment.replica_names)
-            clients = list(deployment.clients)
-        for client in clients:
-            client.receive = self._wrap(client.receive)
+        self.replica_names = {replica.name for replica in deployment.replicas}
+        for client in deployment.clients:
+            for lane in getattr(client, "lanes", (client,)):
+                lane.receive = self._wrap(lane.receive)
 
     def _wrap(self, receive):
         def verified_receive(envelope):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from ..backends import Backend, resolve_backend
 from ..common.config import DeploymentConfig, sequential_variant
@@ -57,6 +57,9 @@ from ..workload.client import Client
 from ..workload.ycsb import YcsbWorkload
 from .metrics import MetricsCollector, RunMetrics
 
+if TYPE_CHECKING:
+    from ..sharding.metrics import ShardedRunMetrics
+
 ReplicaFactory = Callable[[int, ReplicaContext], BaseReplica]
 
 
@@ -66,22 +69,16 @@ def measurement_warmup_fraction(experiment) -> float:
         1, experiment.warmup_batches + experiment.measured_batches)
 
 
-def substrate_columns(result) -> dict:
-    """Substrate columns shared by single-group and sharded result rows."""
-    return {
-        "sim_time_s": round(result.sim_time_s, 3),
-        "events": result.events,
-        "messages_sent": result.messages_sent,
-        "trusted_accesses": result.trusted_accesses,
-        "consensus_safe": result.consensus_safe,
-    }
-
-
 @dataclass
 class RunResult:
-    """Outcome of one deployment run."""
+    """Outcome of one deployment run, plain or sharded.
 
-    metrics: RunMetrics
+    A sharded run's ``metrics`` are a
+    :class:`~repro.sharding.metrics.ShardedRunMetrics` and it fills
+    ``per_shard_completed``; a plain run fills ``per_replica_executed``.
+    """
+
+    metrics: Union[RunMetrics, "ShardedRunMetrics"]
     sim_time_s: float
     events: int
     messages_sent: int
@@ -89,11 +86,19 @@ class RunResult:
     consensus_safe: bool
     rsm_safe: bool
     per_replica_executed: dict[int, int] = field(default_factory=dict)
+    #: sub-requests each shard completed (sharded runs only).
+    per_shard_completed: dict[int, int] = field(default_factory=dict)
 
     def as_row(self) -> dict:
         """Flat dictionary used by the experiment tables."""
         row = self.metrics.as_row()
-        row.update(substrate_columns(self))
+        row.update({
+            "sim_time_s": round(self.sim_time_s, 3),
+            "events": self.events,
+            "messages_sent": self.messages_sent,
+            "trusted_accesses": self.trusted_accesses,
+            "consensus_safe": self.consensus_safe,
+        })
         return row
 
 
@@ -102,10 +107,11 @@ class RunLoop:
 
     A subclass builds ``sim``, ``backend``, ``clients``, ``metrics``,
     ``observe``, ``health_samples`` and ``experiment`` (the
-    ``ExperimentConfig`` that sizes a run) and supplies
-    :meth:`default_target_requests`, ``close`` and ``collect_result``;
-    starting and stopping load, the two ways to run, the live-backend stall
-    watchdog and health sampling are the same for both.
+    ``ExperimentConfig`` that sizes a run), exposes ``replicas`` and
+    ``networks``, and supplies :meth:`default_target_requests`, ``close``
+    and ``collect_result``; starting and stopping load, the two ways to run,
+    the live-backend stall watchdog and health sampling are the same for
+    both.
     """
 
     # -------------------------------------------------------------- running
@@ -166,6 +172,25 @@ class RunLoop:
         else:
             self.backend.run_for(self.sim, duration_us)
         return self.collect_result(warmup_fraction=0.0)
+
+    def _result(self, metrics, monitors: list[SafetyMonitor],
+                **per) -> RunResult:
+        """A :class:`RunResult` of ``metrics`` plus the substrate counters."""
+        if self.observe.collect_health:
+            metrics = dataclasses.replace(
+                metrics, health=self.health().aggregate())
+        return RunResult(
+            metrics=metrics,
+            sim_time_s=self.sim.now / 1_000_000.0,
+            events=self.sim.events_processed,
+            messages_sent=sum(network.stats.messages_sent
+                              for network in self.networks),
+            trusted_accesses=sum(replica.trusted.stats.total
+                                 for replica in self.replicas
+                                 if replica.trusted is not None),
+            consensus_safe=all(monitor.consensus_safe for monitor in monitors),
+            rsm_safe=all(monitor.rsm_safe for monitor in monitors),
+            **per)
 
     # -------------------------------------------------------- observability
     def health(self) -> DeploymentHealth:
@@ -426,7 +451,7 @@ class Deployment(RunLoop):
         """
         if self.backend.realtime:
             self.stop_clients()
-        self.backend.teardown(self.sim, [self.network])
+        self.backend.teardown(self.sim, self.networks)
         self.close_nodes()
 
     def close_nodes(self) -> None:
@@ -436,24 +461,10 @@ class Deployment(RunLoop):
 
     def collect_result(self, warmup_fraction: float = 0.1) -> RunResult:
         """Snapshot metrics and substrate statistics into a :class:`RunResult`."""
-        trusted_accesses = sum(
-            replica.trusted.stats.total
-            for replica in self.replicas if replica.trusted is not None)
-        metrics = self.metrics.summarise(warmup_fraction)
-        if self.observe.collect_health:
-            metrics = dataclasses.replace(
-                metrics, health=self.health().aggregate())
-        return RunResult(
-            metrics=metrics,
-            sim_time_s=self.sim.now / 1_000_000.0,
-            events=self.sim.events_processed,
-            messages_sent=self.network.stats.messages_sent,
-            trusted_accesses=trusted_accesses,
-            consensus_safe=self.safety.consensus_safe,
-            rsm_safe=self.safety.rsm_safe,
+        return self._result(
+            self.metrics.summarise(warmup_fraction), [self.safety],
             per_replica_executed={r.replica_id: r.stats.batches_executed
-                                  for r in self.replicas},
-        )
+                                  for r in self.replicas})
 
     # -------------------------------------------------------- fault injection
     def crash_replica(self, replica_id: int) -> None:
@@ -503,6 +514,11 @@ class Deployment(RunLoop):
         return replica
 
     # ----------------------------------------------------------- inspection
+    @property
+    def networks(self) -> list[Network]:
+        """This deployment's one transport, as a list (the sharded shape)."""
+        return [self.network]
+
     @property
     def primary(self) -> BaseReplica:
         """The replica leading view 0."""

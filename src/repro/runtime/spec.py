@@ -85,7 +85,7 @@ class DeploymentSpec:
     #: (``config`` becomes the per-group base configuration).
     num_shards: Optional[int] = None
     #: cross-shard client count for sharded builds (defaults to
-    #: ``config.workload.num_clients``); ignored for plain builds.
+    #: ``config.workload.num_clients``); a plain spec refuses it.
     num_clients: Optional[int] = None
     #: seed mixed into the shard router's key hash (sharded builds only).
     router_seed: int = 0
@@ -109,25 +109,42 @@ class DeploymentSpec:
         return self.num_shards is not None
 
     def validate(self) -> None:
-        """Reject combinations no build path accepts."""
-        if self.open_loop is not None:
-            self.open_loop.validate()
-            lanes = (self.num_clients if self.sharded and self.num_clients is not None
-                     else self.config.workload.num_clients)
-            if lanes != self.open_loop.max_in_flight:
+        """Reject what no build path accepts, or what a build would ignore."""
+        clients = (self.config.workload.num_clients if self.num_clients is None
+                   else self.num_clients)
+        if self.sharded:
+            if self.num_shards <= 0:
                 raise ConfigurationError(
-                    f"open-loop spec wants max_in_flight="
-                    f"{self.open_loop.max_in_flight} lanes but builds "
-                    f"{lanes} clients; set workload.num_clients (or the "
-                    "sharded num_clients) to max_in_flight")
-        if self.sharded and self.fault_schedule is not None:
+                    "a sharded deployment needs at least one shard")
+            if clients <= 0:
+                raise ConfigurationError("need at least one cross-shard client")
+            if self.fault_schedule is not None:
+                raise ConfigurationError(
+                    "a sharded deployment takes per-group fault_schedules "
+                    "(shard -> FaultSchedule), not a single fault_schedule")
+            unknown = sorted(shard for shard in self.fault_schedules
+                             if not 0 <= shard < self.num_shards)
+            if unknown:
+                raise ConfigurationError(
+                    f"fault schedules address shards {unknown}, but the "
+                    f"deployment only has shards 0..{self.num_shards - 1}")
+        elif self.num_clients is not None or self.router_seed:
             raise ConfigurationError(
-                "a sharded deployment takes per-group fault_schedules "
-                "(shard -> FaultSchedule), not a single fault_schedule")
-        if not self.sharded and self.fault_schedules:
+                "num_clients and router_seed configure a sharded deployment; "
+                "set num_shards, or size a plain one with "
+                "config.workload.num_clients")
+        elif self.fault_schedules:
             raise ConfigurationError(
                 "fault_schedules address shards; a plain deployment takes "
                 "a single fault_schedule")
+        if self.open_loop is not None:
+            self.open_loop.validate()
+            if clients != self.open_loop.max_in_flight:
+                raise ConfigurationError(
+                    f"open-loop spec wants max_in_flight="
+                    f"{self.open_loop.max_in_flight} lanes but builds "
+                    f"{clients} clients; set workload.num_clients (or the "
+                    "sharded num_clients) to max_in_flight")
 
     def describe(self) -> dict:
         """Canonical plain-data description of everything the spec resolves.
@@ -180,21 +197,12 @@ class DeploymentSpec:
 
     def build(self) -> Union[Deployment, "ShardedDeployment"]:
         """Construct the deployment this spec describes."""
-        self.validate()
-        backend = resolve_backend(self.backend)
-        if not self.sharded:
-            return Deployment(self.config,
-                              fault_schedule=self.fault_schedule,
-                              backend=backend,
-                              observe=self.observe)
-        # Imported lazily: repro.sharding builds on repro.runtime.
-        from ..sharding.config import ShardedConfig
-        from ..sharding.deployment import ShardedDeployment
+        if self.sharded:
+            # Imported lazily: repro.sharding builds on repro.runtime.
+            from ..sharding.deployment import ShardedDeployment
 
-        sharded_config = ShardedConfig(
-            base=self.config, num_shards=self.num_shards,
-            num_clients=self.num_clients, router_seed=self.router_seed)
-        return ShardedDeployment(sharded_config,
-                                 fault_schedules=self.fault_schedules or None,
-                                 backend=backend,
-                                 observe=self.observe)
+            return ShardedDeployment(self)
+        self.validate()
+        return Deployment(self.config, fault_schedule=self.fault_schedule,
+                          backend=resolve_backend(self.backend),
+                          observe=self.observe)

@@ -1,15 +1,17 @@
-"""Sharded multi-group deployments: scale-out consensus over a partitioned keyspace."""
+"""Sharded multi-group deployments: scale-out consensus over a partitioned keyspace.
 
-from .config import ShardedConfig
-from .deployment import ShardedDeployment, ShardedRunResult
-from .metrics import ShardedMetrics, ShardedRunMetrics
+A sharded deployment is described by the same
+:class:`~repro.runtime.spec.DeploymentSpec` as a plain one (``num_shards``
+set) and returns the same :class:`~repro.runtime.deployment.RunResult`,
+whose ``metrics`` are a :class:`ShardedRunMetrics`.
+"""
+
+from .deployment import ShardedDeployment
+from .metrics import ShardedRunMetrics
 from .router import ShardRouter
 
 __all__ = [
     "ShardRouter",
-    "ShardedConfig",
     "ShardedDeployment",
-    "ShardedMetrics",
     "ShardedRunMetrics",
-    "ShardedRunResult",
 ]

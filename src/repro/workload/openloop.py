@@ -55,7 +55,7 @@ from .zipf import ZipfianGenerator
 
 if TYPE_CHECKING:
     from ..runtime.deployment import Deployment, RunResult
-    from ..sharding.deployment import ShardedDeployment, ShardedRunResult
+    from ..sharding.deployment import ShardedDeployment
 
 
 @dataclass(frozen=True)
@@ -438,17 +438,14 @@ def attach_open_loop(deployment: Union["Deployment", "ShardedDeployment"],
             f"open loop wants max_in_flight={config.max_in_flight} lanes but "
             f"the deployment was built with {len(lanes)} clients; build it "
             "with num_clients == max_in_flight")
-    workload = getattr(deployment.config, "workload", None)
-    if workload is None:  # sharded: the workload lives on the base config
-        workload = deployment.config.base.workload
     return OpenLoopEngine(deployment.sim, lanes, config,
                           rng=deployment.rng.stream("openloop"),
-                          records=workload.records)
+                          records=deployment.config.workload.records)
 
 
 def run_open_loop(deployment: Union["Deployment", "ShardedDeployment"],
                   config: OpenLoopConfig, warmup_fraction: float = 0.1
-                  ) -> tuple[OpenLoopEngine, Union["RunResult", "ShardedRunResult"]]:
+                  ) -> tuple[OpenLoopEngine, "RunResult"]:
     """Run one open-loop experiment on an already-built deployment.
 
     Drives the backend's kernel directly for the configured duration —

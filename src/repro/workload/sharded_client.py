@@ -8,9 +8,9 @@ owning group (through a per-shard :class:`Client` lane that reuses all the
 quorum, slow-path and resend machinery) and completes — merging the per-shard
 responses — once every involved group has answered.
 
-Sub-requests are reported to per-shard metric sinks, the merged logical
-request to the global sink, so a sharded run exposes both per-shard and
-roll-up throughput/latency.
+Sub-requests are reported to the serving group's own metrics, the merged
+logical request to the global sink, so a sharded run exposes both per-shard
+and roll-up throughput/latency.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ class ShardedClient:
     def __init__(self, name: str, sim: Kernel, keystore: KeyStore,
                  workload: YcsbWorkload, workload_config: WorkloadConfig,
                  router: "ShardRouter", groups: Sequence["Deployment"],
-                 global_sink: Optional[CompletionSink] = None,
-                 shard_sinks: Optional[Sequence[CompletionSink]] = None) -> None:
+                 global_sink: Optional[CompletionSink] = None) -> None:
         self.name = name
         self.sim = sim
         self.workload = workload
@@ -79,12 +78,12 @@ class ShardedClient:
         # network, driven by this coordinator instead of its own workload.
         self.lanes: list[Client] = []
         for shard, group in enumerate(groups):
-            sink = shard_sinks[shard] if shard_sinks is not None else None
             lane = Client(
                 name=name, sim=sim, network=group.network, keystore=keystore,
                 workload=None, workload_config=workload_config,
                 replica_names=group.replica_names,
-                reply_policy=group.spec.reply_policy(group.n, group.f), sink=sink,
+                reply_policy=group.spec.reply_policy(group.n, group.f),
+                sink=group.metrics,
                 request_timeout_us=group.protocol_config.request_timeout_us,
                 on_complete=partial(self._on_lane_complete, shard),
                 tracer=group.tracer)
@@ -100,7 +99,7 @@ class ShardedClient:
         """Stop issuing logical requests; an outstanding one is abandoned.
 
         The logical abandonment is reported to the global sink (and each
-        involved lane reports its sub-request to its shard sink), so a
+        involved lane reports its sub-request to its group's metrics), so a
         cross-shard request dropped at shutdown is distinguishable from one
         still in flight when the run ended.
         """

@@ -23,8 +23,7 @@ from repro.recovery import (
     restart_at,
 )
 from repro.runtime import Deployment
-from repro.sharding.config import ShardedConfig
-from repro.sharding.deployment import ShardedDeployment
+from repro.runtime.spec import DeploymentSpec
 
 
 def recovery_config(protocol, recovery=None, seed=5, clients=12):
@@ -235,14 +234,15 @@ class TestScheduleValidationAndSharding:
 
     def test_sharded_schedules_address_replicas_per_group(self):
         base = recovery_config("flexi-bft", clients=8)
-        config = ShardedConfig(base=base, num_shards=2, num_clients=16)
         schedules = {1: FaultSchedule((crash_at(3, ms(200)),
                                        restart_at(3, ms(500))))}
-        deployment = ShardedDeployment(config, fault_schedules=schedules)
-        deployment.start_clients()
-        deployment.sim.run(until=seconds(1.5))
-        untouched = deployment.group(0).replica(3)
-        rejoined = deployment.group(1).replica(3)
-        assert untouched.stats.recoveries_started == 0
-        assert rejoined.stats.recoveries_completed == 1
-        assert all(g.safety.consensus_safe for g in deployment.groups)
+        spec = DeploymentSpec(base, num_shards=2, num_clients=16,
+                              fault_schedules=schedules)
+        with spec.build() as deployment:
+            deployment.start_clients()
+            deployment.sim.run(until=seconds(1.5))
+            untouched = deployment.group(0).replica(3)
+            rejoined = deployment.group(1).replica(3)
+            assert untouched.stats.recoveries_started == 0
+            assert rejoined.stats.recoveries_completed == 1
+            assert all(g.safety.consensus_safe for g in deployment.groups)

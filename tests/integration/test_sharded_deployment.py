@@ -9,11 +9,11 @@ from repro.common.config import (
     WorkloadConfig,
 )
 from repro.common.types import ms
-from repro.sharding import ShardedConfig, ShardedDeployment
+from repro.runtime.spec import DeploymentSpec
 
 
-def sharded_config(protocol="flexi-bft", num_shards=2, clients=24, batch=5,
-                   ops_per_request=1, records=200, seed=5) -> ShardedConfig:
+def sharded_spec(protocol="flexi-bft", num_shards=2, clients=24, batch=5,
+                 ops_per_request=1, records=200, seed=5) -> DeploymentSpec:
     base = DeploymentConfig(
         protocol=protocol, f=1,
         workload=WorkloadConfig(num_clients=clients, records=records,
@@ -24,7 +24,7 @@ def sharded_config(protocol="flexi-bft", num_shards=2, clients=24, batch=5,
         experiment=ExperimentConfig(warmup_batches=1, measured_batches=8,
                                     seed=seed),
     )
-    return ShardedConfig(base=base, num_shards=num_shards, num_clients=clients)
+    return DeploymentSpec(base, num_shards=num_shards, num_clients=clients)
 
 
 def executed_keys(group) -> set:
@@ -40,37 +40,38 @@ def executed_keys(group) -> set:
 class TestShardedRuns:
     @pytest.mark.parametrize("protocol", ["pbft", "minbft", "flexi-bft", "flexi-zz"])
     def test_two_shards_complete_target_safely(self, protocol):
-        deployment = ShardedDeployment(sharded_config(protocol))
-        result = deployment.run_until_target(target_requests=80)
-        assert result.metrics.global_metrics.completed_requests >= 60
+        with sharded_spec(protocol).build() as deployment:
+            result = deployment.run_until_target(target_requests=80)
+        assert result.metrics.completed_requests >= 60
         assert result.consensus_safe
         assert result.rsm_safe
 
     def test_every_shard_serves_traffic(self):
-        deployment = ShardedDeployment(sharded_config(num_shards=4, clients=40))
-        result = deployment.run_until_target(target_requests=160)
+        with sharded_spec(num_shards=4, clients=40).build() as deployment:
+            result = deployment.run_until_target(target_requests=160)
         assert all(count > 0 for count in result.per_shard_completed.values())
 
     def test_operations_only_execute_on_their_owning_shard(self):
-        deployment = ShardedDeployment(sharded_config(num_shards=4, clients=40))
-        deployment.run_until_target(target_requests=160)
-        for shard, group in enumerate(deployment.groups):
-            keys = executed_keys(group)
-            assert keys, f"shard {shard} executed nothing"
-            assert all(deployment.shard_of(key) == shard for key in keys)
+        with sharded_spec(num_shards=4, clients=40).build() as deployment:
+            deployment.run_until_target(target_requests=160)
+            for shard, group in enumerate(deployment.groups):
+                keys = executed_keys(group)
+                assert keys, f"shard {shard} executed nothing"
+                assert all(deployment.shard_of(key) == shard for key in keys)
 
     def test_cross_shard_requests_merge_responses(self):
-        deployment = ShardedDeployment(
-            sharded_config(num_shards=4, clients=12, ops_per_request=4))
-        result = deployment.run_until_target(target_requests=60)
-        assert result.metrics.global_metrics.completed_requests >= 48
-        multi = sum(c.stats.multi_shard_requests for c in deployment.clients)
-        subs = sum(c.stats.sub_requests for c in deployment.clients)
-        completed = sum(c.stats.completed for c in deployment.clients)
+        spec = sharded_spec(num_shards=4, clients=12, ops_per_request=4)
+        with spec.build() as deployment:
+            result = deployment.run_until_target(target_requests=60)
+            clients = deployment.clients
+        assert result.metrics.completed_requests >= 48
+        multi = sum(c.stats.multi_shard_requests for c in clients)
+        subs = sum(c.stats.sub_requests for c in clients)
+        completed = sum(c.stats.completed for c in clients)
         assert multi > 0
         assert subs > completed  # logical requests fan out into sub-requests
         # Nothing remains half-merged once a client reports completion.
-        for client in deployment.clients:
+        for client in clients:
             if client.stats.completed == client.stats.submitted:
                 assert not client.outstanding_shards
 
@@ -78,44 +79,44 @@ class TestShardedRuns:
         """Lanes have no workload of their own; only the coordinator drives them."""
         from repro.common.errors import ConfigurationError
 
-        deployment = ShardedDeployment(sharded_config())
-        with pytest.raises(ConfigurationError):
-            deployment.clients[0].lanes[0].start()
+        with sharded_spec().build() as deployment:
+            with pytest.raises(ConfigurationError):
+                deployment.clients[0].lanes[0].start()
 
     def test_lane_double_submit_rejected(self):
         """The closed loop keeps one sub-request outstanding per lane."""
         from repro.common.errors import SimulationError
         from repro.execution.state_machine import Operation
 
-        deployment = ShardedDeployment(sharded_config())
-        lane = deployment.clients[0].lanes[0]
-        operations = (Operation(action="read", key="user1"),)
-        lane.submit(operations)
-        with pytest.raises(SimulationError):
+        with sharded_spec().build() as deployment:
+            lane = deployment.clients[0].lanes[0]
+            operations = (Operation(action="read", key="user1"),)
             lane.submit(operations)
+            with pytest.raises(SimulationError):
+                lane.submit(operations)
 
     def test_deterministic_given_seed(self):
         results = []
         for _ in range(2):
-            deployment = ShardedDeployment(sharded_config())
-            result = deployment.run_until_target(target_requests=80)
+            with sharded_spec().build() as deployment:
+                result = deployment.run_until_target(target_requests=80)
             results.append((result.events, result.messages_sent,
-                            result.metrics.global_metrics.completed_requests,
+                            result.metrics.completed_requests,
                             result.metrics.as_row()))
         assert results[0] == results[1]
 
     def test_groups_are_fault_isolated(self):
         """A crashed non-primary replica in shard 0 leaves other shards untouched."""
-        deployment = ShardedDeployment(sharded_config(num_shards=2, clients=24))
-        deployment.groups[0].replicas[3].crash()
-        result = deployment.run_until_target(target_requests=80)
+        with sharded_spec(num_shards=2, clients=24).build() as deployment:
+            deployment.groups[0].replicas[3].crash()
+            result = deployment.run_until_target(target_requests=80)
         assert result.consensus_safe
-        assert result.metrics.global_metrics.completed_requests >= 60
+        assert result.metrics.completed_requests >= 60
         assert result.per_shard_completed[1] > 0
 
     def test_single_shard_matches_regular_deployment_shape(self):
-        deployment = ShardedDeployment(sharded_config(num_shards=1))
-        result = deployment.run_until_target(target_requests=40)
+        with sharded_spec(num_shards=1).build() as deployment:
+            result = deployment.run_until_target(target_requests=40)
         assert result.metrics.num_shards == 1
         assert result.metrics.imbalance == pytest.approx(1.0)
         assert result.metrics.aggregate_throughput_tx_s == pytest.approx(
@@ -125,9 +126,9 @@ class TestShardedRuns:
         """The acceptance shape: 1 -> 2 -> 4 shards grows aggregate throughput."""
         aggregates = []
         for shards in (1, 2, 4):
-            deployment = ShardedDeployment(
-                sharded_config(num_shards=shards, clients=24 * shards, batch=5))
-            result = deployment.run_until_target(target_requests=80 * shards)
+            spec = sharded_spec(num_shards=shards, clients=24 * shards, batch=5)
+            with spec.build() as deployment:
+                result = deployment.run_until_target(target_requests=80 * shards)
             aggregates.append(result.metrics.aggregate_throughput_tx_s)
         assert aggregates == sorted(aggregates)
         assert aggregates[-1] > 2.0 * aggregates[0]

@@ -147,16 +147,16 @@ class TestDeploymentSpec:
         assert deployment.backend.name == "sim"
 
     def test_sharded_build(self):
-        deployment = DeploymentSpec(_config(), num_shards=3).build()
-        assert isinstance(deployment, ShardedDeployment)
-        assert deployment.num_shards == 3
-        assert deployment.backend.name == "sim"
+        with DeploymentSpec(_config(), num_shards=3).build() as deployment:
+            assert isinstance(deployment, ShardedDeployment)
+            assert deployment.num_shards == 3
+            assert deployment.backend.name == "sim"
 
     def test_sharded_build_forwards_client_and_router_knobs(self):
-        deployment = DeploymentSpec(_config(), num_shards=2, num_clients=3,
-                                    router_seed=7).build()
-        assert len(deployment.clients) == 3
-        assert deployment.config.router_seed == 7
+        with DeploymentSpec(_config(), num_shards=2, num_clients=3,
+                            router_seed=7).build() as deployment:
+            assert len(deployment.clients) == 3
+            assert deployment.router.seed == 7
 
     def test_fault_schedule_reaches_the_deployment(self):
         schedule = FaultSchedule((crash_at(2, 1000.0), restart_at(2, 5000.0)))
@@ -165,10 +165,10 @@ class TestDeploymentSpec:
 
     def test_per_group_fault_schedules_reach_the_groups(self):
         schedule = FaultSchedule((crash_at(2, 1000.0), restart_at(2, 5000.0)))
-        deployment = DeploymentSpec(_config(), num_shards=2,
-                                    fault_schedules={1: schedule}).build()
-        assert deployment.groups[0].fault_schedule is None
-        assert deployment.groups[1].fault_schedule is schedule
+        with DeploymentSpec(_config(), num_shards=2,
+                            fault_schedules={1: schedule}).build() as deployment:
+            assert deployment.groups[0].fault_schedule is None
+            assert deployment.groups[1].fault_schedule is schedule
 
     def test_plain_spec_rejects_per_group_schedules(self):
         schedule = FaultSchedule((crash_at(2, 1000.0),))
@@ -200,15 +200,9 @@ class TestDeploymentSpec:
             deployment.close()
 
 
-_LATE = pytest.mark.xfail(
-    strict=True, reason="DeploymentSpec.validate does not check the sharding "
-    "knobs: a plain spec ignores them, a sharded build rejects them late")
-
-
 class TestSpecValidation:
     """``validate`` refuses what a build would ignore or reject late."""
 
-    @_LATE
     @pytest.mark.parametrize("knobs", [{"num_clients": 3}, {"router_seed": 9},
                                        {"num_clients": 3, "router_seed": 9}],
                              ids=["clients", "router-seed", "both"])
@@ -217,7 +211,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="sharded"):
             spec.validate()
 
-    @_LATE
     @pytest.mark.parametrize("knobs", [{"num_shards": 0}, {"num_shards": -1},
                                        {"num_shards": 2, "num_clients": 0}],
                              ids=["zero-shards", "negative-shards", "zero-clients"])
@@ -225,7 +218,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             DeploymentSpec(_config(), **knobs).validate()
 
-    @_LATE
     @pytest.mark.parametrize("shard", [2, -1])
     def test_sharded_spec_refuses_schedules_for_missing_shards(self, shard):
         schedule = FaultSchedule((crash_at(2, 1000.0),))

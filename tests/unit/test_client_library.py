@@ -205,19 +205,19 @@ class TestAbandonment:
             name="abandon-test", f=1, num_clients=2, batch_size=4,
             warmup_batches=1, measured_batches=2, worker_threads=4,
             max_sim_seconds=10.0)
-        deployment = DeploymentSpec(
-            build_config("minbft", scale, num_clients=2 * scale.num_clients),
-            num_shards=2).build()
-        client = deployment.clients[0]
-        collector = deployment.metrics.global_collector
-        client.start()
-        deployment.sim.run(until=200.0)  # mid-flight: no quorum yet
-        assert collector.in_flight() >= 1
-        client.stop()
-        assert collector.abandoned_count == 1
-        assert collector.abandonments[0].reason == "stopped"
-        assert collector.abandonments[0].client == client.name
-        # Late shard-lane completions must not resurrect the request.
-        deployment.sim.run(until=2_000_000.0)
-        assert collector.abandoned_count == 1
-        assert collector.in_flight() == 0
+        with DeploymentSpec(
+                build_config("minbft", scale, num_clients=2 * scale.num_clients),
+                num_shards=2).build() as deployment:
+            client = deployment.clients[0]
+            collector = deployment.metrics
+            client.start()
+            deployment.sim.run(until=200.0)  # mid-flight: no quorum yet
+            assert collector.in_flight() >= 1
+            client.stop()
+            assert collector.abandoned_count == 1
+            assert collector.abandonments[0].reason == "stopped"
+            assert collector.abandonments[0].client == client.name
+            # Late shard-lane completions must not resurrect the request.
+            deployment.sim.run(until=2_000_000.0)
+            assert collector.abandoned_count == 1
+            assert collector.in_flight() == 0

@@ -6,7 +6,7 @@ target completes.  Both forms must halt after the same callback: the same
 ``events_processed`` and, on the simulator, the same ``now`` — including
 when the target is already met before the run starts (the run then ends
 after its first callback, as a predicate that already holds would), and on
-a sharded deployment, whose sink is the global collector of logical
+a sharded deployment, whose ``metrics`` count logical (cross-shard)
 requests.
 """
 
@@ -147,8 +147,7 @@ def test_run_until_target_halts_where_polling_did(shards):
             polled.sim.events_processed, polled.sim.now)
         assert result.consensus_safe
         # The hook is cleared again: a finished run leaves nothing armed.
-        sink = pushed.metrics if shards is None else pushed.metrics.global_collector
-        assert sink._on_target is None
+        assert pushed.metrics._on_target is None
 
 
 def test_a_target_met_before_the_run_ends_it_after_one_event():

@@ -57,7 +57,7 @@ class WireError(ReproError):
     """A frame or payload on the binary wire protocol is invalid.
 
     Every wire-layer failure derives from this class so transports can fail
-    a run with one typed diagnostic instead of dying inside ``readexactly``
+    a run with one typed diagnostic instead of dying inside a stream reader
     or a decoder internal.  The sub-classes name the exact defect, which the
     malformed-frame tests pin one by one.
     """
@@ -84,7 +84,7 @@ class UnknownWireClass(WireError):
 
 
 class MalformedWirePayload(WireError):
-    """A payload is not a well-formed canonical encoding."""
+    """A payload is not a well-formed canonical encoding or envelope head."""
 
 
 class UnencodableWirePayload(WireError):

@@ -5,36 +5,53 @@ inheriting the whole latency model — topology distances, jitter, per-message
 wire time and adversarial :class:`~repro.net.network.MessageRule` handling —
 and overrides only *how* a computed delivery happens: the envelope is framed
 by the versioned binary wire codec (:mod:`repro.net.wire`), written to a real
-TCP connection on ``127.0.0.1``, read back by the transport's accept loop,
-and handed to the kernel scheduler for delivery at its injected
-``delivered_at`` time.
+TCP connection on ``127.0.0.1``, read back by the transport's server, and
+handed to the kernel scheduler for delivery at its injected ``delivered_at``
+time.
 
 This is the ``_schedule_delivery`` seam the in-process
 :class:`~repro.realtime.network.LiveNetwork` deliberately left open: the
 asyncio-queue ``put_nowait`` becomes a socket write, and nothing above the
 seam — replicas, clients, the deployment builder, the latency model —
 changes.  What the hop buys is a *real serialization boundary*: every payload
-crosses the wire as canonical bytes, so the receiving replica operates on a
-decoded copy, exactly as a multi-process deployment would, and framing or
+crosses the wire as bytes, so the receiving replica operates on a decoded
+copy, exactly as a multi-process deployment would, and framing or
 encodability bugs surface here instead of in a future distributed runner.
 Because frames are canonical bytes behind a validated header — never
-``pickle`` — they are safe to accept from across a machine boundary, and a
-corrupt or malicious length header is rejected after eight bytes instead of
-driving ``readexactly`` into a multi-gigabyte allocation.
+``pickle`` — they are safe to accept from across a machine boundary.
 
-Ordering matches the queue transport: one connection per destination, so
-frames to the same destination arrive FIFO, and the kernel's ``(time, seq)``
-heap applies the injected latency without head-of-line blocking.  If the
-real socket transit ever exceeds the injected latency (tiny topologies on a
-loaded machine), delivery happens as soon as the frame arrives — the
-transport never delivers *earlier* than the model says.
+Both directions are plain :class:`asyncio.Protocol` callbacks; no coroutine
+runs per frame.
+
+* **Sending.**  Each destination has one :class:`_Link`: the envelopes
+  waiting for it and, once connected, its socket.  ``_schedule_delivery``
+  appends to the link and arms one ``loop.call_soon`` flush per destination
+  per loop turn; the flush encodes every waiting envelope and makes one
+  ``transport.write``.  One connection per destination, written in append
+  order, keeps frames to a destination FIFO, and the kernel's ``(time,
+  seq)`` heap applies the injected latency on the far side without
+  head-of-line blocking.
+* **Receiving.**  Each accepted connection gets a :class:`_FrameReader`,
+  whose ``data_received`` validates every header with
+  :meth:`~repro.net.wire.WireCodec.parse_header` as soon as its eight bytes
+  are in, and hands every complete frame to ``_on_frame`` in arrival order.
+  Only the unfinished tail of the stream is kept.  That tail is shorter than
+  one header plus one *validated* frame length (at most the codec's maximum
+  frame), and each read appends at most one socket chunk to it before it is
+  parsed again; nothing is ever allocated from a length field that has not
+  passed the header check, so a corrupt or malicious header costs eight
+  bytes and a typed error, never a multi-gigabyte buffer.
+
+If the real socket transit ever exceeds the injected latency (tiny
+topologies on a loaded machine), delivery happens as soon as the frame
+arrives — the transport never delivers *earlier* than the model says.
 """
 
 from __future__ import annotations
 
 import asyncio
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from ..common.errors import WireError
 from .network import Envelope, Network, NetworkNode
@@ -42,6 +59,131 @@ from .wire import HEADER_SIZE, MalformedWirePayload, WireCodec
 
 if TYPE_CHECKING:
     from ..realtime.kernel import AsyncioKernel
+
+
+class _Connection(asyncio.Protocol):
+    """One socket of the transport, registered while it is open."""
+
+    def __init__(self, owner: "TcpTransport") -> None:
+        self._owner = owner
+        self.transport: Optional[asyncio.Transport] = None
+        #: resolved by ``connection_lost``; what :meth:`TcpTransport.close`'s
+        #: finaliser awaits so no socket outlives the loop.
+        self.closed = owner._kernel.loop.create_future()
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self._owner._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # A peer that went away mid-run (or teardown) ends the connection
+        # quietly, as a clean end of stream did for the stream reader.
+        self._owner._connections.discard(self)
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+
+class _Link(_Connection):
+    """A destination's outbound connection and the envelopes waiting for it."""
+
+    def __init__(self, owner: "TcpTransport", destination: str) -> None:
+        super().__init__(owner)
+        self.destination = destination
+        #: ``(envelope, trace context)`` pairs not yet written, in order.
+        self.pending: list = []
+        #: a flush is scheduled for this loop turn.
+        self.armed = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        super().connection_made(transport)
+        owner = self._owner
+        tracer = owner._tracer
+        if tracer is not None:
+            tracer.record("tcp.connect", node=self.destination,
+                          detail=_format_peer(
+                              transport.get_extra_info("sockname")))
+        if self.pending and not self.armed:
+            self.armed = True
+            owner._kernel.loop.call_soon(owner._flush, self)
+
+
+class _FrameReader(_Connection):
+    """Reassembles frames from one accepted connection's byte stream."""
+
+    def __init__(self, owner: "TcpTransport") -> None:
+        super().__init__(owner)
+        self.peer = "unknown"
+        #: the unfinished tail of the stream.
+        self._tail = bytearray()
+        #: tail length at which parsing can make progress again: a whole
+        #: header, or a whole frame once its header has been validated.
+        self._needed = HEADER_SIZE
+        self._failed = False
+
+    @property
+    def buffered(self) -> int:
+        """Bytes held for a frame that has not completely arrived."""
+        return len(self._tail)
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        super().connection_made(transport)
+        self.peer = _format_peer(transport.get_extra_info("peername"))
+        owner = self._owner
+        owner._accepted_peers.append(self.peer)
+        tracer = owner._tracer
+        if tracer is not None:
+            tracer.record("tcp.accept", node="tcp-server", detail=self.peer)
+
+    def data_received(self, data: bytes) -> None:
+        owner = self._owner
+        if self._failed or owner._closed:
+            return
+        tail = self._tail
+        if tail:
+            tail += data
+            if len(tail) < self._needed:
+                return
+            data = bytes(tail)
+            tail.clear()
+        codec = owner._codec
+        end = len(data)
+        pos = 0
+        try:
+            while end - pos >= HEADER_SIZE:
+                # Header validation (magic, version, flags, max frame size)
+                # happens before the payload is waited for, so a corrupt
+                # length field is refused instead of buffered towards.
+                flags, length = codec.parse_header(
+                    data[pos:pos + HEADER_SIZE])
+                stop = pos + HEADER_SIZE + length
+                if stop > end:
+                    self._needed = stop - pos
+                    break
+                owner._on_frame(flags, data[pos + HEADER_SIZE:stop])
+                pos = stop
+            else:
+                self._needed = HEADER_SIZE
+        except WireError as exc:
+            # One typed diagnostic naming the peer, then fail the run: an
+            # undecodable frame means the connection is desynchronised (or
+            # the peer is not speaking our protocol) and nothing after it
+            # can be trusted.
+            self._fail(type(exc)(f"invalid frame from {self.peer}: {exc}"))
+            return
+        except Exception as exc:  # noqa: BLE001 — a reader that died
+            # silently would partition the destination for the rest of the
+            # run; fail the run loudly instead, like LiveNetwork's pump does.
+            self._fail(exc)
+            return
+        if pos < end:
+            tail += data[pos:] if pos else data
+
+    def _fail(self, error: BaseException) -> None:
+        self._failed = True
+        self._tail.clear()
+        self._owner._kernel.fail(error)
+        if self.transport is not None:
+            self.transport.close()
 
 
 class TcpTransport(Network):
@@ -54,93 +196,82 @@ class TcpTransport(Network):
         self._codec = wire_codec if wire_codec is not None else WireCodec()
         self._server: Optional[asyncio.AbstractServer] = None
         self._port: Optional[int] = None
-        self._server_ready: Optional[asyncio.Event] = None
-        self._server_failed = False
-        self._queues: Dict[str, asyncio.Queue] = {}
+        #: resolves to the bound port, or to None once the bind has failed.
+        self._listening: Optional[asyncio.Future] = None
         self._tasks: List[asyncio.Task] = []
-        self._writers: List[asyncio.StreamWriter] = []
-        self._peer_writers: Dict[str, asyncio.StreamWriter] = {}
-        self._server_writers: List[asyncio.StreamWriter] = []
+        self._links: Dict[str, _Link] = {}
+        self._connections: Set[_Connection] = set()
         self._accepted_peers: List[str] = []
         self._closed = False
 
     # ------------------------------------------------------------- delivery
     def _schedule_delivery(self, target: NetworkNode, envelope: Envelope,
                            context=None) -> None:
-        """Frame the envelope and queue it for its destination's connection."""
+        """Queue the envelope on its destination's link; flush this turn."""
         if self._closed:
             self.stats.messages_dropped += 1
             return
-        queue = self._queues.get(envelope.destination)
-        if queue is None:
-            loop = self._kernel.loop
-            if self._server_ready is None:
-                self._server_ready = asyncio.Event()
-                self._tasks.append(loop.create_task(
-                    self._serve(), name="tcp-server"))
-            queue = asyncio.Queue()
-            self._queues[envelope.destination] = queue
-            self._tasks.append(loop.create_task(
-                self._send_loop(envelope.destination, queue),
-                name=f"tcp-send/{envelope.destination}"))
-        queue.put_nowait((envelope, context))
+        link = self._links.get(envelope.destination)
+        if link is None:
+            link = self._open_link(envelope.destination)
+        link.pending.append((envelope, context))
+        if not link.armed and link.transport is not None:
+            link.armed = True
+            self._kernel.loop.call_soon(self._flush, link)
+
+    def _flush(self, link: _Link) -> None:
+        """Encode everything waiting on ``link``; one socket write."""
+        link.armed = False
+        if self._closed or not link.pending:
+            return
+        pending, link.pending = link.pending, []
+        codec = self._codec
+        try:
+            link.transport.write(b"".join([
+                codec.encode_frame(envelope, trace=context)
+                for envelope, context in pending]))
+        except Exception as exc:  # noqa: BLE001 — a loop callback's error
+            # would vanish into asyncio's handler; fail the run instead.
+            self._kernel.fail(exc)
+
+    def _open_link(self, destination: str) -> _Link:
+        """Start connecting to the server on ``destination``'s behalf."""
+        loop = self._kernel.loop
+        if self._listening is None:
+            self._listening = loop.create_future()
+            self._tasks.append(loop.create_task(self._serve(),
+                                                name="tcp-server"))
+        link = self._links[destination] = _Link(self, destination)
+        self._tasks.append(loop.create_task(self._connect(link),
+                                            name=f"tcp-connect/{destination}"))
+        return link
 
     async def _serve(self) -> None:
-        """Accept loop: bind an ephemeral localhost port, read frames forever."""
+        """Bind an ephemeral localhost port; every connection gets a reader."""
         try:
-            server = await asyncio.start_server(
-                self._handle_connection, host="127.0.0.1", port=0)
-        except BaseException as exc:  # noqa: BLE001 — surfaced via the kernel
-            # Senders block on _server_ready before connecting; wake them so
-            # a failed bind fails the run once and loudly instead of leaving
-            # every _send_loop waiting until the wall-clock cap times out.
-            self._server_failed = True
-            self._server_ready.set()
+            server = await self._kernel.loop.create_server(
+                partial(_FrameReader, self), host="127.0.0.1", port=0)
+        except Exception as exc:  # noqa: BLE001 — surfaced via the kernel
+            # Links wait on _listening before connecting; wake them so a
+            # failed bind fails the run once and loudly instead of leaving
+            # every destination connecting until the wall-clock cap.
+            self._listening.set_result(None)
             self._kernel.fail(exc)
             return
         self._server = server
         self._port = server.sockets[0].getsockname()[1]
-        self._server_ready.set()
-        async with server:
-            await server.serve_forever()
+        self._listening.set_result(self._port)
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        """Read length-prefixed frames off one peer connection."""
-        self._server_writers.append(writer)
-        self._accepted_peers.append(_format_peer(
-            writer.get_extra_info("peername")))
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.record("tcp.accept", node="tcp-server",
-                          detail=self._accepted_peers[-1])
+    async def _connect(self, link: _Link) -> None:
+        """Connect ``link`` to the server; its connection_made flushes it."""
+        port = await self._listening
+        if port is None:
+            return  # the failed bind already failed the run loudly
         try:
-            while True:
-                try:
-                    header = await reader.readexactly(HEADER_SIZE)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return  # peer closed cleanly (teardown)
-                # Header validation (magic, version, flags, max frame size)
-                # happens before the payload read, so a corrupt length field
-                # can never drive readexactly into allocating it.
-                flags, length = self._codec.parse_header(header)
-                frame = await reader.readexactly(length)
-                self._on_frame(flags, frame)
-        except asyncio.CancelledError:
-            raise
-        except WireError as exc:
-            # One typed diagnostic naming the peer, then fail the run: an
-            # undecodable frame means the connection is desynchronised (or
-            # the peer is not speaking our protocol) and nothing after it
-            # can be trusted.
-            peer = writer.get_extra_info("peername")
-            self._kernel.fail(type(exc)(f"invalid frame from {peer}: {exc}"))
-        except BaseException as exc:  # noqa: BLE001 — a silent reader death
-            # would partition the destination for the rest of the run; fail
-            # the run loudly instead, like LiveNetwork's pump does.
+            await self._kernel.loop.create_connection(
+                lambda: link, "127.0.0.1", port)
+        except Exception as exc:  # noqa: BLE001
             self._kernel.fail(exc)
-        finally:
-            writer.close()
 
     def _on_frame(self, flags: int, frame: bytes) -> None:
         """Decode one frame and schedule its delivery at the injected time."""
@@ -165,88 +296,47 @@ class TcpTransport(Network):
                                  partial(self._deliver, target, envelope,
                                          context))
 
-    async def _send_loop(self, destination: str, queue: asyncio.Queue) -> None:
-        """Write queued envelopes to this destination's connection, in order."""
-        try:
-            await self._server_ready.wait()
-            if self._server_failed:
-                return  # the failed bind already failed the run loudly
-            _, writer = await asyncio.open_connection("127.0.0.1", self._port)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:  # noqa: BLE001
-            self._kernel.fail(exc)
-            return
-        self._writers.append(writer)
-        self._peer_writers[destination] = writer
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.record("tcp.connect", node=destination,
-                          detail=_format_peer(
-                              writer.get_extra_info("sockname")))
-        codec = self._codec
-        try:
-            while True:
-                # One wake-up, one socket write and one drain per burst:
-                # everything already queued for this destination goes out
-                # together, still one frame per envelope and in queue order.
-                envelope, context = await queue.get()
-                frames = [codec.encode_frame(envelope, trace=context)]
-                while not queue.empty():
-                    envelope, context = queue.get_nowait()
-                    frames.append(codec.encode_frame(envelope, trace=context))
-                writer.write(b"".join(frames))
-                await writer.drain()
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:  # noqa: BLE001
-            self._kernel.fail(exc)
-
     # ------------------------------------------------------------ lifecycle
     def close(self) -> List[asyncio.Task]:
-        """Cancel the server and sender tasks; queued frames are dropped.
+        """Stop sending and accepting; frames not yet written are dropped.
 
-        Returns the cancelled tasks — plus one finaliser task that closes
-        every connection and the server with ``wait_closed()`` — so the
-        deployment can await their completion before closing the loop.
-        Without the awaited ``wait_closed`` calls, repeated deployments in
-        one process leak sockets/file descriptors and emit
-        ``ResourceWarning`` when the half-closed transports are collected.
+        Returns one finaliser task, for the deployment to await before it
+        closes the loop: it waits out the cancelled server and connect
+        tasks, aborts every socket and waits for each one's
+        ``connection_lost``, then for ``server.wait_closed()``.  Without
+        those waits, repeated deployments in one process leak sockets and
+        emit ``ResourceWarning`` when the transports are collected.
         """
         super().close()
         self._closed = True
         tasks = list(self._tasks)
         for task in tasks:
             task.cancel()
-        writers = list(self._writers) + list(self._server_writers)
-        server, self._server = self._server, None
         self._tasks.clear()
-        self._queues.clear()
-        self._writers.clear()
-        self._peer_writers.clear()
-        self._server_writers.clear()
+        self._links.clear()
+        server, self._server = self._server, None
         loop = self._kernel.loop
-        if (server is not None or writers) and not loop.is_closed():
-            tasks.append(loop.create_task(self._finalize(server, writers),
-                                          name="tcp-finalize"))
-        return tasks
+        if loop.is_closed() or not (tasks or server is not None
+                                    or self._connections):
+            return []
+        return [loop.create_task(self._finalize(server, tasks),
+                                 name="tcp-finalize")]
 
-    @staticmethod
-    async def _finalize(server: Optional[asyncio.AbstractServer],
-                        writers: List[asyncio.StreamWriter]) -> None:
-        """Close every connection and the server, waiting for each close."""
-        for writer in writers:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass  # the peer may have torn the connection down already
+    async def _finalize(self, server: Optional[asyncio.AbstractServer],
+                        tasks: List[asyncio.Task]) -> None:
+        """Close the server and every socket, waiting for each close."""
         if server is not None:
             server.close()
-            try:
-                await server.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        await asyncio.gather(*tasks, return_exceptions=True)
+        # A connection accepted while this runs registers itself too.
+        while self._connections:
+            connections = list(self._connections)
+            for connection in connections:
+                connection.transport.abort()
+            await asyncio.gather(*(connection.closed
+                                   for connection in connections))
+        if server is not None:
+            await server.wait_closed()
 
     # ----------------------------------------------------------- inspection
     @property
@@ -261,27 +351,27 @@ class TcpTransport(Network):
 
     @property
     def queued_messages(self) -> int:
-        """Envelopes waiting for their destination's sender task right now."""
-        return sum(queue.qsize() for queue in self._queues.values())
+        """Envelopes waiting for their destination's next flush right now."""
+        return sum(len(link.pending) for link in self._links.values())
 
     def connection_states(self) -> dict:
         """Per-peer socket state, with addresses, for diagnostics bundles.
 
-        A destination whose sender task has not finished connecting shows as
+        A destination whose link has not finished connecting shows as
         ``connecting`` — exactly the signature of a run wedged on a dead
-        accept loop — and a stalled peer shows its backed-up send queue.
+        server — and a stalled peer shows its backed-up envelopes.
         """
         destinations = {}
-        for destination, queue in sorted(self._queues.items()):
-            writer = self._peer_writers.get(destination)
-            if writer is None:
+        for destination, link in sorted(self._links.items()):
+            transport = link.transport
+            if transport is None:
                 state = {"state": "connecting", "peer": None}
             else:
                 state = {
-                    "state": "closing" if writer.is_closing() else "open",
-                    "peer": _format_peer(writer.get_extra_info("peername")),
+                    "state": "closing" if transport.is_closing() else "open",
+                    "peer": _format_peer(transport.get_extra_info("peername")),
                 }
-            state["queued"] = queue.qsize()
+            state["queued"] = len(link.pending)
             destinations[destination] = state
         return {
             "transport": type(self).__name__,

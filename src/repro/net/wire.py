@@ -11,20 +11,36 @@ Frame layout (big-endian)::
 
     offset  size  field
     0       2     magic       b"RB"
-    2       1     version     WIRE_VERSION (currently 1)
+    2       1     version     WIRE_VERSION (currently 2)
     3       1     flags       bit 0: reserved (once a pickled payload; a
                               frame that sets it is refused)
-                              bit 1: a trace-context block precedes the
-                              canonical payload (FLAG_TRACE)
+                              bit 1: a trace-context block opens the
+                              payload (FLAG_TRACE)
+                              bit 2: the payload is an Envelope with a
+                              binary head (FLAG_ENVELOPE)
     4       4     length      payload byte count, <= the enforced max frame
 
-A ``FLAG_TRACE`` payload is ``>HQQ`` (trace-id byte length, span id, parent
-span id) + the utf-8 trace id, then the canonical bytes; the header length
-covers both.  Untraced frames never set the bit and are byte-identical to
-the pre-tracing format, which the golden vectors pin.
+A ``FLAG_TRACE`` payload starts with ``>HQQ`` (trace-id byte length, span
+id, parent span id) + the utf-8 trace id; the header length covers the
+block and everything after it.  Untraced frames never set the bit, and a
+traced frame is its untraced twin plus the bit and the block, which the
+golden vectors pin.
 
-The payload is exactly ``canonical_bytes(value)``, so the frame bytes a
-message crosses the wire as are the same bytes its digests and signatures
+An :class:`~repro.net.network.Envelope` — what every message on a live
+transport travels in — is framed with ``FLAG_ENVELOPE``: after the trace
+block, if any, comes a fixed ``>ddHH`` head (``sent_at``, ``delivered_at``,
+source byte length, destination byte length), the utf-8 source and
+destination, and then ``canonical_bytes(envelope.payload)``.  The two times
+cross as IEEE doubles instead of canonical float text, so neither end pays
+a ``repr`` or a pattern match for them.  The head is decoded strictly too:
+a truncated head, addresses that run past the frame, invalid utf-8 and
+non-finite times are all :class:`MalformedWirePayload`.  An ``Envelope`` has
+that one spelling at the top of a frame: a frame without the flag whose
+payload decodes to an ``Envelope`` is refused.  Nested envelopes, and every
+other value, stay canonical bytes.
+
+Every other payload is exactly ``canonical_bytes(value)``, so the frame bytes
+a message crosses the wire as are the same bytes its digests and signatures
 are computed over — encoding for the wire reuses the per-instance canonical
 caches, and decoding pins the received bytes back onto the instance, which
 makes framing *cheaper* than a second serialiser, not costlier.
@@ -34,8 +50,9 @@ Decoding needs two things encoding does not:
 * a **registry** mapping dataclass names to classes
   (:class:`WireRegistry`); registration happens where message classes are
   defined (``@wire_serializable`` in :mod:`repro.protocols.messages`), and
-  the handful of support types (identifiers, signatures, attestations, the
-  :class:`~repro.net.network.Envelope` itself) are registered here;
+  the handful of support types (identifiers, signatures, attestations, and
+  :class:`~repro.net.network.Envelope` for the envelopes nested inside
+  values) are registered here;
 * per-class **field templates** — the digest layer's view of each class,
   with its resolved type hints — that restore the declared field types the
   encoding collapses (``tuple`` and ``list`` share one container tag, as do
@@ -63,10 +80,10 @@ Every failure raises a typed :class:`~repro.common.errors.WireError`
 subclass; nothing in this module ever executes payload-controlled code,
 which is the point — it replaces ``pickle.loads`` on network bytes.
 
-Versioning rules: bump :data:`WIRE_VERSION` whenever the header layout or
-the canonical encoding changes incompatibly; a decoder only accepts its own
-version.  The golden vectors under ``tests/golden/wire/`` pin the format —
-if they change, the version must too.
+Versioning rules: bump :data:`WIRE_VERSION` whenever the header layout, the
+envelope head or the canonical encoding changes incompatibly; a decoder only
+accepts its own version.  The golden vectors under ``tests/golden/wire/`` pin
+the format — if they change, the version must too.
 """
 
 from __future__ import annotations
@@ -74,6 +91,7 @@ from __future__ import annotations
 import importlib
 import re
 import struct
+from math import isfinite
 from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Optional, get_origin
 
@@ -104,11 +122,12 @@ from ..crypto.digest import (
     tuple_of,
 )
 from ..obsv.trace import TraceContext
+from .network import Envelope
 
 #: first bytes of every frame.
 WIRE_MAGIC = b"RB"
 #: current wire-protocol version; decoders accept exactly this version.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 #: flags bit, reserved: it marked a pickled payload while the one-release
 #: ``--unsafe-pickle`` escape hatch existed.  Nothing sets it any more and a
 #: frame that does is refused with a typed error, never unpickled.
@@ -117,7 +136,10 @@ FLAG_PICKLE = 0x01
 #: canonical payload (see :func:`encode_trace_context`).  Untraced frames
 #: never set it and stay byte-identical to the pre-tracing format.
 FLAG_TRACE = 0x02
-_KNOWN_FLAGS = FLAG_PICKLE | FLAG_TRACE
+#: flags bit: the payload is an :class:`~repro.net.network.Envelope` in the
+#: binary-head form (see :func:`encode_envelope`), not canonical bytes.
+FLAG_ENVELOPE = 0x04
+_KNOWN_FLAGS = FLAG_PICKLE | FLAG_TRACE | FLAG_ENVELOPE
 
 #: frame header: magic, version, flags, payload length.
 HEADER = struct.Struct(">2sBBI")
@@ -126,7 +148,7 @@ HEADER_SIZE = HEADER.size
 #: default ceiling on one frame's payload.  Generous against real traffic
 #: (the largest legitimate frames — checkpoint snapshots — are a few hundred
 #: kilobytes) while capping what a corrupt or malicious length header can
-#: make ``readexactly`` allocate.
+#: make a reader buffer.
 DEFAULT_MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: recursion ceiling for nested containers/dataclasses; legitimate messages
@@ -874,6 +896,71 @@ def decode_trace_context(payload: bytes) -> tuple[TraceContext, int]:
 
 
 # ---------------------------------------------------------------------------
+# envelope head
+# ---------------------------------------------------------------------------
+#: fixed head of a FLAG_ENVELOPE payload: sent_at and delivered_at (f64),
+#: source and destination byte lengths (u16); the utf-8 names follow, then
+#: the canonical payload.
+_ENVELOPE_HEAD = struct.Struct(">ddHH")
+_ENVELOPE_HEAD_SIZE = _ENVELOPE_HEAD.size
+
+
+def encode_envelope(envelope: Envelope) -> bytes:
+    """The ``FLAG_ENVELOPE`` form of ``envelope``: head, names, payload."""
+    try:
+        source = envelope.source.encode("utf-8")
+        destination = envelope.destination.encode("utf-8")
+    except (AttributeError, UnicodeEncodeError) as exc:
+        raise UnencodableWirePayload(
+            f"envelope addresses must be utf-8 strings: {exc}") from exc
+    if len(source) > 0xFFFF or len(destination) > 0xFFFF:
+        raise UnencodableWirePayload(
+            f"envelope addresses are {len(source)} and {len(destination)} "
+            "bytes; the head caps each at 65535")
+    sent_at, delivered_at = envelope.sent_at, envelope.delivered_at
+    try:
+        head = _ENVELOPE_HEAD.pack(sent_at, delivered_at, len(source),
+                                   len(destination))
+    except struct.error as exc:
+        raise UnencodableWirePayload(
+            f"envelope times must be real numbers: {exc}") from exc
+    if not (isfinite(sent_at) and isfinite(delivered_at)):
+        raise UnencodableWirePayload(
+            f"envelope times must be finite, not {sent_at!r} and "
+            f"{delivered_at!r}")
+    return b"".join((head, source, destination,
+                     encode_payload(envelope.payload)))
+
+
+def decode_envelope(payload: bytes,
+                    registry: WireRegistry = WIRE_REGISTRY) -> Envelope:
+    """Parse the ``FLAG_ENVELOPE`` form: head, names, canonical payload."""
+    if len(payload) < _ENVELOPE_HEAD_SIZE:
+        raise MalformedWirePayload(
+            f"envelope payload is {len(payload)} byte(s); its head needs "
+            f"{_ENVELOPE_HEAD_SIZE}")
+    sent_at, delivered_at, source_length, destination_length = \
+        _ENVELOPE_HEAD.unpack_from(payload)
+    split = _ENVELOPE_HEAD_SIZE + source_length
+    body = split + destination_length
+    if body > len(payload):
+        raise MalformedWirePayload(
+            f"envelope addresses ({source_length} + {destination_length} "
+            "bytes) run past the end of the frame")
+    if not (isfinite(sent_at) and isfinite(delivered_at)):
+        raise MalformedWirePayload(
+            f"non-finite envelope time ({sent_at!r}, {delivered_at!r})")
+    try:
+        source = payload[_ENVELOPE_HEAD_SIZE:split].decode("utf-8")
+        destination = payload[split:body].decode("utf-8")
+    except UnicodeDecodeError:
+        raise MalformedWirePayload("invalid utf-8 in an envelope address") \
+            from None
+    value = decode_payload(payload[body:], registry)
+    return Envelope(source, destination, value, sent_at, delivered_at)
+
+
+# ---------------------------------------------------------------------------
 # frame-level API
 # ---------------------------------------------------------------------------
 def parse_header(header: bytes,
@@ -881,7 +968,7 @@ def parse_header(header: bytes,
                  ) -> tuple[int, int]:
     """Validate a frame header; returns ``(flags, payload_length)``.
 
-    Runs *before* any payload allocation, so a corrupt or malicious length
+    Runs *before* any payload is buffered, so a corrupt or malicious length
     header is rejected at the cost of eight bytes, not four gigabytes.
     """
     if len(header) < HEADER_SIZE:
@@ -933,7 +1020,7 @@ class WireCodec:
 
     Symmetric :meth:`encode_frame` / :meth:`decode_frame` plus the split
     :meth:`parse_header` / :meth:`decode_payload` pair streaming transports
-    use to validate a header before allocating its payload.
+    use to validate a header before buffering its payload.
     """
 
     format_name = "binary"
@@ -946,17 +1033,23 @@ class WireCodec:
     # -------------------------------------------------------------- encoding
     def encode_frame(self, value: Any,
                      trace: Optional[TraceContext] = None) -> bytes:
-        """One complete frame (header + canonical payload) for ``value``.
+        """One complete frame (header + payload) for ``value``.
 
-        With ``trace`` set the frame carries :data:`FLAG_TRACE` and the
-        trace block precedes the payload; with ``trace=None`` the emitted
-        bytes are identical to the pre-tracing format, bit for bit.
+        An :class:`~repro.net.network.Envelope` is framed with
+        :data:`FLAG_ENVELOPE` and its binary head; anything else as its
+        canonical bytes.  With ``trace`` set the frame carries
+        :data:`FLAG_TRACE` and the trace block opens the payload; with
+        ``trace=None`` it is the same frame without the bit and the block.
         """
-        payload = encode_payload(value)
-        flags = 0
+        if type(value) is Envelope:
+            payload = encode_envelope(value)
+            flags = FLAG_ENVELOPE
+        else:
+            payload = encode_payload(value)
+            flags = 0
         if trace is not None:
             payload = encode_trace_context(trace) + payload
-            flags = FLAG_TRACE
+            flags |= FLAG_TRACE
         if len(payload) > self.max_frame_bytes:
             raise OversizedFrame(
                 f"{type(value).__name__} encodes to {len(payload)} bytes; "
@@ -980,7 +1073,14 @@ class WireCodec:
         if flags & FLAG_TRACE:
             context, consumed = decode_trace_context(payload)
             payload = payload[consumed:]
-        return decode_payload(payload, self.registry), context
+        if flags & FLAG_ENVELOPE:
+            return decode_envelope(payload, self.registry), context
+        value = decode_payload(payload, self.registry)
+        if type(value) is Envelope:
+            raise MalformedWirePayload(
+                "a top-level Envelope must be framed with FLAG_ENVELOPE, not "
+                "as canonical bytes")
+        return value, context
 
     def decode_payload(self, payload: bytes, flags: int = 0) -> Any:
         """Decode a payload whose header carried ``flags``."""
@@ -1009,14 +1109,14 @@ def _register_support_types() -> None:
     """Register the non-protocol dataclasses that ride inside messages.
 
     Protocol and recovery message classes register themselves where they are
-    defined; these are the substrate types they embed (plus the
-    :class:`Envelope` that frames every payload on the wire).
+    defined; these are the substrate types they embed (plus
+    :class:`Envelope`, whose canonical form carries envelopes nested inside
+    values; a top-level one travels in the ``FLAG_ENVELOPE`` form).
     """
     from ..common.types import RequestId
     from ..crypto.signatures import Mac, Signature
     from ..execution.state_machine import Operation, OperationResult
     from ..trusted.attestation import Attestation
-    from .network import Envelope
 
     for cls in (RequestId, Operation, OperationResult, Signature, Mac,
                 Attestation, Envelope):

@@ -30,7 +30,7 @@ kind                      emitted when
 ``recovery.done``         it caught up and rejoined consensus
 ``transfer.batch``        a state-transfer fill batch was applied
 ``tcp.connect``           a TCP sender connected to the transport's port
-``tcp.accept``            the accept loop took a peer connection
+``tcp.accept``            the transport's server took a peer connection
 ``kernel.run``            a kernel run started
 ``kernel.stop``           it stopped (cap, stop condition, or idle)
 ``kernel.error``          a fatal error was recorded on the live kernel

@@ -37,6 +37,7 @@ from repro.crypto.digest import (
 )
 from repro.net.network import Envelope
 from repro.net.wire import (
+    FLAG_ENVELOPE,
     HEADER_SIZE,
     MAX_DECODE_DEPTH,
     WIRE_REGISTRY,
@@ -224,9 +225,25 @@ def assert_paths_agree(payload: bytes, registry=WIRE_REGISTRY):
 
 
 def golden_payloads() -> dict:
-    return {path.stem: path.read_bytes()[HEADER_SIZE:]
-            for path in sorted(GOLDEN_DIR.glob("*.bin"))
-            if not path.name.endswith(".traced.bin")}
+    """The canonical payload of every untraced golden vector.
+
+    That is the frame body, except for the ``Envelope`` frame: a top-level
+    envelope crosses in the binary-head form (``FLAG_ENVELOPE``), so its
+    entry is the canonical bytes of the golden instance the frame decodes
+    to.  Canonical envelopes, the form nested ones take, keep their
+    differential coverage that way.
+    """
+    payloads = {}
+    for path in sorted(GOLDEN_DIR.glob("*.bin")):
+        if path.name.endswith(".traced.bin"):
+            continue
+        frame = path.read_bytes()
+        if frame[3] & FLAG_ENVELOPE:
+            payloads[path.stem] = canonical_bytes(
+                WireCodec().decode_frame(frame), use_cache=False)
+        else:
+            payloads[path.stem] = frame[HEADER_SIZE:]
+    return payloads
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ Three hazards, each previously latent:
 
 * ``close()`` that never awaited ``wait_closed()`` leaked sockets/file
   descriptors across repeated deployments in one process;
-* a server that failed before ``_server_ready.set()`` left every sender
-  blocked on the event until the wall-clock cap expired;
-* a corrupt length header drove ``readexactly`` into allocating whatever
-  the four length bytes claimed (up to 4 GiB).
+* a server that failed to bind left every sender waiting to connect until
+  the wall-clock cap expired;
+* a corrupt length header drove the reader into allocating whatever the
+  four length bytes claimed (up to 4 GiB).
 """
 
 from __future__ import annotations
@@ -32,11 +32,8 @@ _SCALE = ExperimentScale(
 
 def _run_one_deployment() -> None:
     config = build_config("pbft", _SCALE)
-    deployment = DeploymentSpec(config, backend="live-tcp").build()
-    try:
+    with DeploymentSpec(config, backend="live-tcp").build() as deployment:
         deployment.run_until_target(target_requests=4)
-    finally:
-        deployment.close()
 
 
 def _open_fds() -> int:
@@ -74,12 +71,11 @@ def test_server_start_failure_fails_the_run_loudly(monkeypatch):
     """A failed bind must wake blocked senders and fail the run once."""
     from repro.realtime.kernel import AsyncioKernel
 
-    async def failing_start_server(*args, **kwargs):
+    async def failing_create_server(*args, **kwargs):
         raise OSError(98, "address already in use (injected)")
 
-    monkeypatch.setattr(asyncio, "start_server", failing_start_server)
-
     kernel = AsyncioKernel()
+    monkeypatch.setattr(kernel.loop, "create_server", failing_create_server)
     try:
         from repro.net.topology import build_topology
         from repro.sim.rng import RngRegistry
@@ -119,6 +115,7 @@ def test_oversize_length_header_fails_the_run_with_a_diagnostic():
 
     for name in names:
         transport.register(_Sink(name))
+    attackers = []
     try:
         # A legitimate send spins up the server; wait until it has bound.
         transport.send("os-a", "os-b", "warmup")
@@ -130,15 +127,17 @@ def test_oversize_length_header_fails_the_run_with_a_diagnostic():
                                                       transport.port)
             # valid magic and version, absurd length: must be rejected from
             # the header alone, never allocated
+            attackers.append(writer)
             writer.write(HEADER.pack(WIRE_MAGIC, WIRE_VERSION, 0,
                                      2**32 - 1))
             await writer.drain()
-            return writer
 
         kernel.loop.create_task(send_oversize_header())
         with pytest.raises(OversizedFrame, match="maximum"):
             kernel.run_until(lambda: False, max_wall_seconds=5.0)
     finally:
+        for writer in attackers:
+            writer.close()
         _teardown(kernel, transport)
 
 
@@ -160,6 +159,7 @@ def test_garbage_frame_fails_the_run_with_a_typed_error():
 
     for name in names:
         transport.register(_Sink(name))
+    attackers = []
     try:
         transport.send("gg-a", "gg-b", "warmup")
         kernel.run_until(lambda: transport.port is not None,
@@ -168,6 +168,7 @@ def test_garbage_frame_fails_the_run_with_a_typed_error():
         async def send_garbage():
             _, writer = await asyncio.open_connection("127.0.0.1",
                                                       transport.port)
+            attackers.append(writer)
             writer.write(b"GET / HTTP/1.1\r\nHost: localhost\r\n\r\n")
             await writer.drain()
 
@@ -175,4 +176,6 @@ def test_garbage_frame_fails_the_run_with_a_typed_error():
         with pytest.raises(WireError):
             kernel.run_until(lambda: False, max_wall_seconds=5.0)
     finally:
+        for writer in attackers:
+            writer.close()
         _teardown(kernel, transport)

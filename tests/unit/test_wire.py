@@ -23,6 +23,7 @@ from repro.crypto.digest import canonical_bytes, digest
 from repro.execution.state_machine import Operation
 from repro.net.network import Envelope
 from repro.net.wire import (
+    FLAG_ENVELOPE,
     FLAG_PICKLE,
     HEADER,
     HEADER_SIZE,
@@ -47,6 +48,19 @@ def _request(number: int = 1) -> ClientRequest:
 def _envelope(payload: object) -> Envelope:
     return Envelope(source="a", destination="b", payload=payload,
                     sent_at=1.0, delivered_at=2.0)
+
+
+_ENVELOPE_HEAD = struct.Struct(">ddHH")
+
+
+def _envelope_frame(sent_at=1.0, delivered_at=2.0, source=b"a",
+                    destination=b"b", payload=b"s1:x", flags=FLAG_ENVELOPE,
+                    lengths=None) -> bytes:
+    """A FLAG_ENVELOPE frame spelled out byte by byte."""
+    lengths = (len(source), len(destination)) if lengths is None else lengths
+    body = (_ENVELOPE_HEAD.pack(sent_at, delivered_at, *lengths) + source
+            + destination + payload)
+    return HEADER.pack(WIRE_MAGIC, WIRE_VERSION, flags, len(body)) + body
 
 
 # ---------------------------------------------------------------- round trips
@@ -169,6 +183,16 @@ class TestMalformedFrames:
             self._frame(b"q"),                    # unknown tag
             self._frame(b"ML1:lT" + b"m"),        # unhashable dict key
         ]
+        # an envelope frame cut at every point inside its head and names
+        good = WireCodec().encode_frame(
+            Envelope("src", "dst", "x", 1.5, 2.25))
+        names_end = HEADER_SIZE + _ENVELOPE_HEAD.size + 6
+        cases += [
+            self._frame(good[HEADER_SIZE:cut], flags=FLAG_ENVELOPE)
+            for cut in range(HEADER_SIZE, names_end + 1)]
+        # address lengths that run past the end of the frame
+        cases += [_envelope_frame(lengths=lengths) for lengths in (
+            (5, 1), (1, 5), (0xFFFF, 0), (0, 0xFFFF), (0xFFFF, 0xFFFF))]
         for frame in cases:
             with pytest.raises(WireError):
                 codec.decode_frame(frame)
@@ -213,6 +237,56 @@ class TestMalformedFrames:
     def test_unencodable_payload(self):
         with pytest.raises(UnencodableWirePayload):
             WireCodec().encode_frame(object())
+
+
+# -------------------------------------------------------- envelope head (v2)
+class TestEnvelopeHead:
+    def test_spelled_out_frame_decodes(self):
+        # the control for the refusals below: the same bytes, untouched
+        assert WireCodec().decode_frame(_envelope_frame()) == \
+            Envelope("a", "b", "x", 1.0, 2.0)
+
+    @pytest.mark.parametrize("times", [
+        (float("nan"), 2.0), (1.0, float("nan")), (float("inf"), 2.0),
+        (1.0, float("-inf")), (float("-inf"), float("inf")),
+    ])
+    def test_non_finite_times_are_refused(self, times):
+        with pytest.raises(MalformedWirePayload, match="non-finite"):
+            WireCodec().decode_frame(_envelope_frame(*times))
+
+    @pytest.mark.parametrize("names", [
+        (b"\xff", b"b"), (b"a", b"\xc3"), (b"\xed\xa0\x80", b"b"),
+    ])
+    def test_invalid_utf8_addresses_are_refused(self, names):
+        with pytest.raises(MalformedWirePayload, match="utf-8"):
+            WireCodec().decode_frame(_envelope_frame(source=names[0],
+                                                     destination=names[1]))
+
+    def test_canonical_envelope_without_the_flag_is_refused(self):
+        # One spelling per envelope: the canonical form is for envelopes
+        # nested inside values, never for the one a frame carries.
+        payload = canonical_bytes(_envelope("x"))
+        frame = HEADER.pack(WIRE_MAGIC, WIRE_VERSION, 0,
+                            len(payload)) + payload
+        with pytest.raises(MalformedWirePayload, match="FLAG_ENVELOPE"):
+            WireCodec().decode_frame(frame)
+        # nested, it is an ordinary value
+        nested = [_envelope("x")]
+        codec = WireCodec()
+        assert codec.decode_frame(codec.encode_frame(nested)) == nested
+
+    @pytest.mark.parametrize("field", ["source", "destination"])
+    def test_oversized_address_is_unencodable(self, field):
+        names = {"source": "a", "destination": "b", field: "x" * 65_536}
+        envelope = Envelope(payload="x", sent_at=1.0, delivered_at=2.0,
+                            **names)
+        with pytest.raises(UnencodableWirePayload, match="65535"):
+            WireCodec().encode_frame(envelope)
+        # one byte under the cap still crosses
+        names[field] = "x" * 65_535
+        fits = Envelope(payload="x", sent_at=1.0, delivered_at=2.0, **names)
+        codec = WireCodec()
+        assert codec.decode_frame(codec.encode_frame(fits)) == fits
 
 
 # ------------------------------------------------------------------ registry
@@ -284,14 +358,29 @@ class TestFrameLayout:
     def test_header_layout_is_pinned(self):
         # README documents this layout; changing it is a WIRE_VERSION bump
         assert WIRE_MAGIC == b"RB"
-        assert WIRE_VERSION == 1
+        assert WIRE_VERSION == 2
+        assert FLAG_ENVELOPE == 0x04
         assert HEADER_SIZE == 8
         assert HEADER.format == ">2sBBI"
 
     def test_frame_is_header_plus_canonical_payload(self):
-        env = _envelope("payload")
-        frame = WireCodec().encode_frame(env)
+        request = _request()
+        frame = WireCodec().encode_frame(request)
         assert frame[:2] == WIRE_MAGIC
-        assert frame[HEADER_SIZE:] == canonical_bytes(env)
+        assert frame[2] == WIRE_VERSION
+        assert frame[3] == 0
+        assert frame[HEADER_SIZE:] == canonical_bytes(request)
+        length = struct.unpack(">I", frame[4:8])[0]
+        assert length == len(frame) - HEADER_SIZE
+
+    def test_envelope_frame_is_header_head_names_payload(self):
+        env = Envelope("src", "replica-1", _request(), 1.5, 2.25)
+        frame = WireCodec().encode_frame(env)
+        assert frame[:3] == WIRE_MAGIC + bytes((WIRE_VERSION,))
+        assert frame[3] == FLAG_ENVELOPE
+        head = HEADER_SIZE + _ENVELOPE_HEAD.size
+        assert frame[HEADER_SIZE:head] == _ENVELOPE_HEAD.pack(1.5, 2.25, 3, 9)
+        assert frame[head:head + 12] == b"srcreplica-1"
+        assert frame[head + 12:] == canonical_bytes(env.payload)
         length = struct.unpack(">I", frame[4:8])[0]
         assert length == len(frame) - HEADER_SIZE

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core.analysis import figure1_table, format_table
+from repro.core.instrumented import FIGURE5_BARS, instrumented_pbft_factory
 from repro.core.flexitrust import (
     transform,
     transformable_protocols,
@@ -12,6 +13,7 @@ from repro.core.flexitrust import (
 from repro.protocols import PROTOCOLS, get_protocol, protocol_names
 from repro.protocols.family import (OwnCounterBinding, OwnLogBinding,
                                     PrimaryOnlyBinding)
+from repro.runtime.deployment import Deployment
 from repro.runtime.experiments import ExperimentScale, build_config
 from repro.runtime.spec import DeploymentSpec
 
@@ -218,6 +220,28 @@ def _census_rates(spec):
     return per_replica, per_replica, 0
 
 
+#: Trusted accesses per batch (primary, backup) of each Figure 5 bar: one in
+#: Preprepare, or one in each of Preprepare, Prepare and Commit.
+FIGURE5_RATES = {"a": (0, 0), "b": (1, 0), "c": (1, 0), "d": (3, 0),
+                 "e": (1, 1), "f": (1, 1), "g": (3, 3)}
+
+
+def _assert_census(deployment, k_primary, k_backup, creates):
+    """Run ``deployment`` and hold every replica's trusted accesses to its
+    rate per executed batch, up to the outstanding window; returns n."""
+    deployment.run_until_target()
+    window = deployment.protocol_config.max_outstanding
+    for replica in deployment.replicas:
+        rate, extra = ((k_primary, creates) if replica.is_primary
+                       else (k_backup, 0))
+        executed = replica.stats.batches_executed
+        assert executed > 0
+        assert (rate * executed + extra
+                <= replica.trusted.stats.total
+                <= rate * (executed + window) + extra)
+    return len(deployment.replicas)
+
+
 class TestTrustedAccessCensus:
     """The paper's G2 (Section 8): O(1) against O(n) trusted accesses."""
 
@@ -228,18 +252,16 @@ class TestTrustedAccessCensus:
         spec = PROTOCOLS[name]
         k_primary, k_backup, creates = _census_rates(spec)
         with DeploymentSpec(build_config(name, CENSUS_SCALE, f=f)).build() as deployment:
-            deployment.run_until_target()
-            window = deployment.protocol_config.max_outstanding
-            for replica in deployment.replicas:
-                rate, extra = ((k_primary, creates) if replica.is_primary
-                               else (k_backup, 0))
-                executed = replica.stats.batches_executed
-                assert executed > 0
-                assert (rate * executed + extra
-                        <= replica.trusted.stats.total
-                        <= rate * (executed + window) + extra)
-            n = len(deployment.replicas)
+            n = _assert_census(deployment, k_primary, k_backup, creates)
         assert trusted_accesses_per_batch(spec, n) == k_primary + (n - 1) * k_backup
+
+    @pytest.mark.parametrize("f", (1, 2))
+    @pytest.mark.parametrize("bar", FIGURE5_BARS, ids=lambda bar: bar.label)
+    def test_each_figure5_bar_accesses_trusted_hardware_as_declared(self, bar, f):
+        k_primary, k_backup = FIGURE5_RATES[bar.label]
+        config = build_config("pbft", CENSUS_SCALE, f=f)
+        with Deployment(config, replica_factory=instrumented_pbft_factory(bar)) as deployment:
+            _assert_census(deployment, k_primary, k_backup, 0)
 
     def test_pbft_ea_binds_two_messages_per_replica_and_flexitrust_one_in_all(self):
         for n in (3, 5):

@@ -16,21 +16,16 @@ from .flexitrust import (
     transformable_protocols,
     trusted_accesses_per_batch,
 )
-from .instrumented import FIGURE5_BARS, InstrumentedPbftReplica, TrustedUsage, instrumented_pbft_factory
 
 __all__ = [
     "ComparisonRow",
-    "FIGURE5_BARS",
-    "InstrumentedPbftReplica",
     "Transformation",
     "TransformationStep",
-    "TrustedUsage",
     "claims_table",
     "comparison_row",
     "expected_speedup",
     "figure1_table",
     "format_table",
-    "instrumented_pbft_factory",
     "responsiveness_row",
     "rollback_row",
     "sequential_throughput_bound",

@@ -180,9 +180,10 @@ def scenario_figures(scale: PerfScale) -> list[dict]:
 
     Each experiment of ``ALL_EXPERIMENTS`` runs at the scale's sizing with
     two values per swept axis and two protocols per sweep; every row is
-    tagged with its figure name.  Rows of the cell-backed figures carry the
-    ``cell`` column, so the digest pins the figures' cell hashes as well as
-    their results.  ``figure_recovery`` is pinned by ``recovery``.
+    tagged with its figure name.  Every figure here is cell-backed, Figure
+    5's seven bars included (a bar is the spec's ``trusted_usage``), so each
+    row carries the ``cell`` column and the digest pins the cell hashes as
+    well as the results.  ``figure_recovery`` is pinned by ``recovery``.
     """
     experiment = replace(scale.experiment, f_values=(1, 2),
                          client_values=(20, 40), batch_values=(5, 20),

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..common.config import CryptoCostModel, ProtocolConfig, RecoveryConfig
 from ..common.types import FaultKind, Micros, ReplicaId, RequestId, SeqNum, ViewNum
@@ -68,6 +68,9 @@ from .messages import (
     sign_in_place,
     signed_part_bytes,
 )
+
+if TYPE_CHECKING:
+    from .family import TrustedUsage
 
 #: messages a recovering replica must not emit: it re-executes history during
 #: state transfer and may not influence live consensus until it has rejoined.
@@ -117,6 +120,8 @@ class ReplicaContext:
     #: allocation-free ``is not None`` check, so simulated digests are
     #: byte-identical with tracing disabled.
     tracer: Optional[object] = None
+    #: Figure 5's bar: the trusted use a grafted Pbft replica pays for.
+    trusted_usage: Optional["TrustedUsage"] = None
 
 
 @dataclass(slots=True)

@@ -24,10 +24,18 @@ Each protocol is then a phase count declared on top of one binding.  Reading
 :class:`MinBftReplica` against :class:`FlexiBftReplica` (or :class:`MinZzReplica`
 against :class:`FlexiZzReplica`) *is* the FlexiTrust transformation: the same
 phases, the binding swapped, and — at 3f + 1 replicas — the larger quorum.
+
+Figure 5 runs the opposite experiment: it grafts trusted use onto Pbft, bar
+by bar, to price it.  A bar is data, a :class:`TrustedUsage` carried on the
+deployment spec, and :class:`GraftedPbftReplica` pays for it from the same
+hooks: ``order`` for the primary's Preprepare access, ``bind`` for a
+replica's Prepare and Commit, ``mark_committed`` for the access on
+committing; it overrides no message handler.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from ..common.errors import ProtocolError, SlotOccupied
@@ -468,3 +476,91 @@ class FlexiZzReplica(PrimaryOnlyBinding):
         snapshot = self.ledger.snapshot_at(to_seq)
         if snapshot is not None:
             self.state_machine.restore(snapshot)
+
+
+# --------------------------------------------------- Figure 5's grafted Pbft
+@dataclass(frozen=True)
+class TrustedUsage:
+    """Which replicas access trusted hardware, in which phases, and how."""
+
+    label: str
+    description: str
+    primary_tc: bool = False
+    primary_sa: bool = False
+    all_replicas: bool = False
+    all_phases: bool = False
+
+
+#: The seven bars of Figure 5.
+FIGURE5_BARS: tuple[TrustedUsage, ...] = (
+    TrustedUsage("a", "standard Pbft"),
+    TrustedUsage("b", "primary TC in Preprepare", primary_tc=True),
+    TrustedUsage("c", "primary TC+SA in Preprepare", primary_tc=True,
+                 primary_sa=True),
+    TrustedUsage("d", "primary TC+SA in all phases", primary_tc=True,
+                 primary_sa=True, all_phases=True),
+    TrustedUsage("e", "all replicas TC in Preprepare", primary_tc=True,
+                 all_replicas=True),
+    TrustedUsage("f", "all replicas TC+SA in Preprepare", primary_tc=True,
+                 primary_sa=True, all_replicas=True),
+    TrustedUsage("g", "all replicas TC+SA in all phases", primary_tc=True,
+                 primary_sa=True, all_replicas=True, all_phases=True),
+)
+
+
+class GraftedPbftReplica(PbftReplica):
+    """Pbft paying for the trusted use its deployment declares (Figure 5).
+
+    ``ctx.trusted_usage`` names the bar.  Each access is one trusted-counter
+    append, plus a signature when the bar attests (SA): the primary's in
+    ``order``, a backup's on accepting the proposal (``bind(PREPARE)``), and
+    with ``all_phases`` one on becoming prepared (``bind(COMMIT)``) and one
+    on committing, at the primary or at every replica.  An attested message
+    costs its receiver one attestation verification.  Nothing is attached
+    to the messages: the protocol is Pbft, only its costs change.
+    """
+
+    def __init__(self, replica_id, ctx) -> None:
+        super().__init__(replica_id, ctx)
+        usage = self.usage = ctx.trusted_usage
+        #: messages that would carry an attestation the receiver verifies.
+        self._attested_kinds = (
+            () if not usage.primary_sa
+            else (PrePrepare, Prepare, Commit) if usage.all_phases
+            else (PrePrepare,))
+
+    def _access(self, batch_digest: bytes) -> None:
+        self.trusted.counter_append(0, None, batch_digest)
+        if self.usage.primary_sa:
+            self.charge(self.costs.ds_sign_us)
+
+    def _accesses_every_phase(self) -> bool:
+        usage = self.usage
+        return usage.all_phases and (usage.all_replicas or self.is_primary)
+
+    def order(self, batch_digest):
+        if self.usage.primary_tc:
+            self._access(batch_digest)
+        return super().order(batch_digest)
+
+    def bind(self, kind, seq, batch_digest, proposal):
+        if (self.usage.all_replicas if kind == PREPARE
+                else self._accesses_every_phase()):
+            self._access(batch_digest)
+        return super().bind(kind, seq, batch_digest, proposal)
+
+    def mark_committed(self, seq, batch, view) -> None:
+        if self._accesses_every_phase() and not self.instance(seq, view).committed:
+            self._access(batch.digest())
+        super().mark_committed(seq, batch, view)
+
+    def dispatch(self, payload, source) -> None:
+        # Verifying the attestation is the handler's CPU, not part of the
+        # inbound verification job queued ahead of it; a message the low
+        # watermark drops (the same test as BaseReplica.dispatch) reaches
+        # no handler and verifies nothing.
+        if (isinstance(payload, self._attested_kinds)
+                and not (payload.seq <= self.ledger.stable_checkpoint
+                         and payload.seq <= self.ledger.last_executed)):
+            self.charge(self.costs.attestation_verify_us)
+        super().dispatch(payload, source)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..backends import Backend, resolve_backend
 from ..common.config import DeploymentConfig, sequential_variant
@@ -47,6 +47,7 @@ from ..obsv.trace import Tracer
 from ..obsv.watchdog import (StallWatchdog, deployment_health,
                              snapshot_diagnostics)
 from ..protocols.base import BaseReplica, ReplicaContext
+from ..protocols.family import GraftedPbftReplica, TrustedUsage
 from ..protocols.registry import get_protocol
 from ..recovery.schedule import FaultSchedule
 from ..recovery.store import DurableStore
@@ -59,8 +60,6 @@ from .metrics import MetricsCollector, RunMetrics
 
 if TYPE_CHECKING:
     from ..sharding.metrics import ShardedRunMetrics
-
-ReplicaFactory = Callable[[int, ReplicaContext], BaseReplica]
 
 
 def measurement_warmup_fraction(experiment) -> float:
@@ -275,11 +274,12 @@ class Deployment(RunLoop):
 
     ``backend`` selects the kernel/transport pair (``sim`` / ``live`` /
     ``live-tcp``, or a :class:`~repro.backends.Backend` instance); the build
-    path is otherwise identical across backends.
+    path is otherwise identical across backends.  ``trusted_usage`` (one
+    of Figure 5's bars) grafts that trusted use onto a Pbft deployment.
     """
 
     def __init__(self, config: DeploymentConfig,
-                 replica_factory: Optional[ReplicaFactory] = None,
+                 trusted_usage: Optional[TrustedUsage] = None,
                  sim: Optional[Kernel] = None,
                  rng: Optional[RngRegistry] = None,
                  keystore: Optional[KeyStore] = None,
@@ -296,7 +296,7 @@ class Deployment(RunLoop):
         self.n = self.spec.replicas(config.f)
         config.validate(self.n)
         self.f = config.f
-        self._replica_factory = replica_factory
+        self.trusted_usage = trusted_usage
 
         protocol_config = config.protocol_config
         if self.spec.sequential:
@@ -350,7 +350,7 @@ class Deployment(RunLoop):
 
         self.replicas: list[BaseReplica] = []
         for replica_id in range(self.n):
-            replica = self._build_replica(replica_id, replica_factory)
+            replica = self._build_replica(replica_id)
             self.replicas.append(replica)
             self.network.register(replica)
         for replica_id in crashed:
@@ -386,12 +386,12 @@ class Deployment(RunLoop):
                                           self.config.network)
 
     def _build_replica(self, replica_id: int,
-                       replica_factory: Optional[ReplicaFactory],
                        trusted_override: Optional[TrustedComponentHost] = None
                        ) -> BaseReplica:
         trusted = trusted_override
         trusted_device = None if trusted is None else trusted.device
-        if trusted is None and (self.spec.uses_trusted or replica_factory is not None):
+        if trusted is None and (self.spec.uses_trusted
+                                or self.trusted_usage is not None):
             tc_key = self.keystore.register(f"tc/{self.replica_names[replica_id]}")
             trusted_device = self._trusted_devices.get(replica_id)
             if trusted_device is None:
@@ -415,9 +415,9 @@ class Deployment(RunLoop):
             one_way_latency_us=self._typical_one_way_latency(),
             store=self.stores[replica_id],
             recovery_config=self.config.recovery,
-            tracer=self.tracer)
-        if replica_factory is not None:
-            return replica_factory(replica_id, ctx)
+            tracer=self.tracer, trusted_usage=self.trusted_usage)
+        if self.trusted_usage is not None:
+            return GraftedPbftReplica(replica_id, ctx)
         return self.spec.replica_class(replica_id, ctx)
 
     def _typical_one_way_latency(self) -> Micros:
@@ -498,7 +498,7 @@ class Deployment(RunLoop):
         trusted_override = None
         if old.trusted is not None and self.config.trusted_hardware.persistent:
             trusted_override = old.trusted
-        replica = self._build_replica(replica_id, self._replica_factory,
+        replica = self._build_replica(replica_id,
                                       trusted_override=trusted_override)
         self.replicas[replica_id] = replica
         self.network.register(replica)

@@ -10,9 +10,8 @@ figure-6-style curve series.  The experiments accept an
 default, used by the test-suite and benchmarks) and at paper scale (f up to
 32, 97 replicas, thousands of clients) when more time is available.
 
-Three figures stay off the matrix path by construction: Figure 5 injects an
-instrumented replica factory (not expressible as a spec), and the recovery
-and open-loop figures read the completion timeline, the restarted replica's
+Two figures stay off the matrix path by construction: the recovery and
+open-loop figures read the completion timeline, the restarted replica's
 statistics or the arrival engine's counters off the finished deployment,
 with rows pinned byte-identical by the committed determinism digests.  All
 return the same kind of row list.
@@ -59,12 +58,12 @@ from ..common.config import (
     WorkloadConfig,
 )
 from ..common.types import ms, seconds
-from ..core.instrumented import FIGURE5_BARS, instrumented_pbft_factory
 from ..net.topology import PAPER_REGIONS
+from ..protocols.family import FIGURE5_BARS
 from ..protocols.registry import get_protocol
 from ..recovery.schedule import FaultPlan
 from ..workload.openloop import OpenLoopConfig, open_loop_row, run_open_loop
-from .deployment import Deployment, RunResult
+from .deployment import RunResult
 from .spec import DeploymentSpec
 
 if TYPE_CHECKING:
@@ -180,18 +179,16 @@ def figure5_trusted_counter_costs(scale: ExperimentScale = SMALL_SCALE,
                                   hardware: TrustedHardwareSpec = SGX_ENCLAVE_COUNTER) -> list[dict]:
     """Peak Pbft throughput for each of the seven bars (single worker).
 
-    Stays off the matrix path: each bar injects an instrumented replica
-    factory, which a declarative spec cannot express, so no cells attach.
+    Each bar is one cell: the spec carries the bar as its ``trusted_usage``,
+    so the bar is part of the cell hash.
     """
-    rows = []
-    for usage in FIGURE5_BARS:
-        config = build_config("pbft", scale, worker_threads=1, hardware=hardware)
-        with Deployment(config, replica_factory=instrumented_pbft_factory(
-                usage)) as deployment:
-            result = deployment.run_until_target()
-        rows.append(_row("pbft", result, bar=usage.label,
-                         configuration=usage.description))
-    return rows
+    from ..matrix.cell import Cell
+
+    config = build_config("pbft", scale, worker_threads=1, hardware=hardware)
+    return _run_cells([
+        Cell(spec=DeploymentSpec(config, trusted_usage=bar),
+             axes={"bar": bar.label, "configuration": bar.description})
+        for bar in FIGURE5_BARS])
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from ..common.config import DeploymentConfig
 from ..common.errors import ConfigurationError
 from ..crypto.digest import digest
 from ..obsv.health import ObservabilityConfig
+from ..protocols.family import TrustedUsage
+from ..protocols.registry import get_protocol
 from ..recovery.schedule import FaultEvent, FaultSchedule
 from ..workload.openloop import OpenLoopConfig
 from .deployment import Deployment
@@ -102,6 +104,9 @@ class DeploymentSpec:
     #: (or the sharded ``num_clients``) must equal ``open_loop.max_in_flight``
     #: — the clients become the engine's request lanes.
     open_loop: Optional[OpenLoopConfig] = None
+    #: when set, one of Figure 5's bars: the trusted use grafted onto a
+    #: plain (unsharded) Pbft deployment.
+    trusted_usage: Optional[TrustedUsage] = None
 
     @property
     def sharded(self) -> bool:
@@ -145,6 +150,15 @@ class DeploymentSpec:
                     f"{self.open_loop.max_in_flight} lanes but builds "
                     f"{clients} clients; set workload.num_clients (or the "
                     "sharded num_clients) to max_in_flight")
+        if self.trusted_usage is not None:
+            if get_protocol(self.config.protocol).name != "pbft":
+                raise ConfigurationError(
+                    "trusted_usage grafts trusted use onto pbft, not "
+                    f"{self.config.protocol}")
+            if self.sharded:
+                raise ConfigurationError(
+                    "trusted_usage configures a plain deployment; a sharded "
+                    "one would drop it")
 
     def describe(self) -> dict:
         """Canonical plain-data description of everything the spec resolves.
@@ -180,6 +194,8 @@ class DeploymentSpec:
                 for shard, schedule in self.fault_schedules.items()}
         if self.open_loop is not None:
             description["open_loop"] = self.open_loop
+        if self.trusted_usage is not None:
+            description["trusted_usage"] = self.trusted_usage
         return description
 
     def cell_hash(self) -> str:
@@ -205,4 +221,5 @@ class DeploymentSpec:
         self.validate()
         return Deployment(self.config, fault_schedule=self.fault_schedule,
                           backend=resolve_backend(self.backend),
-                          observe=self.observe)
+                          observe=self.observe,
+                          trusted_usage=self.trusted_usage)

@@ -21,6 +21,7 @@ from repro.backends import (
 from repro.common.errors import ConfigurationError
 from repro.net.tcp import TcpTransport
 from repro.net.network import Network
+from repro.protocols.family import FIGURE5_BARS
 from repro.realtime import LiveNetwork
 from repro.realtime.kernel import AsyncioKernel
 from repro.recovery import FaultSchedule, crash_at, restart_at
@@ -228,6 +229,27 @@ class TestSpecValidation:
 
     def test_router_seed_zero_is_the_plain_default(self):
         DeploymentSpec(_config(), router_seed=0).validate()
+
+    @pytest.mark.parametrize("protocol", ["minbft", "flexi-bft", "zyzzyva"])
+    def test_trusted_usage_refuses_a_protocol_other_than_pbft(self, protocol):
+        spec = DeploymentSpec(_config(protocol), trusted_usage=FIGURE5_BARS[-1])
+        with pytest.raises(ConfigurationError, match="trusted_usage"):
+            spec.validate()
+
+    def test_trusted_usage_refuses_a_sharded_spec(self):
+        spec = DeploymentSpec(_config("pbft"), num_shards=2,
+                              trusted_usage=FIGURE5_BARS[-1])
+        with pytest.raises(ConfigurationError, match="trusted_usage"):
+            spec.validate()
+
+    def test_trusted_usage_is_hashed_only_when_set(self):
+        plain = DeploymentSpec(_config("pbft"))
+        plain.validate()
+        assert "trusted_usage" not in plain.describe()
+        hashes = {DeploymentSpec(_config("pbft"), trusted_usage=bar).cell_hash()
+                  for bar in FIGURE5_BARS}
+        assert len(hashes) == len(FIGURE5_BARS)
+        assert plain.cell_hash() not in hashes
 
 
 class TestCustomBackendObject:

@@ -10,20 +10,22 @@ from repro.runtime.experiments import PAPER_SCALE
 
 class TestDeploymentBuilder:
     def test_replica_count_follows_protocol_regime(self):
-        assert Deployment(DeploymentConfig(protocol="pbft", f=2)).n == 7
-        assert Deployment(DeploymentConfig(protocol="minbft", f=2)).n == 5
+        with Deployment(DeploymentConfig(protocol="pbft", f=2)) as pbft:
+            assert pbft.n == 7
+        with Deployment(DeploymentConfig(protocol="minbft", f=2)) as minbft:
+            assert minbft.n == 5
 
     def test_sequential_protocols_get_pinned_window(self):
-        deployment = Deployment(DeploymentConfig(protocol="minbft", f=1))
-        assert deployment.protocol_config.max_outstanding == 1
-        parallel = Deployment(DeploymentConfig(protocol="flexi-bft", f=1))
-        assert parallel.protocol_config.max_outstanding > 1
+        with Deployment(DeploymentConfig(protocol="minbft", f=1)) as deployment:
+            assert deployment.protocol_config.max_outstanding == 1
+        with Deployment(DeploymentConfig(protocol="flexi-bft", f=1)) as parallel:
+            assert parallel.protocol_config.max_outstanding > 1
 
     def test_trusted_components_only_built_when_needed(self):
-        pbft = Deployment(DeploymentConfig(protocol="pbft", f=1))
-        assert all(r.trusted is None for r in pbft.replicas)
-        minbft = Deployment(DeploymentConfig(protocol="minbft", f=1))
-        assert all(r.trusted is not None for r in minbft.replicas)
+        with Deployment(DeploymentConfig(protocol="pbft", f=1)) as pbft:
+            assert all(r.trusted is None for r in pbft.replicas)
+        with Deployment(DeploymentConfig(protocol="minbft", f=1)) as minbft:
+            assert all(r.trusted is not None for r in minbft.replicas)
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -33,27 +35,27 @@ class TestDeploymentBuilder:
         config = DeploymentConfig(protocol="pbft", f=1)
         config = config.with_updates(
             faults=config.faults.__class__(crashed=(3,)))
-        deployment = Deployment(config)
-        assert not deployment.replicas[3].active
-        assert 3 not in deployment.safety.honest_replicas
+        with Deployment(config) as deployment:
+            assert not deployment.replicas[3].active
+            assert 3 not in deployment.safety.honest_replicas
 
     def test_clients_match_workload_config(self):
         config = DeploymentConfig(protocol="pbft", f=1,
                                   workload=WorkloadConfig(num_clients=7))
-        deployment = Deployment(config)
-        assert len(deployment.clients) == 7
-        assert len(deployment.network.node_names()) == 4 + 7
+        with Deployment(config) as deployment:
+            assert len(deployment.clients) == 7
+            assert len(deployment.network.node_names()) == 4 + 7
 
     def test_run_for_fixed_duration(self):
         config = DeploymentConfig(
             protocol="flexi-zz", f=1,
             workload=WorkloadConfig(num_clients=10, records=50),
             protocol_config=ProtocolConfig(batch_size=2, worker_threads=2))
-        deployment = Deployment(config)
-        deployment.start_clients()
-        result = deployment.run_for(20_000.0)
-        assert result.sim_time_s == pytest.approx(0.02)
-        assert deployment.metrics.completed_count > 0
+        with Deployment(config) as deployment:
+            deployment.start_clients()
+            result = deployment.run_for(20_000.0)
+            assert result.sim_time_s == pytest.approx(0.02)
+            assert deployment.metrics.completed_count > 0
 
 
 class TestExperimentScaffolding:

@@ -4,16 +4,14 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core.analysis import figure1_table, format_table
-from repro.core.instrumented import FIGURE5_BARS, instrumented_pbft_factory
 from repro.core.flexitrust import (
     transform,
     transformable_protocols,
     trusted_accesses_per_batch,
 )
 from repro.protocols import PROTOCOLS, get_protocol, protocol_names
-from repro.protocols.family import (OwnCounterBinding, OwnLogBinding,
-                                    PrimaryOnlyBinding)
-from repro.runtime.deployment import Deployment
+from repro.protocols.family import (FIGURE5_BARS, OwnCounterBinding,
+                                    OwnLogBinding, PrimaryOnlyBinding)
 from repro.runtime.experiments import ExperimentScale, build_config
 from repro.runtime.spec import DeploymentSpec
 
@@ -260,7 +258,7 @@ class TestTrustedAccessCensus:
     def test_each_figure5_bar_accesses_trusted_hardware_as_declared(self, bar, f):
         k_primary, k_backup = FIGURE5_RATES[bar.label]
         config = build_config("pbft", CENSUS_SCALE, f=f)
-        with Deployment(config, replica_factory=instrumented_pbft_factory(bar)) as deployment:
+        with DeploymentSpec(config, trusted_usage=bar).build() as deployment:
             _assert_census(deployment, k_primary, k_backup, 0)
 
     def test_pbft_ea_binds_two_messages_per_replica_and_flexitrust_one_in_all(self):

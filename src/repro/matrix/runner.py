@@ -154,8 +154,8 @@ class MatrixRunner:
                     # its own load (the live path starts clients itself).
                     deployment.start_clients()
                 run_result = deployment.run_for(horizon_us)
+            row = cell.row(run_result, deployment)
         wall_seconds = time.perf_counter() - started
-        row = cell.row(run_result)
         if cell.realtime:
             if row.get("completed_requests", 0) == 0:
                 raise ConfigurationError(

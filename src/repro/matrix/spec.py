@@ -78,14 +78,11 @@ class MatrixSpec:
         for protocol, backend, clients, batch_size, plan in itertools.product(
                 self.protocols, self.backends, self.client_counts,
                 self.batch_sizes, self.fault_plans):
-            config = build_config(protocol, scale, num_clients=clients,
+            # A plan's horizon is the cell's hashed time cap.
+            capped = scale if plan is None else replace(scale, max_sim_seconds=plan.end_s)
+            config = build_config(protocol, capped, num_clients=clients,
                                   batch_size=batch_size)
-            schedule = None
-            if plan is not None:
-                schedule = plan.schedule(protocol, scale.f)
-                config = config.with_updates(experiment=replace(
-                    config.experiment,
-                    max_sim_time_us=plan.end_s * 1_000_000.0))
+            schedule = None if plan is None else plan.schedule(protocol, scale.f)
             axes: dict[str, object] = {}
             if self.client_counts != _UNSET:
                 axes["clients"] = (scale.num_clients if clients is None

@@ -28,6 +28,7 @@ from ..common.config import (
 from ..common.types import seconds
 from ..core.claims import claims_table
 from ..crypto.digest import digest
+from ..matrix.cell import Cell
 from ..matrix.spec import MatrixSpec
 from ..protocols.registry import protocol_names
 from ..recovery import FaultPlan, FaultSchedule, crash_at, restart_at
@@ -166,9 +167,9 @@ def scenario_fig1(scale: PerfScale) -> list[dict]:
 def scenario_recovery(scale: PerfScale) -> list[dict]:
     """Crash → restart → state transfer for one replica, per protocol."""
     experiment = replace(scale.experiment, num_clients=scale.recovery_clients)
-    return figure_recovery(experiment, protocols=scale.recovery_protocols,
-                           hardware_levels=scale.recovery_hardware,
-                           plan=scale.recovery)
+    return _without_cell_columns(figure_recovery(
+        experiment, protocols=scale.recovery_protocols,
+        hardware_levels=scale.recovery_hardware, plan=scale.recovery))
 
 
 #: the two protocols every protocol-selecting figure sweeps in ``figures``.
@@ -202,35 +203,23 @@ def scenario_protocols(scale: PerfScale) -> list[dict]:
     """Every registered protocol: the normal case, then a view change.
 
     The one scenario that covers all ten names and the view change of every
-    trust-bft protocol: per protocol one normal-case row, and one row from a
+    trust-bft protocol: per protocol one normal-case cell, and one cell on a
     fixed f = 1 timeline that crashes the view-0 primary at 0.1 s and
     restarts it at 0.7 s (the 250 ms request and 500 ms view-change timeouts
-    fit inside the 1 s run), which also pins where every replica ended up.
+    fit inside the 1 s horizon), whose row carries a fault cell's timeline
+    columns: recovery around the crash and where every replica ended up.
     """
     schedule = FaultSchedule((crash_at(0, seconds(0.1)),
                               restart_at(0, seconds(0.7))))
-    rows = []
-    for protocol in protocol_names():
-        config = build_config(protocol, scale.experiment)
-        with DeploymentSpec(config).build() as deployment:
-            result = deployment.run_until_target()
-        rows.append({"protocol": protocol, "timeline": "normal",
-                     **result.as_row()})
-        config = build_config(protocol, scale.experiment, f=1,
-                              num_clients=scale.recovery_clients)
-        with DeploymentSpec(config,
-                            fault_schedule=schedule).build() as deployment:
-            deployment.start_clients()
-            row = {"protocol": protocol, "timeline": "primary-crash",
-                   **deployment.run_for(seconds(1.0)).as_row()}
-            for replica in deployment.replicas:
-                row[f"r{replica.replica_id}_view"] = replica.view
-                row[f"r{replica.replica_id}_last_executed"] = (
-                    replica.ledger.last_executed)
-                row[f"r{replica.replica_id}_trusted_accesses"] = (
-                    replica.trusted.stats.total if replica.trusted else 0)
-        rows.append(row)
-    return rows
+    crash_scale = replace(scale.experiment, f=1, max_sim_seconds=1.0,
+                          num_clients=scale.recovery_clients)
+    cells = [cell for protocol in protocol_names() for cell in (
+        Cell(spec=DeploymentSpec(build_config(protocol, scale.experiment)),
+             axes={"timeline": "normal"}),
+        Cell(spec=DeploymentSpec(build_config(protocol, crash_scale),
+                                 fault_schedule=schedule),
+             axes={"timeline": "primary-crash"}))]
+    return _without_cell_columns(_run_cells(cells))
 
 
 def scenario_sharding_scaleout(scale: PerfScale) -> list[dict]:

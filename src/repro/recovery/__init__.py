@@ -16,8 +16,8 @@ exercise those boundaries:
 * :mod:`repro.recovery.transfer` — bookkeeping for the peer state-transfer
   protocol (``CheckpointRequest`` / ``CheckpointReply`` / ``LogFill``) whose
   handlers live in :mod:`repro.protocols.base`.
-* :mod:`repro.recovery.analysis` — windowed-throughput helpers measuring the
-  dip depth and time-to-recover of a crash/restart experiment.
+* :mod:`repro.recovery.analysis` — the columns a fault-timeline cell reports:
+  dip depth and time-to-recover of a crash/restart, and each replica's state.
 
 Restart semantics for the trusted layer are implemented by
 :meth:`repro.runtime.deployment.Deployment.restart_replica`: a volatile

@@ -1,11 +1,11 @@
-"""Recovery-experiment analysis: throughput dips and time-to-recover.
+"""Fault-timeline analysis: throughput dips, time-to-recover, end state.
 
-The ``figure_recovery`` experiment runs a deployment through a timed
-crash → restart schedule and wants two numbers the steady-state summary in
-:class:`~repro.runtime.metrics.RunMetrics` cannot provide: how deep the
-throughput dips while the replica is down, and how long after the restart it
-takes the deployment to climb back to its pre-crash rate.  Both come from the
-same primitive — completion timestamps bucketed into fixed windows.
+:func:`timeline_columns` is the one definition of what a cell with a fault
+schedule reports.  Around a crash → restart it wants two numbers the
+steady-state :class:`~repro.runtime.metrics.RunMetrics` cannot provide: how
+deep throughput dips while the replica is down, and how long after the
+restart the deployment takes to climb back to its pre-crash rate.  Both come
+from one primitive — completion timestamps bucketed into fixed windows.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..common.types import MICROS_PER_SECOND, Micros
+from .schedule import FaultEventKind, FaultSchedule
 
 if TYPE_CHECKING:  # protocols.base imports this package; keep runtime out
+    from ..runtime.deployment import Deployment
     from ..runtime.metrics import CompletionRecord
 
 
@@ -125,3 +127,32 @@ def recovery_summary(completions: "Iterable[CompletionRecord]",
                            / MICROS_PER_SECOND),
         recovered_fraction=recovered_fraction,
     )
+
+
+def timeline_columns(deployment: "Deployment", schedule: FaultSchedule,
+                     end_us: Micros) -> dict:
+    """The columns a fault timeline reports about its finished deployment.
+
+    Around the schedule's first crash and first restart, if it has both:
+    the :class:`RecoverySummary` up to ``end_us`` (warm-up: a quarter of the
+    time to the crash), whether the restarted seat recovered and how many
+    batches it state-transferred.  Always: every replica's view, execution
+    frontier and trusted accesses.
+    """
+    columns: dict = {}
+    first = {event.kind: event for event in reversed(schedule.events)}  # earliest wins
+    restart = first.get(FaultEventKind.RESTART)
+    if restart is not None:  # a valid schedule crashes before it restarts
+        crash_us = first[FaultEventKind.CRASH].at_us
+        columns.update(recovery_summary(
+            deployment.metrics.completions, crash_us, restart.at_us, end_us,
+            warmup_us=0.25 * crash_us).as_row())
+        stats = deployment.replica(restart.replica).stats
+        columns["recovered"] = stats.recoveries_completed > 0
+        columns["transfer_batches"] = stats.log_fill_batches_applied
+    for health in deployment.health().replicas:
+        prefix = f"r{health.replica_id}_"
+        columns[prefix + "view"] = health.view
+        columns[prefix + "last_executed"] = health.last_executed
+        columns[prefix + "trusted_accesses"] = health.trusted_accesses
+    return columns

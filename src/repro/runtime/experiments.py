@@ -10,11 +10,8 @@ figure-6-style curve series.  The experiments accept an
 default, used by the test-suite and benchmarks) and at paper scale (f up to
 32, 97 replicas, thousands of clients) when more time is available.
 
-Two figures stay off the matrix path by construction: the recovery and
-open-loop figures read the completion timeline, the restarted replica's
-statistics or the arrival engine's counters off the finished deployment,
-with rows pinned byte-identical by the committed determinism digests.  All
-return the same kind of row list.
+Only the open-loop figure stays off the matrix path: it reads the arrival
+engine's counters off the finished deployment.
 
 Mapping to the paper (see DESIGN.md for the full index):
 
@@ -57,13 +54,13 @@ from ..common.config import (
     TrustedHardwareSpec,
     WorkloadConfig,
 )
-from ..common.types import ms, seconds
+from ..common.errors import SimulationError
+from ..common.types import ms
 from ..net.topology import PAPER_REGIONS
 from ..protocols.family import FIGURE5_BARS
 from ..protocols.registry import get_protocol
 from ..recovery.schedule import FaultPlan
 from ..workload.openloop import OpenLoopConfig, open_loop_row, run_open_loop
-from .deployment import RunResult
 from .spec import DeploymentSpec
 
 if TYPE_CHECKING:
@@ -147,13 +144,6 @@ def build_config(protocol: str, scale: ExperimentScale, *,
             max_sim_time_us=scale.max_sim_seconds * 1_000_000.0,
             seed=seed),
     )
-
-
-def _row(protocol: str, result: RunResult, **extra) -> dict:
-    row = {"protocol": protocol}
-    row.update(extra)
-    row.update(result.as_row())
-    return row
 
 
 def print_rows(title: str, rows: list[dict]) -> None:
@@ -346,46 +336,33 @@ def figure_recovery(scale: ExperimentScale = SMALL_SCALE,
     and restarts it at ``plan.restart_s``; the run ends at ``plan.end_s``.
     The restarted replica replays its durable store (20 µs per fsync),
     state-transfers the missing suffix from its peers, and rejoins
-    consensus.  Rows report the pre-crash throughput, the deepest windowed
-    dip, the post-recovery throughput and the time from the restart until
-    throughput is back above 90% of the pre-crash rate — for a sequential
-    trust-bft protocol versus a parallel FlexiTrust one, at both
-    trusted-hardware persistence levels (same access latency, so only the
-    persistence bit differs).
+    consensus.  One cell per protocol and hardware level — a sequential
+    trust-bft protocol versus a parallel FlexiTrust one, at both persistence
+    levels of one access latency — carries the plan as its schedule and
+    horizon, so its row holds the timeline columns of
+    :func:`~repro.recovery.analysis.timeline_columns`, then ``backend`` and
+    ``cell``.
     """
-    from ..recovery import recovery_summary
+    from ..matrix.cell import Cell
 
-    rows = []
     protocols = tuple(protocols or ("minbft", "flexi-bft"))
     hardware_levels = tuple(hardware_levels
                             or (SGX_ENCLAVE_COUNTER, ROLLBACK_PROTECTED_COUNTER))
-    crash_us, restart_us, end_us = (
-        seconds(plan.crash_s), seconds(plan.restart_s), seconds(plan.end_s))
+    scale = replace(scale, max_sim_seconds=plan.end_s)
     recovery = RecoveryConfig(fsync_latency_us=20.0, replay_latency_us=5.0)
+    cells = []
     for protocol in protocols:
         schedule = plan.schedule(protocol, scale.f)
         (crashed,) = schedule.crashed_replicas()
         for hardware in hardware_levels:
             config = build_config(protocol, scale, hardware=hardware)
-            config = config.with_updates(recovery=recovery)
-            with DeploymentSpec(
-                    config, fault_schedule=schedule).build() as deployment:
-                deployment.start_clients()
-                result = deployment.run_for(end_us)
-                summary = recovery_summary(
-                    deployment.metrics.completions, crash_us, restart_us,
-                    end_us, warmup_us=0.25 * crash_us)
-                replica = deployment.replica(crashed)
-                row = _row(protocol, result, hardware=hardware.name,
-                           persistent=hardware.persistent,
-                           crashed_replica=crashed)
-                row.update(summary.as_row())
-                row["recovered"] = replica.stats.recoveries_completed > 0
-                row["transfer_batches"] = replica.stats.log_fill_batches_applied
-            rows.append(row)
-    # No cells: these rows are pinned byte-identical by the committed
-    # recovery digests — they must not gain the columns a cell row carries.
-    return rows
+            cells.append(Cell(
+                spec=DeploymentSpec(config.with_updates(recovery=recovery),
+                                    fault_schedule=schedule),
+                axes={"hardware": hardware.name,
+                      "persistent": hardware.persistent,
+                      "crashed_replica": crashed}))
+    return _run_cells(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +394,10 @@ def figure_openloop(scale: ExperimentScale, open_loop: OpenLoopConfig,
         # The million-user contract: engine state is O(active requests) —
         # free-lane stack + armed deadlines + the arrival/flip/boundary
         # events — never O(num_users).
-        assert engine.stats.peak_resident <= 2 * open_loop.max_in_flight + 3, (
-            f"open-loop resident state {engine.stats.peak_resident} exceeds "
-            f"the O(active) bound for {open_loop.max_in_flight} lanes")
+        if engine.stats.peak_resident > 2 * open_loop.max_in_flight + 3:
+            raise SimulationError(
+                f"open-loop resident state {engine.stats.peak_resident} exceeds "
+                f"the O(active) bound for {open_loop.max_in_flight} lanes")
         row = {"protocol": protocol}
         if open_loop.segments:
             row["segment"] = "all"

@@ -123,21 +123,54 @@ def test_traced_cell_folds_span_summary_into_the_payload_only(tmp_path,
     assert point.columns["span_requests"] == summary["span_requests"]
 
 
-def test_fault_cell_runs_its_fixed_horizon(tmp_path):
-    from repro.matrix import FaultPlan
+#: the columns a crash → restart timeline adds around its first pair.
+_SUMMARY_COLUMNS = {"pre_crash_tx_s", "dip_tx_s", "dip_fraction",
+                    "post_recovery_tx_s", "time_to_recover_s", "recovered",
+                    "transfer_batches"}
+
+
+@pytest.mark.parametrize("fault", ["crash-restart", "none", "partition"])
+def test_fault_cell_runs_its_fixed_horizon(tmp_path, fault):
+    from repro.matrix import Cell, FaultPlan
+    from repro.protocols.registry import get_protocol
+    from repro.recovery import FaultSchedule, heal_at, partition_at
 
     spec = MatrixSpec(
         name="tiny-faults", protocols=("minbft",), client_counts=(12,),
-        fault_plans=(FaultPlan("crash-restart", crash_s=0.1, restart_s=0.2,
-                               end_s=0.45),))
-    (cell,) = spec.cells()
+        fault_plans=(None, FaultPlan("crash-restart", crash_s=0.1,
+                                     restart_s=0.2, end_s=0.45)))
+    no_fault, crash_restart = spec.cells()
+    partition = FaultSchedule((partition_at((2,), 100_000.0, name="cut"),
+                               heal_at(200_000.0, name="cut")))
+    cell = {
+        "none": no_fault,
+        "crash-restart": crash_restart,
+        "partition": Cell(spec=replace(crash_restart.spec,
+                                       fault_schedule=partition),
+                          axes={"fault": "partition"}),
+    }[fault]
     result = MatrixRunner(results_dir=str(tmp_path)).run([cell])
     row = result.rows[0]
-    assert row["fault"] == "crash-restart"
+    assert row["fault"] == fault
     assert row["completed_requests"] > 0
     assert row["consensus_safe"] is True
-    # The horizon came from the hashed spec, not a runner-side parameter.
-    assert cell.fixed_horizon_us == pytest.approx(450_000.0)
+    if fault == "none":
+        assert cell.fixed_horizon_us is None
+    else:
+        # The horizon came from the hashed spec, not a runner-side parameter.
+        assert cell.fixed_horizon_us == pytest.approx(450_000.0)
+
+    # A timeline reports how the deployment came through it: every
+    # replica's view, frontier and trusted accesses, plus the recovery
+    # summary when the schedule crashes and restarts a replica.
+    n = get_protocol("minbft").replicas(1)
+    per_replica = {f"r{i}_{column}" for i in range(n)
+                   for column in ("view", "last_executed", "trusted_accesses")}
+    expected = {"none": set(), "partition": per_replica,
+                "crash-restart": per_replica | _SUMMARY_COLUMNS}[fault]
+    assert (per_replica | _SUMMARY_COLUMNS) & row.keys() == expected
+    if fault == "crash-restart":
+        assert row["recovered"] is True
 
 
 def test_json_report_counts_executed_then_resumed_cells(tmp_path, capsys):

@@ -49,67 +49,68 @@ class TestCrashRestartRejoin:
         matches the honest majority."""
         schedule = FaultSchedule((crash_at(crashed, ms(300)),
                                   restart_at(crashed, ms(600))))
-        deployment = Deployment(recovery_config(protocol),
-                                fault_schedule=schedule)
-        deployment.start_clients()
-        deployment.sim.run(until=ms(600))
-        frontier_at_restart = max(r.ledger.last_executed
-                                  for r in deployment.replicas)
-        deployment.sim.run(until=seconds(2.0))
+        spec = DeploymentSpec(recovery_config(protocol), fault_schedule=schedule)
+        with spec.build() as deployment:
+            deployment.start_clients()
+            deployment.sim.run(until=ms(600))
+            frontier_at_restart = max(r.ledger.last_executed
+                                      for r in deployment.replicas)
+            deployment.sim.run(until=seconds(2.0))
 
-        rejoined = deployment.replica(crashed)
-        # One recovery for the restart itself; the lag trigger may legally
-        # run further catch-up rounds if the frontier outran the first pass.
-        assert rejoined.stats.recoveries_started >= 1
-        assert (rejoined.stats.recoveries_completed
-                == rejoined.stats.recoveries_started)
-        assert not rejoined.recovering
+            rejoined = deployment.replica(crashed)
+            # One recovery for the restart itself; the lag trigger may legally
+            # run further catch-up rounds if the frontier outran the first pass.
+            assert rejoined.stats.recoveries_started >= 1
+            assert (rejoined.stats.recoveries_completed
+                    == rejoined.stats.recoveries_started)
+            assert not rejoined.recovering
 
-        # It caught up past everything decided while it was down and kept
-        # executing new instances after the rejoin.
-        assert rejoined.ledger.last_executed > frontier_at_restart
-        others = [r for r in deployment.replicas if r.replica_id != crashed]
-        assert rejoined.ledger.last_executed >= min(
-            r.ledger.last_executed for r in others) - 4
+            # It caught up past everything decided while it was down and kept
+            # executing new instances after the rejoin.
+            assert rejoined.ledger.last_executed > frontier_at_restart
+            others = [r for r in deployment.replicas if r.replica_id != crashed]
+            assert rejoined.ledger.last_executed >= min(
+                r.ledger.last_executed for r in others) - 4
 
-        # Executed-ledger digests match the honest majority at every recent
-        # sequence number all replicas retain.
-        common = min(r.ledger.last_executed for r in deployment.replicas)
-        digests = {r.executed_digest(common) for r in deployment.replicas
-                   if r.executed_digest(common) is not None}
-        assert len(digests) == 1
-        assert deployment.safety.consensus_safe
-        assert deployment.safety.rsm_safe
+            # Executed-ledger digests match the honest majority at every recent
+            # sequence number all replicas retain.
+            common = min(r.ledger.last_executed for r in deployment.replicas)
+            digests = {r.executed_digest(common) for r in deployment.replicas
+                       if r.executed_digest(common) is not None}
+            assert len(digests) == 1
+            assert deployment.safety.consensus_safe
+            assert deployment.safety.rsm_safe
 
-        # Participation, not just observation: its post-rejoin votes appear
-        # in the live instances of its peers.  (Flexi-ZZ has no Prepare
-        # phase — replicas participate by executing speculatively and
-        # replying, which the execution assertions above already cover.)
-        if protocol != "flexi-zz":
-            assert any(crashed in inst.prepares
-                       for other in others for inst in other.instances.values())
+            # Participation, not just observation: its post-rejoin votes appear
+            # in the live instances of its peers.  (Flexi-ZZ has no Prepare
+            # phase — replicas participate by executing speculatively and
+            # replying, which the execution assertions above already cover.)
+            if protocol != "flexi-zz":
+                assert any(crashed in inst.prepares
+                           for other in others for inst in other.instances.values())
 
     def test_recovery_without_durable_store_uses_peer_transfer(self):
         config = recovery_config(
             "minbft", recovery=RecoveryConfig(durable_store=False))
         schedule = FaultSchedule((crash_at(2, ms(300)), restart_at(2, ms(600))))
-        deployment = Deployment(config, fault_schedule=schedule)
-        assert deployment.stores == [None, None, None]
-        deployment.start_clients()
-        deployment.sim.run(until=seconds(2.0))
-        rejoined = deployment.replica(2)
-        assert rejoined.stats.recoveries_completed >= 1
-        assert rejoined.stats.log_fill_batches_applied > 0
-        assert deployment.safety.consensus_safe
+        with DeploymentSpec(config, fault_schedule=schedule).build() as deployment:
+            assert deployment.stores == [None, None, None]
+            deployment.start_clients()
+            deployment.sim.run(until=seconds(2.0))
+            rejoined = deployment.replica(2)
+            assert rejoined.stats.recoveries_completed >= 1
+            assert rejoined.stats.log_fill_batches_applied > 0
+            assert deployment.safety.consensus_safe
 
     def test_fsync_latency_prices_durability(self):
         """A slower disk lowers throughput: the fsync sits on the path of
         messages that follow a durable write."""
-        fast = Deployment(recovery_config("flexi-bft"))
-        fast_result = fast.run_until_target(target_requests=120)
-        slow = Deployment(recovery_config(
-            "flexi-bft", recovery=RecoveryConfig(fsync_latency_us=ms(2.0))))
-        slow_result = slow.run_until_target(target_requests=120)
+        slow_disk = recovery_config(
+            "flexi-bft", recovery=RecoveryConfig(fsync_latency_us=ms(2.0)))
+        with DeploymentSpec(recovery_config("flexi-bft")).build() as fast:
+            fast_result = fast.run_until_target(target_requests=120)
+        with DeploymentSpec(slow_disk).build() as slow:
+            slow_result = slow.run_until_target(target_requests=120)
         assert (slow_result.metrics.mean_latency_ms
                 > fast_result.metrics.mean_latency_ms)
 
@@ -118,16 +119,16 @@ class TestCrashRestartRejoin:
             partition_at((3,), ms(200), name="isolate"),
             heal_at(ms(600), name="isolate"),
         ))
-        deployment = Deployment(recovery_config("flexi-bft"),
-                                fault_schedule=schedule)
-        deployment.start_clients()
-        deployment.sim.run(until=seconds(1.5))
-        lagged = deployment.replica(3)
-        assert lagged.stats.recoveries_completed >= 1
-        assert lagged.ledger.last_executed >= min(
-            r.ledger.last_executed for r in deployment.replicas
-            if r.replica_id != 3) - 4
-        assert deployment.safety.consensus_safe
+        spec = DeploymentSpec(recovery_config("flexi-bft"), fault_schedule=schedule)
+        with spec.build() as deployment:
+            deployment.start_clients()
+            deployment.sim.run(until=seconds(1.5))
+            lagged = deployment.replica(3)
+            assert lagged.stats.recoveries_completed >= 1
+            assert lagged.ledger.last_executed >= min(
+                r.ledger.last_executed for r in deployment.replicas
+                if r.replica_id != 3) - 4
+            assert deployment.safety.consensus_safe
 
 
 class TestRestartRollback:
@@ -154,49 +155,49 @@ class TestByzantineResistantTransfer:
         from repro.protocols.messages import (
             ClientRequest, LogFill, LogFillEntry, RequestBatch)
 
-        deployment = Deployment(recovery_config("minbft"))
-        rejoiner = deployment.replica(2)
-        rejoiner.begin_recovery()
-        forged = RequestBatch(requests=(ClientRequest(
-            request_id=RequestId(client="attacker", number=1),
-            operations=(Operation(action="write", key="user1", value="evil"),)),))
-        entry = LogFillEntry(seq=1, view=0, batch=forged,
-                             batch_digest=forged.digest())
-        fill = LogFill(replica=0, entries=(entry,))
+        with DeploymentSpec(recovery_config("minbft")).build() as deployment:
+            rejoiner = deployment.replica(2)
+            rejoiner.begin_recovery()
+            forged = RequestBatch(requests=(ClientRequest(
+                request_id=RequestId(client="attacker", number=1),
+                operations=(Operation(action="write", key="user1", value="evil"),)),))
+            entry = LogFillEntry(seq=1, view=0, batch=forged,
+                                 batch_digest=forged.digest())
+            fill = LogFill(replica=0, entries=(entry,))
 
-        rejoiner.on_log_fill(fill, source="replica-0")
-        assert rejoiner.ledger.last_executed == 0  # one voucher is not enough
-        rejoiner.on_log_fill(fill, source="replica-0")
-        assert rejoiner.ledger.last_executed == 0  # re-sending is not a 2nd vote
-        rejoiner.on_log_fill(LogFill(replica=1, entries=(entry,)),
-                             source="replica-1")
-        assert rejoiner.ledger.last_executed == 1  # f + 1 distinct vouchers
+            rejoiner.on_log_fill(fill, source="replica-0")
+            assert rejoiner.ledger.last_executed == 0  # one voucher is not enough
+            rejoiner.on_log_fill(fill, source="replica-0")
+            assert rejoiner.ledger.last_executed == 0  # re-sending is not a 2nd vote
+            rejoiner.on_log_fill(LogFill(replica=1, entries=(entry,)),
+                                 source="replica-1")
+            assert rejoiner.ledger.last_executed == 1  # f + 1 distinct vouchers
 
     def test_certificate_votes_must_be_signed_by_their_claimed_replicas(self):
         """One peer signing f+1 votes with its own key is not a certificate."""
         from repro.protocols.messages import Checkpoint, CheckpointReply
 
-        deployment = Deployment(recovery_config("minbft"))
-        rejoiner = deployment.replica(2)
-        byzantine = deployment.replica(0)
-        state_digest = b"\x42" * 32
-        forged_votes = tuple(
-            byzantine.signed(Checkpoint(seq=20, state_digest=state_digest,
-                                        replica=claimed))
-            for claimed in (0, 1))
-        reply = CheckpointReply(
-            replica=0, checkpoint_seq=20, state_digest=state_digest,
-            last_executed=20, view=0, snapshot={}, certificate=forged_votes)
-        assert not rejoiner._certificate_valid(reply)
-        # The same votes signed by their actual claimed replicas do verify.
-        honest_votes = tuple(
-            deployment.replica(claimed).signed(
-                Checkpoint(seq=20, state_digest=state_digest, replica=claimed))
-            for claimed in (0, 1))
-        assert rejoiner._certificate_valid(
-            CheckpointReply(replica=0, checkpoint_seq=20,
-                            state_digest=state_digest, last_executed=20,
-                            view=0, snapshot={}, certificate=honest_votes))
+        with DeploymentSpec(recovery_config("minbft")).build() as deployment:
+            rejoiner = deployment.replica(2)
+            byzantine = deployment.replica(0)
+            state_digest = b"\x42" * 32
+            forged_votes = tuple(
+                byzantine.signed(Checkpoint(seq=20, state_digest=state_digest,
+                                            replica=claimed))
+                for claimed in (0, 1))
+            reply = CheckpointReply(
+                replica=0, checkpoint_seq=20, state_digest=state_digest,
+                last_executed=20, view=0, snapshot={}, certificate=forged_votes)
+            assert not rejoiner._certificate_valid(reply)
+            # The same votes signed by their actual claimed replicas do verify.
+            honest_votes = tuple(
+                deployment.replica(claimed).signed(
+                    Checkpoint(seq=20, state_digest=state_digest, replica=claimed))
+                for claimed in (0, 1))
+            assert rejoiner._certificate_valid(
+                CheckpointReply(replica=0, checkpoint_seq=20,
+                                state_digest=state_digest, last_executed=20,
+                                view=0, snapshot={}, certificate=honest_votes))
 
     def test_schedule_counts_static_faults_against_f(self):
         """A scheduled crash on top of a statically crashed replica exceeds f."""

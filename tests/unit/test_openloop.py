@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.sim import RngRegistry, Simulator
 from repro.workload import OpenLoopConfig, OpenLoopEngine, ZipfianGenerator
 from repro.workload.openloop import attach_open_loop, run_open_loop
@@ -183,6 +183,21 @@ class TestResidentState:
             peaks[users] = engine.stats.peak_resident
         assert peaks[1_000] == peaks[1_000_000]
         assert peaks[1_000_000] <= 2 * 8 + 3
+
+    def test_figure_refuses_a_run_past_the_bound(self, monkeypatch):
+        # The figure checks the bound itself, with an explicit raise that
+        # ``python -O`` cannot strip.
+        from repro.runtime import experiments
+
+        def overgrown(deployment, open_loop):
+            engine, result = run_open_loop(deployment, open_loop)
+            engine.stats.peak_resident = 2 * open_loop.max_in_flight + 4
+            return engine, result
+
+        monkeypatch.setattr(experiments, "run_open_loop", overgrown)
+        with pytest.raises(SimulationError, match="O\\(active\\) bound"):
+            experiments.figure_openloop(experiments.SMALL_SCALE,
+                                        _CLI_OPEN_LOOP)
 
 
 class TestDeterminism:

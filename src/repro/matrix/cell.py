@@ -11,7 +11,7 @@ and adds the two things the spec does not carry:
 * ``label`` — a short human-readable name for tables and logs.
 
 Identity is *content*: ``cell.content_hash`` is exactly
-:meth:`DeploymentSpec.cell_hash`, the canonical-encoding digest of the
+:meth:`DeploymentSpec.cell_hash`, the sorted-key JSON digest of the
 resolved spec.  Axes and labels are derived presentation — two cells whose
 specs resolve identically are the same experiment no matter how they were
 labelled, which is what makes result files resumable and matrices

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 from ..common.errors import ConfigurationError
-from ..crypto.digest import digest
+from ..common.jsonhash import json_digest
 from .cell import Cell
 
 #: payload schema version of the per-cell result files.
@@ -179,7 +179,7 @@ class MatrixRunner:
             # Simulated rows are a pure function of the spec, so their
             # digest is a determinism check; realtime rows are wall-clock
             # measurements and carry no digest.
-            "row_digest": "" if cell.realtime else digest(row).hex(),
+            "row_digest": "" if cell.realtime else json_digest(row),
         }
         if verifier is not None:
             payload["replies_verified"] = verifier.verified

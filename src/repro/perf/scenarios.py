@@ -27,7 +27,7 @@ from ..common.config import (
 )
 from ..common.types import seconds
 from ..core.claims import claims_table
-from ..crypto.digest import digest
+from ..common.jsonhash import json_digest
 from ..matrix.cell import Cell
 from ..matrix.spec import MatrixSpec
 from ..protocols.registry import protocol_names
@@ -344,8 +344,12 @@ SCENARIOS: dict[str, object] = {
 def metrics_digest(rows: list[dict]) -> str:
     """Deterministic digest of a scenario's simulated rows.
 
-    Wall-clock values never appear in rows, so this digest is a pure function
-    of simulated behaviour: identical before and after a legitimate
-    performance optimisation, different whenever simulated results changed.
+    The SHA-256 of the rows' sorted-key JSON
+    (:func:`~repro.common.jsonhash.json_digest`), so a committed baseline's
+    digest is recomputable from its file alone and no wire-format change can
+    move it.  Wall-clock values never appear in rows, so this digest is a
+    pure function of simulated behaviour: identical before and after a
+    legitimate performance optimisation, different whenever simulated
+    results changed.
     """
-    return digest(rows).hex()
+    return json_digest(rows)

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Optional, Union
 from ..backends import Backend, resolve_backend
 from ..common.config import DeploymentConfig
 from ..common.errors import ConfigurationError
-from ..crypto.digest import digest
+from ..common.jsonhash import json_digest
 from ..obsv.health import ObservabilityConfig
 from ..protocols.family import TrustedUsage
 from ..protocols.registry import get_protocol
@@ -202,14 +202,15 @@ class DeploymentSpec:
         """Stable content hash of the fully-resolved spec.
 
         The hex prefix (:data:`CELL_HASH_HEX` characters) of the SHA-256
-        digest of :meth:`describe`'s canonical encoding
-        (:func:`repro.crypto.digest.digest`, the same encoding the wire
-        format and the determinism digests use).  A
+        of :meth:`describe`'s sorted-key JSON
+        (:func:`~repro.common.jsonhash.json_digest`: a dataclass hashes as
+        ``{"__class__": name, ...fields}``), the hash the determinism
+        digests use too, and independent of the wire codec.  A
         :class:`~repro.matrix.cell.Cell` hashes as its spec does, so a cell,
         its result file ``results/<hash>.json`` and a hand-built spec all
         name the same identity.
         """
-        return digest(self.describe()).hex()[:CELL_HASH_HEX]
+        return json_digest(self.describe())[:CELL_HASH_HEX]
 
     def build(self) -> Union[Deployment, "ShardedDeployment"]:
         """Construct the deployment this spec describes."""

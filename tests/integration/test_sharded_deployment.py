@@ -161,7 +161,7 @@ class TestShardedObservabilityPin:
         assert row["shards"] == 2
         assert "shard0_tx_s" in row and "shard1_tx_s" in row
         assert row["health_replicas"] == 8
-        assert metrics_digest([row])[:16] == "aaf7918406667d0f"
+        assert metrics_digest([row])[:16] == "8a5c071818f4f49d"
         assert result.per_shard_completed == {0: 16, 1: 16}
         assert aggregate == {
             "replicas": 8, "active": 8, "recovering": 0, "max_view": 0,

@@ -10,9 +10,14 @@ fails here, before the CI ``determinism`` job runs the larger scales.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pathlib
+from dataclasses import dataclass
 
 import pytest
+
+from repro.common.jsonhash import json_digest
 
 from repro.perf import (
     SCENARIOS,
@@ -46,6 +51,34 @@ def test_committed_digest_is_the_digest_of_the_committed_rows(pair):
     payload = load_baseline(baseline_path(BASELINE_DIR, scenario, scale))
     assert (payload["scenario"], payload["scale"]) == pair
     assert metrics_digest(payload["rows"]) == payload["metrics_digest"]
+
+
+@pytest.mark.parametrize("pair", COMMITTED, ids=_id)
+def test_committed_digest_is_recomputable_from_the_file_alone(pair):
+    path = pathlib.Path(baseline_path(BASELINE_DIR, *pair))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    text = json.dumps(payload["rows"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        payload["metrics_digest"]
+
+
+@dataclass(frozen=True)
+class _Point:
+    x: int
+    label: str
+
+
+def test_json_digest_hashes_a_dataclass_as_its_named_fields():
+    assert json_digest({"p": _Point(1, "a")}) == json_digest(
+        {"p": {"label": "a", "x": 1, "__class__": "_Point"}})
+    assert json_digest((1, 2)) == json_digest([1, 2])
+    assert json_digest(1) != json_digest(1.0) != json_digest(True)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"raw", object()])
+def test_json_digest_refuses_values_json_cannot_spell(value):
+    with pytest.raises(TypeError):
+        json_digest({"value": value})
 
 
 @pytest.mark.parametrize(

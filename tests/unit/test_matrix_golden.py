@@ -8,9 +8,9 @@ expanded cells.  The tests assert:
   matrix without pinning its hashes fails CI),
 * every cell's content hash matches its committed vector exactly.
 
-A changed vector means the canonical spec encoding (or the matrix
-definition) changed — which orphans every persisted ``results/<hash>.json``
-file and breaks resume.  If that is intended, regenerate deliberately
+A changed vector means the spec hashing (the sorted-key JSON of
+``describe()``) or the matrix definition changed — which orphans every
+persisted ``results/<hash>.json`` file and breaks resume.  If that is intended, regenerate deliberately
 with::
 
     PYTHONPATH=src python tests/unit/test_matrix_golden.py --regen
@@ -55,8 +55,8 @@ def test_matrix_cell_hashes_match_golden(name):
     committed = committed_hashes().get(name, {})
     live = {cell.label: cell.content_hash for cell in matrix_cells(name)}
     assert live == committed, (
-        f"matrix {name!r} no longer hashes as committed — the canonical "
-        "spec encoding or the matrix definition changed, which orphans "
+        f"matrix {name!r} no longer hashes as committed — the spec "
+        "description or the matrix definition changed, which orphans "
         "persisted cell results; regenerate deliberately if intended")
 
 

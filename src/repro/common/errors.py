@@ -87,6 +87,20 @@ class MalformedWirePayload(WireError):
     """A payload is not a well-formed canonical encoding or envelope head."""
 
 
+class TruncatedPayload(MalformedWirePayload):
+    """A payload ends inside a value (a frame's length was consistent)."""
+
+
+class NonCanonicalPayload(MalformedWirePayload):
+    """A payload decodes, but not as the one spelling of its value.
+
+    A non-minimal varint, a bool or presence byte above 1, a second NaN,
+    set members or dict keys out of order or repeated: bytes the encoder
+    never writes, refused so that a received slice can be pinned as the
+    canonical encoding of what it decodes to.
+    """
+
+
 class UnencodableWirePayload(WireError):
     """An outgoing payload contains values the canonical codec cannot carry."""
 

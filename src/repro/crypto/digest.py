@@ -3,36 +3,81 @@
 Replicas agree on *digests* of client transactions (the paper writes
 ``Δ := Hash(⟨T⟩c)``), so every message that mentions a transaction carries a
 deterministic, collision-resistant fingerprint rather than the payload.  The
-helpers here turn arbitrary plain-data Python values into a canonical byte
-string first, so that logically equal values always hash to the same digest
+helpers here turn plain-data Python values into one canonical byte string —
+the bytes that are hashed, signed and sent (:mod:`repro.net.wire` frames
+them) — so that logically equal values always hash to the same digest
 regardless of dict insertion order or container type.
+
+The encoding is positional (wire v3).  A value of no declared type opens
+with a one-byte type tag; a dataclass opens with its class's pinned
+one-byte tag (:data:`CLASS_TAGS`, assigned where the wire registry registers
+the class) and its fields follow in declaration order, without names, each
+spelled as its type hint declares::
+
+    None 00 | False 01 | True 02 | int 03 <zigzag varint> | float 04 <f64>
+    str 05 <len> <utf-8> | bytes 06 <len> <bytes>
+    list/tuple 07 <count> <value>...
+    set 08 <count> <member>...          members in ascending byte order
+    dict 09 <count> (<key> <value>)...  pairs in ascending key-byte order
+    dataclass <class tag> <field>...
+
+A field declared ``int``, ``str``, ``bytes``, ``float`` or ``bool`` carries
+the body without the tag (a bool as one byte, 0 or 1); ``Optional[X]`` a
+presence byte (0, or 1 and then ``X``); ``tuple[X, ...]`` a count and the
+items as ``X``; a dataclass type its record; any other hint (``object``,
+``dict``, ...) a tagged value.  Varints are unsigned LEB128 of at most
+:data:`MAX_VARINT_BYTES` bytes, ints zigzag-mapped first; floats are
+big-endian IEEE doubles with one NaN.  A typed field holding a value of
+another type cannot be encoded (:class:`TypeError`): hints are the schema.
 
 Memoisation
 -----------
 
-Canonical encoding dominated deployment profiles: the same frozen message is
-re-serialised every time it is signed, verified, batched or re-verified.
-Frozen dataclasses whose fields can never change may opt into **per-instance
-caching** with :func:`canonical_cacheable`; their canonical encoding and
-digest are then computed once and pinned on the instance, which every later
-encode (including as a field of an enclosing value) reuses.  The cache is
-invisible to callers — ``canonical_bytes(value, use_cache=False)`` forces the
-uncached path, and the property tests assert both paths agree on arbitrary
-messages.
+The same frozen message is signed, verified, batched and framed many times.
+Frozen dataclasses whose fields can never change may opt into
+**per-instance caching** with :func:`canonical_cacheable`; their canonical
+encoding and digest are then computed once and pinned on the instance, which
+every later encode (including as a field of an enclosing value) reuses.  The
+cache is invisible to callers — ``canonical_bytes(value, use_cache=False)``
+forces the uncached path.  Encoders are generated per class on first use;
+the tests hold them to a reference encoder kept under ``tests/``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import MISSING, fields, is_dataclass
+from operator import itemgetter
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
 DIGEST_SIZE = 32
 
+#: type tags of values outside a declared field.
+TAG_NONE, TAG_FALSE, TAG_TRUE, TAG_INT, TAG_FLOAT = 0, 1, 2, 3, 4
+TAG_STR, TAG_BYTES, TAG_LIST, TAG_SET, TAG_DICT = 5, 6, 7, 8, 9
+#: class tags run from here to 0xFF, so one byte tells a record from a value.
+FIRST_CLASS_TAG = 0x10
+#: longest varint either side accepts: ints up to 2**447 in magnitude.
+MAX_VARINT_BYTES = 64
+
 #: instance attributes the memoised paths pin on cacheable dataclasses.
 _CANONICAL_CACHE = "_repro_canonical_cache"
 _DIGEST_CACHE = "_repro_digest_cache"
+
+#: dataclass -> its one-byte record tag; see :func:`assign_class_tag`.
+CLASS_TAGS: dict[type, bytes] = {}
+
+
+def assign_class_tag(cls: type, tag: int) -> None:
+    """Pin ``cls``'s record tag (the wire registry's job, once per class)."""
+    if not FIRST_CLASS_TAG <= tag <= 0xFF:
+        raise ValueError(f"class tag {tag:#x} of {cls.__name__} is outside "
+                         f"{FIRST_CLASS_TAG:#x}..0xff")
+    if CLASS_TAGS.setdefault(cls, bytes((tag,)))[0] != tag:
+        raise ValueError(f"{cls.__name__} already has class tag "
+                         f"{CLASS_TAGS[cls][0]:#x}, not {tag:#x}")
 
 
 def canonical_cacheable(cls):
@@ -54,16 +99,13 @@ def canonical_cacheable(cls):
 
 
 def canonical_bytes(value: Any, use_cache: bool = True) -> bytes:
-    """Encode ``value`` into a canonical byte string.
+    """Encode ``value`` into its canonical byte string (see the module doc).
 
-    Supports the plain-data types used throughout the library: ``None``,
-    booleans, integers, floats, strings, bytes, (frozen) dataclasses, and
-    lists/tuples/dicts/sets of those.  Dataclasses are encoded as their class
-    name plus each field in declaration order; dicts and sets are encoded in
-    sorted-key order so insertion order never leaks into digests.
-
-    ``use_cache=False`` bypasses (and does not populate) the per-instance
-    caches of :func:`canonical_cacheable` dataclasses.
+    Supports ``None``, booleans, integers, floats, strings, bytes,
+    dataclasses with a class tag, and lists/tuples/dicts/sets of those;
+    anything else raises :class:`TypeError`.  ``use_cache=False`` bypasses
+    (and does not populate) the per-instance caches of
+    :func:`canonical_cacheable` dataclasses.
     """
     out = bytearray()
     _encode(value, out, use_cache)
@@ -71,11 +113,9 @@ def canonical_bytes(value: Any, use_cache: bool = True) -> bytes:
 
 
 def _encode(value: Any, out: bytearray, use_cache: bool = True) -> None:
-    # Exact-type dispatch: the isinstance chain this replaces was the single
-    # hottest code path of a deployment run.  Unseen types (every dataclass
-    # on first contact, rare subclasses) fall back to the chain, which
-    # registers a specialised handler so the next instance dispatches in one
-    # dict lookup.  Encodings are byte-identical to the chain's.
+    # Exact-type dispatch; unseen types (every dataclass on first contact,
+    # subclasses of the builtins) go through the fallback, which registers
+    # a handler so the next instance dispatches in one dict lookup.
     handler = _DISPATCH.get(type(value))
     if handler is not None:
         handler(value, out, use_cache)
@@ -83,113 +123,141 @@ def _encode(value: Any, out: bytearray, use_cache: bool = True) -> None:
         _encode_fallback(value, out, use_cache)
 
 
-def _encode_none(value: Any, out: bytearray, use_cache: bool) -> None:
-    out += b"N"
+#: one-byte varints, and the f64 spelling of every NaN.
+_SMALL = tuple(bytes((n,)) for n in range(0x80))
+_NAN = struct.pack(">d", float("nan"))
+_pack_double = struct.Struct(">d").pack
 
 
-def _encode_bool(value: Any, out: bytearray, use_cache: bool) -> None:
-    out += b"T" if value else b"F"
+def uvarint(n: int) -> bytes:
+    """Unsigned LEB128 of ``n``; :class:`TypeError` past the varint cap."""
+    if n < 0x80:
+        return _SMALL[n]
+    if n < 0x4000:
+        return bytes(((n & 0x7F) | 0x80, n >> 7))
+    if n < 0x200000:
+        return bytes(((n & 0x7F) | 0x80, ((n >> 7) & 0x7F) | 0x80, n >> 14))
+    out = bytearray()
+    while n >= 0x80:
+        out.append((n & 0x7F) | 0x80)
+        n >>= 7
+    out.append(n)
+    if len(out) > MAX_VARINT_BYTES:
+        raise TypeError(f"integer needs {len(out)} varint bytes; the "
+                        f"encoding caps them at {MAX_VARINT_BYTES}")
+    return bytes(out)
 
 
-#: encoded forms of recurring scalar values (sequence numbers, view numbers,
-#: replica/client names recur across millions of messages); capped so
-#: data-driven values cannot grow them without bound.  Keyed by the exact
-#: built-in value only — a subclass (e.g. an IntEnum) may stringify
-#: differently from the equal-hashing builtin, so it must never hit the memo.
+def double(value: float) -> bytes:
+    """The f64 body of a float (every NaN spelled as one)."""
+    return _pack_double(value) if value == value else _NAN
+
+
+#: bodies of recurring scalars (sequence numbers, view numbers, replica and
+#: client names recur across millions of messages); capped so data-driven
+#: values cannot grow them without bound.  A body depends on the value only,
+#: so an equal int or str subclass may read it; only exact types store one.
 _INT_BYTES: dict[int, bytes] = {}
 _STR_BYTES: dict[str, bytes] = {}
 _SCALAR_BYTES_MAX = 8192
 
 
-def _token(tag: bytes, body: bytes) -> bytes:
-    return tag + b"%d:" % len(body) + body
+def int_body(value: int) -> bytes:
+    """The zigzag varint of an ``int`` (memoised for exact ints)."""
+    body = uvarint(value << 1 if value >= 0 else (~value << 1) | 1)
+    if type(value) is int and len(_INT_BYTES) < _SCALAR_BYTES_MAX:
+        _INT_BYTES[value] = body
+    return body
 
 
-def _memoise(memo: dict, value: Any, tag: bytes, body: bytes) -> bytes:
-    """The ``tag<len>:body`` token of a scalar, remembered while there is room."""
-    token = _token(tag, body)
-    if len(memo) < _SCALAR_BYTES_MAX:
-        memo[value] = token
-    return token
+def str_body(value: str) -> bytes:
+    """Length-prefixed utf-8 of a ``str`` (memoised for exact strs)."""
+    encoded = value.encode()
+    body = uvarint(len(encoded)) + encoded
+    if type(value) is str and len(_STR_BYTES) < _SCALAR_BYTES_MAX:
+        _STR_BYTES[value] = body
+    return body
+
+
+def _encode_none(value: Any, out: bytearray, use_cache: bool) -> None:
+    out.append(TAG_NONE)
+
+
+def _encode_bool(value: Any, out: bytearray, use_cache: bool) -> None:
+    out.append(TAG_TRUE if value else TAG_FALSE)
 
 
 def _encode_int(value: Any, out: bytearray, use_cache: bool) -> None:
-    if type(value) is int:
-        # .get, not try/except: once a long run has filled the memo every
-        # new value misses, and a raised KeyError costs more than the encode.
-        out += (_INT_BYTES.get(value)
-                or _memoise(_INT_BYTES, value, b"i", str(value).encode()))
-        return
-    encoded = str(value).encode()
-    out += b"i%d:" % len(encoded) + encoded
+    out.append(TAG_INT)
+    out += _INT_BYTES.get(value) or int_body(int(value))
 
 
 def _encode_float(value: Any, out: bytearray, use_cache: bool) -> None:
-    encoded = repr(value).encode()
-    out += b"f%d:" % len(encoded) + encoded
+    out.append(TAG_FLOAT)
+    out += double(value)
 
 
 def _encode_str(value: Any, out: bytearray, use_cache: bool) -> None:
-    if type(value) is str:
-        out += (_STR_BYTES.get(value)
-                or _memoise(_STR_BYTES, value, b"s", value.encode()))
-        return
-    encoded = value.encode()
-    out += b"s%d:" % len(encoded) + encoded
+    out.append(TAG_STR)
+    out += _STR_BYTES.get(value) or str_body(value)
 
 
 def _encode_bytes(value: Any, out: bytearray, use_cache: bool) -> None:
-    out += b"b%d:" % len(value) + bytes(value)
+    out.append(TAG_BYTES)
+    out += uvarint(len(value))
+    out += value
 
 
-def _sorted_members(values) -> list:
-    # All-string collections (the overwhelmingly common case: signed-part
-    # dict keys) sort on repr directly — same order as ``_sort_key``, whose
-    # first tuple element is constant when every type matches, without a
-    # Python-level key function.
-    members = list(values)
-    if all(type(member) is str for member in members):
-        members.sort(key=repr)
-    else:
-        members.sort(key=_sort_key)
-    return members
+def _encode_sequence(value: Any, out: bytearray, use_cache: bool) -> None:
+    out.append(TAG_LIST)
+    out += uvarint(len(value))
+    for item in value:
+        _encode(item, out, use_cache)
 
 
-#: encoded forms of recurring string dict keys (schema-level field names);
+def _sorted_encodings(pairs: list, what: str) -> list:
+    """``(encoding, item)`` pairs in ascending encoding order, all distinct."""
+    pairs.sort(key=itemgetter(0))
+    if len({encoded for encoded, _ in pairs}) != len(pairs):
+        raise TypeError(f"two {what} encode identically")
+    return pairs
+
+
+def _encode_set(value: Any, out: bytearray, use_cache: bool) -> None:
+    out.append(TAG_SET)
+    out += uvarint(len(value))
+    for encoded, _ in _sorted_encodings(
+            [(canonical_bytes(member, use_cache), member) for member in value],
+            "set members"):
+        out += encoded
+
+
+#: encoded forms of recurring string dict keys (schema-level names);
 #: capped so adversarial/data-driven keys cannot grow it without bound.
 _KEY_BYTES: dict[str, bytes] = {}
 _KEY_BYTES_MAX = 4096
 
 
+def key_bytes(key: Any, use_cache: bool = True) -> bytes:
+    """The canonical encoding of a dict key (string keys memoised)."""
+    if type(key) is not str:
+        return canonical_bytes(key, use_cache)
+    encoded = _KEY_BYTES.get(key)
+    if encoded is None:
+        encoded = bytes((TAG_STR,)) + str_body(key)
+        if len(_KEY_BYTES) < _KEY_BYTES_MAX:
+            _KEY_BYTES[key] = encoded
+    return encoded
+
+
 def _encode_dict(value: Any, out: bytearray, use_cache: bool) -> None:
-    out += b"M"
-    for key in _sorted_members(value):
-        if type(key) is str:
-            key_bytes = _KEY_BYTES.get(key)
-            if key_bytes is None:
-                encoded = key.encode()
-                key_bytes = b"s%d:" % len(encoded) + encoded
-                if len(_KEY_BYTES) < _KEY_BYTES_MAX:
-                    _KEY_BYTES[key] = key_bytes
-            out += key_bytes
-        else:
-            _encode(key, out, use_cache)
+    out.append(TAG_DICT)
+    out += uvarint(len(value))
+    for encoded, key in _sorted_encodings(
+            [(_KEY_BYTES.get(key) or key_bytes(key, use_cache), key)
+             for key in value], "dict keys"):
+        out += encoded
         _encode(value[key], out, use_cache)
-    out += b"m"
-
-
-def _encode_sequence(value: Any, out: bytearray, use_cache: bool) -> None:
-    out += b"L"
-    for item in value:
-        _encode(item, out, use_cache)
-    out += b"l"
-
-
-def _encode_set(value: Any, out: bytearray, use_cache: bool) -> None:
-    out += b"S"
-    for item in _sorted_members(value):
-        _encode(item, out, use_cache)
-    out += b"s"
 
 
 _DISPATCH: dict[type, Any] = {
@@ -208,60 +276,27 @@ _DISPATCH: dict[type, Any] = {
 
 
 def _encode_fallback(value: Any, out: bytearray, use_cache: bool) -> None:
-    """The original isinstance chain; registers a handler for exact types.
+    """Subclasses of the builtins and dataclasses; registers a handler.
 
-    Keeps the chain's semantics for subclasses (a bool-before-int check, a
-    dataclass check ahead of the container checks) so exotic values encode
-    exactly as before dispatch specialisation existed.
+    A bool-before-int check and a dataclass check ahead of the container
+    checks keep subclasses encoding as the value they stand for.
     """
     cls = type(value)
-    if value is None:
-        out += b"N"
-    elif isinstance(value, bool):
-        _encode_bool(value, out, use_cache)
-        _DISPATCH.setdefault(cls, _encode_bool)
-    elif isinstance(value, int):
-        _encode_int(value, out, use_cache)
-        _DISPATCH.setdefault(cls, _encode_int)
-    elif isinstance(value, float):
-        _encode_float(value, out, use_cache)
-        _DISPATCH.setdefault(cls, _encode_float)
-    elif isinstance(value, str):
-        _encode_str(value, out, use_cache)
-        _DISPATCH.setdefault(cls, _encode_str)
-    elif isinstance(value, (bytes, bytearray)):
-        _encode_bytes(value, out, use_cache)
-        if cls is bytearray:
-            # bytearray is mutable: encode per call, never specialise beyond
-            # the generic handler (which copies the current contents).
-            _DISPATCH.setdefault(cls, _encode_bytes)
-    elif is_dataclass(value) and not isinstance(value, type):
-        _DISPATCH.setdefault(cls, _dataclass_encoder(cls))(
+    for base, handler in ((bool, _encode_bool), (int, _encode_int),
+                          (float, _encode_float), (str, _encode_str),
+                          (bytes, _encode_bytes), (bytearray, _encode_bytes)):
+        if isinstance(value, base):
+            _DISPATCH.setdefault(cls, handler)
+            return handler(value, out, use_cache)
+    if is_dataclass(value) and not isinstance(value, type):
+        return _DISPATCH.setdefault(cls, _dataclass_encoder(cls))(
             value, out, use_cache)
-    elif isinstance(value, dict):
-        _encode_dict(value, out, use_cache)
-    elif isinstance(value, (list, tuple)):
-        _encode_sequence(value, out, use_cache)
-    elif isinstance(value, (set, frozenset)):
-        _encode_set(value, out, use_cache)
-    else:
-        raise TypeError(f"cannot canonically encode values of type {type(value)!r}")
+    for base, handler in ((dict, _encode_dict), ((list, tuple), _encode_sequence),
+                          ((set, frozenset), _encode_set)):
+        if isinstance(value, base):
+            return handler(value, out, use_cache)
+    raise TypeError(f"cannot canonically encode values of type {cls!r}")
 
-
-# ---------------------------------------------------------------------------
-# generated per-class encoders
-# ---------------------------------------------------------------------------
-# Everything about a dataclass's encoding except its field values is static:
-# the class-name header, the field names and their order, and (from the type
-# hints) which scalar handler each value will almost certainly need.  So each
-# class gets one straight-line encoder, generated on its first encode: the
-# constant bytes between values are pre-joined, hinted scalars are inlined
-# against the value memos, and nested cacheable dataclasses are spliced from
-# their pinned bytes.  Hints are never trusted — every inlined branch is
-# guarded by an exact type check and anything else goes through
-# :func:`_encode` — so the output is byte-identical to encoding field by
-# field.  The same generator serves the ``M``/``m`` projections of
-# :func:`encode_fixed_attrs` and :func:`encode_fixed_key_dict`.
 
 def class_fields(cls: type) -> tuple[tuple[str, Any], ...]:
     """``(attribute, resolved type hint or None)`` per field, in order."""
@@ -281,8 +316,12 @@ def optional_of(hint: Any) -> Any:
     return None
 
 
-def tuple_of(hint: Any) -> Any:
-    """``X`` when ``hint`` is ``tuple[X, ...]``, else ``None``."""
+
+def sequence_of(hint: Any) -> Any:
+    """``X`` when ``hint`` is ``tuple[X, ...]``, ``object`` for a bare
+    ``tuple``, else ``None``: the hints encoded as a typed sequence."""
+    if hint is tuple:
+        return object
     args = get_args(hint)
     if get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
         return args[0]
@@ -293,7 +332,7 @@ class FunctionSource:
     """One generated function in the making: its lines and its bindings.
 
     The generators only ever compile text they assembled themselves from
-    class and field names; values (classes, memos, compiled patterns) reach
+    class and field names; values (classes, memos, tables) reach
     the function through ``namespace``, never through the text.
     """
 
@@ -440,17 +479,64 @@ def constructs_by_storing(cls: type) -> bool:
             and _slotted(cls) is not None)
 
 
+# ---------------------------------------------------------------------------
+# generated per-class encoders
+# ---------------------------------------------------------------------------
+# Everything about a dataclass's encoding except its field values is static:
+# the class tag, the field order and, from the type hints, how each field is
+# spelled.  So each class gets one straight-line encoder, generated on its
+# first encode: constant bytes are pre-joined, scalars are read from the
+# memos, nested cacheable records are spliced from their pinned bytes and
+# other nested records are inlined.  A typed field is guarded by an exact
+# type check; a value the hint does not admit raises :class:`TypeError`.
+# The same generator serves the dict projections of
+# :func:`encode_fixed_attrs` and :func:`encode_fixed_key_dict`, whose values
+# are tagged: there a hint only picks the fast branch, and anything else
+# goes through :func:`_encode`.
+
+def _mismatch(where: str, declared: str, value: Any) -> TypeError:
+    return TypeError(f"{where} is declared {declared}, not "
+                     f"{type(value).__name__} ({value!r:.60})")
+
+
+def _typed_int(value: Any, where: str) -> bytes:
+    """The body of an ``int`` field holding a non-exact int (an enum)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int_body(int(value))
+    raise _mismatch(where, "int", value)
+
+
+def _typed_str(value: Any, where: str) -> bytes:
+    if isinstance(value, str):
+        return str_body(value)
+    raise _mismatch(where, "str", value)
+
+
+def _typed_bytes(value: Any, where: str) -> bytes:
+    if isinstance(value, (bytes, bytearray)):
+        return uvarint(len(value)) + value
+    raise _mismatch(where, "bytes", value)
+
+
 class _EncoderSource(FunctionSource):
     """An encoder in the making: adjacent constant bytes become one append."""
 
     def __init__(self) -> None:
         super().__init__({
-            "_encode": _encode, "_memoise": _memoise,
-            "_INT_BYTES": _INT_BYTES, "_STR_BYTES": _STR_BYTES,
-            "_INT_BYTES_get": _INT_BYTES.get, "_STR_BYTES_get": _STR_BYTES.get,
-            "_CACHE": _CANONICAL_CACHE, "_setattr": object.__setattr__})
+            "_encode": _encode, "_mismatch": _mismatch,
+            "_typed_int": _typed_int, "_typed_str": _typed_str,
+            "_typed_bytes": _typed_bytes, "_INT": _INT_BYTES.get,
+            "_STR": _STR_BYTES.get, "int_body": int_body,
+            "str_body": str_body, "uvarint": uvarint, "double": double,
+            "_SMALL": _SMALL, "_CACHE": _CANONICAL_CACHE,
+            "_setattr": object.__setattr__})
         self._literal = b""
         self._literal_indent = ""
+        self._names = 0
+
+    def fresh(self, stem: str) -> str:
+        self._names += 1
+        return f"{stem}{self._names}"
 
     def literal(self, indent: str, data: bytes) -> None:
         """Constant bytes; adjacent ones are joined into one append."""
@@ -468,105 +554,184 @@ class _EncoderSource(FunctionSource):
         self.flush()
         super().line(indent, text)
 
-    def value(self, indent: str, var: str, hint: Any) -> None:
-        """Statements appending the encoding of local ``var`` to ``out``."""
+    def typed(self, indent: str, var: str, hint: Any, where: str,
+              inlining: frozenset = frozenset()) -> None:
+        """Statements appending ``var`` spelled as a field hinted ``hint``."""
+        inner = optional_of(hint)
+        if inner is not None:
+            self.line(indent, f"if {var} is None:")
+            self.literal(indent + " ", b"\x00")
+            self.line(indent, "else:")
+            self.literal(indent + " ", b"\x01")
+            self.typed(indent + " ", var, inner, where, inlining)
+            return
+        where_ = self.bind(where)
+        if hint is int or hint is str:
+            memo, slow = ("_INT", "_typed_int") if hint is int \
+                else ("_STR", "_typed_str")
+            body = "int_body" if hint is int else "str_body"
+            self.line(indent, f"if type({var}) is {hint.__name__}:")
+            self.line(indent, f" out += {memo}({var}) or {body}({var})")
+            self.line(indent, "else:")
+            self.line(indent, f" out += {slow}({var}, {where_})")
+        elif hint is bytes:
+            self.line(indent, f"if type({var}) is bytes:")
+            self.line(indent, f" _n = len({var})")
+            self.line(indent, " out += _SMALL[_n] if _n < 128 else uvarint(_n)")
+            self.line(indent, f" out += {var}")
+            self.line(indent, "else:")
+            self.line(indent, f" out += _typed_bytes({var}, {where_})")
+        elif hint is bool:
+            self.line(indent, f"if {var} is True:")
+            self.literal(indent + " ", b"\x01")
+            self.line(indent, f"elif {var} is False:")
+            self.literal(indent + " ", b"\x00")
+            self.line(indent, "else:")
+            self.line(indent, f" raise _mismatch({where_}, 'bool', {var})")
+        elif hint is float:
+            self.line(indent, f"if type({var}) is not float:")
+            self.line(indent, f" raise _mismatch({where_}, 'float', {var})")
+            self.line(indent, f"out += double({var})")
+        elif sequence_of(hint) is not None:
+            item = self.fresh("_i")
+            self.line(indent, f"if type({var}) is not tuple:")
+            self.line(indent, f" raise _mismatch({where_}, 'a tuple', {var})")
+            self.line(indent, f"out += uvarint(len({var}))")
+            self.line(indent, f"for {item} in {var}:")
+            self.typed(indent + " ", item, sequence_of(hint), where, inlining)
+        elif isinstance(hint, type) and is_dataclass(hint):
+            self.line(indent, f"if type({var}) is not {self.bind(hint)}:")
+            self.line(indent, f" raise _mismatch({where_}, "
+                              f"{hint.__name__!r}, {var})")
+            self.nested(indent, var, hint, inlining)
+        else:
+            self.line(indent, f"_encode({var}, out, use_cache)")
+
+    def nested(self, indent: str, var: str, cls: type,
+               inlining: frozenset) -> None:
+        """A record ``var`` known to be a ``cls``: its pinned bytes if it
+        has them, else inlined (and pinned); a class already being inlined
+        goes through :func:`_encode`."""
+        if cls in inlining or cls not in CLASS_TAGS:
+            self.line(indent, f"_encode({var}, out, use_cache)")
+        elif getattr(cls, "__canonical_cacheable__", False):
+            cached, start = self.fresh("_c"), self.fresh("_st")
+            self.line(indent, f"{cached} = {var}.__dict__.get(_CACHE) "
+                              "if use_cache else None")
+            self.line(indent, f"if {cached} is not None:")
+            self.line(indent, f" out += {cached}")
+            self.line(indent, "else:")
+            self.line(indent + " ", f"{start} = len(out)")
+            self.record(indent + " ", var, cls, inlining | {cls})
+            self.line(indent + " ", "if use_cache:")
+            self.line(indent + " ", f" _setattr({var}, _CACHE, "
+                                    f"bytes(out[{start}:]))")
+        else:
+            self.record(indent, var, cls, inlining | {cls})
+
+    def record(self, indent: str, var: str, cls: type,
+               inlining: frozenset = frozenset()) -> None:
+        """The tag and the fields of a ``cls`` instance held in ``var``."""
+        self.literal(indent, CLASS_TAGS[cls])
+        for attr, hint in class_fields(cls):
+            value = self.fresh("_v")
+            self.line(indent, f"{value} = {var}.{attr}")
+            self.typed(indent, value, hint, f"{cls.__name__}.{attr}",
+                       inlining)
+
+    def tagged(self, indent: str, var: str, hint: Any) -> None:
+        """Statements appending ``var`` as a tagged value; ``hint`` only
+        picks a fast branch, every other value goes through :func:`_encode`."""
         generic = f"_encode({var}, out, use_cache)"
         inner = optional_of(hint)
         if inner is not None:
             self.line(indent, f"if {var} is None:")
-            self.literal(indent + " ", b"N")
+            self.literal(indent + " ", bytes((TAG_NONE,)))
             self.line(indent, "else:")
-            self.value(indent + " ", var, inner)
+            self.tagged(indent + " ", var, inner)
         elif hint is int or hint is str:
-            memo, miss = (
-                ("_INT_BYTES", f"b'i', str({var}).encode()") if hint is int
-                else ("_STR_BYTES", f"b's', {var}.encode()"))
+            memo = "_INT" if hint is int else "_STR"
+            tag = TAG_INT if hint is int else TAG_STR
             self.line(indent, f"if type({var}) is {hint.__name__}:")
-            self.line(indent, f" out += ({memo}_get({var})"
-                              f" or _memoise({memo}, {var}, {miss}))")
+            self.line(indent, f" out.append({tag})")
+            self.line(indent, f" out += {memo}({var}) or "
+                              f"{'int_body' if hint is int else 'str_body'}"
+                              f"({var})")
             self.line(indent, "else:")
             self.line(indent, " " + generic)
         elif hint is bytes:
             self.line(indent, f"if type({var}) is bytes:")
-            self.line(indent, f" out += b'b%d:' % len({var})")
+            self.line(indent, f" _n = len({var})")
+            self.line(indent, f" out.append({TAG_BYTES})")
+            self.line(indent, " out += _SMALL[_n] if _n < 128 else uvarint(_n)")
             self.line(indent, f" out += {var}")
             self.line(indent, "else:")
             self.line(indent, " " + generic)
-        elif hint is bool:
-            self.line(indent, f"if {var} is True:")
-            self.literal(indent + " ", b"T")
-            self.line(indent, f"elif {var} is False:")
-            self.literal(indent + " ", b"F")
+        elif hint in CLASS_TAGS:
+            # A record is spelled the same with or without a declared type.
+            self.line(indent, f"if type({var}) is {self.bind(hint)}:")
+            self.nested(indent + " ", var, hint, frozenset())
             self.line(indent, "else:")
             self.line(indent, " " + generic)
-        elif hint is float:
-            self.line(indent, f"if type({var}) is float:")
-            self.line(indent, f" _e = repr({var}).encode()")
-            self.line(indent, " out += b'f%d:' % len(_e)")
-            self.line(indent, " out += _e")
-            self.line(indent, "else:")
-            self.line(indent, " " + generic)
-        elif tuple_of(hint) is not None:
-            item = f"_i{len(indent)}"
+        elif sequence_of(hint) in CLASS_TAGS:
+            item, cls = self.fresh("_i"), sequence_of(hint)
             self.line(indent, f"if type({var}) is tuple:")
-            self.literal(indent + " ", b"L")
+            self.line(indent, f" out.append({TAG_LIST})")
+            self.line(indent, f" out += uvarint(len({var}))")
             self.line(indent, f" for {item} in {var}:")
-            self.value(indent + "  ", item, tuple_of(hint))
-            self.literal(indent + " ", b"l")
-            self.line(indent, "else:")
-            self.line(indent, " " + generic)
-        elif (isinstance(hint, type) and is_dataclass(hint)
-              and getattr(hint, "__canonical_cacheable__", False)):
-            # Splice the nested instance's pinned bytes without a call.
-            self.line(indent, f"_c = ({var}.__dict__.get(_CACHE) if use_cache"
-                              f" and type({var}) is {self.bind(hint)}"
-                              " else None)")
-            self.line(indent, "if _c is not None:")
-            self.line(indent, " out += _c")
+            self.line(indent, f"  if type({item}) is {self.bind(cls)}:")
+            self.nested(indent + "   ", item, cls, frozenset())
+            self.line(indent, "  else:")
+            self.line(indent, f"   _encode({item}, out, use_cache)")
             self.line(indent, "else:")
             self.line(indent, " " + generic)
         else:
             self.line(indent, generic)
 
-
-def _generate_encoder(name: str, opener: bytes, closer: bytes, entries,
-                      cacheable: bool = False):
-    """One ``encode(value, out, use_cache)`` for a fixed entry list.
-
-    ``entries`` is ``(key, access expression over ``value``, hint)`` per
-    encoded member, already in encoding order.
-    """
-    source = _EncoderSource()
-    source.line("", "def encode(value, out, use_cache):")
-    if cacheable:
-        source.line(" ", "if use_cache:")
-        source.line(" ", " _c = value.__dict__.get(_CACHE)")
-        source.line(" ", " if _c is not None:")
-        source.line(" ", "  out += _c")
-        source.line(" ", "  return")
-        source.line(" ", "_start = len(out)")
-    source.literal(" ", opener)
-    for index, (key, access, hint) in enumerate(entries):
-        source.literal(" ", _token(b"s", key.encode()))
-        source.line(" ", f"_v{index} = {access}")
-        source.value(" ", f"_v{index}", hint)
-    source.literal(" ", closer)
-    if cacheable:
-        source.line(" ", "if use_cache:")
-        source.line(" ", " _setattr(value, _CACHE, bytes(out[_start:]))")
-    source.flush()
-    return source.compile(f"<generated encoder {name}>", "encode")
+    def compile_encoder(self, name: str, cacheable: bool = False):
+        """Wrap the body so far as ``encode(value, out, use_cache)``."""
+        self.flush()
+        body, self.lines = self.lines, []
+        self.line("", "def encode(value, out, use_cache):")
+        if cacheable:
+            self.line(" ", "if use_cache:")
+            self.line(" ", " _c = value.__dict__.get(_CACHE)")
+            self.line(" ", " if _c is not None:")
+            self.line(" ", "  out += _c")
+            self.line(" ", "  return")
+            self.line(" ", "_start = len(out)")
+        self.lines += body
+        if cacheable:
+            self.line(" ", "if use_cache:")
+            self.line(" ", " _setattr(value, _CACHE, bytes(out[_start:]))")
+        return self.compile(f"<generated encoder {name}>", "encode")
 
 
 def _dataclass_encoder(cls: type):
-    """The generated ``D…d`` encoder of one dataclass (pins cacheable ones)."""
-    return _generate_encoder(
-        cls.__name__, _token(b"D", cls.__name__.encode()), b"d",
-        [(attr, f"value.{attr}", hint) for attr, hint in class_fields(cls)],
-        cacheable=getattr(cls, "__canonical_cacheable__", False))
+    """The generated record encoder of one tagged dataclass."""
+    if cls not in CLASS_TAGS:
+        raise TypeError(
+            f"cannot canonically encode {cls.__name__}: a dataclass needs a "
+            "class tag (register it with the wire registry)")
+    source = _EncoderSource()
+    source.record(" ", "value", cls, frozenset((cls,)))
+    return source.compile_encoder(
+        cls.__name__, getattr(cls, "__canonical_cacheable__", False))
 
 
-#: generated ``M…m`` projection encoders, per owner class (and key set).
+def _projection_encoder(name: str, entries):
+    """A tagged-dict encoder for ``(key, access expression, hint)`` entries."""
+    source = _EncoderSource()
+    ordered = sorted(entries, key=lambda entry: key_bytes(entry[0]))
+    source.literal(" ", bytes((TAG_DICT,)) + uvarint(len(ordered)))
+    for index, (key, access, hint) in enumerate(ordered):
+        source.literal(" ", key_bytes(key))
+        source.line(" ", f"_v{index} = {access}")
+        source.tagged(" ", f"_v{index}", hint)
+    return source.compile_encoder(name)
+
+
+#: generated projection encoders, per owner class (and key set).
 _PROJECTION_ENCODERS: dict[Any, Any] = {}
 
 
@@ -576,17 +741,16 @@ def encode_fixed_attrs(owner: type, names: tuple[str, ...],
 
     Byte-identical to ``canonical_bytes({n: getattr(instance, n) for n in
     names})`` but never materialises the dict: a straight-line encoder for
-    the sorted key set, typed from ``owner``'s field hints, is generated on
-    the first call.  This is how signed parts and payload digests that are
+    the key set, typed from ``owner``'s field hints, is generated on the
+    first call.  This is how signed parts and payload digests that are
     plain projections of a message's fields get encoded.
     """
     encode = _PROJECTION_ENCODERS.get((owner, names))
     if encode is None:
         hints = dict(class_fields(owner))
-        encode = _PROJECTION_ENCODERS[owner, names] = _generate_encoder(
-            f"{owner.__name__}{list(names)}", b"M", b"m",
-            [(name, f"value.{name}", hints.get(name))
-             for name in sorted(names, key=repr)])
+        encode = _PROJECTION_ENCODERS[owner, names] = _projection_encoder(
+            f"{owner.__name__}{list(names)}",
+            [(name, f"value.{name}", hints.get(name)) for name in names])
     out = bytearray()
     encode(instance, out, True)
     return bytes(out)
@@ -595,20 +759,20 @@ def encode_fixed_attrs(owner: type, names: tuple[str, ...],
 def encode_fixed_key_dict(owner: type, part: dict) -> bytes:
     """Canonical encoding of a dict whose string key set is fixed per class.
 
-    Byte-identical to ``canonical_bytes(part)`` — same ``M``/``m`` framing,
-    same sorted-key order — through an encoder generated once per ``owner``
-    for the key set it first sees (a message's ``signed_part()`` keys are a
-    literal per class).  A dict that does not match that key set, or has
-    non-string keys, is encoded by :func:`canonical_bytes` as before.
+    Byte-identical to ``canonical_bytes(part)``, through an encoder
+    generated once per ``owner`` for the key set it first sees (a message's
+    ``signed_part()`` keys are a literal per class).  A dict that does not
+    match that key set, or has non-string keys, is encoded by
+    :func:`canonical_bytes`.
     """
     compiled = _PROJECTION_ENCODERS.get(owner)
     if compiled is None:
-        keys = tuple(_sorted_members(part))
-        if not all(type(key) is str for key in keys):
+        if not all(type(key) is str for key in part):
             return canonical_bytes(part)
-        compiled = _PROJECTION_ENCODERS[owner] = (len(keys), _generate_encoder(
-            f"{owner.__name__}{list(keys)}", b"M", b"m",
-            [(key, f"value[{key!r}]", None) for key in keys]))
+        compiled = _PROJECTION_ENCODERS[owner] = (
+            len(part), _projection_encoder(
+                f"{owner.__name__}{sorted(part)}",
+                [(key, f"value[{key!r}]", None) for key in part]))
     size, encode = compiled
     if len(part) != size:
         return canonical_bytes(part)
@@ -649,10 +813,6 @@ def drop_whole_value_caches(state: dict) -> None:
     """
     state.pop(_CANONICAL_CACHE, None)
     state.pop(_DIGEST_CACHE, None)
-
-
-def _sort_key(value: Any) -> tuple[str, str]:
-    return (type(value).__name__, repr(value))
 
 
 def digest(value: Any, use_cache: bool = True) -> bytes:

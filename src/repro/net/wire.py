@@ -1,17 +1,15 @@
 """Versioned binary wire protocol over the canonical encoding.
 
 Replicas already agree on one deterministic byte encoding of every protocol
-value — the canonical-bytes layer in :mod:`repro.crypto.digest` that backs
-the paper's ``Δ := Hash(⟨T⟩c)`` digest discipline.  This module promotes that
-encoding from *encode-only* (good enough for hashing and signing) to a full
-wire format: a fixed frame header plus a decoder that turns canonical bytes
-back into the dataclasses they came from.
+value — the canonical bytes of :mod:`repro.crypto.digest` that back the
+paper's ``Δ := Hash(⟨T⟩c)`` digest discipline.  This module frames those
+bytes and decodes them back into the dataclasses they came from.
 
 Frame layout (big-endian)::
 
     offset  size  field
     0       2     magic       b"RB"
-    2       1     version     WIRE_VERSION (currently 2)
+    2       1     version     WIRE_VERSION (currently 3)
     3       1     flags       bit 0: reserved (once a pickled payload; a
                               frame that sets it is refused)
                               bit 1: a trace-context block opens the
@@ -30,96 +28,106 @@ An :class:`~repro.net.network.Envelope` — what every message on a live
 transport travels in — is framed with ``FLAG_ENVELOPE``: after the trace
 block, if any, comes a fixed ``>ddHH`` head (``sent_at``, ``delivered_at``,
 source byte length, destination byte length), the utf-8 source and
-destination, and then ``canonical_bytes(envelope.payload)``.  The two times
-cross as IEEE doubles instead of canonical float text, so neither end pays
-a ``repr`` or a pattern match for them.  The head is decoded strictly too:
-a truncated head, addresses that run past the frame, invalid utf-8 and
-non-finite times are all :class:`MalformedWirePayload`.  An ``Envelope`` has
-that one spelling at the top of a frame: a frame without the flag whose
-payload decodes to an ``Envelope`` is refused.  Nested envelopes, and every
-other value, stay canonical bytes.
+destination, and then ``canonical_bytes(envelope.payload)``.  The head is
+decoded strictly too: a truncated head, addresses that run past the frame,
+invalid utf-8 and non-finite times are all :class:`MalformedWirePayload`.
+An ``Envelope`` has that one spelling at the top of a frame: a frame
+without the flag whose payload decodes to an ``Envelope`` is refused.
+Nested envelopes, and every other value, stay canonical bytes.
 
-Every other payload is exactly ``canonical_bytes(value)``, so the frame bytes
-a message crosses the wire as are the same bytes its digests and signatures
-are computed over — encoding for the wire reuses the per-instance canonical
-caches, and decoding pins the received bytes back onto the instance, which
-makes framing *cheaper* than a second serialiser, not costlier.
+Every other payload is exactly ``canonical_bytes(value)``.  Since v3 that
+encoding is positional (the layout is in :mod:`repro.crypto.digest`): a
+record is its class's one-byte tag and then its fields in declaration
+order, without names, each spelled as its type hint declares; a value
+outside a declared field carries a one-byte type tag.  The class tags of
+the default registry are pinned in :data:`DEFAULT_CLASS_TAGS`::
 
-Decoding needs two things encoding does not:
+    0x10 RequestId      0x20 ClientRequest      0x30 PrePrepare
+    0x11 Operation      0x21 RequestBatch       0x31 Prepare
+    0x12 OperationResult 0x22 Response         0x32 Commit
+    0x13 Signature      0x23 ResendRequest      0x40 Checkpoint
+    0x14 Mac            0x24 CommitCertificate  0x41 ViewChange
+    0x15 Attestation    0x25 CommitAck          0x42 NewView
+    0x16 Envelope                               0x43 PreparedProof
+    0x44 CheckpointRequest  0x45 CheckpointReply
+    0x46 LogFill            0x47 LogFillEntry
 
-* a **registry** mapping dataclass names to classes
-  (:class:`WireRegistry`); registration happens where message classes are
-  defined (``@wire_serializable`` in :mod:`repro.protocols.messages`), and
-  the handful of support types (identifiers, signatures, attestations, and
-  :class:`~repro.net.network.Envelope` for the envelopes nested inside
-  values) are registered here;
-* per-class **field templates** — the digest layer's view of each class,
-  with its resolved type hints — that restore the declared field types the
-  encoding collapses (``tuple`` and ``list`` share one container tag, as do
-  ``set`` and ``frozenset``).
+The encoding has one spelling per value, and the decoder accepts nothing
+else: varints must be minimal, bool and presence bytes 0 or 1, strings
+valid utf-8, NaN the one NaN, set members and dict keys strictly ascending
+by their encoded bytes (so no duplicates), and the payload consumed
+exactly.  Every record the decoder accepts therefore re-encodes to the
+received slice, which is pinned as the instance's canonical-encoding cache
+— digests and signatures over a received message reuse what the sender
+computed, and framing costs no second serialiser.
 
-The decoder is strict: field names must appear in declaration order, length
-prefixes and integer bodies must be canonical decimal, floats must
-round-trip their ``repr``, and the payload must be consumed exactly.  A
-frame that decodes is therefore guaranteed to re-encode to the identical
-bytes — every decodable value has exactly one spelling — which is what lets
-the received slice be pinned as the instance's canonical-encoding cache.
-
-Both directions are **generated per class**.  Encoding a dataclass runs a
-straight-line encoder the digest layer generates on the class's first
-encode; decoding one runs a decoder generated here on its first decode
-(see "generated per-class decoders" below), whose compiled patterns
-recognise exactly the canonical bytes the class's type hints predict.  The
-recursive-descent :class:`_Decoder` is the one strict slow path: whenever a
-generated decoder meets bytes it does not recognise, the whole payload is
-decoded again by the strict parser, which accepts it or raises the typed
-error.  The two can differ in speed only; the differential tests hold them
-to the same values, the same pinned bytes and the same errors.
+Decoding needs a **registry** (:class:`WireRegistry`) mapping class tags to
+classes; registration happens where message classes are defined
+(``@wire_serializable`` in :mod:`repro.protocols.messages`), and the
+substrate types (identifiers, signatures, attestations, and
+:class:`~repro.net.network.Envelope` for the envelopes nested inside values)
+are registered here.  Each registered class gets one decoder, generated on
+its first decode from its type hints: straight-line ``struct`` and slice
+reads of each field, nested records inlined, the same statements a storing
+constructor runs (:meth:`~repro.crypto.digest.FunctionSource.store_fields`)
+and the pin of the received slice.  The generator's only inputs are
+registered classes: nothing payload-controlled is ever compiled or executed.
 
 Every failure raises a typed :class:`~repro.common.errors.WireError`
-subclass; nothing in this module ever executes payload-controlled code,
-which is the point — it replaces ``pickle.loads`` on network bytes.
+subclass — bytes that end early :class:`TruncatedPayload`, bytes with
+another spelling :class:`NonCanonicalPayload`, an unknown tag
+:class:`UnknownWireClass`, anything else :class:`MalformedWirePayload`; nothing
+in this module ever executes payload-controlled code, which is the point —
+it replaces ``pickle.loads`` on network bytes.
 
 Versioning rules: bump :data:`WIRE_VERSION` whenever the header layout, the
 envelope head or the canonical encoding changes incompatibly; a decoder only
 accepts its own version.  The golden vectors under ``tests/golden/wire/`` pin
-the format — if they change, the version must too.
+the format, and ``benchmarks/check_wire_version.py`` fails a change that
+moves them without a version bump.
 """
 
 from __future__ import annotations
 
 import importlib
-import re
 import struct
 from math import isfinite
 from dataclasses import fields, is_dataclass
-from typing import Any, Callable, Optional, get_origin
+from typing import Any, Callable, Optional
 
 from ..common.errors import (
     BadFrameMagic,
     ConfigurationError,
     MalformedWirePayload,
+    NonCanonicalPayload,
     OversizedFrame,
     TruncatedFrame,
+    TruncatedPayload,
     UnencodableWirePayload,
     UnknownWireClass,
     UnsupportedWireVersion,
-    WireError,
 )
-# The decoders deliberately reuse the digest layer's view of a class (same
-# field order, same resolved hints) and its cache attribute, so wire framing
-# and digest/signature memoisation stay one mechanism with one set of
-# invariants.
+# The decoders reuse the digest layer's view of a class (same field order,
+# same resolved hints, same cache attribute), so framing and digest/signature
+# memoisation stay one mechanism with one set of invariants.
 from ..crypto.digest import (
     _CANONICAL_CACHE,
-    DIGEST_SIZE,
+    FIRST_CLASS_TAG,
+    MAX_VARINT_BYTES,
+    TAG_BYTES,
+    TAG_DICT,
+    TAG_FLOAT,
+    TAG_INT,
+    TAG_LIST,
+    TAG_STR,
+    TAG_TRUE,
     FunctionSource,
-    _token,
+    assign_class_tag,
     canonical_bytes,
     class_fields,
     constructs_by_storing,
     optional_of,
-    tuple_of,
+    sequence_of,
 )
 from ..obsv.trace import TraceContext
 from .network import Envelope
@@ -127,7 +135,7 @@ from .network import Envelope
 #: first bytes of every frame.
 WIRE_MAGIC = b"RB"
 #: current wire-protocol version; decoders accept exactly this version.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 #: flags bit, reserved: it marked a pickled payload while the one-release
 #: ``--unsafe-pickle`` escape hatch existed.  Nothing sets it any more and a
 #: frame that does is refused with a typed error, never unpickled.
@@ -151,49 +159,64 @@ HEADER_SIZE = HEADER.size
 #: make a reader buffer.
 DEFAULT_MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-#: recursion ceiling for nested containers/dataclasses; legitimate messages
-#: nest ~12 deep (Envelope > NewView > PrePrepare > batch > request > op).
+#: ceiling on nested records and containers: one at depth MAX_DECODE_DEPTH
+#: (the top-level value is at depth 0) is refused.  Legitimate messages nest
+#: ~8 deep (Envelope > NewView > PrePrepare > batch > request > op).
 MAX_DECODE_DEPTH = 64
+
+#: the pinned class tags of the default registry (see the module doc).
+DEFAULT_CLASS_TAGS = {
+    "RequestId": 0x10, "Operation": 0x11, "OperationResult": 0x12,
+    "Signature": 0x13, "Mac": 0x14, "Attestation": 0x15, "Envelope": 0x16,
+    "ClientRequest": 0x20, "RequestBatch": 0x21, "Response": 0x22,
+    "ResendRequest": 0x23, "CommitCertificate": 0x24, "CommitAck": 0x25,
+    "PrePrepare": 0x30, "Prepare": 0x31, "Commit": 0x32,
+    "Checkpoint": 0x40, "ViewChange": 0x41, "NewView": 0x42,
+    "PreparedProof": 0x43, "CheckpointRequest": 0x44,
+    "CheckpointReply": 0x45, "LogFill": 0x46, "LogFillEntry": 0x47,
+}
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 class _RegisteredClass:
-    """One decodable dataclass plus its lazily built decoders."""
+    """One decodable dataclass, its tag and its lazily generated decoder."""
 
-    __slots__ = ("cls", "decode_fields", "cacheable", "decode")
+    __slots__ = ("cls", "tag", "cacheable", "decode")
 
-    def __init__(self, cls: type) -> None:
+    def __init__(self, cls: type, tag: int) -> None:
         self.cls = cls
+        self.tag = tag
         self.cacheable = bool(getattr(cls, "__canonical_cacheable__", False))
-        #: the strict path's template, tuple of (encoded field-name bytes,
-        #: coercer or None); built on first decode so forward-referenced
-        #: annotations have resolved.
-        self.decode_fields: Optional[tuple] = None
-        #: the generated fast decoder (see :func:`_generate_decoder`).
+        #: ``decode(data, pos, depth) -> (instance, end)`` for a record whose
+        #: tag is at ``pos`` (see :func:`_generate_decoder`).
         self.decode: Optional[Callable] = None
 
 
 class WireRegistry:
-    """Name -> dataclass mapping the decoder resolves ``D`` records against.
+    """Class tag -> dataclass mapping the decoder resolves records against.
 
-    Registering a new message class is one line at its definition::
+    Registering a new message class is one line at its definition, plus its
+    tag in the registry's table (:data:`DEFAULT_CLASS_TAGS` for the default
+    registry)::
 
         @wire_serializable
         @canonical_cacheable
         @dataclass(frozen=True)
         class MyMessage: ...
 
-    Names must be unique across the registry — the canonical encoding
-    identifies a dataclass by its bare class name, so two wire classes may
-    not share one.
+    Tags are unique within a registry, and a class keeps one tag across
+    registries: the canonical encoding names a record by its tag alone.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, tags: Optional[dict[str, int]] = None) -> None:
+        #: class name -> tag, for the classes this registry may register.
+        self.tags = dict(DEFAULT_CLASS_TAGS if tags is None else tags)
+        if len(set(self.tags.values())) != len(self.tags):
+            raise ConfigurationError("two classes share a wire class tag")
         self._by_name: dict[str, _RegisteredClass] = {}
-        #: the same entries by encoded record header (``D<len>:<name>``).
-        self._by_header: dict[bytes, _RegisteredClass] = {}
+        self._by_tag: dict[int, _RegisteredClass] = {}
 
     def register(self, cls: type) -> type:
         """Register ``cls`` for decoding; returns it (usable as decorator)."""
@@ -210,21 +233,29 @@ class WireRegistry:
             raise ConfigurationError(
                 f"wire class name collision: {name!r} is already registered "
                 f"for {existing.cls.__module__}.{existing.cls.__qualname__}")
+        tag = self.tags.get(name)
+        if tag is None:
+            raise ConfigurationError(
+                f"no class tag for {name!r}; pin one in the registry's tag "
+                "table (DEFAULT_CLASS_TAGS for the default registry)")
         if existing is None:
-            entry = self._by_name[name] = _RegisteredClass(cls)
-            self._by_header[_token(b"D", name.encode())] = entry
+            try:
+                assign_class_tag(cls, tag)
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from None
+            self._by_name[name] = self._by_tag[tag] = _RegisteredClass(cls, tag)
         return cls
 
-    def lookup(self, name: str) -> _RegisteredClass:
-        """The registered entry for ``name``; raises :class:`UnknownWireClass`."""
-        entry = self._by_name.get(name)
+    def entry_for_tag(self, tag: int) -> _RegisteredClass:
+        """The registered entry for ``tag``; raises :class:`UnknownWireClass`."""
+        entry = self._by_tag.get(tag)
         if entry is None:
             _import_default_message_modules()
-            entry = self._by_name.get(name)
+            entry = self._by_tag.get(tag)
         if entry is None:
             raise UnknownWireClass(
-                f"no wire class registered under {name!r}; register it with "
-                "@wire_serializable where it is defined")
+                f"no wire class registered under tag {tag:#04x}; register it "
+                "with @wire_serializable where it is defined")
         return entry
 
     def registered_classes(self) -> dict[str, type]:
@@ -242,7 +273,7 @@ def wire_serializable(cls: type) -> type:
 
 
 #: modules whose import registers the protocol message classes; imported
-#: lazily on the first unknown-class lookup so this module never depends on
+#: lazily on the first unknown-tag lookup so this module never depends on
 #: the protocol layer at import time.
 _DEFAULT_MESSAGE_MODULES = ("repro.protocols.messages",)
 _defaults_imported = False
@@ -263,472 +294,263 @@ def ensure_default_registrations() -> None:
 
 
 # ---------------------------------------------------------------------------
-# field coercion templates
+# decoding
 # ---------------------------------------------------------------------------
-def _coercer_for(hint: Any) -> Optional[Callable[[Any], Any]]:
-    """Restore the declared field type the encoding collapses, or ``None``.
-
-    The canonical encoding writes ``tuple``/``list`` with one tag and
-    ``set``/``frozenset`` with another; the decoder materialises ``list`` and
-    ``set`` and this coercer converts to the declared immutable type.  Other
-    types are self-describing and pass through.
-    """
-    inner = optional_of(hint)
-    if inner is not None:
-        coerce = _coercer_for(inner)
-        if coerce is None:
-            return None
-        return lambda value: value if value is None else coerce(value)
-    if hint is tuple or get_origin(hint) is tuple:
-        element = _coercer_for(tuple_of(hint))
-        if element is None:
-            return tuple
-        return lambda value: tuple(element(item) for item in value)
-    if hint is frozenset or get_origin(hint) is frozenset:
-        return frozenset
-    return None
+#: zigzag value of every one-byte varint.
+_ZIGZAG = tuple((byte >> 1) ^ -(byte & 1) for byte in range(0x80))
+_NAN = struct.pack(">d", float("nan"))
+_unpack_double = struct.Struct(">d").unpack_from
 
 
-def _decode_template(entry: _RegisteredClass) -> tuple:
-    """(field-name bytes, coercer) per field of the strict path."""
-    template = entry.decode_fields
-    if template is None:
-        template = entry.decode_fields = tuple(
-            (_token(b"s", attr.encode()), _coercer_for(hint))
-            for attr, hint in class_fields(entry.cls))
-    return template
+def _uvarint(data: bytes, p: int) -> tuple[int, int]:
+    """A minimal unsigned varint at ``p``; returns ``(value, end)``."""
+    value = shift = 0
+    for end in range(p, p + MAX_VARINT_BYTES):
+        byte = data[end]
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            if byte == 0 and end > p:
+                raise NonCanonicalPayload(
+                    f"varint at offset {p} has a redundant zero byte")
+            return value, end + 1
+        shift += 7
+    raise MalformedWirePayload(
+        f"varint at offset {p} runs past {MAX_VARINT_BYTES} bytes")
 
 
-# ---------------------------------------------------------------------------
-# payload decoding
-# ---------------------------------------------------------------------------
-_TAG_NONE = ord("N")
-_TAG_TRUE = ord("T")
-_TAG_FALSE = ord("F")
-_TAG_INT = ord("i")
-_TAG_FLOAT = ord("f")
-_TAG_STR = ord("s")
-_TAG_BYTES = ord("b")
-_TAG_DICT = ord("M")
-_TAG_LIST = ord("L")
-_TAG_SET = ord("S")
-_TAG_DATACLASS = ord("D")
-_END_DICT = ord("m")
-_END_LIST = ord("l")
-_END_SET = ord("s")
-_END_DATACLASS = ord("d")
-_DIGITS = frozenset(b"0123456789")
+def _varint(data: bytes, p: int) -> tuple[int, int]:
+    """A zigzag-mapped int at ``p``; returns ``(value, end)``."""
+    value, p = _uvarint(data, p)
+    return (value >> 1) ^ -(value & 1), p
 
 
-class _FastPathMiss(Exception):
-    """A generated decoder met bytes it does not recognise.
-
-    Never escapes this module: :func:`decode_payload` answers it by decoding
-    the whole payload again on the strict path, which either accepts the
-    (unusual but valid) bytes or raises the typed :class:`WireError`.
-    """
+def _truncated() -> TruncatedPayload:
+    return TruncatedPayload("payload ends inside a value")
 
 
-class _Decoder:
-    """Strict recursive-descent parser over one canonical payload.
+def _too_deep() -> MalformedWirePayload:
+    return MalformedWirePayload(
+        f"records and containers nest deeper than {MAX_DECODE_DEPTH}")
 
-    With ``fast`` set, ``D`` records are handed to their class's generated
-    decoder; without it every byte goes through the methods below, which are
-    the reference the generated decoders must agree with.
-    """
 
-    __slots__ = ("data", "pos", "registry", "fast")
+def _flag_byte(byte: int, what: str) -> NonCanonicalPayload:
+    return NonCanonicalPayload(f"{what} byte {byte}; only 0 and 1 spell one")
 
-    def __init__(self, data: bytes, registry: WireRegistry,
-                 fast: bool = False) -> None:
-        self.data = data
-        self.pos = 0
-        self.registry = registry
-        self.fast = fast
 
-    def decode(self) -> Any:
-        value = self._value(0)
-        if self.pos != len(self.data):
-            raise MalformedWirePayload(
-                f"{len(self.data) - self.pos} trailing byte(s) after the "
-                "payload value")
-        return value
+def _wrong_class(found: int, expected: type) -> MalformedWirePayload:
+    return MalformedWirePayload(
+        f"tag {found:#04x} where the declared {expected.__name__} record "
+        "must start")
 
-    # ------------------------------------------------------------- plumbing
-    def _fail(self, reason: str) -> MalformedWirePayload:
-        return MalformedWirePayload(f"{reason} at offset {self.pos}")
 
-    def _body(self) -> bytes:
-        """Parse ``<digits>:<body>`` at the cursor; returns the body bytes.
+def _float(data: bytes, p: int) -> float:
+    value = _unpack_double(data, p)[0]
+    if value != value and data[p:p + 8] != _NAN:
+        raise NonCanonicalPayload(f"NaN at offset {p} is not the one NaN")
+    return value
 
-        The one hot-path helper: strings, ints, floats, bytes and class
-        names all route through it, so the length parse and the bounds
-        check are inlined rather than split across two helpers.
-        """
-        data = self.data
-        pos = self.pos
-        colon = data.find(b":", pos, pos + 20)
-        if colon < 0:
-            raise self._fail("missing length terminator ':'")
-        digits = data[pos:colon]
-        # Canonical decimal only, like integer bodies: a zero-padded prefix
-        # would decode to a value that re-encodes to different bytes, and
-        # the received slice is what gets pinned as its encoding.
-        if not digits.isdigit() or (len(digits) > 1 and digits[:1] == b"0"):
-            raise self._fail(f"invalid length prefix {digits!r}")
-        end = colon + 1 + int(digits)
+
+def _members(data: bytes, p: int, depth: int, registry: WireRegistry,
+             pairs: bool) -> tuple[list, int]:
+    """The members (or key/value pairs) of a set or dict at ``p``."""
+    count, p = _uvarint(data, p)
+    if count > len(data) - p:
+        raise _truncated()
+    items = []
+    previous = b""
+    for _ in range(count):
+        start = p
+        member, p = _decode_value(data, p, depth + 1, registry)
+        encoded = data[start:p]
+        if encoded <= previous:
+            raise NonCanonicalPayload(
+                f"{'dict key' if pairs else 'set member'} at offset {start} "
+                "is not above the one before it")
+        previous = encoded
+        if pairs:
+            value, p = _decode_value(data, p, depth + 1, registry)
+            member = (member, value)
+        items.append(member)
+    return items, p
+
+
+def _decode_value(data: bytes, p: int, depth: int,
+                  registry: WireRegistry) -> tuple[Any, int]:
+    """The value at ``p`` with its type or class tag; ``(value, end)``."""
+    tag = data[p]
+    if tag >= FIRST_CLASS_TAG:
+        entry = registry._by_tag.get(tag) or registry.entry_for_tag(tag)
+        return (entry.decode or _generated_decoder(entry, registry))(
+            data, p, depth)
+    p += 1
+    if tag == TAG_STR or tag == TAG_BYTES:
+        size, p = _uvarint(data, p)
+        end = p + size
         if end > len(data):
-            raise self._fail(f"payload ends inside a {int(digits)}-byte body")
-        self.pos = end
-        return data[colon + 1:end]
-
-    # --------------------------------------------------------------- values
-    def _value(self, depth: int) -> Any:
-        if depth >= MAX_DECODE_DEPTH:
-            raise self._fail(f"nesting deeper than {MAX_DECODE_DEPTH}")
-        data = self.data
-        if self.pos >= len(data):
-            raise self._fail("payload ended where a value was expected")
-        tag = data[self.pos]
-        self.pos += 1
-        # Dispatch ordered by rough frequency in protocol traffic.
-        if tag == _TAG_STR:
-            return self._str()
-        if tag == _TAG_INT:
-            return self._int()
-        if tag == _TAG_DATACLASS:
-            return self._dataclass(depth)
-        if tag == _TAG_BYTES:
-            return self._body()
-        if tag == _TAG_NONE:
-            return None
-        if tag == _TAG_TRUE:
-            return True
-        if tag == _TAG_FALSE:
-            return False
-        if tag == _TAG_FLOAT:
-            return self._float()
-        if tag == _TAG_LIST:
-            return self._list(depth)
-        if tag == _TAG_DICT:
-            return self._dict(depth)
-        if tag == _TAG_SET:
-            return self._set(depth)
-        self.pos -= 1
-        raise self._fail(f"unknown value tag {bytes((tag,))!r}")
-
-    def _int(self) -> int:
-        raw = self._body()
-        body = raw[1:] if raw[:1] == b"-" else raw
-        # Canonical decimal only: what str(int) produces, nothing else.  A
-        # laxer parse (leading zeros, '+', '_') would decode to a value that
-        # re-encodes differently, breaking the decode-pins-the-cache rule.
-        if (not body.isdigit() or (len(body) > 1 and body[:1] == b"0")
-                or (raw[:1] == b"-" and body == b"0")):
-            raise self._fail(f"non-canonical integer body {raw!r}")
-        return int(raw)
-
-    def _float(self) -> float:
-        raw = self._body()
-        try:
-            value = float(raw)
-        except ValueError:
-            raise self._fail(f"invalid float body {raw!r}") from None
-        if repr(value).encode() != raw:
-            raise self._fail(f"non-canonical float body {raw!r}")
-        return value
-
-    def _str(self) -> str:
-        raw = self._body()
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise self._fail(f"invalid utf-8 in string body {raw!r}") from None
-
-    def _list(self, depth: int) -> list:
+            raise _truncated()
+        return (data[p:end].decode() if tag == TAG_STR else data[p:end]), end
+    if tag == TAG_INT:
+        return _varint(data, p)
+    if tag <= TAG_TRUE:
+        return (None, False, True)[tag], p
+    if tag == TAG_FLOAT:
+        return _float(data, p), p + 8
+    if tag > TAG_DICT:
+        raise MalformedWirePayload(f"unknown value tag {tag:#04x}")
+    if depth >= MAX_DECODE_DEPTH:
+        raise _too_deep()
+    if tag == TAG_LIST:
+        count, p = _uvarint(data, p)
+        if count > len(data) - p:
+            raise _truncated()
         items = []
-        data = self.data
-        while True:
-            if self.pos >= len(data):
-                raise self._fail("unterminated list")
-            if data[self.pos] == _END_LIST:
-                self.pos += 1
-                return items
-            items.append(self._value(depth + 1))
-
-    def _dict(self, depth: int) -> dict:
-        result: dict = {}
-        data = self.data
-        while True:
-            if self.pos >= len(data):
-                raise self._fail("unterminated dict")
-            if data[self.pos] == _END_DICT:
-                self.pos += 1
-                return result
-            key = self._value(depth + 1)
-            value = self._value(depth + 1)
-            try:
-                result[key] = value
-            except TypeError:
-                raise self._fail(f"unhashable dict key {key!r}") from None
-
-    def _set(self, depth: int) -> set:
-        # The set terminator shares the byte 's' with the string tag; a
-        # string always continues with a length digit and a terminator never
-        # can (after a set ends only another tag or terminator may follow),
-        # so one byte of lookahead disambiguates.
-        result: set = set()
-        data = self.data
-        while True:
-            if self.pos >= len(data):
-                raise self._fail("unterminated set")
-            byte = data[self.pos]
-            if byte == _END_SET and (self.pos + 1 >= len(data)
-                                     or data[self.pos + 1] not in _DIGITS):
-                self.pos += 1
-                return result
-            item = self._value(depth + 1)
-            try:
-                result.add(item)
-            except TypeError:
-                raise self._fail(f"unhashable set member {item!r}") from None
-
-    def _dataclass(self, depth: int) -> Any:
-        start = self.pos - 1  # include the 'D' tag in the pinned cache slice
-        if self.fast:
-            # Identify the class by its whole header token; the generated
-            # decoder re-checks the header, and a header that is not exactly
-            # a registered one is the strict path's to judge.
-            data = self.data
-            colon = data.find(b":", start, start + 5)
-            digits = data[start + 1:colon]
-            if not digits.isdigit():
-                raise _FastPathMiss
-            entry = self.registry._by_header.get(
-                data[start:colon + 1 + int(digits)])
-            if entry is None:
-                raise _FastPathMiss
-            decode = entry.decode
-            if decode is None:
-                decode = _generated_decoder(entry, self.registry)
-            return decode(self, start, depth)
-        name = self._str()
-        entry = self.registry._by_name.get(name)
-        if entry is None:
-            entry = self.registry.lookup(name)  # lazy-import slow path
-        template = entry.decode_fields
-        if template is None:
-            template = _decode_template(entry)
-        data = self.data
-        values = []
-        append = values.append
-        for name_bytes, coerce in template:
-            if not data.startswith(name_bytes, self.pos):
-                raise self._fail(
-                    f"field mismatch in {name}: expected {name_bytes!r} "
-                    "(canonical declaration order)")
-            self.pos += len(name_bytes)
-            value = self._value(depth + 1)
-            append(coerce(value) if coerce is not None else value)
-        if self.pos >= len(data) or data[self.pos] != _END_DATACLASS:
-            raise self._fail(f"unterminated dataclass {name}")
-        self.pos += 1
-        try:
-            instance = entry.cls(*values)
-        except Exception as exc:
-            raise MalformedWirePayload(
-                f"cannot construct {name} from decoded fields: {exc}") from exc
-        if entry.cacheable:
-            # The strict parse guarantees re-encoding reproduces exactly the
-            # received bytes, so the wire slice doubles as the instance's
-            # canonical-encoding cache — every later digest/signature over
-            # this message reuses what the sender already computed.
-            object.__setattr__(instance, _CANONICAL_CACHE,
-                               data[start:self.pos])
-        return instance
+        for _ in range(count):
+            item, p = _decode_value(data, p, depth + 1, registry)
+            items.append(item)
+        return items, p
+    members, p = _members(data, p, depth, registry, tag == TAG_DICT)
+    try:
+        value = dict(members) if tag == TAG_DICT else set(members)
+    except TypeError as exc:
+        raise MalformedWirePayload(f"unhashable set member or dict key: "
+                                   f"{exc}") from None
+    if len(value) != len(members):
+        raise NonCanonicalPayload("set members or dict keys equal as values")
+    return value, p
 
 
 # ---------------------------------------------------------------------------
 # generated per-class decoders
 # ---------------------------------------------------------------------------
-# A registered class's layout is static — header, field names, declaration
-# order, and from the type hints the tag each value will almost certainly
-# carry — so each class gets one decoder, generated on its first decode.
-# Runs of statically typed scalar fields (and the flat dataclasses nested in
-# them) are recognised by one compiled pattern each, matched in C; the code
-# between patterns enters typed nested classes directly and hands ``object``
-# fields to the strict parser.  The generator's only inputs are registered
-# classes: nothing payload-controlled is ever compiled or executed.
-#
-# A generated decoder accepts a subset of what the strict path accepts, with
-# the same values: every pattern spells out canonical length prefixes and
-# integer bodies, and the conversions re-check each captured body against
-# its prefix, utf-8 and the float round trip.  On anything else — a hinted
-# ``int`` field carrying a string, a negative or ten-digit integer, a string
-# with a ``:`` in it, a byte string that is not digest-sized, malformed
-# bytes — it raises :class:`_FastPathMiss` and the strict path decides.
-#
-# Patterns stay linear on hostile input: every repeat is bounded except a
-# string body, ``[^:]*``, and that is always followed in the same pattern by a
-# literal containing ``:`` (the next field name), so it can end in exactly
-# one place and backtracking never multiplies.  A string that would end a
-# pattern is left to the strict parser instead.
-_INT_PATTERN = (rb"i(?=(?:1:\d|" + b"|".join(
-    rb"%d:[1-9]\d{%d}" % (size, size - 1) for size in range(2, 10))
-    + rb")\D)\d:(\d+)")
-_STR_PATTERN = rb"s(0|[1-9]\d{0,6}):([^:]*)"
-_FLOAT_PATTERN = rb"f([1-9]\d?):([0-9.e+\-infa]{1,32})"
-_BYTES_PATTERN = rb"b%d:(.{%d})" % (DIGEST_SIZE, DIGEST_SIZE)
-_BOOL_PATTERN = rb"([TF])"
+# A registered class's layout is static — its tag, its field order and, from
+# the type hints, how each field is spelled — so each class gets one decoder,
+# generated on its first decode: straight-line reads of every field (a
+# one-byte varint is a table lookup, a string one slice), nested records
+# inlined with their tag checked, and the instance built and pinned.  Only
+# fields declared ``object`` (or any hint without a positional spelling) go
+# through :func:`_decode_value`, and a record that contains itself calls its
+# own decoder.  Reads past the end raise ``IndexError`` or ``struct.error``,
+# which :func:`_decode_at` turns into :class:`TruncatedPayload` once, at the
+# top, instead of a bounds check per byte.
 
+class _RecordDecoderSource(FunctionSource):
+    """A decoder in the making: statements reading fields at ``p``."""
 
-class _Fragment:
-    """Pattern source for one statically typed value and its conversion."""
-
-    __slots__ = ("pattern", "groups", "open", "depth", "convert")
-
-    def __init__(self, pattern: bytes, groups: int, convert: Callable,
-                 open: bool = False, depth: int = 0) -> None:
-        self.pattern = pattern
-        self.groups = groups
-        #: ``convert(source, indent, first group index, target variable)``
-        #: emits the statements turning the captured groups into the value.
-        self.convert = convert
-        #: ends in an unbounded string body: only usable when a literal
-        #: containing ``:`` follows it in the same pattern.
-        self.open = open
-        #: nesting levels below the value itself (for the depth ceiling).
-        self.depth = depth
-
-
-def _str_conversion(source, indent, group, target):
-    source.line(indent, f"{target} = g[{group + 1}]")
-    source.line(indent, f"if len({target}) != int(g[{group}]): raise _Miss")
-    source.line(indent, f"{target} = {target}.decode()")
-
-
-def _float_conversion(source, indent, group, target):
-    source.line(indent, f"_b = g[{group + 1}]")
-    source.line(indent, f"{target} = float(_b)")
-    source.line(indent, f"if len(_b) != int(g[{group}]) or "
-                        f"repr({target}).encode() != _b: raise _Miss")
-
-
-_SCALAR_FRAGMENTS = {
-    int: _Fragment(_INT_PATTERN, 1, lambda source, indent, group, target:
-                   source.line(indent, f"{target} = int(g[{group}])")),
-    bool: _Fragment(_BOOL_PATTERN, 1, lambda source, indent, group, target:
-                    source.line(indent, f"{target} = g[{group}] == b'T'")),
-    bytes: _Fragment(_BYTES_PATTERN, 1, lambda source, indent, group, target:
-                     source.line(indent, f"{target} = g[{group}]")),
-    str: _Fragment(_STR_PATTERN, 2, _str_conversion, open=True),
-    float: _Fragment(_FLOAT_PATTERN, 2, _float_conversion),
-}
-
-
-def _registered(hint: Any, registry: WireRegistry) -> Optional[_RegisteredClass]:
-    """``hint``'s registry entry when it is a class this registry decodes."""
-    if isinstance(hint, type):
-        entry = registry._by_name.get(hint.__name__)
-        if entry is not None and entry.cls is hint:
-            return entry
-    return None
-
-
-def _fragment(hint: Any, registry: WireRegistry,
-              active: frozenset) -> Optional[_Fragment]:
-    """The pattern fragment for a value hinted ``hint``, if it has one.
-
-    Scalars, ``Optional`` of a fragment, and registered dataclasses all of
-    whose fields have fragments (``active`` breaks reference cycles).
-    """
-    scalar = _SCALAR_FRAGMENTS.get(hint)
-    if scalar is not None:
-        return scalar
-    optional = optional_of(hint)
-    inner = None if optional is None else _fragment(optional, registry, active)
-    if inner is not None:
-        def convert(source, indent, group, target):
-            source.line(indent, f"if g[{group}] is None:")
-            source.line(indent, f" {target} = None")
-            source.line(indent, "else:")
-            inner.convert(source, indent + " ", group, target)
-        return _Fragment(b"(?:N|" + inner.pattern + b")", inner.groups,
-                         convert, inner.open, inner.depth)
-    entry = _registered(hint, registry)
-    if entry is None or hint in active:
-        return None
-    parts = [re.escape(_token(b"D", hint.__name__.encode()))]
-    children = []
-    groups, depth, open_ended = 1, 0, False
-    for attr, field_hint in class_fields(hint):
-        child = _fragment(field_hint, registry, active | {hint})
-        if child is None:
-            return None
-        parts.append(re.escape(_token(b"s", attr.encode())) + child.pattern)
-        children.append((groups, child))
-        groups += child.groups
-        depth = max(depth, 1 + child.depth)
-        open_ended = child.open
-
-    def convert(source, indent, group, target):
-        values = []
-        for offset, child in children:
-            values.append(source.temporary())
-            child.convert(source, indent, group + offset, values[-1])
-        source.construct(indent, target, entry, values, f"g[{group}]")
-    return _Fragment(b"(" + b"".join(parts) + b"d)", groups, convert,
-                     open_ended, depth)
-
-
-class _DecoderSource(FunctionSource):
-    """A decoder in the making: lines, bindings and the pending pattern."""
-
-    def __init__(self) -> None:
+    def __init__(self, registry: WireRegistry) -> None:
         super().__init__({
-            "_Miss": _FastPathMiss, "_CACHE": _CANONICAL_CACHE,
-            "_setattr": object.__setattr__, "_new": object.__new__,
-            "WireError": WireError})
-        self._temporaries = 0
-        #: the pattern being assembled: (source, the literal it escapes or
-        #: None) parts, and the fragments whose groups it captures.
-        self._parts: list[tuple[bytes, Optional[bytes]]] = []
-        self._captures: list[tuple[_Fragment, int, str]] = []
-        self._groups = 0
+            "_uvarint": _uvarint, "_varint": _varint, "_ZIGZAG": _ZIGZAG,
+            "_float": _float, "_decode_value": _decode_value,
+            "_registry": registry, "_truncated": _truncated,
+            "_too_deep": _too_deep, "_flag_byte": _flag_byte,
+            "_wrong_class": _wrong_class, "_generated": _generated_decoder,
+            "_new": object.__new__, "_setattr": object.__setattr__,
+            "_CACHE": _CANONICAL_CACHE, "MalformedWirePayload":
+            MalformedWirePayload, "UnknownWireClass": UnknownWireClass})
+        self.registry = registry
+        self._names = 0
 
-    def temporary(self) -> str:
-        self._temporaries += 1
-        return f"_t{self._temporaries}"
+    def fresh(self, stem: str) -> str:
+        self._names += 1
+        return f"{stem}{self._names}"
 
-    def expect(self, literal: bytes) -> None:
-        """Constant bytes the pattern being assembled must see next."""
-        self._parts.append((re.escape(literal), literal))
+    def length(self, indent: str, var: str) -> None:
+        """Read an unsigned varint (a length or a count) into ``var``."""
+        self.line(indent, f"{var} = data[p]")
+        self.line(indent, f"if {var} < 128: p += 1")
+        self.line(indent, f"else: {var}, p = _uvarint(data, p)")
 
-    def capture(self, fragment: _Fragment, target: str) -> None:
-        """A typed value next in the pattern, converted into ``target``."""
-        self._parts.append((fragment.pattern, None))
-        self._captures.append((fragment, self._groups, target))
-        self._groups += fragment.groups
+    def field(self, indent: str, var: str, hint: Any, level: int,
+              inlining: frozenset) -> None:
+        """Statements reading a value hinted ``hint`` into ``var``.
 
-    def match(self, indent: str) -> None:
-        """Emit the assembled pattern: match at ``p``, convert, advance."""
-        parts, captures = self._parts, self._captures
-        self._parts, self._captures, self._groups = [], [], 0
-        if not parts:
-            return
-        if not captures:
-            literal = b"".join(literal for _, literal in parts)
-            self.line(indent, f"if not data.startswith({literal!r}, p): "
-                              "raise _Miss")
-            self.line(indent, f"p += {len(literal)}")
-            return
-        pattern = re.compile(b"".join(part for part, _ in parts), re.DOTALL)
-        self.line(indent, f"m = {self.bind(pattern.match)}(data, p)")
-        self.line(indent, "if m is None: raise _Miss")
-        self.line(indent, "g = m.groups()")
-        for fragment, group, target in captures:
-            fragment.convert(self, indent, group, target)
-        self.line(indent, "p = m.end()")
+        ``level`` is how far below the decoded record a record or container
+        read here would sit, for the nesting ceiling.
+        """
+        inner = optional_of(hint)
+        if inner is not None:
+            self.line(indent, f"{var} = data[p]")
+            self.line(indent, "p += 1")
+            self.line(indent, f"if {var} == 1:")
+            self.field(indent + " ", var, inner, level, inlining)
+            self.line(indent, f"elif {var}: raise _flag_byte({var}, "
+                              "'presence')")
+            self.line(indent, f"else: {var} = None")
+        elif hint is int:
+            # One- and two-byte varints inline: |n| < 8192.
+            high = self.fresh("_h")
+            self.line(indent, f"{var} = data[p]")
+            self.line(indent, f"if {var} < 128:")
+            self.line(indent, " p += 1")
+            self.line(indent, f" {var} = _ZIGZAG[{var}]")
+            self.line(indent, "else:")
+            self.line(indent, f" {high} = data[p + 1]")
+            self.line(indent, f" if 0 < {high} < 128:")
+            self.line(indent, f"  {var} = ({var} & 127) | ({high} << 7)")
+            self.line(indent, f"  {var} = ({var} >> 1) ^ -({var} & 1)")
+            self.line(indent, "  p += 2")
+            self.line(indent, f" else: {var}, p = _varint(data, p)")
+        elif hint is str or hint is bytes:
+            size = self.fresh("_z")
+            self.length(indent, size)
+            self.line(indent, f"{size} += p")
+            self.line(indent, f"if {size} > n: raise _truncated()")
+            self.line(indent, f"{var} = data[p:{size}]"
+                              + (".decode()" if hint is str else ""))
+            self.line(indent, f"p = {size}")
+        elif hint is bool:
+            self.line(indent, f"{var} = data[p]")
+            self.line(indent, "p += 1")
+            self.line(indent, f"if {var} > 1: raise _flag_byte({var}, 'bool')")
+            self.line(indent, f"{var} = {var} == 1")
+        elif hint is float:
+            self.line(indent, f"{var} = _float(data, p)")
+            self.line(indent, "p += 8")
+        elif sequence_of(hint) is not None:
+            count, items, item = (self.fresh("_z"), self.fresh("_l"),
+                                  self.fresh("_x"))
+            self.line(indent, f"if depth >= {MAX_DECODE_DEPTH - level}: "
+                              "raise _too_deep()")
+            self.length(indent, count)
+            self.line(indent, f"if {count} > n - p: raise _truncated()")
+            self.line(indent, f"{items} = []")
+            self.line(indent, f"for _ in range({count}):")
+            self.field(indent + " ", item, sequence_of(hint), level + 1,
+                       inlining)
+            self.line(indent, f" {items}.append({item})")
+            self.line(indent, f"{var} = tuple({items})")
+        elif isinstance(hint, type) and is_dataclass(hint):
+            entry = self.registry._by_name.get(hint.__name__)
+            if entry is None or entry.cls is not hint:
+                self.line(indent, f"raise UnknownWireClass({hint.__name__!r}"
+                                  " ' is declared but not registered')")
+                return
+            self.line(indent, f"if data[p] != {entry.tag}: "
+                              f"raise _wrong_class(data[p], {self.bind(hint)})")
+            if hint in inlining:
+                bound = self.bind(entry)
+                self.line(indent, f"{var}, p = ({bound}.decode or _generated("
+                                  f"{bound}, _registry))(data, p, "
+                                  f"depth + {level})")
+            else:
+                self.record(indent, var, entry, level, inlining | {hint})
+        else:
+            self.line(indent, f"{var}, p = _decode_value(data, p, "
+                              f"depth + {level}, _registry)")
+
+    def record(self, indent: str, var: str, entry: _RegisteredClass,
+               level: int, inlining: frozenset) -> None:
+        """A record whose tag is at ``p``, decoded into ``var``."""
+        start = self.fresh("_s")
+        if level:
+            self.line(indent, f"if depth >= {MAX_DECODE_DEPTH - level}: "
+                              "raise _too_deep()")
+        self.line(indent, f"{start} = p")
+        self.line(indent, "p += 1")
+        values = []
+        for _, hint in class_fields(entry.cls):
+            values.append(self.fresh("_v"))
+            self.field(indent, values[-1], hint, level + 1, inlining)
+        self.construct(indent, var, entry, values, f"data[{start}:p]")
 
     def construct(self, indent: str, target: str, entry: _RegisteredClass,
                   values: list, pinned: str) -> None:
@@ -744,106 +566,48 @@ class _DecoderSource(FunctionSource):
             self.line(indent, f"{target} = _new({cls})")
             self.store_fields(indent, target, entry.cls, values, pin)
             return
-        self.line(indent, f"{target} = {cls}({', '.join(values)})")
+        self.line(indent, "try:")
+        self.line(indent, f" {target} = {cls}({', '.join(values)})")
+        self.line(indent, "except Exception as exc:")
+        self.line(indent, " raise MalformedWirePayload(f'cannot construct "
+                          f"{entry.cls.__name__} from decoded fields: "
+                          "{exc}') from exc")
         if pin is not None:
             self.line(indent, f"_setattr({target}, _CACHE, {pin})")
 
 
-def _decoder_pending(decoder, pos, depth):
-    raise _FastPathMiss
-
-
 def _generated_decoder(entry: _RegisteredClass,
                        registry: WireRegistry) -> Callable:
-    """``entry``'s fast decoder, generated on first use."""
-    decode = entry.decode
-    if decode is None:
-        # Claimed before generating: a class that refers back to this one
-        # (generated code calls through the entry) must not start over.
-        entry.decode = _decoder_pending
-        try:
-            decode = entry.decode = _generate_decoder(entry, registry)
-        except BaseException:
-            entry.decode = None
-            raise
-    return decode
+    """``entry``'s decoder, generated on first use."""
+    if entry.decode is None:
+        source = _RecordDecoderSource(registry)
+        source.line("", "def decode(data, p, depth):")
+        source.line(" ", f"if depth >= {MAX_DECODE_DEPTH}: raise _too_deep()")
+        source.line(" ", "n = len(data)")
+        source.record(" ", "value", entry, 0, frozenset((entry.cls,)))
+        source.line(" ", "return value, p")
+        entry.decode = source.compile(
+            f"<generated decoder {entry.cls.__name__}>", "decode")
+    return entry.decode
 
 
-def _generate_decoder(entry: _RegisteredClass,
-                      registry: WireRegistry) -> Callable:
-    """Generate ``decode(decoder, pos, depth)`` for one registered class.
-
-    ``pos`` is the offset of the record's ``D`` tag; the function returns
-    the instance with ``decoder.pos`` just past the closing ``d``, or
-    raises :class:`_FastPathMiss` having decided nothing.
-    """
-    cls = entry.cls
-    source = _DecoderSource()
-    active = frozenset((cls,))
-    members = class_fields(cls)
-    values = []
-    needed = 0
-    source.expect(_token(b"D", cls.__name__.encode()))
-    for index, (attr, hint) in enumerate(members):
-        source.expect(_token(b"s", attr.encode()))
-        value = f"_v{index}"
-        values.append(value)
-        fragment = _fragment(hint, registry, active)
-        if fragment is not None and not (fragment.open
-                                         and index == len(members) - 1):
-            source.capture(fragment, value)
-            needed = max(needed, 1 + fragment.depth)
-            continue
-        element = _registered(tuple_of(hint), registry)
-        if element is not None:
-            # A tuple of one registered class: decode items while the next
-            # record's header is that class's.
-            source.expect(b"L")
-            source.match("  ")
-            header = _token(b"D", element.cls.__name__.encode())
-            _generated_decoder(element, registry)
-            source.line("  ", f"{value} = []")
-            source.line("  ", f"while data.startswith({header!r}, p):")
-            source.line("  ", f" {value}.append({source.bind(element)}"
-                              ".decode(d, p, depth + 2))")
-            source.line("  ", " p = d.pos")
-            source.line("  ", f"{value} = tuple({value})")
-            source.expect(b"l")
-            needed = max(needed, 2)
-            continue
-        source.match("  ")
-        nested = _registered(hint, registry)
-        if nested is not None:
-            _generated_decoder(nested, registry)
-            source.line("  ", f"{value} = {source.bind(nested)}"
-                              ".decode(d, p, depth + 1)")
+def _decode_at(data: bytes, p: int, registry: WireRegistry) -> Any:
+    """The one value encoded from ``p`` to the end of ``data``."""
+    try:
+        entry = registry._by_tag.get(data[p])
+        if entry is not None and entry.decode is not None:
+            value, end = entry.decode(data, p, 0)
         else:
-            source.line("  ", "d.pos = p")
-            source.line("  ", f"{value} = d._value(depth + 1)")
-            coerce = _coercer_for(hint)
-            if coerce is not None:
-                source.line("  ", f"{value} = {source.bind(coerce)}({value})")
-        source.line("  ", "p = d.pos")
-        needed = max(needed, 1)
-    source.expect(b"d")
-    source.match("  ")
-    source.line("  ", "d.pos = p")
-    source.construct("  ", "value", entry, values, "data[pos:p]")
-    source.line("  ", "return value")
-    body = source.lines
-    source.lines = [
-        "def decode(d, pos, depth):",
-        f" if depth + {needed} >= {MAX_DECODE_DEPTH}: raise _Miss",
-        " data = d.data",
-        " p = pos",
-        " try:",
-        *body,
-        " except WireError:",
-        "  raise",
-        " except Exception:",
-        "  raise _Miss from None",
-    ]
-    return source.compile(f"<generated decoder {cls.__name__}>", "decode")
+            value, end = _decode_value(data, p, 0, registry)
+    except (IndexError, struct.error):
+        raise _truncated() from None
+    except UnicodeDecodeError as exc:
+        raise MalformedWirePayload(f"invalid utf-8 in a string: {exc}") \
+            from None
+    if end != len(data):
+        raise MalformedWirePayload(
+            f"{len(data) - end} trailing byte(s) after the payload value")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -935,6 +699,8 @@ def encode_envelope(envelope: Envelope) -> bytes:
 def decode_envelope(payload: bytes,
                     registry: WireRegistry = WIRE_REGISTRY) -> Envelope:
     """Parse the ``FLAG_ENVELOPE`` form: head, names, canonical payload."""
+    if type(payload) is not bytes:
+        payload = bytes(payload)
     if len(payload) < _ENVELOPE_HEAD_SIZE:
         raise MalformedWirePayload(
             f"envelope payload is {len(payload)} byte(s); its head needs "
@@ -956,7 +722,7 @@ def decode_envelope(payload: bytes,
     except UnicodeDecodeError:
         raise MalformedWirePayload("invalid utf-8 in an envelope address") \
             from None
-    value = decode_payload(payload[body:], registry)
+    value = _decode_at(payload, body, registry)
     return Envelope(source, destination, value, sent_at, delivered_at)
 
 
@@ -996,23 +762,15 @@ def encode_payload(value: Any) -> bytes:
     """Canonical payload bytes for ``value`` (reuses per-instance caches)."""
     try:
         return canonical_bytes(value)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise UnencodableWirePayload(str(exc)) from exc
 
 
 def decode_payload(payload: bytes,
                    registry: WireRegistry = WIRE_REGISTRY) -> Any:
-    """Decode one canonical payload back into the value it encodes.
-
-    Generated per-class decoders first; on anything they do not recognise,
-    the strict path over the whole payload again (at most two linear passes,
-    however the payload nests).
-    """
-    data = bytes(payload)
-    try:
-        return _Decoder(data, registry, fast=True).decode()
-    except _FastPathMiss:
-        return _Decoder(data, registry).decode()
+    """Decode one canonical payload back into the value it encodes."""
+    return _decode_at(payload if type(payload) is bytes else bytes(payload),
+                      0, registry)
 
 
 class WireCodec:

@@ -216,7 +216,8 @@ class TestTrustedApiPin:
     Each host uses one API family: trust-bft ``Append`` on the first,
     FlexiTrust ``Create`` / ``AppendF`` on the second.  The pinned tuples are
     ``(counter_id, value, payload label, signature prefix)``; the label
-    ``None`` stands for ``CREATE_DIGEST``.
+    ``None`` stands for ``CREATE_DIGEST``.  The signatures cover canonical
+    bytes, so the prefixes move with the wire version (re-pinned at v3).
     """
 
     @staticmethod
@@ -241,11 +242,11 @@ class TestTrustedApiPin:
         host.rollback(snapshot)
         pins.append(self._pin(host.counter_append(0, None, digest("e")), "e"))
         assert pins == [
-            (0, 1, "a", "26014e81af8c8c86"),
-            (0, 5, "b", "000165498e3dfec3"),
-            (1, 1, "c", "ecbd56b263a0b7eb"),
-            (0, 6, "d", "7c5d7c10fed69504"),
-            (0, 6, "e", "70c4ab856c237664"),
+            (0, 1, "a", "ab0afe967499b528"),
+            (0, 5, "b", "3e6b2312ed447009"),
+            (1, 1, "c", "ca3492eaf3ad3c9b"),
+            (0, 6, "d", "3fb0b8ab64bfa1aa"),
+            (0, 6, "e", "c8ef380d8878b748"),
         ]
 
     def test_create_and_append_f_then_rollback(self):
@@ -263,10 +264,10 @@ class TestTrustedApiPin:
         pins += [self._pin(created, None),
                  self._pin(host.append_f(third, digest("z")), "z")]
         assert pins == [
-            (0, 0, None, "2bb55c119b72e3e1"),
-            (0, 1, "x", "e7448c002bcb633e"),
-            (1, 10, None, "3900afeb695d8df7"),
-            (1, 11, "y", "353eb0ce9722e07d"),
-            (1, 3, None, "5217ff5a87ccb167"),
-            (1, 4, "z", "a00e4ee221766725"),
+            (0, 0, None, "0c65ab9cbc6917fa"),
+            (0, 1, "x", "d05d06b3e02786f3"),
+            (1, 10, None, "db64ff20887fd9c7"),
+            (1, 11, "y", "f5169124e5c8bb2b"),
+            (1, 3, None, "f07b2f543544cb00"),
+            (1, 4, "z", "ea1e226a3bcbf59e"),
         ]

@@ -33,7 +33,7 @@ from repro.crypto.signatures import Signature
 from repro.execution.ledger import ExecutedBatch
 from repro.execution.state_machine import Operation, OperationResult
 from repro.net.network import Envelope
-from repro.net.wire import WIRE_REGISTRY, _Decoder
+from repro.net.wire import WIRE_REGISTRY, decode_payload
 from repro.protocols.messages import (
     Checkpoint,
     ClientRequest,
@@ -148,15 +148,15 @@ def test_the_wire_decoder_stores_fields_inline(cls, monkeypatch):
     value = cls(*SAMPLES[cls][0])
     payload = canonical_bytes(value)
     assert constructs_by_storing(cls)
-    assert _Decoder(payload, WIRE_REGISTRY, fast=True).decode() == value
+    assert decode_payload(payload) == value
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the fast path called the constructor")
+        raise AssertionError("the decoder called the constructor")
 
     # The decoders exist now; with the constructor unusable they still
     # build the value, because they store its fields themselves.
     monkeypatch.setattr(cls, "__init__", refuse)
-    decoded = _Decoder(payload, WIRE_REGISTRY, fast=True).decode()
+    decoded = decode_payload(payload)
     monkeypatch.undo()
     assert decoded == value and hash(decoded) == hash(value)
     assert canonical_bytes(decoded, use_cache=False) == payload

@@ -11,6 +11,7 @@ from repro.common.errors import (
     BadFrameMagic,
     ConfigurationError,
     MalformedWirePayload,
+    NonCanonicalPayload,
     OversizedFrame,
     TruncatedFrame,
     UnencodableWirePayload,
@@ -54,7 +55,7 @@ _ENVELOPE_HEAD = struct.Struct(">ddHH")
 
 
 def _envelope_frame(sent_at=1.0, delivered_at=2.0, source=b"a",
-                    destination=b"b", payload=b"s1:x", flags=FLAG_ENVELOPE,
+                    destination=b"b", payload=b"\x05\x01x", flags=FLAG_ENVELOPE,
                     lengths=None) -> bytes:
     """A FLAG_ENVELOPE frame spelled out byte by byte."""
     lengths = (len(source), len(destination)) if lengths is None else lengths
@@ -109,11 +110,12 @@ class TestRoundTrips:
         decoded = codec.decode_frame(codec.encode_frame({"s": {1, "x"}}))
         assert decoded == {"s": {1, "x"}}
 
-    def test_set_terminator_string_ambiguity(self):
-        # a set whose member is a string: the decoder must not confuse the
-        # member's 's<len>:' tag with the set terminator
+    def test_set_members_of_every_length_and_type(self):
+        # members cross in ascending order of their encoded bytes, whatever
+        # their type, length or insertion order
         codec = WireCodec()
-        for value in ({"s"}, {"1"}, {"s", "1", "11"}, {""}):
+        for value in ({"s"}, {"1"}, {"s", "1", "11"}, {""}, {1, "1", b"1"},
+                      {-1, 1, 300, -300}):
             assert codec.decode_frame(codec.encode_frame(value)) == value
 
 
@@ -161,9 +163,8 @@ class TestMalformedFrames:
             codec.encode_frame("x" * 100)
 
     def test_unknown_class(self):
-        payload = b"D7:Nothing s1:x i1:1 d".replace(b" ", b"")
         with pytest.raises(UnknownWireClass):
-            decode_payload(payload)
+            decode_payload(b"\xee\x05\x01x")
 
     def test_every_malformed_case_is_a_wire_error(self):
         codec = WireCodec()
@@ -172,16 +173,16 @@ class TestMalformedFrames:
             b"RB",                                # truncated header
             self._frame(b"", magic=b"XX"),        # bad magic
             self._frame(b"", version=99),         # unknown version
-            self._frame(b"i3:1_0"),               # non-canonical int
-            self._frame(b"i2:05"),                # leading zero
-            self._frame(b"i2:-0"),                # negative zero
-            self._frame(b"f3:1.50"),              # non-canonical float
-            self._frame(b"s5:ab"),                # truncated string body
-            self._frame(b"s2:ab" + b"junk"),      # trailing bytes
-            self._frame(b"Ls1:a"),                # unterminated list
-            self._frame(b"Ms1:a"),                # unterminated dict
-            self._frame(b"q"),                    # unknown tag
-            self._frame(b"ML1:lT" + b"m"),        # unhashable dict key
+            self._frame(b"\x03\x80\x00"),        # non-minimal varint
+            self._frame(b"\x03\xff"),            # varint cut short
+            self._frame(b"\x03" + b"\xff" * 70), # varint past the cap
+            self._frame(b"\x04\x00\x00"),        # truncated double
+            self._frame(b"\x05\x05ab"),          # truncated string body
+            self._frame(b"\x05\x02ab" + b"junk"), # trailing bytes
+            self._frame(b"\x07\x02\x00"),        # list short of its count
+            self._frame(b"\x09\x01\x05\x01a"),   # dict key without a value
+            self._frame(b"\x0a"),                # unknown value tag
+            self._frame(b"\x09\x01\x07\x00\x02"),  # unhashable dict key
         ]
         # an envelope frame cut at every point inside its head and names
         good = WireCodec().encode_frame(
@@ -198,36 +199,34 @@ class TestMalformedFrames:
                 codec.decode_frame(frame)
 
     def test_depth_bomb(self):
-        payload = b"L" * (MAX_DECODE_DEPTH + 10)
-        with pytest.raises(MalformedWirePayload):
+        payload = b"\x07\x01" * (MAX_DECODE_DEPTH + 10) + b"\x00"
+        with pytest.raises(MalformedWirePayload, match="nest deeper"):
             decode_payload(payload)
 
-    def test_wrong_field_order_rejected(self):
-        # strict decoding: canonical declaration order only (anything else
-        # would re-encode differently and poison the pinned cache)
-        good = canonical_bytes(RequestId(client="c", number=1))
-        assert good.startswith(b"D")
-        swapped = good.replace(b"s6:client", b"s6:CLIENT")
-        with pytest.raises(MalformedWirePayload):
-            decode_payload(swapped)
+    def test_declared_record_with_another_tag_is_rejected(self):
+        # strict decoding: a field declared RequestId holds a RequestId
+        # record, whatever else the bytes after the tag could spell
+        good = canonical_bytes(ClientRequest(RequestId("c", 1), ()))
+        assert good[:2] == b"\x20\x10"
+        with pytest.raises(MalformedWirePayload, match="RequestId record"):
+            decode_payload(good[:1] + b"\x13" + good[2:])
 
     @pytest.mark.parametrize("padded", [
-        b"D9:RequestIds6:clients008:client-0s6:numberi1:7d",   # string length
-        b"D09:RequestIds6:clients8:client-0s6:numberi1:7d",    # class name
-        b"D9:RequestIds06:clients8:client-0s6:numberi1:7d",    # field name
-        b"D9:RequestIds6:clients8:client-0s6:numberi01:7d",    # integer length
-        b"s00:", b"b01:x", b"f03:1.5", b"Ls01:al",
+        b"\x10\x88\x00client-0\x0e",   # string length
+        b"\x10\x08client-0\x8e\x00",   # integer field
+        b"\x05\x80\x00", b"\x06\x81\x00x", b"\x07\x80\x00",
+        b"\x03\x8e\x80\x00",
     ])
-    def test_zero_padded_length_prefix_rejected(self, padded):
-        # A padded prefix names the same body, so accepting it would hand
+    def test_non_minimal_varints_rejected(self, padded):
+        # A padded varint names the same number, so accepting it would hand
         # two receivers equal values whose pinned encodings — and therefore
         # digests — differ: every decodable payload has exactly one spelling.
-        with pytest.raises(MalformedWirePayload):
+        with pytest.raises(NonCanonicalPayload):
             decode_payload(padded)
 
     def test_accepted_payload_reencodes_to_itself(self):
         honest = RequestId("client-0", 7)
-        payload = b"D9:RequestIds6:clients8:client-0s6:numberi1:7d"
+        payload = b"\x10\x08client-0\x0e"
         decoded = decode_payload(payload)
         assert decoded == honest
         assert canonical_bytes(decoded) == payload
@@ -239,7 +238,7 @@ class TestMalformedFrames:
             WireCodec().encode_frame(object())
 
 
-# -------------------------------------------------------- envelope head (v2)
+# -------------------------------------------------------- envelope head
 class TestEnvelopeHead:
     def test_spelled_out_frame_decodes(self):
         # the control for the refusals below: the same bytes, untouched
@@ -292,7 +291,7 @@ class TestEnvelopeHead:
 # ------------------------------------------------------------------ registry
 class TestRegistry:
     def test_name_collision_rejected(self):
-        registry = WireRegistry()
+        registry = WireRegistry({"Thing": 0xF0})
 
         @dataclass(frozen=True)
         class Thing:
@@ -315,7 +314,7 @@ class TestRegistry:
             WireRegistry().register(dict)
 
     def test_custom_registry_round_trip(self):
-        registry = WireRegistry()
+        registry = WireRegistry({"Point": 0xF1})
 
         @dataclass(frozen=True)
         class Point:
@@ -327,16 +326,29 @@ class TestRegistry:
         assert codec.decode_frame(codec.encode_frame(Point(3, 4))) == Point(3, 4)
 
     def test_wire_serializable_returns_class(self):
+        assert wire_serializable(RequestId) is RequestId
+
+    def test_a_class_needs_a_pinned_tag(self):
         @dataclass(frozen=True)
         class _Probe:
             n: int
 
-        try:
-            assert wire_serializable(_Probe) is _Probe
-        finally:
-            # keep the default registry clean for other tests
-            from repro.net.wire import WIRE_REGISTRY
-            WIRE_REGISTRY._by_name.pop("_Probe", None)
+        with pytest.raises(ConfigurationError, match="no class tag"):
+            wire_serializable(_Probe)
+        with pytest.raises(UnencodableWirePayload, match="class tag"):
+            encode_payload(_Probe(1))
+        with pytest.raises(ConfigurationError, match="share"):
+            WireRegistry({"A": 0x20, "B": 0x20})
+
+    def test_a_class_keeps_one_tag_across_registries(self):
+        with pytest.raises(ConfigurationError, match="already has"):
+            WireRegistry({"RequestId": 0xF2}).register(RequestId)
+
+    def test_typed_fields_refuse_other_types(self):
+        with pytest.raises(UnencodableWirePayload, match="declared int"):
+            encode_payload(RequestId("c", "1"))
+        with pytest.raises(UnencodableWirePayload, match="declared str"):
+            encode_payload(RequestId(b"c", 1))
 
 
 # ------------------------------------------------------- reserved pickle flag
@@ -358,7 +370,7 @@ class TestFrameLayout:
     def test_header_layout_is_pinned(self):
         # README documents this layout; changing it is a WIRE_VERSION bump
         assert WIRE_MAGIC == b"RB"
-        assert WIRE_VERSION == 2
+        assert WIRE_VERSION == 3
         assert FLAG_ENVELOPE == 0x04
         assert HEADER_SIZE == 8
         assert HEADER.format == ">2sBBI"

@@ -16,6 +16,9 @@ tests assert:
 * every class in the registry has both vectors (so adding a message class
   without pinning its encoding fails CI).
 
+* a frame of any other wire version is refused before its payload is
+  read.
+
 If a vector ever changes, the wire format changed: bump
 :data:`repro.net.wire.WIRE_VERSION` and regenerate deliberately with::
 
@@ -80,11 +83,11 @@ def golden_instances() -> dict[str, object]:
                             signature=_sig("golden-client"))
     batch = RequestBatch(requests=(request,))
     preprepare = PrePrepare(view=1, seq=7, batch=batch,
-                            batch_digest=b"\x22" * 32, primary="replica-0",
+                            batch_digest=b"\x22" * 32, primary=0,
                             attestation=attestation,
                             signature=_sig("replica-0"))
     checkpoint = Checkpoint(seq=100, state_digest=b"\x33" * 32,
-                            replica="replica-1", attestation=attestation,
+                            replica=1, attestation=attestation,
                             signature=_sig("replica-1"))
     proof = PreparedProof(view=1, seq=7, batch=batch,
                           batch_digest=b"\x22" * 32, attestation=attestation,
@@ -104,45 +107,44 @@ def golden_instances() -> dict[str, object]:
         "ClientRequest": request,
         "RequestBatch": batch,
         "Response": Response(request_id=request_id, seq=7, view=1,
-                             replica="replica-0",
+                             replica=0,
                              result=OperationResult(ok=True, value="done"),
                              result_digest=b"\x55" * 32, speculative=True,
                              signature=_sig("replica-0")),
         "ResendRequest": ResendRequest(request=request),
         "PrePrepare": preprepare,
         "Prepare": Prepare(view=1, seq=7, batch_digest=b"\x22" * 32,
-                           replica="replica-1", attestation=attestation,
+                           replica=1, attestation=attestation,
                            signature=_sig("replica-1")),
         "Commit": Commit(view=1, seq=7, batch_digest=b"\x22" * 32,
-                         replica="replica-2", attestation=attestation,
+                         replica=2, attestation=attestation,
                          signature=_sig("replica-2")),
         "CommitCertificate": CommitCertificate(
             request_id=request_id, seq=7, view=1, result_digest=b"\x55" * 32,
-            responders=("replica-0", "replica-1", "replica-2")),
+            responders=(0, 1, 2)),
         "CommitAck": CommitAck(request_id=request_id, seq=7, view=1,
-                               replica="replica-3",
+                               replica=3,
                                result_digest=b"\x55" * 32,
                                signature=_sig("replica-3")),
         "Checkpoint": checkpoint,
         "PreparedProof": proof,
-        "ViewChange": ViewChange(new_view=2, replica="replica-1",
+        "ViewChange": ViewChange(new_view=2, replica=1,
                                  last_stable_seq=100, prepared=(proof,),
                                  signature=_sig("replica-1")),
-        "NewView": NewView(view=2, primary="replica-1",
-                           view_change_replicas=("replica-1", "replica-2",
-                                                 "replica-3"),
+        "NewView": NewView(view=2, primary=1,
+                           view_change_replicas=(1, 2, 3),
                            proposals=(preprepare,),
                            signature=_sig("replica-1")),
-        "CheckpointRequest": CheckpointRequest(replica="replica-2",
+        "CheckpointRequest": CheckpointRequest(replica=2,
                                                last_executed=95, round=2,
                                                signature=_sig("replica-2")),
         "CheckpointReply": CheckpointReply(
-            replica="replica-0", checkpoint_seq=100,
+            replica=0, checkpoint_seq=100,
             state_digest=b"\x33" * 32, last_executed=105, view=1,
             snapshot={"golden-key": "golden-value"},
             certificate=(checkpoint,), signature=_sig("replica-0")),
         "LogFillEntry": fill_entry,
-        "LogFill": LogFill(replica="replica-0", entries=(fill_entry,),
+        "LogFill": LogFill(replica=0, entries=(fill_entry,),
                            signature=_sig("replica-0")),
     }
 
@@ -204,6 +206,23 @@ def test_traced_golden_vector_round_trip(name):
     assert committed[3] == untraced[3] | FLAG_TRACE
     block = encode_trace_context(context)
     assert committed[HEADER_SIZE + len(block):] == untraced[HEADER_SIZE:]
+
+
+#: the last self-describing format's ``Response`` golden frame, as committed
+#: before wire v3 (field names spelled out, decimal integers).
+V2_FRAME = GOLDEN_DIR.parent / "wire-v2" / "Response.bin"
+
+
+def test_a_v2_frame_is_refused_by_version():
+    from repro.common.errors import UnsupportedWireVersion
+    from repro.net.wire import WIRE_VERSION
+
+    assert WIRE_VERSION == 3
+    with pytest.raises(UnsupportedWireVersion, match="wire version 2"):
+        WireCodec().decode_frame(V2_FRAME.read_bytes())
+    # and every committed vector carries the current version byte
+    for path in GOLDEN_DIR.glob("*.bin"):
+        assert path.read_bytes()[2] == WIRE_VERSION, path.name
 
 
 def _regen() -> None:

@@ -108,7 +108,11 @@ def canonical_bytes(value: Any, use_cache: bool = True) -> bytes:
     :func:`canonical_cacheable` dataclasses.
     """
     out = bytearray()
-    _encode(value, out, use_cache)
+    handler = _DISPATCH.get(type(value))
+    if handler is not None:
+        handler(value, out, use_cache)
+    else:
+        _encode_fallback(value, out, use_cache)
     return bytes(out)
 
 

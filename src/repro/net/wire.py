@@ -190,7 +190,7 @@ class _RegisteredClass:
         self.tag = tag
         self.cacheable = bool(getattr(cls, "__canonical_cacheable__", False))
         #: ``decode(data, pos, depth) -> (instance, end)`` for a record whose
-        #: tag is at ``pos`` (see :func:`_generate_decoder`).
+        #: tag is at ``pos`` (see :func:`_generated_decoder`).
         self.decode: Optional[Callable] = None
 
 

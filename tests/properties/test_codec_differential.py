@@ -626,8 +626,11 @@ def test_non_finite_envelope_times_are_refused_by_the_head():
     with pytest.raises(WireError) as raised:
         WireCodec().decode_frame(bytes(frame))
     assert type(raised.value) is MalformedWirePayload
-    # inside the canonical encoding a double may be anything but a second NaN
+    # inside the canonical encoding a double may be anything but a second
+    # NaN, and the encoder spells every NaN as the one NaN
     assert decode_payload(b"\x04" + f64(math.inf)) == math.inf
+    other_nan = struct.unpack(">d", b"\x7f\xf0\x00\x00\x00\x00\x00\x01")[0]
+    assert canonical_bytes(other_nan) == b"\x04" + f64(math.nan)
 
 
 def test_nesting_ceiling():

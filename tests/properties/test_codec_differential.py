@@ -165,9 +165,8 @@ class Reader:
 
     def __init__(self, data, classes):
         self.data, self.p = data, 0
-        self.classes = {tag: classes[name] for name, tag in TAGS.items()
-                        if name in classes} if isinstance(classes, dict) \
-            else classes.by_tag()
+        #: tag -> class
+        self.classes = classes
 
     def byte(self):
         if self.p >= len(self.data):
@@ -301,7 +300,10 @@ class Reader:
         return result
 
 
-def reference_decode(payload, classes=CLASSES):
+BY_TAG = {tag: CLASSES[name] for name, tag in TAGS.items()}
+
+
+def reference_decode(payload, classes=BY_TAG):
     reader = Reader(payload, classes)
     value = reader.value(0)
     if reader.p != len(payload):
@@ -397,7 +399,7 @@ def same_types(a, b) -> bool:
     return True
 
 
-def assert_agrees(payload, registry=WIRE_REGISTRY, classes=CLASSES):
+def assert_agrees(payload, registry=WIRE_REGISTRY, classes=BY_TAG):
     """``decode_payload`` is the reference, with its pins; returns both."""
     ours = outcome(decode_payload, payload, registry)
     theirs = outcome(reference_decode, payload, classes)
@@ -772,11 +774,8 @@ class Holder:
     points: tuple[Point, ...] = ()
 
 
-class _CustomClasses:
-    @staticmethod
-    def by_tag():
-        return {tag: CUSTOM.registered_classes()[name]
-                for name, tag in CUSTOM_TAGS.items()}
+CUSTOM_BY_TAG = {tag: CUSTOM.registered_classes()[name]
+                 for name, tag in CUSTOM_TAGS.items()}
 
 
 def test_custom_registry_round_trips_through_generated_decoders():
@@ -797,13 +796,13 @@ def test_custom_registry_round_trips_through_generated_decoders():
         assert frame[HEADER_SIZE:] == reference_encode(value, tags)
         assert codec.decode_frame(frame) == value
         assert assert_agrees(frame[HEADER_SIZE:], CUSTOM,
-                             _CustomClasses) == ("value", value)
+                             CUSTOM_BY_TAG) == ("value", value)
     # a constructor that objects, and a class this registry never met, fail
     # with the reference's typed errors
     objecting = reference_encode(Checked(7), tags)[:-1] + zigzag(13)
-    assert assert_agrees(objecting, CUSTOM, _CustomClasses) == \
+    assert assert_agrees(objecting, CUSTOM, CUSTOM_BY_TAG) == \
         (MalformedWirePayload,)
-    assert assert_agrees(b"\xf6\x10\x01c\x02\x00", CUSTOM, _CustomClasses) \
+    assert assert_agrees(b"\xf6\x10\x01c\x02\x00", CUSTOM, CUSTOM_BY_TAG) \
         == (UnknownWireClass,)
     # and the default registry knows none of these
     assert outcome(decode_payload, reference_encode(Point(3, 4), tags))[0] \

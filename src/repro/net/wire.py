@@ -433,7 +433,7 @@ def _decode_value(data: bytes, p: int, depth: int,
 # which :func:`_decode_at` turns into :class:`TruncatedPayload` once, at the
 # top, instead of a bounds check per byte.
 
-class _RecordDecoderSource(FunctionSource):
+class _ReaderSource(FunctionSource):
     """A decoder in the making: statements reading fields at ``p``."""
 
     def __init__(self, registry: WireRegistry) -> None:
@@ -580,7 +580,7 @@ def _generated_decoder(entry: _RegisteredClass,
                        registry: WireRegistry) -> Callable:
     """``entry``'s decoder, generated on first use."""
     if entry.decode is None:
-        source = _RecordDecoderSource(registry)
+        source = _ReaderSource(registry)
         source.line("", "def decode(data, p, depth):")
         source.line(" ", f"if depth >= {MAX_DECODE_DEPTH}: raise _too_deep()")
         source.line(" ", "n = len(data)")

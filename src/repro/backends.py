@@ -35,7 +35,6 @@ from .common.types import Micros
 from .kernel import Kernel
 
 if TYPE_CHECKING:
-    from .common.config import NetworkConfig
     from .net.network import Network
     from .net.topology import Topology
     from .sim.rng import RngRegistry
@@ -55,12 +54,9 @@ class Backend:
         raise NotImplementedError
 
     def build_network(self, kernel: Kernel, topology: "Topology",
-                      rng: "RngRegistry", config: "NetworkConfig") -> "Network":
+                      rng: "RngRegistry") -> "Network":
         """The transport for one replica group on ``kernel``."""
-        network_class = self._network_class()
-        return network_class(kernel, topology, rng,
-                             jitter_fraction=config.jitter_fraction,
-                             per_message_wire_us=config.per_message_wire_us)
+        return self._network_class()(kernel, topology, rng)
 
     def _network_class(self) -> type:
         raise NotImplementedError

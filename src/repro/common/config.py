@@ -5,6 +5,14 @@ threshold ``f``, the number of clients, the batch size, the number of WAN
 regions, the latency of the trusted hardware, and which protocol runs.  Every
 one of those knobs appears here as an explicit field so experiments are plain
 data that can be printed, compared and swept.
+
+A value stays a field only while some experiment, benchmark or test sets it
+away from its default, because every field enters the cell hash of
+:meth:`~repro.runtime.spec.DeploymentSpec.describe`.  A value nothing turns
+is a named constant beside its one reader.  The model's crypto costs are
+such constants (``CRYPTO_COSTS`` in :mod:`repro.protocols.base`): the paper
+varies how many signatures a protocol makes, never their price.
+``tests/unit/test_knob_census.py`` lists every settable value.
 """
 
 from __future__ import annotations
@@ -19,6 +27,9 @@ from .types import Micros, ms
 @dataclass(frozen=True)
 class CryptoCostModel:
     """Simulated CPU cost (microseconds) of each cryptographic primitive.
+
+    One table serves every replica (``CRYPTO_COSTS`` in
+    :mod:`repro.protocols.base`); no deployment configures it.
 
     ResilientDB uses CMAC for MACs, ED25519 for signatures and SHA-256 for
     hashing (Section 9.1).  The defaults below are in the ballpark of those
@@ -55,9 +66,6 @@ class TrustedHardwareSpec:
     name: str
     access_latency_us: Micros
     persistent: bool
-    supports_counters: bool = True
-    supports_logs: bool = True
-    attestation_sign_us: Micros = 45.0
 
     def with_latency(self, access_latency_us: Micros) -> "TrustedHardwareSpec":
         """Copy of this spec with a different access latency (Figure 8 sweep)."""
@@ -95,19 +103,12 @@ class NetworkConfig:
     "use the regions in this order" in Section 9.7.
     """
 
-    intra_region_latency_us: Micros = 120.0
-    jitter_fraction: float = 0.05
     region_names: tuple[str, ...] = ("san-jose",)
-    per_message_wire_us: Micros = 0.5
     seed: int = 7
 
     def validate(self) -> None:
-        if self.intra_region_latency_us < 0:
-            raise ConfigurationError("intra-region latency must be non-negative")
         if not self.region_names:
             raise ConfigurationError("at least one region is required")
-        if not 0 <= self.jitter_fraction < 1:
-            raise ConfigurationError("jitter fraction must be within [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,7 @@ class WorkloadConfig:
 
     num_clients: int = 64
     records: int = 6000
-    zipf_theta: float = 0.9
     write_fraction: float = 0.5
-    value_size: int = 64
     #: client requests per signed client message (client-side batching).
     requests_per_client_message: int = 1
     seed: int = 11
@@ -133,8 +132,6 @@ class WorkloadConfig:
                 "each client message must carry at least one request")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ConfigurationError("write fraction must be within [0, 1]")
-        if not 0.0 <= self.zipf_theta < 1.0:
-            raise ConfigurationError("zipf theta must be within [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -195,38 +192,23 @@ class FaultConfig:
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Durability and state-transfer tunables for crash recovery.
+    """Timing of the durable store every replica seat keeps.
 
     ``fsync_latency_us`` is the time one write-ahead-log append (or checkpoint
     write) occupies the replica's serial disk; messages produced by the
     writing handler do not leave the replica before the write is durable.
-    The defaults model an instantaneous disk so failure-free runs are
-    timing-identical to a deployment without durable stores; recovery
-    experiments raise the latency to price durability in.
+    The defaults model an instantaneous disk, so a failure-free run pays no
+    time for durability; recovery experiments raise the latency to price it
+    in.
     """
 
-    #: keep a durable store (WAL + checkpoint snapshots) per replica seat.
-    durable_store: bool = True
     fsync_latency_us: Micros = 0.0
     #: per-record read cost when replaying the local store at restart.
     replay_latency_us: Micros = 0.0
-    #: a replica lagging more than this many checkpoint intervals behind the
-    #: consensus messages it receives requests a state transfer (0 disables).
-    lag_threshold_intervals: int = 4
-    #: transfer rounds before a recovering replica rejoins best-effort.
-    max_transfer_rounds: int = 8
-    #: decided batches per LogFill message (larger transfers take rounds).
-    log_fill_limit: int = 200
 
     def validate(self) -> None:
         if self.fsync_latency_us < 0 or self.replay_latency_us < 0:
             raise ConfigurationError("storage latencies cannot be negative")
-        if self.lag_threshold_intervals < 0:
-            raise ConfigurationError("lag threshold cannot be negative")
-        if self.max_transfer_rounds <= 0:
-            raise ConfigurationError("need at least one transfer round")
-        if self.log_fill_limit <= 0:
-            raise ConfigurationError("LogFill messages must carry at least one batch")
 
 
 @dataclass(frozen=True)
@@ -251,7 +233,6 @@ class DeploymentConfig:
 
     protocol: str = "pbft"
     f: int = 1
-    crypto: CryptoCostModel = field(default_factory=CryptoCostModel)
     trusted_hardware: TrustedHardwareSpec = SGX_ENCLAVE_COUNTER
     network: NetworkConfig = field(default_factory=NetworkConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)

@@ -109,10 +109,6 @@ class ProtocolError(ReproError):
     """A replica received a message it cannot process in its current state."""
 
 
-class ViewChangeError(ProtocolError):
-    """A view-change message or NewView certificate is malformed."""
-
-
 class SafetyViolation(ReproError):
     """The safety monitor observed two honest replicas disagreeing.
 

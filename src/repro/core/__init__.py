@@ -11,7 +11,6 @@ from .claims import (
 from .flexitrust import (
     Transformation,
     TransformationStep,
-    expected_speedup,
     transform,
     transformable_protocols,
     trusted_accesses_per_batch,
@@ -23,7 +22,6 @@ __all__ = [
     "TransformationStep",
     "claims_table",
     "comparison_row",
-    "expected_speedup",
     "figure1_table",
     "format_table",
     "responsiveness_row",

@@ -115,16 +115,3 @@ def trusted_accesses_per_batch(spec: ProtocolSpec, n: int) -> int:
     if spec.only_primary_tc:
         return 1
     return n * max(1, spec.phases - 1)
-
-
-def expected_speedup(source: str, outstanding: int = 16) -> float:
-    """Rough speedup estimate of the transformation (parallelism only).
-
-    The transformed protocol keeps ``outstanding`` consensus instances in
-    flight while the trust-bft source runs one at a time; ignoring crypto and
-    trusted-access costs this bounds the achievable speedup, which is the
-    dominant effect in Figure 6(i).
-    """
-    if transform(source).target.sequential:
-        return 1.0
-    return float(outstanding)

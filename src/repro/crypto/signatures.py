@@ -11,7 +11,10 @@ a per-identity secret.  What matters for the protocols is preserved:
   signatures (the adversary hooks in this library only ever receive the keys
   of the replicas they control);
 * every generate/verify operation has a CPU cost charged to the simulated
-  clock by the replica runtime via :class:`~repro.common.config.CryptoCostModel`.
+  clock by the replica runtime, from the one price table
+  :data:`~repro.protocols.base.CRYPTO_COSTS` (a
+  :class:`~repro.common.config.CryptoCostModel`); the real HMAC work done here
+  is host time and never enters the model.
 
 The asymmetry of real signatures (anyone can verify, only the owner can sign)
 is modelled by routing verification through the deployment's

@@ -30,10 +30,9 @@ if TYPE_CHECKING:
 class ObservabilityConfig:
     """What a deployment observes about itself while it runs."""
 
-    #: record structured trace events into a bounded ring buffer.
+    #: record structured trace events into a bounded ring buffer
+    #: (:data:`~repro.obsv.trace.DEFAULT_TRACE_CAPACITY` events).
     trace: bool = False
-    #: ring capacity when tracing (events beyond it evict the oldest).
-    trace_capacity: int = 65_536
     #: snapshot aggregated health into the run's metrics row.
     collect_health: bool = False
     #: sample aggregated health every this many kernel microseconds during

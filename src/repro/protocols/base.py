@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from ..common.config import CryptoCostModel, ProtocolConfig, RecoveryConfig
+from ..common.config import CryptoCostModel, ProtocolConfig
 from ..common.types import FaultKind, Micros, ReplicaId, RequestId, SeqNum, ViewNum
 from ..crypto.keystore import KeyStore
 from ..crypto.signatures import Signature, SigningKey
@@ -83,6 +83,16 @@ _CONSENSUS_OUTBOUND = (PrePrepare, Prepare, Commit, Checkpoint, ViewChange,
 _RESULT_DIGESTS: dict[tuple, bytes] = {}
 _RESULT_DIGESTS_MAX = 8192
 
+#: the simulated CPU price of every primitive a replica charges for.
+CRYPTO_COSTS = CryptoCostModel()
+#: a replica more than this many checkpoint intervals behind the consensus
+#: messages it receives fetches a state transfer instead.
+LAG_THRESHOLD_INTERVALS = 4
+#: transfer rounds before a recovering replica rejoins best-effort.
+MAX_TRANSFER_ROUNDS = 8
+#: decided batches per LogFill message (larger transfers take rounds).
+LOG_FILL_LIMIT = 200
+
 
 def quorum(n: int, f: int) -> int:
     """Matching votes that decide among ``n`` replicas tolerating ``f``.
@@ -101,21 +111,19 @@ class ReplicaContext:
     sim: Kernel
     network: Transport
     keystore: KeyStore
-    crypto_costs: CryptoCostModel
     protocol_config: ProtocolConfig
     f: int
     n: int
     replica_names: list[str]
     state_machine: StateMachine
     safety: SafetyMonitor
+    #: durable storage of this replica seat; survives crash/restart cycles.
+    store: DurableStore
     trusted: Optional[TrustedComponentHost] = None
     trusted_device: Optional[SerialDevice] = None
     #: typical one-way replica-to-replica latency; sequential speculative
     #: protocols use it to model the completion of a consensus invocation.
     one_way_latency_us: Micros = 120.0
-    #: durable storage of this replica seat; survives crash/restart cycles.
-    store: Optional[DurableStore] = None
-    recovery_config: RecoveryConfig = field(default_factory=RecoveryConfig)
     #: structured-event tracer; None (the default) keeps every hook site an
     #: allocation-free ``is not None`` check, so simulated digests are
     #: byte-identical with tracing disabled.
@@ -177,6 +185,8 @@ class BaseReplica:
     #: window only frees one round-trip after execution — the paper's
     #: ``batch / (phases × RTT)`` bound for sequential consensus (Section 7).
     speculative = False
+    #: the price of each primitive, the same for every replica.
+    costs = CRYPTO_COSTS
 
     def __init__(self, replica_id: ReplicaId, ctx: ReplicaContext) -> None:
         self.replica_id = replica_id
@@ -185,7 +195,6 @@ class BaseReplica:
         self.sim = ctx.sim
         self.network = ctx.network
         self.config = ctx.protocol_config
-        self.costs = ctx.crypto_costs
         self.f = ctx.f
         self.n = ctx.n
         self.quorum = quorum(self.n, self.f)
@@ -206,9 +215,7 @@ class BaseReplica:
         self.instances: dict[SeqNum, Instance] = {}
         self.pending_requests: list[ClientRequest] = []
         #: ids of the requests in ``pending_requests`` — the O(1) duplicate
-        #: check for the hot enqueue path (kept best-effort in sync; the
-        #: enqueue falls back to scanning when the two disagree, e.g. after a
-        #: test manipulated the list directly).
+        #: check for the hot enqueue path.
         self.pending_request_ids: set[RequestId] = set()
         #: requests batched into a proposed-but-not-yet-executed instance; a
         #: client resend arriving in that window must not be batched again
@@ -406,15 +413,22 @@ class BaseReplica:
             self._handler = None
             if tracer is not None:
                 tracer.current = previous
+        self._release(output, handler_context)
+
+    def _release(self, output: HandlerOutput, context) -> None:
+        """Send a finished handler's output once its costs are paid.
+
+        The trusted accesses and the durable write the handler made gate the
+        departure; its signing CPU occupies a worker first, if it has any.
+        """
         tc_ops = self.trusted.take_pending_accesses() if self.trusted else 0
-        durable_at = (self.store.take_pending_durable_at()
-                      if self.store is not None else None)
+        durable_at = self.store.take_pending_durable_at()
         if output.cpu_us > 0.0:
             self.workers.submit(output.cpu_us,
                                 partial(self._flush, output, tc_ops, durable_at,
-                                        handler_context))
+                                        context))
         else:
-            self._flush(output, tc_ops, durable_at, handler_context)
+            self._flush(output, tc_ops, durable_at, context)
 
     def _flush(self, output: HandlerOutput, tc_ops: int,
                durable_at: Optional[Micros] = None, context=None) -> None:
@@ -548,14 +562,8 @@ class BaseReplica:
                 self._queue(destination, message, sign, output)
             finally:
                 self._handler = None
-            tc_ops = self.trusted.take_pending_accesses() if self.trusted else 0
-            durable_at = (self.store.take_pending_durable_at()
-                          if self.store is not None else None)
             tracer = self._tracer
-            context = None
-            if tracer is not None:
-                context = tracer.current
-            self._flush_with_cost(output, tc_ops, durable_at, context)
+            self._release(output, None if tracer is None else tracer.current)
             return
         self._queue(destination, message, sign, self._handler)
 
@@ -578,16 +586,6 @@ class BaseReplica:
             output.cpu_us += self.costs.ds_sign_us
         output.cpu_us += self.costs.mac_generate_us
         output.outbound.append((destination, message))
-
-    def _flush_with_cost(self, output: HandlerOutput, tc_ops: int,
-                         durable_at: Optional[Micros] = None,
-                         context=None) -> None:
-        if output.cpu_us > 0.0:
-            self.workers.submit(output.cpu_us,
-                                partial(self._flush, output, tc_ops, durable_at,
-                                        context))
-        else:
-            self._flush(output, tc_ops, durable_at, context)
 
     def signed(self, message):
         """Sign a freshly constructed ``message`` with this replica's key.
@@ -655,10 +653,6 @@ class BaseReplica:
         if request.request_id in self.proposed_requests:
             return
         if request.request_id in self.pending_request_ids:
-            return
-        if (len(self.pending_request_ids) != len(self.pending_requests)
-                and any(r.request_id == request.request_id
-                        for r in self.pending_requests)):
             return
         self.pending_requests.append(request)
         self.pending_request_ids.add(request.request_id)
@@ -799,7 +793,7 @@ class BaseReplica:
             executed_at=self.sim.now, speculative=speculative)
         self.ledger.record(executed)
         durable_at: Optional[Micros] = None
-        if self.store is not None and self.store.wal_record(seq) is None:
+        if self.store.wal_record(seq) is None:
             # Replays from the local WAL skip the append (the record is the
             # source); live decisions and peer-transferred batches land here.
             durable_at = self.store.append_batch(seq, view, batch,
@@ -954,8 +948,7 @@ class BaseReplica:
             if tracer is not None:
                 tracer.record("checkpoint.stable", node=self.name,
                               seq=checkpoint.seq, view=self.view)
-            if (self.store is not None
-                    and self.ledger.checkpoint_digest(checkpoint.seq)
+            if (self.ledger.checkpoint_digest(checkpoint.seq)
                     == checkpoint.state_digest):
                 snapshot = self.ledger.snapshot_at(checkpoint.seq)
                 if snapshot is not None:
@@ -992,9 +985,8 @@ class BaseReplica:
 
     # -------------------------------------------------------------- recovery
     def _lagging_behind(self, seq: SeqNum) -> bool:
-        threshold = (self.ctx.recovery_config.lag_threshold_intervals
-                     * self.config.checkpoint_interval)
-        return threshold > 0 and seq > self.ledger.last_executed + threshold
+        return seq > (self.ledger.last_executed
+                      + LAG_THRESHOLD_INTERVALS * self.config.checkpoint_interval)
 
     def begin_recovery(self) -> None:
         """Replay the local durable store, then fetch the rest from peers.
@@ -1018,8 +1010,6 @@ class BaseReplica:
         self._request_state_transfer()
 
     def _replay_local_store(self) -> None:
-        if self.store is None:
-            return
         checkpoint = self.store.checkpoint
         if checkpoint is not None and checkpoint.seq > self.ledger.last_executed:
             self._install_snapshot(checkpoint.seq, checkpoint.state_digest,
@@ -1031,7 +1021,7 @@ class BaseReplica:
         session = self._transfer
         if session is None or not self.recovering:
             return
-        if session.rounds >= self.ctx.recovery_config.max_transfer_rounds:
+        if session.rounds >= MAX_TRANSFER_ROUNDS:
             # Peers stopped moving the target or keep outrunning us; rejoin
             # best-effort and let live traffic (or the lag trigger) finish.
             self._finish_recovery()
@@ -1081,30 +1071,16 @@ class BaseReplica:
     def _log_fill_entries(self, after_seq: SeqNum) -> list[LogFillEntry]:
         """Decided batches above ``after_seq`` this replica can replay.
 
-        Preferably served from the durable store's WAL (which retains the
-        batches past consensus-instance garbage collection); the in-memory
-        instances are the fallback when durable stores are disabled.
+        Served from the durable store's WAL, which retains the batches past
+        consensus-instance garbage collection.
         """
-        limit = self.ctx.recovery_config.log_fill_limit
         entries: list[LogFillEntry] = []
-        if self.store is not None:
-            for record in self.store.wal_suffix(after_seq):
-                entries.append(LogFillEntry(
-                    seq=record.seq, view=record.view, batch=record.batch,
-                    batch_digest=record.batch_digest))
-                if len(entries) >= limit:
-                    break
-            return entries
-        for seq in sorted(self.instances):
-            if seq <= after_seq:
-                continue
-            inst = self.instances[seq]
-            if inst.executed and inst.batch is not None and inst.batch_digest is not None:
-                entries.append(LogFillEntry(
-                    seq=seq, view=inst.view, batch=inst.batch,
-                    batch_digest=inst.batch_digest))
-                if len(entries) >= limit:
-                    break
+        for record in self.store.wal_suffix(after_seq):
+            entries.append(LogFillEntry(
+                seq=record.seq, view=record.view, batch=record.batch,
+                batch_digest=record.batch_digest))
+            if len(entries) >= LOG_FILL_LIMIT:
+                break
         return entries
 
     def on_checkpoint_reply(self, reply: CheckpointReply, source: str) -> None:
@@ -1185,8 +1161,7 @@ class BaseReplica:
             del self.executable[stale]
         for stale in [s for s in self.instances if s <= seq]:
             del self.instances[stale]
-        if self.store is not None:
-            self.store.save_checkpoint(seq, state_digest, snapshot)
+        self.store.save_checkpoint(seq, state_digest, snapshot)
         return True
 
     def on_log_fill(self, fill: LogFill, source: str) -> None:

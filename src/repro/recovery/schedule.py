@@ -52,9 +52,8 @@ class FaultEvent:
 
     ``replica`` addresses crash/restart events; ``replicas`` + ``name``
     describe a partition; ``name`` alone identifies the partition a heal
-    removes.  ``recover`` controls whether a restarted replica runs the
-    recovery protocol (local replay + peer state transfer) — a byzantine host
-    modelling a disk wipe restarts with ``recover=False``.
+    removes.  A restarted replica keeps its durable store and runs the
+    recovery protocol (local replay + peer state transfer).
     """
 
     kind: FaultEventKind
@@ -62,8 +61,6 @@ class FaultEvent:
     replica: Optional[ReplicaId] = None
     replicas: frozenset[ReplicaId] = frozenset()
     name: str = ""
-    recover: bool = True
-    wipe_store: bool = False
 
 
 def crash_at(replica: ReplicaId, at_us: Micros) -> FaultEvent:
@@ -71,11 +68,9 @@ def crash_at(replica: ReplicaId, at_us: Micros) -> FaultEvent:
     return FaultEvent(kind=FaultEventKind.CRASH, at_us=at_us, replica=replica)
 
 
-def restart_at(replica: ReplicaId, at_us: Micros, recover: bool = True,
-               wipe_store: bool = False) -> FaultEvent:
+def restart_at(replica: ReplicaId, at_us: Micros) -> FaultEvent:
     """Restart ``replica`` at ``at_us`` (it must have crashed earlier)."""
-    return FaultEvent(kind=FaultEventKind.RESTART, at_us=at_us, replica=replica,
-                      recover=recover, wipe_store=wipe_store)
+    return FaultEvent(kind=FaultEventKind.RESTART, at_us=at_us, replica=replica)
 
 
 def partition_at(replicas: Iterable[ReplicaId], at_us: Micros,
@@ -171,8 +166,7 @@ class FaultSchedule:
         if event.kind is FaultEventKind.CRASH:
             deployment.crash_replica(event.replica)
         elif event.kind is FaultEventKind.RESTART:
-            deployment.restart_replica(event.replica, recover=event.recover,
-                                       wipe_store=event.wipe_store)
+            deployment.restart_replica(event.replica)
         elif event.kind is FaultEventKind.PARTITION:
             inside = frozenset(deployment.replica_names[r] for r in event.replicas)
             outside = frozenset(name for name in deployment.replica_names

@@ -55,11 +55,14 @@ from ..sim.resources import SerialDevice
 from ..sim.rng import RngRegistry
 from ..trusted.component import TrustedComponentHost
 from ..workload.client import Client
-from ..workload.ycsb import YcsbWorkload
+from ..workload.ycsb import VALUE_SIZE, YcsbWorkload
 from .metrics import MetricsCollector, RunMetrics
 
 if TYPE_CHECKING:
     from ..sharding.metrics import ShardedRunMetrics
+
+#: one-way latency between two nodes of the same region (a datacenter hop).
+INTRA_REGION_LATENCY_US: Micros = 120.0
 
 
 def measurement_warmup_fraction(experiment) -> float:
@@ -317,7 +320,7 @@ class Deployment(RunLoop):
 
         topology = build_topology(self.replica_names, self.client_names,
                                   config.network.region_names,
-                                  config.network.intra_region_latency_us)
+                                  INTRA_REGION_LATENCY_US)
         self.topology = topology
         self.network = self._build_network(topology)
 
@@ -329,8 +332,7 @@ class Deployment(RunLoop):
         self.observe = observe if observe is not None else ObservabilityConfig()
         self.tracer = tracer
         if self.tracer is None and self.observe.trace:
-            self.tracer = Tracer(self.sim,
-                                 capacity=self.observe.trace_capacity)
+            self.tracer = Tracer(self.sim)
         if self.tracer is not None:
             self.sim.set_tracer(self.tracer)
             self.network.set_tracer(self.tracer)
@@ -342,10 +344,8 @@ class Deployment(RunLoop):
                            if i not in byzantine and i not in crashed)
         self.safety = SafetyMonitor(honest_replicas=honest)
 
-        self.stores: list[Optional[DurableStore]] = [
-            DurableStore(name, self.sim, config.recovery)
-            if config.recovery.durable_store else None
-            for name in self.replica_names]
+        self.stores = [DurableStore(name, self.sim, config.recovery)
+                       for name in self.replica_names]
         self._trusted_devices: dict[int, SerialDevice] = {}
 
         self.replicas: list[BaseReplica] = []
@@ -382,8 +382,7 @@ class Deployment(RunLoop):
     # ------------------------------------------------------------- building
     def _build_network(self, topology: Topology) -> Network:
         """Build the transport for this deployment's backend."""
-        return self.backend.build_network(self.sim, topology, self.rng,
-                                          self.config.network)
+        return self.backend.build_network(self.sim, topology, self.rng)
 
     def _build_replica(self, replica_id: int,
                        trusted_override: Optional[TrustedComponentHost] = None
@@ -404,17 +403,15 @@ class Deployment(RunLoop):
             trusted = TrustedComponentHost(tc_key, self.config.trusted_hardware,
                                            trusted_device)
         state_machine = KeyValueStore(records=self.config.workload.records,
-                                      value_size=self.config.workload.value_size)
+                                      value_size=VALUE_SIZE)
         ctx = ReplicaContext(
             sim=self.sim, network=self.network, keystore=self.keystore,
-            crypto_costs=self.config.crypto,
             protocol_config=self.protocol_config,
             f=self.f, n=self.n, replica_names=self.replica_names,
             state_machine=state_machine, safety=self.safety,
             trusted=trusted, trusted_device=trusted_device,
             one_way_latency_us=self._typical_one_way_latency(),
             store=self.stores[replica_id],
-            recovery_config=self.config.recovery,
             tracer=self.tracer, trusted_usage=self.trusted_usage)
         if self.trusted_usage is not None:
             return GraftedPbftReplica(replica_id, ctx)
@@ -423,7 +420,7 @@ class Deployment(RunLoop):
     def _typical_one_way_latency(self) -> Micros:
         """Median one-way latency from the initial primary to the other replicas."""
         if self.n <= 1:
-            return self.config.network.intra_region_latency_us
+            return INTRA_REGION_LATENCY_US
         latencies = sorted(
             self.topology.latency_us(self.replica_names[0], name)
             for name in self.replica_names[1:])
@@ -493,7 +490,7 @@ class Deployment(RunLoop):
         if old.active:
             old.crash()
         store = self.stores[replica_id]
-        if store is not None and wipe_store:
+        if wipe_store:
             store.wipe()
         trusted_override = None
         if old.trusted is not None and self.config.trusted_hardware.persistent:
@@ -506,7 +503,7 @@ class Deployment(RunLoop):
         if tracer is not None:
             tracer.record("replica.restart", node=replica.name)
         if recover:
-            delay = store.replay_cost_us() if store is not None else 0.0
+            delay = store.replay_cost_us()
             if delay > 0:
                 self.sim.schedule(delay, replica.begin_recovery)
             else:

@@ -122,8 +122,7 @@ def build_config(protocol: str, scale: ExperimentScale, *,
                  regions: tuple[str, ...] = ("san-jose",),
                  hardware: TrustedHardwareSpec = SGX_ENCLAVE_COUNTER,
                  crashed: tuple[int, ...] = (),
-                 worker_threads: Optional[int] = None,
-                 seed: int = 1) -> DeploymentConfig:
+                 worker_threads: Optional[int] = None) -> DeploymentConfig:
     """Build the deployment configuration for one experiment point."""
     return DeploymentConfig(
         protocol=protocol,
@@ -141,8 +140,7 @@ def build_config(protocol: str, scale: ExperimentScale, *,
         experiment=ExperimentConfig(
             warmup_batches=scale.warmup_batches,
             measured_batches=scale.measured_batches,
-            max_sim_time_us=scale.max_sim_seconds * 1_000_000.0,
-            seed=seed),
+            max_sim_time_us=scale.max_sim_seconds * 1_000_000.0),
     )
 
 

@@ -63,10 +63,6 @@ def _describe_fault_event(event: FaultEvent) -> dict:
         description["replicas"] = tuple(sorted(event.replicas))
     if event.name:
         description["name"] = event.name
-    if not event.recover:
-        description["recover"] = False
-    if event.wipe_store:
-        description["wipe_store"] = True
     return description
 
 

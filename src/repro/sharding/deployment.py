@@ -61,8 +61,7 @@ class ShardedDeployment(RunLoop):
         # replicas record into the same ring, distinguished by node names
         # (the ``shard<K>/`` prefix).
         self.observe = spec.observe if spec.observe is not None else ObservabilityConfig()
-        self.tracer = (Tracer(self.sim, capacity=self.observe.trace_capacity)
-                       if self.observe.trace else None)
+        self.tracer = Tracer(self.sim) if self.observe.trace else None
         if self.tracer is not None:
             self.sim.set_tracer(self.tracer)
         self.health_samples: list[dict] = []

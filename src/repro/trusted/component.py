@@ -82,7 +82,6 @@ class TrustedComponentHost:
     def counter_append(self, counter_id: int, new_value: Optional[int],
                        payload_digest: bytes) -> Attestation:
         """trust-bft ``Append`` on a monotonic counter."""
-        self._require(self.spec.supports_counters, "counters")
         attestation = self.counters.append(counter_id, new_value, payload_digest)
         self._account()
         self.stats.counter_appends += 1
@@ -91,7 +90,6 @@ class TrustedComponentHost:
     def log_append(self, log_id: int, slot: Optional[int],
                    payload_digest: bytes) -> Attestation:
         """Pbft-EA ``Append`` on an attested log."""
-        self._require(self.spec.supports_logs, "logs")
         attestation = self.logs.append(log_id, slot, payload_digest)
         self._account()
         self.stats.log_appends += 1
@@ -99,7 +97,6 @@ class TrustedComponentHost:
 
     def log_lookup(self, log_id: int, slot: int) -> Attestation:
         """Pbft-EA ``Lookup``: attested read of a previously logged value."""
-        self._require(self.spec.supports_logs, "logs")
         attestation = self.logs.lookup(log_id, slot)
         self._account()
         self.stats.log_lookups += 1
@@ -108,7 +105,6 @@ class TrustedComponentHost:
     # ------------------------------------------------------------ FlexiTrust
     def append_f(self, counter_id: int, payload_digest: bytes) -> Attestation:
         """FlexiTrust ``AppendF``: ``Append`` with the value left to the component."""
-        self._require(self.spec.supports_counters, "counters")
         attestation = self.counters.append(counter_id, None, payload_digest)
         self._account()
         self.stats.flexi_appends += 1
@@ -116,7 +112,6 @@ class TrustedComponentHost:
 
     def create_counter(self, initial_value: int = 0) -> tuple[int, Attestation]:
         """FlexiTrust ``Create``: mint a fresh counter in the same bank."""
-        self._require(self.spec.supports_counters, "counters")
         counter_id, attestation = self.counters.create(initial_value)
         self._account()
         self.stats.creates += 1
@@ -155,9 +150,3 @@ class TrustedComponentHost:
                 f"{self.spec.name} state is persistent; rollback is not possible")
         self.counters.restore(snapshot.counters)
         self.logs.restore(snapshot.logs)
-
-    # -------------------------------------------------------------- helpers
-    def _require(self, supported: bool, feature: str) -> None:
-        if not supported:
-            raise TrustedComponentError(
-                f"{self.spec.name} does not support {feature}")

@@ -10,7 +10,7 @@ from .openloop import (
     run_open_loop,
 )
 from .sharded_client import ShardedClient, ShardedClientStats
-from .ycsb import YcsbWorkload, preload_operations
+from .ycsb import YcsbWorkload
 from .zipf import ZipfianGenerator
 
 __all__ = [
@@ -26,6 +26,5 @@ __all__ = [
     "ZipfianGenerator",
     "attach_open_loop",
     "open_loop_row",
-    "preload_operations",
     "run_open_loop",
 ]

@@ -51,11 +51,15 @@ from ..common.errors import ConfigurationError
 from ..common.types import MICROS_PER_SECOND, Micros
 from ..execution.state_machine import Operation
 from ..kernel import EventHandle, Kernel
+from .ycsb import VALUE_SIZE
 from .zipf import ZipfianGenerator
 
 if TYPE_CHECKING:
     from ..runtime.deployment import Deployment, RunResult
     from ..sharding.deployment import ShardedDeployment
+
+#: fraction of arrivals that are writes.
+WRITE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,6 @@ class OpenLoopConfig:
     mean_off_s: float = 0.15
     #: Zipf skew over users (0 = uniform; 0.99 = YCSB-style hot users).
     user_theta: float = 0.99
-    #: fraction of arrivals that are writes.
-    write_fraction: float = 0.5
-    #: bytes per written value.
-    value_size: int = 64
     #: admission limit: lanes available for concurrently open requests.
     #: Arrivals beyond it are shed.  The deployment must be built with
     #: exactly this many clients (they become the lanes).
@@ -121,8 +121,6 @@ class OpenLoopConfig:
                 "expected 'poisson' or 'bursty'")
         if not 0.0 <= self.user_theta < 1.0:
             raise ConfigurationError("user_theta must be in [0, 1)")
-        if not 0.0 <= self.write_fraction <= 1.0:
-            raise ConfigurationError("write_fraction must be in [0, 1]")
         if self.max_in_flight <= 0:
             raise ConfigurationError("max_in_flight must be positive")
         if self.deadline_us is not None and self.deadline_us <= 0:
@@ -335,7 +333,7 @@ class OpenLoopEngine:
         """
         user = self._zipf.next()
         key = f"user{user % self._records}"
-        if self._rng.random() < self.config.write_fraction:
+        if self._rng.random() < WRITE_FRACTION:
             return (Operation(action="write", key=key,
                               value=self._payload(key)),)
         return (Operation(action="read", key=key),)
@@ -343,8 +341,7 @@ class OpenLoopEngine:
     def _payload(self, key: str) -> str:
         self._nonce += 1
         seed = hashlib.sha256(f"{key}/{self._nonce}".encode()).hexdigest()
-        size = self.config.value_size
-        return (seed * (size // len(seed) + 1))[:size]
+        return (seed * (VALUE_SIZE // len(seed) + 1))[:VALUE_SIZE]
 
     # ---------------------------------------------------------- completions
     def _on_lane_complete(self, index: int) -> None:

@@ -15,6 +15,11 @@ from ..common.config import WorkloadConfig
 from ..execution.state_machine import Operation
 from .zipf import ZipfianGenerator
 
+#: skew of the key popularity distribution (YCSB's zipfian constant).
+ZIPF_THETA = 0.9
+#: characters per written value.
+VALUE_SIZE = 64
+
 
 class YcsbWorkload:
     """Produces YCSB operations for one client."""
@@ -22,7 +27,7 @@ class YcsbWorkload:
     def __init__(self, config: WorkloadConfig, rng: random.Random) -> None:
         self._config = config
         self._rng = rng
-        self._zipf = ZipfianGenerator(config.records, config.zipf_theta, rng)
+        self._zipf = ZipfianGenerator(config.records, ZIPF_THETA, rng)
         self._generated = 0
 
     @property
@@ -46,14 +51,4 @@ class YcsbWorkload:
     def _payload(self, key: str, nonce: int) -> str:
         material = f"{key}/{nonce}/{self._rng.random()}".encode()
         seed = hashlib.sha256(material).hexdigest()
-        size = self._config.value_size
-        return (seed * (size // len(seed) + 1))[:size]
-
-
-def preload_operations(config: WorkloadConfig) -> list[Operation]:
-    """Insert operations that populate the store before the measured run."""
-    return [
-        Operation(action="insert", key=f"user{i}",
-                  value=hashlib.sha256(f"user{i}".encode()).hexdigest()[:config.value_size])
-        for i in range(config.records)
-    ]
+        return (seed * (VALUE_SIZE // len(seed) + 1))[:VALUE_SIZE]

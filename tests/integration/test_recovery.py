@@ -1,5 +1,7 @@
 """Crash-recovery integration: restart, state transfer, rejoin, rollback."""
 
+from functools import partial
+
 import pytest
 
 from repro.common.config import (
@@ -89,12 +91,13 @@ class TestCrashRestartRejoin:
                 assert any(crashed in inst.prepares
                            for other in others for inst in other.instances.values())
 
-    def test_recovery_without_durable_store_uses_peer_transfer(self):
-        config = recovery_config(
-            "minbft", recovery=RecoveryConfig(durable_store=False))
-        schedule = FaultSchedule((crash_at(2, ms(300)), restart_at(2, ms(600))))
-        with DeploymentSpec(config, fault_schedule=schedule).build() as deployment:
-            assert deployment.stores == [None, None, None]
+    def test_recovery_with_wiped_store_uses_peer_transfer(self):
+        """A seat with no local state catches up by peer transfer alone."""
+        schedule = FaultSchedule((crash_at(2, ms(300)),))
+        spec = DeploymentSpec(recovery_config("minbft"), fault_schedule=schedule)
+        with spec.build() as deployment:
+            deployment.sim.schedule_at(
+                ms(600), partial(deployment.restart_replica, 2, wipe_store=True))
             deployment.start_clients()
             deployment.sim.run(until=seconds(2.0))
             rejoined = deployment.replica(2)

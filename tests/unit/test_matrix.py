@@ -85,7 +85,7 @@ def test_defaulted_fault_event_fields_hash_identically():
     helper = FaultSchedule((crash_at(3, 500_000.0),))
     explicit = FaultSchedule((FaultEvent(
         kind=FaultEventKind.CRASH, at_us=500_000.0, replica=3,
-        replicas=frozenset(), name="", recover=True, wipe_store=False),))
+        replicas=frozenset(), name=""),))
     assert (DeploymentSpec(config, fault_schedule=helper).cell_hash()
             == DeploymentSpec(config, fault_schedule=explicit).cell_hash())
 

@@ -78,7 +78,6 @@ class TestConfigValidation:
         dict(arrival_rate_tx_s=0.0),
         dict(process="weibull"),
         dict(user_theta=1.0),
-        dict(write_fraction=1.5),
         dict(max_in_flight=0),
         dict(deadline_us=0.0),
         dict(duration_s=0.0),

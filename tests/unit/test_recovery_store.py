@@ -143,10 +143,6 @@ class TestRecoveryConfigValidation:
         with pytest.raises(ConfigurationError):
             RecoveryConfig(fsync_latency_us=-1.0).validate()
 
-    def test_rejects_zero_transfer_rounds(self):
-        with pytest.raises(ConfigurationError):
-            RecoveryConfig(max_transfer_rounds=0).validate()
-
 
 def completion(at_us: float) -> CompletionRecord:
     return CompletionRecord(client="c", request_id=RequestId("c", 1),

@@ -85,6 +85,7 @@ class TestConfigValidation:
         dict(segments=((0.1, -1.0),)),
         dict(process="bursty", mean_on_s=0.0),
         dict(process="bursty", burst_multiplier=0.0),
+        dict(process="bursty", mean_off_s=0.0, burst_multiplier=1.0),
     ])
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -82,19 +82,22 @@ class Cell:
         return self.spec.config.experiment.max_sim_time_us
 
     # ---------------------------------------------------------------- rows
-    def row(self, result, deployment) -> dict:
+    def row(self, result, deployment, engine=None) -> dict:
         """Flat result row for this cell: protocol, axes, measurements.
 
         Column layout matches the historical ``figure*`` rows (protocol
         first, then the plotted axes, then the measurement columns) so
-        existing table consumers keep working; a plain spec's fault schedule
-        adds :func:`~repro.recovery.analysis.timeline_columns` of the
-        finished ``deployment``; the trailing ``backend`` and ``cell``
-        columns tie every row back to its backend and its result file.
+        existing table consumers keep working; an open-loop ``engine``
+        adds its columns, and a plain spec's fault schedule adds
+        :func:`~repro.recovery.analysis.timeline_columns` of the finished
+        ``deployment``; the trailing ``backend`` and ``cell`` columns tie
+        every row back to its backend and its result file.
         """
         row = {"protocol": self.protocol}
         row.update(self.axes)
         row.update(result.as_row())
+        if engine is not None:
+            row.update(engine.row_columns(result, deployment))
         if self.spec.fault_schedule is not None:
             row.update(timeline_columns(deployment, self.spec.fault_schedule,
                                         self.fixed_horizon_us))

@@ -1,13 +1,14 @@
 """Fan-out across cells with per-cell resumable results.
 
-``MatrixRunner.run(cells)`` executes each cell's deployment and, when a
-results directory is configured, persists one JSON file per cell named by
-its content hash (``results/<hash>.json``).  On a re-run every cell whose
-hash already has a valid result file is *resumed* — its stored row is
-returned without building anything — so an interrupted or repeated matrix
-run only pays for cells whose configuration actually changed.  A result
-file that fails to parse, or whose recorded hash disagrees with its cell,
-is treated as absent and that one cell re-runs.
+``MatrixRunner.run(cells)`` runs each cell's deployment (to a completion
+target, over a fault schedule's horizon, or under an open-loop arrival
+engine) and, when a results directory is configured, persists one JSON file
+per cell named by its content hash (``results/<hash>.json``).  On a re-run
+every cell whose hash already has a valid result file is *resumed* — its
+stored rows are returned without building anything — so an interrupted or
+repeated matrix run only pays for cells whose configuration actually
+changed.  A result file that fails to parse, or whose recorded hash
+disagrees with its cell, is treated as absent and that one cell re-runs.
 
 Realtime cells (live / live-tcp backends) get the same treatment the
 ``repro live`` command applies: every client reply is HMAC-verified while
@@ -27,6 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from ..common.errors import ConfigurationError
 from ..common.jsonhash import json_digest
+from ..workload.openloop import run_open_loop
 from .cell import Cell
 
 #: payload schema version of the per-cell result files.
@@ -60,7 +62,10 @@ class MatrixRunResult:
 
     @property
     def rows(self) -> list[dict]:
-        return [outcome.row for outcome in self.outcomes]
+        """Every outcome's row, each after its rate-segment rows if any."""
+        return [row for outcome in self.outcomes
+                for row in (*outcome.payload.get("segment_rows", ()),
+                            outcome.row)]
 
     @property
     def executed(self) -> int:
@@ -145,8 +150,12 @@ class MatrixRunner:
                 from ..realtime import ReplyVerifier
 
                 verifier = ReplyVerifier(deployment)
+            engine = None
             horizon_us = cell.fixed_horizon_us
-            if horizon_us is None:
+            if cell.spec.open_loop is not None:
+                engine, run_result = run_open_loop(deployment,
+                                                   cell.spec.open_loop)
+            elif horizon_us is None:
                 run_result = deployment.run_until_target()
             else:
                 if not cell.realtime:
@@ -154,7 +163,7 @@ class MatrixRunner:
                     # its own load (the live path starts clients itself).
                     deployment.start_clients()
                 run_result = deployment.run_for(horizon_us)
-            row = cell.row(run_result, deployment)
+            row = cell.row(run_result, deployment, engine)
         wall_seconds = time.perf_counter() - started
         if cell.realtime:
             if row.get("completed_requests", 0) == 0:
@@ -181,6 +190,11 @@ class MatrixRunner:
             # measurements and carry no digest.
             "row_digest": "" if cell.realtime else json_digest(row),
         }
+        if engine is not None and engine.config.segments:
+            payload["segment_rows"] = [
+                {**segment, "backend": cell.backend,
+                 "cell": cell.content_hash}
+                for segment in engine.stats.segment_rows]
         if verifier is not None:
             payload["replies_verified"] = verifier.verified
         if deployment.tracer is not None:

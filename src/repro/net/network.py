@@ -11,7 +11,7 @@ delayed").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional, Protocol, runtime_checkable
 
@@ -112,12 +112,6 @@ class NetworkStats:
     messages_sent: int = 0
     messages_delivered: int = 0
     messages_dropped: int = 0
-    messages_delayed: int = 0
-    per_type: dict[str, int] = field(default_factory=dict)
-
-    def record_type(self, payload: object) -> None:
-        key = type(payload).__name__
-        self.per_type[key] = self.per_type.get(key, 0) + 1
 
 
 class Network:
@@ -193,10 +187,6 @@ class Network:
         departure = now if earliest_departure is None else max(now, earliest_departure)
         stats = self.stats
         stats.messages_sent += 1
-        # record_type(), inlined: one dict update per message adds up.
-        per_type = stats.per_type
-        key = type(payload).__name__
-        per_type[key] = per_type.get(key, 0) + 1
 
         extra_delay = 0.0
         if self._rules:
@@ -211,8 +201,6 @@ class Network:
                                           detail=type(payload).__name__)
                         return
                     extra_delay += rule.extra_delay_us
-            if extra_delay > 0:
-                stats.messages_delayed += 1
 
         latency = self._topology.latency_us(source, destination) + self._wire_us
         if self._jitter_fraction > 0:

@@ -249,8 +249,9 @@ def scenario_openloop_overload(scale: PerfScale) -> list[dict]:
     offered load, shed fraction and tail latency keep climbing — the curve
     a closed loop cannot draw.
     """
-    return [row for open_loop in scale.overload
-            for row in figure_openloop(scale.experiment, open_loop)]
+    return _without_cell_columns([
+        row for open_loop in scale.overload
+        for row in figure_openloop(scale.experiment, open_loop)])
 
 
 def scenario_openloop_hotspot(scale: PerfScale) -> list[dict]:
@@ -260,8 +261,9 @@ def scenario_openloop_hotspot(scale: PerfScale) -> list[dict]:
     handful of keys and the router sends their whole mass to the shards that
     own them; ``hot_shard_share`` pins the resulting imbalance.
     """
-    return figure_openloop(scale.experiment, scale.hotspot,
-                           num_shards=max(scale.shard_counts), records=32)
+    return _without_cell_columns(figure_openloop(
+        scale.experiment, scale.hotspot, num_shards=max(scale.shard_counts),
+        records=32))
 
 
 def scenario_openloop_diurnal(scale: PerfScale) -> list[dict]:
@@ -271,7 +273,8 @@ def scenario_openloop_diurnal(scale: PerfScale) -> list[dict]:
     one row per segment (offered/admitted/shed/completed/abandoned deltas)
     plus a whole-run summary row.
     """
-    return figure_openloop(scale.experiment, scale.diurnal)
+    return _without_cell_columns(figure_openloop(scale.experiment,
+                                                 scale.diurnal))
 
 
 # ---------------------------------------------------------------------------

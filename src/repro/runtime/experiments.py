@@ -10,9 +10,6 @@ figure-6-style curve series.  The experiments accept an
 default, used by the test-suite and benchmarks) and at paper scale (f up to
 32, 97 replicas, thousands of clients) when more time is available.
 
-Only the open-loop figure stays off the matrix path: it reads the arrival
-engine's counters off the finished deployment.
-
 Mapping to the paper (see DESIGN.md for the full index):
 
 * :func:`figure5_trusted_counter_costs`  — Figure 5 (bars a–g)
@@ -54,13 +51,12 @@ from ..common.config import (
     TrustedHardwareSpec,
     WorkloadConfig,
 )
-from ..common.errors import SimulationError
 from ..common.types import ms
 from ..net.topology import PAPER_REGIONS
 from ..protocols.family import FIGURE5_BARS
 from ..protocols.registry import get_protocol
 from ..recovery.schedule import FaultPlan
-from ..workload.openloop import OpenLoopConfig, open_loop_row, run_open_loop
+from ..workload.openloop import OpenLoopConfig
 from .spec import DeploymentSpec
 
 if TYPE_CHECKING:
@@ -374,45 +370,20 @@ def figure_openloop(scale: ExperimentScale, open_loop: OpenLoopConfig,
 
     The deployment is sized by ``scale`` with one client per lane
     (``open_loop.max_in_flight``); ``records`` shrinks the keyspace so the
-    Zipf head concentrates on a few keys.  The whole-run row carries the
-    engine and deployment columns plus the view-0 primary's worker-pool
-    utilisation — or, sharded, each shard's completions and the hottest
-    shard's share of them.
+    Zipf head concentrates on a few keys.  The run is one cell, whose
+    whole-run row carries the deployment columns plus
+    :meth:`~repro.workload.openloop.OpenLoopEngine.row_columns`.
     """
+    from ..matrix.cell import Cell
+
     config = build_config(protocol, scale, num_clients=open_loop.max_in_flight)
     if records is not None:
         config = config.with_updates(
             workload=replace(config.workload, records=records))
-    spec = DeploymentSpec(
+    return _run_cells([Cell(spec=DeploymentSpec(
         config, backend=backend, num_shards=num_shards,
         num_clients=open_loop.max_in_flight if num_shards else None,
-        open_loop=open_loop)
-    with spec.build() as deployment:
-        engine, result = run_open_loop(deployment, open_loop)
-        # The million-user contract: engine state is O(active requests) —
-        # free-lane stack + armed deadlines + the arrival/flip/boundary
-        # events — never O(num_users).
-        if engine.stats.peak_resident > 2 * open_loop.max_in_flight + 3:
-            raise SimulationError(
-                f"open-loop resident state {engine.stats.peak_resident} exceeds "
-                f"the O(active) bound for {open_loop.max_in_flight} lanes")
-        row = {"protocol": protocol}
-        if open_loop.segments:
-            row["segment"] = "all"
-        row.update(open_loop_row(engine, result))
-        if num_shards:
-            completed = result.per_shard_completed
-            total = max(1, sum(completed.values()))
-            row["hot_shard_share"] = round(max(completed.values()) / total, 4)
-            for shard in sorted(completed):
-                row[f"shard{shard}_completed"] = completed[shard]
-        else:
-            row["primary_utilisation"] = round(
-                deployment.primary.workers.stats.utilisation(
-                    deployment.sim.now,
-                    deployment.protocol_config.worker_threads), 4)
-    segment_rows = engine.stats.segment_rows if open_loop.segments else []
-    return [*segment_rows, row]
+        open_loop=open_loop))])
 
 
 # ---------------------------------------------------------------------------

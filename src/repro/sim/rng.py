@@ -32,9 +32,3 @@ class RngRegistry:
             derived = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
             self._streams[name] = random.Random(derived)
         return self._streams[name]
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Create a child registry whose seed is derived from ``name``."""
-        material = f"{self._seed}/fork/{name}".encode()
-        derived = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
-        return RngRegistry(derived)

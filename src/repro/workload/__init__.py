@@ -6,7 +6,6 @@ from .openloop import (
     OpenLoopEngine,
     OpenLoopStats,
     attach_open_loop,
-    open_loop_row,
     run_open_loop,
 )
 from .sharded_client import ShardedClient, ShardedClientStats
@@ -25,6 +24,5 @@ __all__ = [
     "YcsbWorkload",
     "ZipfianGenerator",
     "attach_open_loop",
-    "open_loop_row",
     "run_open_loop",
 ]

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from ..common.errors import ConfigurationError
+from ..common.errors import ConfigurationError, SimulationError
 from ..common.types import MICROS_PER_SECOND, Micros
 from ..execution.state_machine import Operation
 from ..kernel import EventHandle, Kernel
@@ -156,27 +156,10 @@ class OpenLoopStats:
     abandoned: int = 0
     peak_in_flight: int = 0
     #: high-water mark of :meth:`OpenLoopEngine.resident_state` — the
-    #: engine's whole footprint, asserted O(max_in_flight) by the tests.
+    #: engine's whole footprint, bounded by :func:`run_open_loop`.
     peak_resident: int = 0
     #: one row per rate segment (diurnal ramps): counter deltas within it.
     segment_rows: list[dict] = field(default_factory=list)
-
-    @property
-    def shed_fraction(self) -> float:
-        """Fraction of arrivals dropped at admission."""
-        return self.shed / self.offered if self.offered else 0.0
-
-    def as_row(self) -> dict:
-        """Flat engine-side columns merged into result rows."""
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "shed_fraction": round(self.shed_fraction, 4),
-            "abandoned": self.abandoned,
-            "peak_in_flight": self.peak_in_flight,
-            "peak_resident": self.peak_resident,
-        }
 
 
 class OpenLoopEngine:
@@ -407,16 +390,37 @@ class OpenLoopEngine:
         self._reschedule_arrival()
 
     # ------------------------------------------------------------------ rows
-    def row_columns(self, config: OpenLoopConfig) -> dict:
-        """Engine-side row columns (configuration plus counters)."""
+    def row_columns(self, result: "RunResult", deployment) -> dict:
+        """Configuration and counters, then the view-0 primary's worker-pool
+        utilisation or, sharded, each shard's completions and the hottest
+        shard's share of them."""
+        config, stats = self.config, self.stats
         row = {
             "num_users": config.num_users,
             "process": config.process,
             "offered_tx_s": round(config.arrival_rate_tx_s, 1),
-            "goodput_tx_s": round(
-                self.stats.completed / config.total_duration_s, 1),
+            "goodput_tx_s": round(stats.completed / config.total_duration_s, 1),
+            "offered": stats.offered,
+            "admitted": stats.admitted,
+            "shed": stats.shed,
+            "shed_fraction": round(stats.shed / max(1, stats.offered), 4),
+            "abandoned": stats.abandoned,
+            "peak_in_flight": stats.peak_in_flight,
+            "peak_resident": stats.peak_resident,
         }
-        row.update(self.stats.as_row())
+        if config.segments:
+            row["segment"] = "all"
+        completed = result.per_shard_completed
+        if completed:
+            total = max(1, sum(completed.values()))
+            row["hot_shard_share"] = round(max(completed.values()) / total, 4)
+            for shard in sorted(completed):
+                row[f"shard{shard}_completed"] = completed[shard]
+        else:
+            row["primary_utilisation"] = round(
+                deployment.primary.workers.stats.utilisation(
+                    deployment.sim.now,
+                    deployment.protocol_config.worker_threads), 4)
         return row
 
 
@@ -454,12 +458,11 @@ def run_open_loop(deployment: Union["Deployment", "ShardedDeployment"],
     duration_us = config.total_duration_s * MICROS_PER_SECOND
     deployment.backend.run_for(deployment.sim, duration_us)
     engine.stop()
-    result = deployment.collect_result(warmup_fraction)
-    return engine, result
-
-
-def open_loop_row(engine: OpenLoopEngine, result) -> dict:
-    """One flat result row: engine columns then deployment columns."""
-    row = engine.row_columns(engine.config)
-    row.update(result.as_row())
-    return row
+    # The million-user contract: engine state is O(active requests) —
+    # free-lane stack + armed deadlines + the arrival/flip/boundary events —
+    # never O(num_users).  An explicit raise, so ``python -O`` keeps it.
+    if engine.stats.peak_resident > 2 * config.max_in_flight + 3:
+        raise SimulationError(
+            f"open-loop resident state {engine.stats.peak_resident} exceeds "
+            f"the O(active) bound for {config.max_in_flight} lanes")
+    return engine, deployment.collect_result(warmup_fraction)

@@ -192,3 +192,36 @@ def test_unknown_matrix_name_is_a_configuration_error():
 
     with pytest.raises(ConfigurationError):
         matrix_cells("definitely-not-a-matrix")
+
+
+def _open_loop_cell(backend="sim", segments=()):
+    from repro.matrix import Cell
+    from repro.runtime.experiments import build_config
+    from repro.runtime.spec import DeploymentSpec
+    from repro.workload import OpenLoopConfig
+
+    open_loop = OpenLoopConfig(arrival_rate_tx_s=2_000.0, max_in_flight=4,
+                               deadline_us=100_000.0, duration_s=0.2,
+                               segments=segments)
+    config = build_config("flexi-bft", replace(SMALL_SCALE, batch_size=4),
+                          num_clients=open_loop.max_in_flight)
+    return Cell(spec=DeploymentSpec(config, backend=backend,
+                                    open_loop=open_loop))
+
+
+def test_live_open_loop_cell_runs_the_arrival_engine_reply_verified():
+    (outcome,) = MatrixRunner().run([_open_loop_cell(backend="live")])
+    assert outcome.row["offered"] > 0
+    assert outcome.row["completed_requests"] > 0
+    assert outcome.payload["replies_verified"] > 0
+
+
+def test_segmented_open_loop_cell_resumes_its_segment_rows(tmp_path):
+    cell = _open_loop_cell(segments=((0.05, 0.5), (0.05, 2.0)))
+    first = MatrixRunner(results_dir=str(tmp_path)).run([cell])
+    second = MatrixRunner(results_dir=str(tmp_path)).run([cell])
+    assert (first.executed, second.resumed) == (1, 1)
+    # A row per rate segment, then the whole-run row, each tied to the cell.
+    assert [row["segment"] for row in first.rows] == [0, 1, "all"]
+    assert {row["cell"] for row in first.rows} == {cell.content_hash}
+    assert second.rows == first.rows

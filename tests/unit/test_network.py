@@ -163,13 +163,6 @@ class TestNetwork:
         assert sim.events_processed == 400
         assert stats.messages_dropped == 0
 
-    def test_stats_per_message_type(self):
-        sim, network, nodes = make_network()
-        network.send("replica-0", "replica-1", "a string")
-        network.send("replica-0", "replica-1", 42)
-        sim.run_until_idle()
-        assert network.stats.per_type == {"str": 1, "int": 1}
-
     def test_jitter_bounded_by_fraction(self):
         sim, network, nodes = make_network(jitter=0.1)
         for _ in range(20):

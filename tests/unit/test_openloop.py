@@ -185,19 +185,16 @@ class TestResidentState:
         assert peaks[1_000_000] <= 2 * 8 + 3
 
     def test_figure_refuses_a_run_past_the_bound(self, monkeypatch):
-        # The figure checks the bound itself, with an explicit raise that
-        # ``python -O`` cannot strip.
-        from repro.runtime import experiments
+        # Every open-loop run checks the bound, with an explicit raise that
+        # ``python -O`` cannot strip: an engine that reports one entry too
+        # many fails the figure.
+        from repro.runtime.experiments import SMALL_SCALE, figure_openloop
 
-        def overgrown(deployment, open_loop):
-            engine, result = run_open_loop(deployment, open_loop)
-            engine.stats.peak_resident = 2 * open_loop.max_in_flight + 4
-            return engine, result
-
-        monkeypatch.setattr(experiments, "run_open_loop", overgrown)
+        monkeypatch.setattr(
+            OpenLoopEngine, "resident_state",
+            lambda engine: 2 * engine.config.max_in_flight + 3)
         with pytest.raises(SimulationError, match="O\\(active\\) bound"):
-            experiments.figure_openloop(experiments.SMALL_SCALE,
-                                        _CLI_OPEN_LOOP)
+            figure_openloop(SMALL_SCALE, _CLI_OPEN_LOOP)
 
 
 class TestDeterminism:
@@ -209,7 +206,7 @@ class TestDeterminism:
                                      service_us=2_000.0)
         ops = [(at, ops[0].action, ops[0].key)
                for lane in pool for at, ops in lane.submissions]
-        return engine.row_columns(config), sorted(ops)
+        return engine.stats, sorted(ops)
 
     def test_same_seed_reproduces_rows_and_operations(self):
         assert self.run_row(7) == self.run_row(7)
@@ -339,12 +336,9 @@ class TestDeploymentIntegration:
 
     def test_million_users_with_o_active_resident_state(self):
         spec = self.build_spec(num_users=1_000_000, max_in_flight=8)
-        deployment = spec.build()
-        try:
+        with spec.build() as deployment:
             engine, result = run_open_loop(deployment, spec.open_loop,
                                            warmup_fraction=0.0)
-        finally:
-            deployment.close()
         stats = engine.stats
         assert engine.config.num_users == 1_000_000
         assert stats.admitted > 0 and stats.completed > 0
@@ -356,12 +350,9 @@ class TestDeploymentIntegration:
 
     def test_engine_counters_reconcile_with_the_metrics_sink(self):
         spec = self.build_spec(max_in_flight=4, rate=12_000.0)
-        deployment = spec.build()
-        try:
+        with spec.build() as deployment:
             engine, _ = run_open_loop(deployment, spec.open_loop)
             metrics = deployment.metrics
-        finally:
-            deployment.close()
         stats = engine.stats
         assert metrics.submissions == stats.admitted
         assert metrics.completed_count == stats.completed
@@ -371,24 +362,18 @@ class TestDeploymentIntegration:
 
     def test_sharded_lanes_route_cross_shard(self):
         spec = self.build_spec(max_in_flight=4, rate=4_000.0, sharded=True)
-        deployment = spec.build()
-        try:
+        with spec.build() as deployment:
             engine, result = run_open_loop(deployment, spec.open_loop)
-        finally:
-            deployment.close()
         assert engine.stats.completed > 0
         row = result.as_row()
         assert row["shards"] == 2
 
     def test_lane_count_mismatch_is_rejected(self):
         spec = self.build_spec(max_in_flight=8)
-        deployment = spec.build()
-        try:
+        with spec.build() as deployment:
             with pytest.raises(ConfigurationError):
                 attach_open_loop(deployment,
                                  OpenLoopConfig(max_in_flight=16))
-        finally:
-            deployment.close()
 
     def test_openloop_scenarios_are_registered(self):
         from repro.perf.scenarios import SCENARIOS

@@ -23,14 +23,18 @@ Because frames are canonical bytes behind a validated header — never
 Both directions are plain :class:`asyncio.Protocol` callbacks; no coroutine
 runs per frame.
 
-* **Sending.**  Each destination has one :class:`_Link`: the envelopes
-  waiting for it and, once connected, its socket.  ``_schedule_delivery``
-  appends to the link and arms one ``loop.call_soon`` flush per destination
-  per loop turn; the flush encodes every waiting envelope and makes one
-  ``transport.write``.  One connection per destination, written in append
-  order, keeps frames to a destination FIFO, and the kernel's ``(time,
-  seq)`` heap applies the injected latency on the far side without
-  head-of-line blocking.
+* **Sending.**  The transport has one outbound stream, its :class:`_Link`:
+  the envelopes waiting to be written and, once connected, the socket.
+  ``_schedule_delivery`` appends to the link and arms one
+  ``loop.call_soon`` flush per loop turn; the flush encodes every waiting
+  envelope, whatever its destination, and makes one ``transport.write``.
+  The frame's envelope names its destination, so the receiving side routes
+  each frame itself.  One stream written in append order keeps the frames
+  to every destination FIFO, and the kernel's ``(time, seq)`` heap applies
+  the injected latency on the far side without head-of-line blocking.
+  A connection per destination would cost a ``send`` and a ``recv``
+  syscall per destination per loop turn; the shared stream batches a whole
+  turn's traffic into one of each.
 * **Receiving.**  Each accepted connection gets a :class:`_FrameReader`,
   whose ``data_received`` validates every header with
   :meth:`~repro.net.wire.WireCodec.parse_header` as soon as its eight bytes
@@ -44,14 +48,19 @@ runs per frame.
 
 If the real socket transit ever exceeds the injected latency (tiny
 topologies on a loaded machine), delivery happens as soon as the frame
-arrives — the transport never delivers *earlier* than the model says.
+arrives — the transport never delivers *earlier* than the model says.  Nor
+much later: asyncio's epoll selector rounds every sleep up to a whole
+millisecond, eight times the default 120 µs hop, so the
+:class:`~repro.realtime.kernel.AsyncioKernel` polls a delivery due within a
+millisecond instead of sleeping towards it.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import Counter
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional, Set
 
 from ..common.errors import WireError
 from .network import Envelope, Network, NetworkNode
@@ -84,11 +93,10 @@ class _Connection(asyncio.Protocol):
 
 
 class _Link(_Connection):
-    """A destination's outbound connection and the envelopes waiting for it."""
+    """The transport's outbound stream and the envelopes waiting for it."""
 
-    def __init__(self, owner: "TcpTransport", destination: str) -> None:
+    def __init__(self, owner: "TcpTransport") -> None:
         super().__init__(owner)
-        self.destination = destination
         #: ``(envelope, trace context)`` pairs not yet written, in order.
         self.pending: list = []
         #: a flush is scheduled for this loop turn.
@@ -99,12 +107,12 @@ class _Link(_Connection):
         owner = self._owner
         tracer = owner._tracer
         if tracer is not None:
-            tracer.record("tcp.connect", node=self.destination,
+            tracer.record("tcp.connect", node="tcp-client",
                           detail=_format_peer(
                               transport.get_extra_info("sockname")))
         if self.pending and not self.armed:
             self.armed = True
-            owner._kernel.loop.call_soon(owner._flush, self)
+            owner._kernel.loop.call_soon(owner._flush)
 
 
 class _FrameReader(_Connection):
@@ -196,10 +204,10 @@ class TcpTransport(Network):
         self._codec = wire_codec if wire_codec is not None else WireCodec()
         self._server: Optional[asyncio.AbstractServer] = None
         self._port: Optional[int] = None
-        #: resolves to the bound port, or to None once the bind has failed.
-        self._listening: Optional[asyncio.Future] = None
         self._tasks: List[asyncio.Task] = []
-        self._links: Dict[str, _Link] = {}
+        self._link: Optional[_Link] = None
+        #: every destination an envelope was queued for (diagnostics).
+        self._destinations: Set[str] = set()
         self._connections: Set[_Connection] = set()
         self._accepted_peers: List[str] = []
         self._closed = False
@@ -207,22 +215,26 @@ class TcpTransport(Network):
     # ------------------------------------------------------------- delivery
     def _schedule_delivery(self, target: NetworkNode, envelope: Envelope,
                            context=None) -> None:
-        """Queue the envelope on its destination's link; flush this turn."""
+        """Queue the envelope on the stream; flush it this loop turn."""
         if self._closed:
             self.stats.messages_dropped += 1
             return
-        link = self._links.get(envelope.destination)
+        link = self._link
         if link is None:
-            link = self._open_link(envelope.destination)
+            link = self._open_link()
         link.pending.append((envelope, context))
+        self._destinations.add(envelope.destination)
         if not link.armed and link.transport is not None:
             link.armed = True
-            self._kernel.loop.call_soon(self._flush, link)
+            self._kernel.loop.call_soon(self._flush)
 
-    def _flush(self, link: _Link) -> None:
-        """Encode everything waiting on ``link``; one socket write."""
+    def _flush(self) -> None:
+        """Encode everything waiting on the stream; one socket write."""
+        link = self._link
+        if self._closed or link is None:
+            return
         link.armed = False
-        if self._closed or not link.pending:
+        if not link.pending:
             return
         pending, link.pending = link.pending, []
         codec = self._codec
@@ -234,42 +246,33 @@ class TcpTransport(Network):
             # would vanish into asyncio's handler; fail the run instead.
             self._kernel.fail(exc)
 
-    def _open_link(self, destination: str) -> _Link:
-        """Start connecting to the server on ``destination``'s behalf."""
-        loop = self._kernel.loop
-        if self._listening is None:
-            self._listening = loop.create_future()
-            self._tasks.append(loop.create_task(self._serve(),
-                                                name="tcp-server"))
-        link = self._links[destination] = _Link(self, destination)
-        self._tasks.append(loop.create_task(self._connect(link),
-                                            name=f"tcp-connect/{destination}"))
+    def _open_link(self) -> _Link:
+        """Create the outbound stream and start connecting it."""
+        link = self._link = _Link(self)
+        self._tasks.append(self._kernel.loop.create_task(
+            self._connect(link), name="tcp-connect"))
         return link
 
-    async def _serve(self) -> None:
-        """Bind an ephemeral localhost port; every connection gets a reader."""
+    async def _connect(self, link: _Link) -> None:
+        """Bind an ephemeral localhost port, then connect ``link`` to it.
+
+        Every accepted connection gets a reader; the link's
+        ``connection_made`` flushes what queued while it connected.  A
+        failed bind or connect fails the run once and loudly instead of
+        leaving the stream connecting until the wall-clock cap.
+        """
+        loop = self._kernel.loop
         try:
-            server = await self._kernel.loop.create_server(
+            server = await loop.create_server(
                 partial(_FrameReader, self), host="127.0.0.1", port=0)
         except Exception as exc:  # noqa: BLE001 — surfaced via the kernel
-            # Links wait on _listening before connecting; wake them so a
-            # failed bind fails the run once and loudly instead of leaving
-            # every destination connecting until the wall-clock cap.
-            self._listening.set_result(None)
             self._kernel.fail(exc)
             return
         self._server = server
         self._port = server.sockets[0].getsockname()[1]
-        self._listening.set_result(self._port)
-
-    async def _connect(self, link: _Link) -> None:
-        """Connect ``link`` to the server; its connection_made flushes it."""
-        port = await self._listening
-        if port is None:
-            return  # the failed bind already failed the run loudly
         try:
-            await self._kernel.loop.create_connection(
-                lambda: link, "127.0.0.1", port)
+            await loop.create_connection(lambda: link, "127.0.0.1",
+                                         self._port)
         except Exception as exc:  # noqa: BLE001
             self._kernel.fail(exc)
 
@@ -301,8 +304,7 @@ class TcpTransport(Network):
         """Stop sending and accepting; frames not yet written are dropped.
 
         Returns one finaliser task, for the deployment to await before it
-        closes the loop: it waits out the cancelled server and connect
-        tasks, aborts every socket and waits for each one's
+        closes the loop: it waits out the cancelled connect task, aborts every socket and waits for each one's
         ``connection_lost``, then for ``server.wait_closed()``.  Without
         those waits, repeated deployments in one process leak sockets and
         emit ``ResourceWarning`` when the transports are collected.
@@ -313,7 +315,7 @@ class TcpTransport(Network):
         for task in tasks:
             task.cancel()
         self._tasks.clear()
-        self._links.clear()
+        self._link = None
         server, self._server = self._server, None
         loop = self._kernel.loop
         if loop.is_closed() or not (tasks or server is not None
@@ -351,28 +353,34 @@ class TcpTransport(Network):
 
     @property
     def queued_messages(self) -> int:
-        """Envelopes waiting for their destination's next flush right now."""
-        return sum(len(link.pending) for link in self._links.values())
+        """Envelopes waiting for the stream's next flush right now."""
+        link = self._link
+        return 0 if link is None else len(link.pending)
 
     def connection_states(self) -> dict:
-        """Per-peer socket state, with addresses, for diagnostics bundles.
+        """Per-destination socket state, with addresses, for diagnostics.
 
-        A destination whose link has not finished connecting shows as
-        ``connecting`` — exactly the signature of a run wedged on a dead
-        server — and a stalled peer shows its backed-up envelopes.
+        Every destination shares the one stream, so each shows its state
+        and peer: ``connecting`` while it has not connected — exactly the
+        signature of a run wedged on a dead server — and, per destination,
+        the envelopes backed up for it.
         """
         destinations = {}
-        for destination, link in sorted(self._links.items()):
+        link = self._link
+        if link is not None:
             transport = link.transport
             if transport is None:
-                state = {"state": "connecting", "peer": None}
+                stream = {"state": "connecting", "peer": None}
             else:
-                state = {
+                stream = {
                     "state": "closing" if transport.is_closing() else "open",
                     "peer": _format_peer(transport.get_extra_info("peername")),
                 }
-            state["queued"] = len(link.pending)
-            destinations[destination] = state
+            queued = Counter(envelope.destination
+                             for envelope, _ in link.pending)
+            for destination in sorted(self._destinations):
+                destinations[destination] = {**stream,
+                                             "queued": queued[destination]}
         return {
             "transport": type(self).__name__,
             "port": self._port,

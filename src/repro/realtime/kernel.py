@@ -17,7 +17,21 @@ stack relies on:
 * **Cheap cancellation and accounting** — ``cancel`` is a flag flip, and
   ``events_processed`` counts executed callbacks exactly like the
   simulator's counter, which keeps the :class:`~repro.runtime.deployment.RunResult`
-  ``events`` column meaningful on live runs.
+  ``events`` column meaningful on live runs.  :meth:`~AsyncioKernel.schedule_call`
+  queues the bare callable with no :class:`LiveEvent` around it, as
+  :meth:`Simulator.schedule_call <repro.sim.kernel.Simulator.schedule_call>`
+  does; the drain tells the two apart by the entry's type.
+
+**No oversleeping.**  asyncio's ``EpollSelector`` rounds every timeout up to
+a whole millisecond (``epoll_wait`` takes milliseconds), so an idle loop that
+arms a timer for an event 120 µs away — one injected network hop — sleeps at
+least 1 ms, and a wait of 1.2 ms sleeps 2 ms.  The kernel therefore never
+asks the selector to sleep into the last millisecond before its head event:
+a head due within :data:`_POLL_WINDOW_US` is *polled* — ``loop.call_soon``
+of the drain, so each loop turn checks sockets without blocking and then
+looks at the clock again — and a later head arms ``loop.call_at`` for one
+window before it is due.  Only that last millisecond of a wait is spun; the
+rest is slept.
 """
 
 from __future__ import annotations
@@ -34,6 +48,13 @@ from ..kernel import collection_deferred
 #: seconds per poll while waiting for a stop condition; coarse enough to stay
 #: out of the protocol's way, fine enough that a run ends promptly.
 _POLL_SECONDS = 0.002
+
+#: a head event due within this many microseconds is polled on the next loop
+#: turn instead of slept towards: the selector cannot sleep for less than a
+#: millisecond, so a shorter sleep is always an oversleep.
+_POLL_WINDOW_US = 1_000.0
+
+_INF = float("inf")
 
 
 class LiveEvent:
@@ -65,11 +86,17 @@ class AsyncioKernel:
         self._owns_loop = loop is None
         self._loop = loop if loop is not None else asyncio.new_event_loop()
         self._origin = self._loop.time()
-        self._heap: List[Tuple[Micros, int, LiveEvent]] = []
+        #: ``(time, seq, entry)``: the entry is a :class:`LiveEvent`, or
+        #: the bare callable :meth:`schedule_call` queued.
+        self._heap: List[Tuple[Micros, int, object]] = []
         self._seq = itertools.count()
         self._events_processed = 0
-        self._wakeup: Optional[asyncio.TimerHandle] = None
-        self._wakeup_time: Micros = -1.0
+        self._wakeup: Optional[asyncio.Handle] = None
+        #: what the armed wakeup covers: a push earlier than this re-arms.
+        #: ``inf`` when nothing is armed, the head's time while a
+        #: ``call_at`` timer is armed for it, and ``-inf`` while a poll is
+        #: armed or the drain is running (it re-arms when it ends).
+        self._wakeup_time: Micros = _INF
         self._running = False
         self._error: Optional[BaseException] = None
         self._stop_when: Optional[Callable[[], bool]] = None
@@ -106,8 +133,9 @@ class AsyncioKernel:
 
     @property
     def pending_events(self) -> int:
-        """Events still queued (including not-yet-popped cancelled ones)."""
-        return sum(1 for _, _, event in self._heap if not event.cancelled)
+        """Events still queued (cancelled ones excluded)."""
+        return sum(1 for _, _, event in self._heap
+                   if event.__class__ is not LiveEvent or not event.cancelled)
 
     def schedule(self, delay: Micros, callback: Callable[[], None]) -> LiveEvent:
         """Schedule ``callback`` to run ``delay`` microseconds from now."""
@@ -125,36 +153,58 @@ class AsyncioKernel:
         return self._push(max(time, self.now), callback)
 
     def schedule_call(self, time: Micros, callback: Callable[[], None]) -> None:
-        """:meth:`schedule_at` without a handle (no cheaper path here)."""
-        self.schedule_at(time, callback)
+        """Schedule a callback that will never be cancelled — no handle.
+
+        The bare callable goes straight onto the heap where a
+        :class:`LiveEvent` would sit; ordering and the past-time clamp are
+        :meth:`schedule_at`'s.
+        """
+        now = self.now
+        if time < now:
+            time = now
+        heapq.heappush(self._heap, (time, next(self._seq), callback))
+        if time < self._wakeup_time:
+            self._arm()
 
     def _push(self, time: Micros, callback: Callable[[], None]) -> LiveEvent:
-        event = LiveEvent(time=time, seq=next(self._seq), callback=callback)
-        heapq.heappush(self._heap, (event.time, event.seq, event))
-        self._arm()
+        event = LiveEvent(time, next(self._seq), callback)
+        heapq.heappush(self._heap, (time, event.seq, event))
+        if time < self._wakeup_time:
+            self._arm()
         return event
 
     # ------------------------------------------------------------ internals
     def _arm(self) -> None:
-        """(Re)arm the single asyncio timer for the earliest queued event."""
-        if not self._heap:
+        """(Re)arm the single loop wakeup for the earliest queued event.
+
+        A head due within :data:`_POLL_WINDOW_US` is polled on the next
+        loop turn; a later one gets a ``call_at`` timer one window before
+        it is due, since the selector would round a sleep towards the head
+        itself up to the next whole millisecond.
+        """
+        heap = self._heap
+        if not heap:
             if self._wakeup is not None:
                 self._wakeup.cancel()
                 self._wakeup = None
-                self._wakeup_time = -1.0
+            self._wakeup_time = _INF
             return
-        head_time = self._heap[0][0]
+        head_time = heap[0][0]
+        if head_time >= self._wakeup_time:
+            return  # already armed early enough
         if self._wakeup is not None:
-            if self._wakeup_time <= head_time:
-                return  # already armed early enough
             self._wakeup.cancel()
-        self._wakeup_time = head_time
-        self._wakeup = self._loop.call_at(
-            self._origin + head_time / 1_000_000.0, self._run_due)
+        wake_at = head_time - _POLL_WINDOW_US
+        if wake_at <= self.now:
+            self._wakeup_time = -_INF
+            self._wakeup = self._loop.call_soon(self._run_due)
+        else:
+            self._wakeup_time = head_time
+            self._wakeup = self._loop.call_at(
+                self._origin + wake_at / 1_000_000.0, self._run_due)
 
     def _run_due(self) -> None:
         self._wakeup = None
-        self._wakeup_time = -1.0
         if self._stop_requested or self._error is not None:
             # The run is stopping (condition met, or a callback raised);
             # leave due events queued — the next run re-arms them — exactly
@@ -162,13 +212,21 @@ class AsyncioKernel:
             # stops.  On error this also stops further callbacks from
             # running against a now-inconsistent deployment before the
             # driver's next poll notices.
+            self._wakeup_time = _INF
             return
+        # Pushes during the drain need not arm: ``finally`` re-arms.
+        self._wakeup_time = -_INF
+        heap = self._heap
         try:
-            while self._heap and self._heap[0][0] <= self.now:
-                _, _, event = heapq.heappop(self._heap)
-                if event.cancelled:
-                    continue
-                event.callback()
+            while heap and heap[0][0] <= self.now:
+                event = heapq.heappop(heap)[2]
+                if event.__class__ is LiveEvent:
+                    if event.cancelled:
+                        continue
+                    event.callback()
+                else:
+                    # A bare schedule_call callback: never cancellable.
+                    event()
                 self._events_processed += 1
                 # Check the run's stop condition after every callback, like
                 # Simulator.run(stop_when=...) does after every event —
@@ -187,6 +245,7 @@ class AsyncioKernel:
             # backend must not quietly weaken that.
             self.fail(exc)
         finally:
+            self._wakeup_time = _INF
             self._arm()
 
     def fail(self, error: BaseException) -> None:
@@ -268,12 +327,13 @@ class AsyncioKernel:
         capped or failed run would execute against the stopped deployment.
         """
         for _, _, event in self._heap:
-            event.cancel()
+            if event.__class__ is LiveEvent:
+                event.cancel()
         self._heap.clear()
         if self._wakeup is not None:
             self._wakeup.cancel()
             self._wakeup = None
-            self._wakeup_time = -1.0
+        self._wakeup_time = _INF
 
     def close(self) -> None:
         """Cancel everything still queued; close the loop only if we own it.

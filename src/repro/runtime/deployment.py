@@ -273,7 +273,9 @@ class Deployment(RunLoop):
     registry, key store).  A sharded deployment instead passes shared
     substrates plus a ``name_prefix`` so several independent replica groups
     coexist on one timeline, and sets ``build_clients=False`` because its
-    cross-shard clients are wired up separately.
+    cross-shard clients are wired up separately.  ``client_workloads=False``
+    builds clients without a YCSB generator: open-loop lanes, which the
+    arrival engine drives through ``submit()`` alone.
 
     ``backend`` selects the kernel/transport pair (``sim`` / ``live`` /
     ``live-tcp``, or a :class:`~repro.backends.Backend` instance); the build
@@ -288,6 +290,7 @@ class Deployment(RunLoop):
                  keystore: Optional[KeyStore] = None,
                  name_prefix: str = "",
                  build_clients: bool = True,
+                 client_workloads: bool = True,
                  fault_schedule: Optional[FaultSchedule] = None,
                  backend: Union[str, Backend, None] = None,
                  observe: Optional[ObservabilityConfig] = None,
@@ -366,8 +369,9 @@ class Deployment(RunLoop):
         self.clients: list[Client] = []
         reply_policy = self.spec.reply_policy(self.n, self.f)
         for index, name in enumerate(self.client_names):
-            workload = YcsbWorkload(config.workload,
-                                    self.rng.stream(f"workload/{name}"))
+            workload = (YcsbWorkload(config.workload,
+                                     self.rng.stream(f"workload/{name}"))
+                        if client_workloads else None)
             client = Client(
                 name=name, sim=self.sim, network=self.network,
                 keystore=self.keystore, workload=workload,

@@ -216,7 +216,10 @@ class DeploymentSpec:
 
             return ShardedDeployment(self)
         self.validate()
+        # Open-loop lanes are driven only through submit(): they get no
+        # YCSB generator (nor its seeded random stream) of their own.
         return Deployment(self.config, fault_schedule=self.fault_schedule,
+                          client_workloads=self.open_loop is None,
                           backend=resolve_backend(self.backend),
                           observe=self.observe,
                           trusted_usage=self.trusted_usage)

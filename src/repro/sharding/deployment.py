@@ -90,8 +90,9 @@ class ShardedDeployment(RunLoop):
         self.clients: list[ShardedClient] = []
         for index in range(num_clients):
             name = f"client-{index}"
-            workload = YcsbWorkload(config.workload,
-                                    self.rng.stream(f"workload/{name}"))
+            workload = (YcsbWorkload(config.workload,
+                                     self.rng.stream(f"workload/{name}"))
+                        if spec.open_loop is None else None)
             self.clients.append(ShardedClient(
                 name=name, sim=self.sim, keystore=self.keystore,
                 workload=workload, workload_config=config.workload,

@@ -20,7 +20,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..common.config import WorkloadConfig
-from ..common.errors import SimulationError
+from ..common.errors import ConfigurationError, SimulationError
 from ..common.types import Micros, RequestId
 from ..crypto.keystore import KeyStore
 from ..kernel import Kernel
@@ -53,7 +53,8 @@ class ShardedClient:
     """
 
     def __init__(self, name: str, sim: Kernel, keystore: KeyStore,
-                 workload: YcsbWorkload, workload_config: WorkloadConfig,
+                 workload: Optional[YcsbWorkload],
+                 workload_config: WorkloadConfig,
                  router: "ShardRouter", groups: Sequence["Deployment"],
                  global_sink: Optional[CompletionSink] = None) -> None:
         self.name = name
@@ -93,6 +94,10 @@ class ShardedClient:
     # ------------------------------------------------------------ lifecycle
     def start(self, initial_delay_us: Micros = 0.0) -> None:
         """Begin the closed loop after ``initial_delay_us``."""
+        if self.workload is None:
+            raise ConfigurationError(
+                f"client {self.name!r} has no workload: it is driven by an "
+                "external coordinator via submit(), not start()")
         self.sim.schedule(initial_delay_us, self._issue_next)
 
     def stop(self) -> None:

@@ -88,8 +88,14 @@ def test_live_recovery_scenario_restarts_a_real_replica(protocol):
     The schedule crashes the highest non-primary replica at a wall-clock
     instant and restarts it later; the restarted incarnation replays its
     durable store and state-transfers the missing suffix from its peers over
-    the live transport, all while the clients keep offering load.
+    the live transport, all while the clients keep offering load.  No
+    checkpoint is taken during the run: a stable checkpoint newer than the
+    crash would carry the gap as a snapshot, leaving only a suffix that the
+    rejoining replica may already commit from live traffic, so how much
+    the log fill moves would depend on how fast the host runs the loop.
     """
+    from dataclasses import replace
+
     from repro.common.config import RecoveryConfig
     from repro.protocols.registry import get_protocol
     from repro.recovery import FaultSchedule, crash_at, restart_at
@@ -98,8 +104,11 @@ def test_live_recovery_scenario_restarts_a_real_replica(protocol):
         name="live-recovery", f=1, num_clients=8, batch_size=4,
         warmup_batches=1, measured_batches=5, worker_threads=4,
         max_sim_seconds=30.0)
-    config = build_config(protocol, scale).with_updates(
-        recovery=RecoveryConfig(fsync_latency_us=20.0, replay_latency_us=5.0))
+    config = build_config(protocol, scale)
+    config = config.with_updates(
+        recovery=RecoveryConfig(fsync_latency_us=20.0, replay_latency_us=5.0),
+        protocol_config=replace(config.protocol_config,
+                                checkpoint_interval=10_000))
     crashed = get_protocol(protocol).replicas(scale.f) - 1
     schedule = FaultSchedule((crash_at(crashed, 200_000.0),
                               restart_at(crashed, 350_000.0)))

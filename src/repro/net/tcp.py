@@ -206,8 +206,6 @@ class TcpTransport(Network):
         self._port: Optional[int] = None
         self._tasks: List[asyncio.Task] = []
         self._link: Optional[_Link] = None
-        #: every destination an envelope was queued for (diagnostics).
-        self._destinations: Set[str] = set()
         self._connections: Set[_Connection] = set()
         self._accepted_peers: List[str] = []
         self._closed = False
@@ -223,7 +221,6 @@ class TcpTransport(Network):
         if link is None:
             link = self._open_link()
         link.pending.append((envelope, context))
-        self._destinations.add(envelope.destination)
         if not link.armed and link.transport is not None:
             link.armed = True
             self._kernel.loop.call_soon(self._flush)
@@ -360,10 +357,10 @@ class TcpTransport(Network):
     def connection_states(self) -> dict:
         """Per-destination socket state, with addresses, for diagnostics.
 
-        Every destination shares the one stream, so each shows its state
-        and peer: ``connecting`` while it has not connected — exactly the
-        signature of a run wedged on a dead server — and, per destination,
-        the envelopes backed up for it.
+        Every registered node is reached over the one stream, so each shows
+        the stream's state and peer — ``connecting`` while it has not
+        connected, exactly the signature of a run wedged on a dead server —
+        and the envelopes backed up for it.
         """
         destinations = {}
         link = self._link
@@ -378,7 +375,7 @@ class TcpTransport(Network):
                 }
             queued = Counter(envelope.destination
                              for envelope, _ in link.pending)
-            for destination in sorted(self._destinations):
+            for destination in sorted(self._nodes):
                 destinations[destination] = {**stream,
                                              "queued": queued[destination]}
         return {

@@ -96,15 +96,17 @@ def test_connection_states_keep_a_queued_count_per_destination(loop):
     transport = TcpTransport(kernel, build_topology(list(NODES), [],
                                                     ("san-jose",), 120.0),
                              RngRegistry(1))
+    for name in NODES:
+        transport.register(_Node(name))
     assert transport.connection_states()["destinations"] == {}
     link = transport._link = _Link(transport)
     for destination in ("replica-1", "client-0", "replica-1"):
-        transport._destinations.add(destination)
         link.pending.append((Envelope("replica-0", destination, "x", 0.0,
                                       1.0), None))
     states = transport.connection_states()
     assert states["destinations"] == {
         "client-0": {"state": "connecting", "peer": None, "queued": 1},
+        "replica-0": {"state": "connecting", "peer": None, "queued": 0},
         "replica-1": {"state": "connecting", "peer": None, "queued": 2},
     }
     assert transport.queued_messages == 3
@@ -129,7 +131,7 @@ def test_an_eight_client_run_uses_one_connection():
         assert len(links) == 1 and len(readers) == 1
         states = transport.connection_states()
         assert len(states["accepted_peers"]) == 1
-        # Four replicas and eight clients were all sent to, over the same
+        # Four replicas and eight clients, all reached over the same
         # stream: every destination shows the one peer address.
         destinations = states["destinations"]
         assert len(destinations) == 4 + 8

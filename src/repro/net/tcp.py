@@ -227,9 +227,9 @@ class TcpTransport(Network):
 
     def _flush(self) -> None:
         """Encode everything waiting on the stream; one socket write."""
-        link = self._link
-        if self._closed or link is None:
+        if self._closed:
             return
+        link = self._link
         link.armed = False
         if not link.pending:
             return
@@ -301,10 +301,11 @@ class TcpTransport(Network):
         """Stop sending and accepting; frames not yet written are dropped.
 
         Returns one finaliser task, for the deployment to await before it
-        closes the loop: it waits out the cancelled connect task, aborts every socket and waits for each one's
-        ``connection_lost``, then for ``server.wait_closed()``.  Without
-        those waits, repeated deployments in one process leak sockets and
-        emit ``ResourceWarning`` when the transports are collected.
+        closes the loop: it waits out the cancelled connect task, aborts
+        every socket and waits for each one's ``connection_lost``, then for
+        ``server.wait_closed()``.  Without those waits, repeated
+        deployments in one process leak sockets and emit
+        ``ResourceWarning`` when the transports are collected.
         """
         super().close()
         self._closed = True

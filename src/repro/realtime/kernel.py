@@ -159,9 +159,7 @@ class AsyncioKernel:
         :class:`LiveEvent` would sit; ordering and the past-time clamp are
         :meth:`schedule_at`'s.
         """
-        now = self.now
-        if time < now:
-            time = now
+        time = max(time, self.now)
         heapq.heappush(self._heap, (time, next(self._seq), callback))
         if time < self._wakeup_time:
             self._arm()

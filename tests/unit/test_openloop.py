@@ -368,6 +368,22 @@ class TestDeploymentIntegration:
         row = result.as_row()
         assert row["shards"] == 2
 
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_lanes_build_no_workload_generator(self, sharded):
+        # Lanes are driven through submit() alone: no YCSB generator, no
+        # seeded stream per lane, and start() refuses to run a closed loop.
+        spec = self.build_spec(max_in_flight=8, sharded=sharded)
+        with spec.build() as deployment:
+            assert all(lane.workload is None for lane in deployment.clients)
+            assert not any(name.startswith("workload/")
+                           for name in deployment.rng._streams)
+            with pytest.raises(ConfigurationError):
+                deployment.clients[0].start()
+        closed = replace(spec, open_loop=None)
+        with closed.build() as deployment:
+            assert all(client.workload is not None
+                       for client in deployment.clients)
+
     def test_lane_count_mismatch_is_rejected(self):
         spec = self.build_spec(max_in_flight=8)
         with spec.build() as deployment:

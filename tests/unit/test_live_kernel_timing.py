@@ -1,4 +1,5 @@
-"""The live kernel wakes on time for short waits and sleeps for long ones.
+"""The live kernel wakes on time for short waits, sleeps for long ones,
+and returns from a run as soon as its stop is requested.
 
 asyncio's ``EpollSelector`` rounds every timeout up to a whole millisecond,
 so an idle loop that arms a timer for an event 200 µs away sleeps at least
@@ -7,11 +8,14 @@ taken while the loop is idle would cost a millisecond or more.
 :class:`AsyncioKernel` polls a head event that is due within a millisecond
 instead of sleeping towards it; these tests hold it to both halves of that:
 a chain of short waits finishes close to its modelled length, and a long
-wait is still slept, not spun.
+wait is still slept, not spun.  A run's end is pushed, not polled: a
+callback that requests the stop ends ``run_until`` within the same loop
+turn, not at the next tick of a polling coroutine.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -21,6 +25,9 @@ from repro.realtime.kernel import AsyncioKernel
 #: hops in the chain and the wait before each one.
 _HOPS = 20
 _HOP_US = 200.0
+#: runs whose stop latency is measured, and when each requests its stop.
+_STOP_RUNS = 20
+_STOP_AFTER_US = 500.0
 
 
 @pytest.fixture
@@ -79,3 +86,26 @@ def test_a_long_wait_is_slept_not_spun(kernel):
     cpu_s = time.process_time() - cpu0
     assert fired and fired[0] >= 60_000.0
     assert cpu_s < 0.03, f"waiting 60 ms used {cpu_s * 1000:.1f} ms of CPU"
+
+
+def test_a_requested_stop_ends_the_run_at_once(kernel):
+    # On an idle kernel, one callback 500 µs in requests the stop; the
+    # run must return well within a millisecond of that call (a driver
+    # that polls every 2 ms returns 2 ms late on average).
+    lags = []
+    for _ in range(_STOP_RUNS):
+        requested = []
+
+        def stop() -> None:
+            requested.append(time.perf_counter())
+            kernel.request_stop()
+
+        kernel.schedule(_STOP_AFTER_US, stop)
+        kernel.run_until(max_wall_seconds=5.0)
+        returned = time.perf_counter()
+        assert requested, "the stop callback never ran"
+        lags.append(returned - requested[0])
+    median_ms = statistics.median(lags) * 1000.0
+    assert median_ms < 1.0, (
+        f"run_until returned {median_ms:.2f} ms after request_stop "
+        f"(median of {_STOP_RUNS})")

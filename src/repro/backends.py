@@ -18,7 +18,7 @@ name       kernel                      transport
 ========== =========================== ======================================
 
 The backend also owns the *driving* of a run (the simulator drains a heap,
-the live kernels poll a real event loop against a wall-clock cap) and the
+the live kernels drive a real event loop under a wall-clock cap) and the
 teardown of whatever the transport allocated, so experiment code never
 branches on the backend kind.
 

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..common.config import CryptoCostModel, ProtocolConfig
 from ..common.types import FaultKind, Micros, ReplicaId, RequestId, SeqNum, ViewNum
 from ..crypto.keystore import KeyStore
-from ..crypto.signatures import Signature, SigningKey
+from ..crypto.signatures import SigningKey
 from ..execution.ledger import ExecutedBatch, Ledger
 from ..execution.safety import SafetyMonitor
 from ..execution.state_machine import OperationResult, StateMachine
@@ -72,10 +72,54 @@ from .messages import (
 if TYPE_CHECKING:
     from .family import TrustedUsage
 
-#: messages a recovering replica must not emit: it re-executes history during
-#: state transfer and may not influence live consensus until it has rejoined.
-_CONSENSUS_OUTBOUND = (PrePrepare, Prepare, Commit, Checkpoint, ViewChange,
-                       NewView, CommitAck)
+@dataclass(frozen=True, slots=True)
+class Admission:
+    """How a replica admits one message class: a row of :data:`ADMISSION`."""
+
+    #: the method that handles it (None: charged, then dropped).
+    handler: Optional[str]
+    #: ``(costs, message) ->`` the CPU a worker spends verifying it before
+    #: the handler runs, beyond every message's overhead and channel MAC.
+    verify_us: Callable[[CryptoCostModel, object], Micros]
+    #: a consensus phase: it also pays for its attestation, the low
+    #: watermark drops it, and a seq far ahead starts a state transfer.
+    phase: bool = False
+    #: a recovering replica re-executing history may not sway consensus.
+    sent_while_recovering: bool = True
+
+
+def _one_signature(c: CryptoCostModel, message) -> Micros:
+    return c.ds_verify_us
+
+
+_PHASE = {"phase": True, "sent_while_recovering": False}
+_HELD = {"sent_while_recovering": False}
+
+#: every message class a replica admits, by exact class (none has a
+#: subclass).  A class missing here pays the overhead and MAC and reaches no
+#: handler: no correct peer sends one to a replica.
+ADMISSION: dict[type, Admission] = {
+    ClientRequest: Admission("on_client_request", _one_signature),
+    ResendRequest: Admission("on_resend_request", _one_signature),
+    PrePrepare: Admission("on_preprepare", lambda c, m: (
+        c.ds_verify_us + c.hash_us * max(1, len(m.batch))), **_PHASE),
+    Prepare: Admission("on_prepare", _one_signature, **_PHASE),
+    Commit: Admission("on_commit", _one_signature, **_PHASE),
+    Checkpoint: Admission("on_checkpoint", _one_signature, **_HELD),
+    ViewChange: Admission("on_view_change", lambda c, m: (
+        c.ds_verify_us * (1 + len(m.prepared))), **_HELD),
+    NewView: Admission("on_new_view", lambda c, m: (
+        c.ds_verify_us * (1 + len(m.proposals))), **_HELD),
+    CommitCertificate: Admission("on_commit_certificate", lambda c, m: (
+        c.ds_verify_us * max(1, len(m.responders)))),
+    # A replica sends CommitAcks to clients and is never sent one.
+    CommitAck: Admission(None, _one_signature, **_HELD),
+    CheckpointRequest: Admission("on_checkpoint_request", _one_signature),
+    CheckpointReply: Admission("on_checkpoint_reply", lambda c, m: (
+        c.ds_verify_us * (1 + len(m.certificate)) + c.hash_us * 4)),
+    LogFill: Admission("on_log_fill", lambda c, m: (
+        c.ds_verify_us + c.hash_us * max(1, len(m.entries)))),
+}
 
 #: execution-result digests memoised by value across all replicas (every
 #: replica of a correct deployment computes the same digest for the same
@@ -401,7 +445,7 @@ class BaseReplica:
                 # handler records or sends parents to it.
                 handler_context = tracer.record_span(
                     "msg.verified", node=self.name,
-                    detail=type(payload).__name__,
+                    detail=type(payload),
                     seq=getattr(payload, "seq", -1), dur_us=cost,
                     parent=context)
             tracer.current = handler_context
@@ -459,90 +503,45 @@ class BaseReplica:
 
     # -------------------------------------------------------------- dispatch
     def dispatch(self, payload: object, source: str) -> None:
-        """Route a message to its handler; a type no handler takes is dropped."""
-        if (isinstance(payload, (PrePrepare, Prepare, Commit))
-                and payload.seq <= self.ledger.stable_checkpoint
-                and payload.seq <= self.ledger.last_executed):
-            # Low watermark: the sequence number is covered by a stable
-            # checkpoint and executed here, so a delayed phase message can
-            # only resurrect consensus state the garbage collector pruned.
-            # (Messages for unexecuted seqs still pass: they may be the
-            # fastest way for a slightly lagging replica to catch up.)
-            return
-        if (not self.recovering
-                and isinstance(payload, (PrePrepare, Prepare, Commit))
-                and self._lagging_behind(payload.seq)
-                and self.sim.now >= self._lag_recovery_after):
-            # The consensus frontier ran away from us (e.g. we sat behind a
-            # healed partition): fetch a checkpoint and the missing suffix
-            # from peers instead of replaying every phase message.  The
-            # claimed seq is unauthenticated at this point, so triggers are
-            # rate-limited: a forged high-seq message costs the replica at
-            # most one short (immediately caught-up) transfer round per
-            # timeout window, not a standing stall.
-            self._lag_recovery_after = self.sim.now + self.config.request_timeout_us
-            self.begin_recovery()
-        if isinstance(payload, ClientRequest):
-            self.on_client_request(payload, source)
-        elif isinstance(payload, ResendRequest):
-            self.on_resend_request(payload, source)
-        elif isinstance(payload, PrePrepare):
-            self.on_preprepare(payload, source)
-        elif isinstance(payload, Prepare):
-            self.on_prepare(payload, source)
-        elif isinstance(payload, Commit):
-            self.on_commit(payload, source)
-        elif isinstance(payload, Checkpoint):
-            self.on_checkpoint(payload, source)
-        elif isinstance(payload, ViewChange):
-            self.on_view_change(payload, source)
-        elif isinstance(payload, NewView):
-            self.on_new_view(payload, source)
-        elif isinstance(payload, CommitCertificate):
-            self.on_commit_certificate(payload, source)
-        elif isinstance(payload, CheckpointRequest):
-            self.on_checkpoint_request(payload, source)
-        elif isinstance(payload, CheckpointReply):
-            self.on_checkpoint_reply(payload, source)
-        elif isinstance(payload, LogFill):
-            self.on_log_fill(payload, source)
-        # Anything else (a CommitAck, say) is nothing a replica is ever sent
-        # by a correct peer: a byzantine sender's, and dropped like one.
+        """Route a message to the handler :data:`ADMISSION` names for it."""
+        admission = ADMISSION.get(payload.__class__)
+        if admission is None or admission.handler is None:
+            return  # a byzantine sender's (a Response, say): dropped
+        if admission.phase:
+            if self.below_low_watermark(payload.seq):
+                return
+            lag_limit = (self.ledger.last_executed
+                         + LAG_THRESHOLD_INTERVALS * self.config.checkpoint_interval)
+            if (not self.recovering and payload.seq > lag_limit
+                    and self.sim.now >= self._lag_recovery_after):
+                # The consensus frontier ran away from us (e.g. we sat behind
+                # a healed partition): fetch a checkpoint and the missing
+                # suffix from peers instead of replaying every phase message.
+                # The claimed seq is unauthenticated at this point, so
+                # triggers are rate-limited: a forged high-seq message costs
+                # at most one short transfer round per timeout window.
+                self._lag_recovery_after = (self.sim.now
+                                            + self.config.request_timeout_us)
+                self.begin_recovery()
+        getattr(self, admission.handler)(payload, source)
+
+    def below_low_watermark(self, seq: SeqNum) -> bool:
+        """``seq`` is covered by a stable checkpoint and executed here, so a
+        delayed phase message for it can only resurrect pruned state.  (An
+        unexecuted seq passes: it may be how a lagging replica catches up.)"""
+        ledger = self.ledger
+        return seq <= ledger.stable_checkpoint and seq <= ledger.last_executed
 
     # ------------------------------------------------------- cost accounting
     def inbound_verification_cost(self, payload: object) -> Micros:
         """CPU time to verify an inbound message before handling it."""
         c = self.costs
         cost = c.message_overhead_us + c.mac_verify_us
-        if isinstance(payload, ClientRequest):
-            cost += c.ds_verify_us
-        elif isinstance(payload, ResendRequest):
-            cost += c.ds_verify_us
-        elif isinstance(payload, PrePrepare):
-            cost += c.ds_verify_us + c.hash_us * max(1, len(payload.batch))
-            if payload.attestation is not None:
+        admission = ADMISSION.get(payload.__class__)
+        if admission is not None:
+            cost += admission.verify_us(c, payload)
+            if admission.phase and payload.attestation is not None:
                 cost += c.attestation_verify_us
-        elif isinstance(payload, (Prepare, Commit)):
-            cost += c.ds_verify_us
-            if payload.attestation is not None:
-                cost += c.attestation_verify_us
-        elif isinstance(payload, Checkpoint):
-            cost += c.ds_verify_us
-        elif isinstance(payload, ViewChange):
-            cost += c.ds_verify_us * (1 + len(payload.prepared))
-        elif isinstance(payload, NewView):
-            cost += c.ds_verify_us * (1 + len(payload.proposals))
-        elif isinstance(payload, CommitCertificate):
-            cost += c.ds_verify_us * max(1, len(payload.responders))
-        elif isinstance(payload, CommitAck):
-            cost += c.ds_verify_us
-        elif isinstance(payload, CheckpointRequest):
-            cost += c.ds_verify_us
-        elif isinstance(payload, CheckpointReply):
-            cost += (c.ds_verify_us * (1 + len(payload.certificate))
-                     + c.hash_us * 4)
-        elif isinstance(payload, LogFill):
-            cost += c.ds_verify_us + c.hash_us * max(1, len(payload.entries))
         return cost
 
     def charge(self, amount: Micros) -> None:
@@ -579,8 +578,10 @@ class BaseReplica:
                output: HandlerOutput) -> None:
         if self.outbound_filter is not None and not self.outbound_filter(destination, message):
             return
-        if self.recovering and isinstance(message, _CONSENSUS_OUTBOUND):
-            return
+        if self.recovering:
+            admission = ADMISSION.get(message.__class__)
+            if admission is not None and not admission.sent_while_recovering:
+                return
         if sign and id(message) not in output.signed_objects:
             output.signed_objects.add(id(message))
             output.cpu_us += self.costs.ds_sign_us
@@ -862,10 +863,11 @@ class BaseReplica:
             self.latest_reply[client] = response
         tracer = self._tracer
         if tracer is not None:
-            # Keyed by the request-id string: the same key the client's
-            # req.submit/req.complete events carry, closing the lifecycle.
+            # Keyed by the request id (formatted when the ring is read):
+            # the same key the client's req.submit/req.complete events
+            # carry, closing the lifecycle.
             tracer.record("req.reply", node=self.name, seq=seq, view=view,
-                          detail=str(request_id))
+                          detail=request_id)
         return response
 
     def _send_replies(self, responses: list[tuple[str, Response]],
@@ -984,10 +986,6 @@ class BaseReplica:
         return self.f + 1
 
     # -------------------------------------------------------------- recovery
-    def _lagging_behind(self, seq: SeqNum) -> bool:
-        return seq > (self.ledger.last_executed
-                      + LAG_THRESHOLD_INTERVALS * self.config.checkpoint_interval)
-
     def begin_recovery(self) -> None:
         """Replay the local durable store, then fetch the rest from peers.
 

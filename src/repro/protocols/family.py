@@ -556,11 +556,9 @@ class GraftedPbftReplica(PbftReplica):
 
     def dispatch(self, payload, source) -> None:
         # Verifying the attestation is the handler's CPU, not part of the
-        # inbound verification job queued ahead of it; a message the low
-        # watermark drops (the same test as BaseReplica.dispatch) reaches
-        # no handler and verifies nothing.
-        if (isinstance(payload, self._attested_kinds)
-                and not (payload.seq <= self.ledger.stable_checkpoint
-                         and payload.seq <= self.ledger.last_executed)):
+        # inbound verification job queued ahead of it; a message below the
+        # low watermark reaches no handler and verifies nothing.
+        if (payload.__class__ in self._attested_kinds
+                and not self.below_low_watermark(payload.seq)):
             self.charge(self.costs.attestation_verify_us)
         super().dispatch(payload, source)

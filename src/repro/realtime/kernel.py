@@ -32,6 +32,10 @@ of the drain, so each loop turn checks sockets without blocking and then
 looks at the clock again — and a later head arms ``loop.call_at`` for one
 window before it is due.  Only that last millisecond of a wait is spun; the
 rest is slept.
+
+Nor does the kernel poll for a run's end: :meth:`~AsyncioKernel.run_until`
+awaits one future, resolved where the end is decided (a stop, an error, the
+wall-clock cap), so a run returns within the loop turn that ended it.
 """
 
 from __future__ import annotations
@@ -39,15 +43,12 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
+import time
 from typing import Callable, List, Optional, Tuple
 
 from ..common.errors import SimulationError
 from ..common.types import Micros
 from ..kernel import collection_deferred
-
-#: seconds per poll while waiting for a stop condition; coarse enough to stay
-#: out of the protocol's way, fine enough that a run ends promptly.
-_POLL_SECONDS = 0.002
 
 #: a head event due within this many microseconds is polled on the next loop
 #: turn instead of slept towards: the selector cannot sleep for less than a
@@ -85,7 +86,11 @@ class AsyncioKernel:
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
         self._owns_loop = loop is None
         self._loop = loop if loop is not None else asyncio.new_event_loop()
-        self._origin = self._loop.time()
+        #: the loop's clock; a stock loop's is ``time.monotonic``, called direct.
+        self._clock = (time.monotonic
+                       if type(self._loop).time is asyncio.BaseEventLoop.time
+                       else self._loop.time)
+        self._origin = self._clock()
         #: ``(time, seq, entry)``: the entry is a :class:`LiveEvent`, or
         #: the bare callable :meth:`schedule_call` queued.
         self._heap: List[Tuple[Micros, int, object]] = []
@@ -104,6 +109,8 @@ class AsyncioKernel:
         self._stop_requested = False
         #: set by :meth:`request_stop`; read where ``_stop_when`` is asked.
         self._stop_pending = False
+        #: resolved when the run in progress is to end; None between runs.
+        self._end: Optional[asyncio.Future] = None
         self._tracer = None
 
     def set_tracer(self, tracer) -> None:
@@ -124,7 +131,7 @@ class AsyncioKernel:
     @property
     def now(self) -> Micros:
         """Wall-clock microseconds since the kernel was created."""
-        return (self._loop.time() - self._origin) * 1_000_000.0
+        return (self._clock() - self._origin) * 1_000_000.0
 
     @property
     def events_processed(self) -> int:
@@ -204,19 +211,19 @@ class AsyncioKernel:
     def _run_due(self) -> None:
         self._wakeup = None
         if self._stop_requested or self._error is not None:
-            # The run is stopping (condition met, or a callback raised);
-            # leave due events queued — the next run re-arms them — exactly
-            # like events left in the simulator heap when Simulator.run()
-            # stops.  On error this also stops further callbacks from
-            # running against a now-inconsistent deployment before the
-            # driver's next poll notices.
+            # The run is stopping (a stop, or a callback raised): due events
+            # stay queued for the next run, as in the simulator's heap, and
+            # none runs against a deployment an error left inconsistent.
             self._wakeup_time = _INF
             return
         # Pushes during the drain need not arm: ``finally`` re-arms.
         self._wakeup_time = -_INF
         heap = self._heap
+        # The clock is read again only when the head is not due by the last
+        # reading: one read per pass, not one per event.
+        now = self.now
         try:
-            while heap and heap[0][0] <= self.now:
+            while heap and (heap[0][0] <= now or heap[0][0] <= (now := self.now)):
                 event = heapq.heappop(heap)[2]
                 if event.__class__ is LiveEvent:
                     if event.cancelled:
@@ -226,30 +233,32 @@ class AsyncioKernel:
                     # A bare schedule_call callback: never cancellable.
                     event()
                 self._events_processed += 1
-                # Check the run's stop condition after every callback, like
-                # Simulator.run(stop_when=...) does after every event —
-                # otherwise a whole batch of due events (e.g. an extra round
-                # of client requests) runs past the requested target before
-                # the driving coroutine's next poll notices.
+                # The stop is checked after every callback, as
+                # Simulator.run(stop_when=...) checks after every event.
                 if self._stop_pending or (self._stop_when is not None
                                           and self._stop_when()):
                     self._stop_requested = True
+                    self._end_run()
                     break
         except BaseException as exc:  # noqa: BLE001 — re-raised by run_until
-            # A callback raised on the event loop, where the exception would
-            # otherwise vanish into asyncio's default handler.  Record it so
-            # the driving run_until fails loudly — the simulator propagates
-            # callback exceptions out of Simulator.run(), and the live
-            # backend must not quietly weaken that.
+            # Not lost in asyncio's default handler: run_until re-raises it,
+            # as Simulator.run() propagates a callback's exception.
             self.fail(exc)
         finally:
             self._wakeup_time = _INF
             self._arm()
 
+    def _end_run(self) -> None:
+        """Resolve the future the run in progress awaits (idempotent)."""
+        end = self._end
+        if end is not None and not end.done():
+            end.set_result(None)
+
     def fail(self, error: BaseException) -> None:
-        """Record a fatal error; the next :meth:`run_until` poll re-raises it."""
+        """Record a fatal error; it ends the run, which re-raises it."""
         if self._error is None:
             self._error = error
+            self._end_run()
             tracer = self._tracer
             if tracer is not None:
                 tracer.record("kernel.error", node="live",
@@ -258,13 +267,11 @@ class AsyncioKernel:
     # -------------------------------------------------------------- driving
     def run_until(self, stop_when: Optional[Callable[[], bool]] = None,
                   max_wall_seconds: float = 30.0) -> Micros:
-        """Drive the loop until ``stop_when`` holds (or the cap).
+        """Drive the loop until ``stop_when`` holds (or the cap); return ``now``.
 
-        The live analogue of ``Simulator.run(stop_when=...)``: the condition
-        is checked after every callback and on every poll, and
-        :meth:`request_stop` ends the run at the same points.  Returns the
-        kernel time at which the loop stopped.  The cyclic collector's
-        old-generation passes are deferred while the loop is driven
+        The live ``Simulator.run(stop_when=...)``: the condition, like
+        :meth:`request_stop`, is checked at the start and after every
+        callback.  Old-generation collections wait for the end
         (:func:`~repro.kernel.collection_deferred`).
         """
         if self._running:
@@ -275,20 +282,19 @@ class AsyncioKernel:
         tracer = self._tracer
         if tracer is not None:
             tracer.record("kernel.run", node="live")
+        loop = self._loop
+        self._end = loop.create_future()
+        cap = loop.call_at(loop.time() + max_wall_seconds, self._end_run)
+        if (self._error is not None or self._stop_pending
+                or (stop_when is not None and stop_when())):
+            self._end_run()  # a due head still runs, as a drain's would
         self._arm()  # re-arm events a previous run's stop left queued
-
-        async def _drive() -> None:
-            deadline = self._loop.time() + max_wall_seconds
-            while (self._error is None and not self._stop_requested
-                   and not self._stop_pending
-                   and (stop_when is None or not stop_when())
-                   and self._loop.time() < deadline):
-                await asyncio.sleep(_POLL_SECONDS)
-
         try:
             with collection_deferred():
-                self._loop.run_until_complete(_drive())
+                loop.run_until_complete(self._end)
         finally:
+            cap.cancel()
+            self._end = None
             self._running = False
             self._stop_when = None
             self._stop_pending = False
@@ -301,10 +307,10 @@ class AsyncioKernel:
         return self.now
 
     def request_stop(self) -> None:
-        """End the run after the callback in progress (the pushed form of
-        ``stop_when``; between runs, it ends the next one where a condition
-        that already holds would)."""
+        """End the run after the callback in progress (between runs: the next
+        run, where a ``stop_when`` that already holds would)."""
         self._stop_pending = True
+        self._end_run()
 
     def run_until_idle(self, max_wall_seconds: float = 30.0) -> Micros:
         """Drive the loop until no live events remain (or the cap)."""
@@ -312,10 +318,12 @@ class AsyncioKernel:
                               max_wall_seconds=max_wall_seconds)
 
     def run_for(self, duration_us: Micros) -> Micros:
-        """Drive the loop for a fixed wall-clock duration."""
-        target = self.now + duration_us
-        return self.run_until(lambda: self.now >= target,
-                              max_wall_seconds=duration_us / 1_000_000.0 + 1.0)
+        """Drive the loop for a fixed wall-clock duration; an event ends it."""
+        end = self.schedule(duration_us, self.request_stop)
+        try:
+            return self.run_until(max_wall_seconds=duration_us / 1e6 + 1.0)
+        finally:
+            end.cancel()
 
     def cancel_pending(self) -> None:
         """Cancel every queued event and disarm the wakeup timer.

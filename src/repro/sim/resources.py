@@ -47,20 +47,15 @@ class ResourceStats:
         return self.total_queue_wait_us / self.jobs_completed
 
 
-@dataclass(slots=True)
-class _Job:
-    service_time: Micros
-    on_complete: Optional[Callable[[], None]]
-    enqueued_at: Micros
-
-
 class WorkerPool:
     """FIFO pool of identical worker threads.
 
     ``submit`` enqueues a job; when a worker becomes free the job occupies it
     for ``service_time`` microseconds and then ``on_complete`` runs.  The pool
     is the model of a replica's CPU: message verification and handler compute
-    time are charged here.
+    time are charged here.  A queued job is the tuple ``(service_time,
+    on_complete, enqueued_at)``; a started one, in its completion batch,
+    ``(service_time, on_complete)``.
     """
 
     __slots__ = ("_sim", "_workers", "_busy", "_queue", "_stats", "name",
@@ -72,13 +67,13 @@ class WorkerPool:
         self._sim = sim
         self._workers = workers
         self._busy = 0
-        self._queue: deque[_Job] = deque()
+        self._queue: deque[tuple] = deque()
         self._stats = ResourceStats()
         self.name = name
         #: in-flight completion batches keyed by absolute finish time: every
         #: job finishing at the same instant shares one kernel event and one
         #: completion list, not one Event + partial each.
-        self._scheduled: dict[Micros, list[_Job]] = {}
+        self._scheduled: dict[Micros, list[tuple]] = {}
 
     @property
     def workers(self) -> int:
@@ -103,8 +98,8 @@ class WorkerPool:
     def submit(self, service_time: Micros,
                on_complete: Optional[Callable[[], None]] = None) -> None:
         """Enqueue a job taking ``service_time`` microseconds of one worker."""
-        job = _Job(max(0.0, service_time), on_complete, self._sim.now)
-        self._queue.append(job)
+        self._queue.append((max(0.0, service_time), on_complete,
+                            self._sim.now))
         self._dispatch()
 
     def close(self) -> None:
@@ -119,51 +114,42 @@ class WorkerPool:
     def _dispatch(self) -> None:
         if not self._queue or self._busy >= self._workers:
             return
-        # Batched completion scheduling: replicas charge the same constant
-        # verification/handler costs over and over, so many jobs finish at
-        # exactly the same instant (a burst of submits in one handler, or a
-        # drain of equal-cost queued jobs when a batch of workers frees up).
-        # Jobs finishing together share one kernel event and one completion
-        # list instead of one Event + partial each, which is where the
-        # events-plus-heap share of a deployment run goes.
+        # Replicas charge the same constant costs over and over, so many
+        # jobs finish at the same instant (a burst of submits in a handler,
+        # or equal-cost queued jobs when workers free up): they share one
+        # kernel event and one completion list.
         now = self._sim.now
         stats = self._stats
         scheduled = self._scheduled
-        while self._queue and self._busy < self._workers:
-            job = self._queue.popleft()
+        queue = self._queue
+        while queue and self._busy < self._workers:
+            service_time, on_complete, enqueued_at = queue.popleft()
             self._busy += 1
-            stats.total_queue_wait_us += now - job.enqueued_at
-            done_at = now + job.service_time
+            stats.total_queue_wait_us += now - enqueued_at
+            done_at = now + service_time
             batch = scheduled.get(done_at)
             if batch is not None:
-                batch.append(job)
+                batch.append((service_time, on_complete))
             else:
-                batch = [job]
+                batch = [(service_time, on_complete)]
                 scheduled[done_at] = batch
-                # partial, not a lambda: the deferred call stays a named
-                # method with its arguments bound — no closure cell, no extra
-                # frame per event, and the benchmark's tracer can attribute
-                # it to the method that runs (later merged jobs ride the
-                # same event through the shared batch list).  Nothing
-                # cancels a batch, so it takes the kernel's handle-free path.
+                # partial, not a lambda: a named method the tracers can
+                # attribute.  Nothing cancels a batch: no handle needed.
                 self._sim.schedule_call(done_at,
                                         partial(self._finish_batch, done_at, batch))
 
-    def _finish_batch(self, done_at: Micros, batch: list[_Job]) -> None:
-        # The whole batch finishes at this instant: drop it from the merge
-        # index and free every worker first (a completion callback may
-        # immediately submit follow-up work entitled to any of them — and a
-        # follow-up finishing at this same instant must open a fresh batch),
-        # then run the callbacks in submission order, the order the per-job
-        # events used to fire in.
+    def _finish_batch(self, done_at: Micros, batch: list[tuple]) -> None:
+        # Free every worker and unindex the batch first (a callback may
+        # submit follow-up work, which must open a fresh batch), then run
+        # the callbacks in submission order.
         del self._scheduled[done_at]
         stats = self._stats
         self._busy -= len(batch)
         stats.jobs_completed += len(batch)
-        for job in batch:
-            stats.busy_time_us += job.service_time
-            if job.on_complete is not None:
-                job.on_complete()
+        for service_time, on_complete in batch:
+            stats.busy_time_us += service_time
+            if on_complete is not None:
+                on_complete()
         self._dispatch()
 
 

@@ -115,6 +115,9 @@ class Kernel(Protocol):
         """End the current run after the callback in progress.
 
         Called between runs, it ends the next run after its first callback.
+        A run's ``stop_when`` is asked only after the kernel's own
+        callbacks, so on a live kernel whatever else decides the end (an
+        asyncio task or protocol callback) must call this instead.
         """
 
     def cancel_pending(self) -> None:

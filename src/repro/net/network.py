@@ -198,7 +198,7 @@ class Network:
                         tracer = self._tracer
                         if tracer is not None:
                             tracer.record("msg.drop", node=destination,
-                                          detail=type(payload))
+                                          detail=type(payload).__name__)
                         return
                     extra_delay += rule.extra_delay_us
 
@@ -214,13 +214,13 @@ class Network:
             tracer = self._tracer
             if tracer is not None:
                 tracer.record("msg.drop", node=destination,
-                              detail=type(payload))
+                              detail=type(payload).__name__)
             return
         tracer = self._tracer
         context = None
         if tracer is not None:
             context = tracer.record_span("msg.send", node=source,
-                                         detail=type(payload))
+                                         detail=type(payload).__name__)
         self._schedule_delivery(target, envelope, context)
 
     def _schedule_delivery(self, target: NetworkNode, envelope: Envelope,
@@ -255,10 +255,10 @@ class Network:
                 # message, linking every downstream event to this hop.
                 tracer.current = tracer.record_span(
                     "msg.recv", node=envelope.destination,
-                    detail=type(envelope.payload), parent=context)
+                    detail=type(envelope.payload).__name__, parent=context)
             else:
                 tracer.record("msg.recv", node=envelope.destination,
-                              detail=type(envelope.payload))
+                              detail=type(envelope.payload).__name__)
         try:
             node.receive(envelope)
         finally:

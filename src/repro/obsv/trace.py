@@ -125,8 +125,7 @@ class Tracer:
     on the read paths (:meth:`events`, iteration, export).  Recording is
     the traced hot path — one tuple pack, one deque append, one counter
     bump per event — which is what keeps the overhead gate in
-    ``benchmarks/test_obsv_overhead.py`` honest; a hop site may pass a
-    payload class or a request id as ``detail``, formatted on read.
+    ``benchmarks/test_obsv_overhead.py`` honest.
     """
 
     def __init__(self, kernel: "Kernel",
@@ -143,7 +142,7 @@ class Tracer:
         self._next_span_id = 0
 
     # ------------------------------------------------------------- recording
-    def record(self, kind: str, node: str = "", detail: object = "",
+    def record(self, kind: str, node: str = "", detail: str = "",
                seq: int = -1, view: int = -1, dur_us: float = 0.0) -> None:
         """Append one event stamped with the kernel's current time.
 
@@ -162,7 +161,7 @@ class Tracer:
         self.counts[kind] = self.counts.get(kind, 0) + 1
         self.total += 1
 
-    def record_span(self, kind: str, node: str = "", detail: object = "",
+    def record_span(self, kind: str, node: str = "", detail: str = "",
                     seq: int = -1, view: int = -1, dur_us: float = 0.0,
                     parent: Optional[TraceContext] = None,
                     trace_id: Optional[str] = None) -> TraceContext:
@@ -205,18 +204,18 @@ class Tracer:
     def events(self, kind: Optional[str] = None,
                node: Optional[str] = None) -> list[TraceEvent]:
         """Retained events, optionally filtered by kind and/or node."""
-        return [_materialize(entry) for entry in self._events
+        return [TraceEvent(*entry) for entry in self._events
                 if (kind is None or entry[1] == kind)
                 and (node is None or entry[2] == node)]
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return (_materialize(entry) for entry in self._events)
+        return (TraceEvent(*entry) for entry in self._events)
 
     def tail(self, count: int = 200) -> list[dict]:
         """The newest ``count`` retained events as dicts (diagnostics)."""
         if count <= 0:
             return []
-        return [_materialize(entry).as_dict()
+        return [TraceEvent(*entry).as_dict()
                 for entry in list(self._events)[-count:]]
 
     # --------------------------------------------------------------- export
@@ -224,16 +223,10 @@ class Tracer:
         """Write retained events as JSON lines; returns the count written."""
         with open(path, "w", encoding="utf-8") as handle:
             for entry in self._events:
-                handle.write(json.dumps(_materialize(entry).as_dict(),
+                handle.write(json.dumps(TraceEvent(*entry).as_dict(),
                                         sort_keys=True))
                 handle.write("\n")
         return len(self._events)
-
-
-def _materialize(entry: tuple) -> TraceEvent:
-    """The event of a ring entry, a class ``detail`` as its name."""
-    detail = str(getattr(entry[3], "__name__", entry[3]))
-    return TraceEvent(*entry[:3], detail, *entry[4:])
 
 
 #: TraceEvent field names, for filtering foreign keys out of imported lines.

@@ -445,7 +445,7 @@ class BaseReplica:
                 # handler records or sends parents to it.
                 handler_context = tracer.record_span(
                     "msg.verified", node=self.name,
-                    detail=type(payload),
+                    detail=type(payload).__name__,
                     seq=getattr(payload, "seq", -1), dur_us=cost,
                     parent=context)
             tracer.current = handler_context
@@ -863,11 +863,10 @@ class BaseReplica:
             self.latest_reply[client] = response
         tracer = self._tracer
         if tracer is not None:
-            # Keyed by the request id (formatted when the ring is read):
-            # the same key the client's req.submit/req.complete events
-            # carry, closing the lifecycle.
+            # Keyed by the request-id string: the same key the client's
+            # req.submit/req.complete events carry, closing the lifecycle.
             tracer.record("req.reply", node=self.name, seq=seq, view=view,
-                          detail=request_id)
+                          detail=str(request_id))
         return response
 
     def _send_replies(self, responses: list[tuple[str, Response]],

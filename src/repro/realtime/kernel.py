@@ -43,7 +43,6 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
-import time
 from typing import Callable, List, Optional, Tuple
 
 from ..common.errors import SimulationError
@@ -86,10 +85,8 @@ class AsyncioKernel:
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
         self._owns_loop = loop is None
         self._loop = loop if loop is not None else asyncio.new_event_loop()
-        #: the loop's clock; a stock loop's is ``time.monotonic``, called direct.
-        self._clock = (time.monotonic
-                       if type(self._loop).time is asyncio.BaseEventLoop.time
-                       else self._loop.time)
+        #: the loop's clock, bound once: ``now`` reads it on every call.
+        self._clock = self._loop.time
         self._origin = self._clock()
         #: ``(time, seq, entry)``: the entry is a :class:`LiveEvent`, or
         #: the bare callable :meth:`schedule_call` queued.
@@ -271,7 +268,11 @@ class AsyncioKernel:
 
         The live ``Simulator.run(stop_when=...)``: the condition, like
         :meth:`request_stop`, is checked at the start and after every
-        callback.  Old-generation collections wait for the end
+        kernel callback, and nowhere else.  So ``stop_when`` must be made
+        true by a kernel callback; whatever else decides the end (an
+        asyncio task, a protocol callback, an event cancelled outside a
+        kernel callback) calls :meth:`request_stop`, or the run goes on to
+        the cap.  Old-generation collections wait for the end
         (:func:`~repro.kernel.collection_deferred`).
         """
         if self._running:
@@ -308,7 +309,8 @@ class AsyncioKernel:
 
     def request_stop(self) -> None:
         """End the run after the callback in progress (between runs: the next
-        run, where a ``stop_when`` that already holds would)."""
+        run, where a ``stop_when`` that already holds would).  Safe to call
+        from any callback on the loop, not only the kernel's."""
         self._stop_pending = True
         self._end_run()
 
@@ -318,12 +320,8 @@ class AsyncioKernel:
                               max_wall_seconds=max_wall_seconds)
 
     def run_for(self, duration_us: Micros) -> Micros:
-        """Drive the loop for a fixed wall-clock duration; an event ends it."""
-        end = self.schedule(duration_us, self.request_stop)
-        try:
-            return self.run_until(max_wall_seconds=duration_us / 1e6 + 1.0)
-        finally:
-            end.cancel()
+        """Drive the loop for a fixed wall-clock duration: the cap ends it."""
+        return self.run_until(max_wall_seconds=duration_us / 1_000_000.0)
 
     def cancel_pending(self) -> None:
         """Cancel every queued event and disarm the wakeup timer.

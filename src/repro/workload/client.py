@@ -156,7 +156,7 @@ class Client:
         tracer = self._tracer
         if tracer is not None:
             tracer.record("req.abandon", node=self.name,
-                          detail=request_id)
+                          detail=str(request_id))
         if self.sink is not None:
             record = getattr(self.sink, "record_abandonment", None)
             if record is not None:
@@ -195,9 +195,10 @@ class Client:
         previous = None
         if tracer is not None:
             previous = tracer.current
+            trace_id = str(request_id)
             tracer.current = tracer.record_span(
-                "req.submit", node=self.name, detail=request_id,
-                trace_id=str(request_id))
+                "req.submit", node=self.name, detail=trace_id,
+                trace_id=trace_id)
         try:
             self.network.send(self.name, self._primary_name(), request)
         finally:
@@ -246,7 +247,7 @@ class Client:
         tracer = self._tracer
         if tracer is not None:
             tracer.record("req.complete", node=self.name,
-                          detail=pending.request.request_id)
+                          detail=str(pending.request.request_id))
         if self.sink is not None:
             self.sink.record_completion(
                 self.name, pending.request.request_id, pending.submitted_at,

@@ -10,7 +10,8 @@ instead of sleeping towards it; these tests hold it to both halves of that:
 a chain of short waits finishes close to its modelled length, and a long
 wait is still slept, not spun.  A run's end is pushed, not polled: a
 callback that requests the stop ends ``run_until`` within the same loop
-turn, not at the next tick of a polling coroutine.
+turn, not at the next tick of a polling coroutine, whether the callback is
+the kernel's or a plain asyncio one.
 """
 
 from __future__ import annotations
@@ -109,3 +110,23 @@ def test_a_requested_stop_ends_the_run_at_once(kernel):
     assert median_ms < 1.0, (
         f"run_until returned {median_ms:.2f} ms after request_stop "
         f"(median of {_STOP_RUNS})")
+
+
+def test_a_stop_requested_outside_the_kernel_ends_the_run(kernel):
+    # A plain asyncio callback (as a transport's task or protocol callback
+    # would be) requests the stop on a kernel with nothing queued: no kernel
+    # callback runs to look at the stop, yet the run must end promptly, not
+    # at its 5 s cap.
+    requested = []
+
+    def stop() -> None:
+        requested.append(time.perf_counter())
+        kernel.request_stop()
+
+    kernel.loop.call_later(_STOP_AFTER_US / 1e6, stop)
+    kernel.run_until(max_wall_seconds=5.0)
+    returned = time.perf_counter()
+    assert requested, "the stop callback never ran"
+    assert kernel.events_processed == 0
+    lag_ms = (returned - requested[0]) * 1000.0
+    assert lag_ms < 100.0, f"run_until returned {lag_ms:.1f} ms after the stop"

@@ -50,6 +50,19 @@ def _teardown(kernel, transport) -> None:
     kernel.close()
 
 
+def _run_until_connected(kernel, transport) -> None:
+    """Drive the kernel until the transport has bound its port and connected.
+
+    The port is set by the transport's connect task, a plain asyncio task,
+    not by a kernel callback, so the task's end pushes the run's stop.
+    """
+    (connect,) = [task for task in asyncio.all_tasks(kernel.loop)
+                  if task.get_name() == "tcp-connect"]
+    connect.add_done_callback(lambda _: kernel.request_stop())
+    kernel.run_until(max_wall_seconds=5.0)
+    assert transport.port is not None
+
+
 @pytest.mark.timeout(120)
 def test_sequential_deployments_do_not_leak_fds():
     # Warm-up: the first run pays one-time allocations (resolver caches,
@@ -119,8 +132,7 @@ def test_oversize_length_header_fails_the_run_with_a_diagnostic():
     try:
         # A legitimate send spins up the server; wait until it has bound.
         transport.send("os-a", "os-b", "warmup")
-        kernel.run_until(lambda: transport.port is not None,
-                         max_wall_seconds=5.0)
+        _run_until_connected(kernel, transport)
 
         async def send_oversize_header():
             _, writer = await asyncio.open_connection("127.0.0.1",
@@ -162,8 +174,7 @@ def test_garbage_frame_fails_the_run_with_a_typed_error():
     attackers = []
     try:
         transport.send("gg-a", "gg-b", "warmup")
-        kernel.run_until(lambda: transport.port is not None,
-                         max_wall_seconds=5.0)
+        _run_until_connected(kernel, transport)
 
         async def send_garbage():
             _, writer = await asyncio.open_connection("127.0.0.1",

@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Optional, Protocol, runtime_checkable
 from ..common.types import Micros
 from ..crypto.digest import stores_fields
 from ..kernel import Kernel
+from ..obsv.trace import request_trace_id
 from ..sim.rng import RngRegistry
 from .topology import Topology
 
@@ -217,21 +218,19 @@ class Network:
                               detail=type(payload).__name__)
             return
         tracer = self._tracer
-        context = None
         if tracer is not None:
-            context = tracer.record_span("msg.send", node=source,
-                                         detail=type(payload).__name__)
-        self._schedule_delivery(target, envelope, context)
+            tracer.record("msg.send", node=source,
+                          detail=type(payload).__name__)
+        self._schedule_delivery(target, envelope)
 
-    def _schedule_delivery(self, target: NetworkNode, envelope: Envelope,
-                           context=None) -> None:
+    def _schedule_delivery(self, target: NetworkNode,
+                           envelope: Envelope) -> None:
         """Arrange for ``envelope`` to reach ``target`` at its delivery time."""
         # partial, not a lambda: the delivery stays a named method with its
         # arguments bound (no closure cell, attributable by the tracers).
         # Deliveries are never cancelled: the kernel's handle-free path.
         self._sim.schedule_call(envelope.delivered_at,
-                                partial(self._deliver, target, envelope,
-                                        context))
+                                partial(self._deliver, target, envelope))
 
     def broadcast(self, source: str, destinations: Iterable[str], payload: object,
                   earliest_departure: Optional[Micros] = None,
@@ -242,28 +241,15 @@ class Network:
                 continue
             self.send(source, destination, payload, earliest_departure)
 
-    def _deliver(self, node: NetworkNode, envelope: Envelope,
-                 context=None) -> None:
+    def _deliver(self, node: NetworkNode, envelope: Envelope) -> None:
         self.stats.messages_delivered += 1
         tracer = self._tracer
-        previous = None
         if tracer is not None:
-            previous = tracer.current
-            if context is not None:
-                # The recv span parents to the sender's msg.send span and
-                # becomes the context in scope while the node handles the
-                # message, linking every downstream event to this hop.
-                tracer.current = tracer.record_span(
-                    "msg.recv", node=envelope.destination,
-                    detail=type(envelope.payload).__name__, parent=context)
-            else:
-                tracer.record("msg.recv", node=envelope.destination,
-                              detail=type(envelope.payload).__name__)
-        try:
-            node.receive(envelope)
-        finally:
-            if tracer is not None:
-                tracer.current = previous
+            payload = envelope.payload
+            tracer.record("msg.recv", node=envelope.destination,
+                          detail=type(payload).__name__,
+                          trace_id=request_trace_id(payload))
+        node.receive(envelope)
 
     # ---------------------------------------------------- adversary control
     def add_rule(self, rule: MessageRule) -> MessageRule:

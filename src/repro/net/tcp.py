@@ -97,7 +97,7 @@ class _Link(_Connection):
 
     def __init__(self, owner: "TcpTransport") -> None:
         super().__init__(owner)
-        #: ``(envelope, trace context)`` pairs not yet written, in order.
+        #: envelopes not yet written, in order.
         self.pending: list = []
         #: a flush is scheduled for this loop turn.
         self.armed = False
@@ -211,8 +211,8 @@ class TcpTransport(Network):
         self._closed = False
 
     # ------------------------------------------------------------- delivery
-    def _schedule_delivery(self, target: NetworkNode, envelope: Envelope,
-                           context=None) -> None:
+    def _schedule_delivery(self, target: NetworkNode,
+                           envelope: Envelope) -> None:
         """Queue the envelope on the stream; flush it this loop turn."""
         if self._closed:
             self.stats.messages_dropped += 1
@@ -220,7 +220,7 @@ class TcpTransport(Network):
         link = self._link
         if link is None:
             link = self._open_link()
-        link.pending.append((envelope, context))
+        link.pending.append(envelope)
         if not link.armed and link.transport is not None:
             link.armed = True
             self._kernel.loop.call_soon(self._flush)
@@ -236,9 +236,8 @@ class TcpTransport(Network):
         pending, link.pending = link.pending, []
         codec = self._codec
         try:
-            link.transport.write(b"".join([
-                codec.encode_frame(envelope, trace=context)
-                for envelope, context in pending]))
+            link.transport.write(b"".join([codec.encode_frame(envelope)
+                                           for envelope in pending]))
         except Exception as exc:  # noqa: BLE001 — a loop callback's error
             # would vanish into asyncio's handler; fail the run instead.
             self._kernel.fail(exc)
@@ -277,10 +276,10 @@ class TcpTransport(Network):
         """Decode one frame and schedule its delivery at the injected time."""
         if self._closed:
             return
-        # The trace context rides in the frame behind FLAG_TRACE, so the
-        # causal chain survives the real serialization boundary — exactly
-        # what a multi-process deployment will rely on.
-        envelope, context = self._codec.decode_payload_traced(frame, flags)
+        # A frame carries no trace context: the receiving side's msg.recv
+        # takes its trace id from the decoded payload's request id, as in
+        # process, so a request's trace survives the socket unchanged.
+        envelope = self._codec.decode_payload_traced(frame, flags)
         if not isinstance(envelope, Envelope):
             raise MalformedWirePayload(
                 f"frame decoded to {type(envelope).__name__}, expected an "
@@ -293,8 +292,7 @@ class TcpTransport(Network):
         # possible", so a socket transit longer than the injected latency
         # delivers promptly instead of raising.
         self._kernel.schedule_at(envelope.delivered_at,
-                                 partial(self._deliver, target, envelope,
-                                         context))
+                                 partial(self._deliver, target, envelope))
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> List[asyncio.Task]:
@@ -375,7 +373,7 @@ class TcpTransport(Network):
                     "peer": _format_peer(transport.get_extra_info("peername")),
                 }
             queued = Counter(envelope.destination
-                             for envelope, _ in link.pending)
+                             for envelope in link.pending)
             for destination in sorted(self._nodes):
                 destinations[destination] = {**stream,
                                              "queued": queued[destination]}

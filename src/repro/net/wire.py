@@ -9,26 +9,23 @@ Frame layout (big-endian)::
 
     offset  size  field
     0       2     magic       b"RB"
-    2       1     version     WIRE_VERSION (currently 3)
+    2       1     version     WIRE_VERSION (currently 4)
     3       1     flags       bit 0: reserved (once a pickled payload; a
                               frame that sets it is refused)
-                              bit 1: a trace-context block opens the
-                              payload (FLAG_TRACE)
+                              bit 1: reserved (a trace-context block up to
+                              v3; a frame that sets it is refused)
                               bit 2: the payload is an Envelope with a
                               binary head (FLAG_ENVELOPE)
     4       4     length      payload byte count, <= the enforced max frame
 
-A ``FLAG_TRACE`` payload starts with ``>HQQ`` (trace-id byte length, span
-id, parent span id) + the utf-8 trace id; the header length covers the
-block and everything after it.  Untraced frames never set the bit, and a
-traced frame is its untraced twin plus the bit and the block, which the
-golden vectors pin.
+A frame carries no trace context: a traced receiver takes a message's
+trace id from the request id in its payload (see :mod:`repro.obsv.trace`).
 
 An :class:`~repro.net.network.Envelope` — what every message on a live
-transport travels in — is framed with ``FLAG_ENVELOPE``: after the trace
-block, if any, comes a fixed ``>ddHH`` head (``sent_at``, ``delivered_at``,
-source byte length, destination byte length), the utf-8 source and
-destination, and then ``canonical_bytes(envelope.payload)``.  The head is
+transport travels in — is framed with ``FLAG_ENVELOPE``: the payload is a
+fixed ``>ddHH`` head (``sent_at``, ``delivered_at``, source byte length,
+destination byte length), the utf-8 source and destination, and then
+``canonical_bytes(envelope.payload)``.  The head is
 decoded strictly too: a truncated head, addresses that run past the frame,
 invalid utf-8 and non-finite times are all :class:`MalformedWirePayload`.
 An ``Envelope`` has that one spelling at the top of a frame: a frame
@@ -129,25 +126,21 @@ from ..crypto.digest import (
     optional_of,
     sequence_of,
 )
-from ..obsv.trace import TraceContext
 from .network import Envelope
 
 #: first bytes of every frame.
 WIRE_MAGIC = b"RB"
 #: current wire-protocol version; decoders accept exactly this version.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 #: flags bit, reserved: it marked a pickled payload while the one-release
 #: ``--unsafe-pickle`` escape hatch existed.  Nothing sets it any more and a
 #: frame that does is refused with a typed error, never unpickled.
 FLAG_PICKLE = 0x01
-#: flags bit: a :class:`~repro.obsv.trace.TraceContext` block precedes the
-#: canonical payload (see :func:`encode_trace_context`).  Untraced frames
-#: never set it and stay byte-identical to the pre-tracing format.
-FLAG_TRACE = 0x02
 #: flags bit: the payload is an :class:`~repro.net.network.Envelope` in the
 #: binary-head form (see :func:`encode_envelope`), not canonical bytes.
 FLAG_ENVELOPE = 0x04
-_KNOWN_FLAGS = FLAG_PICKLE | FLAG_TRACE | FLAG_ENVELOPE
+#: bit 1 (0x02), a trace-context block up to v3, is unknown and refused.
+_KNOWN_FLAGS = FLAG_PICKLE | FLAG_ENVELOPE
 
 #: frame header: magic, version, flags, payload length.
 HEADER = struct.Struct(">2sBBI")
@@ -611,55 +604,6 @@ def _decode_at(data: bytes, p: int, registry: WireRegistry) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# trace-context block
-# ---------------------------------------------------------------------------
-#: fixed head of the FLAG_TRACE block: trace-id byte length (u16), span id
-#: (u64), parent span id (u64); the utf-8 trace-id bytes follow.
-_TRACE_BLOCK = struct.Struct(">HQQ")
-_TRACE_BLOCK_SIZE = _TRACE_BLOCK.size
-
-
-def encode_trace_context(context: TraceContext) -> bytes:
-    """The ``FLAG_TRACE`` block prefixed to a traced frame's payload."""
-    trace_id = context.trace_id.encode("utf-8")
-    if len(trace_id) > 0xFFFF:
-        raise UnencodableWirePayload(
-            f"trace id is {len(trace_id)} bytes; the wire block caps it "
-            "at 65535")
-    try:
-        head = _TRACE_BLOCK.pack(len(trace_id), context.span_id,
-                                 context.parent_span_id)
-    except struct.error as exc:
-        raise UnencodableWirePayload(
-            f"trace context span ids must fit an unsigned 64-bit field: "
-            f"{exc}") from exc
-    return head + trace_id
-
-
-def decode_trace_context(payload: bytes) -> tuple[TraceContext, int]:
-    """Parse the trace block at the head of a traced payload.
-
-    Returns ``(context, consumed)`` where ``consumed`` is the block's byte
-    length; the canonical payload starts at that offset.
-    """
-    if len(payload) < _TRACE_BLOCK_SIZE:
-        raise MalformedWirePayload(
-            f"traced payload is {len(payload)} byte(s); the trace block "
-            f"head needs {_TRACE_BLOCK_SIZE}")
-    id_length, span_id, parent_span_id = _TRACE_BLOCK.unpack_from(payload)
-    end = _TRACE_BLOCK_SIZE + id_length
-    if len(payload) < end:
-        raise MalformedWirePayload(
-            f"traced payload ends inside its {id_length}-byte trace id")
-    try:
-        trace_id = payload[_TRACE_BLOCK_SIZE:end].decode("utf-8")
-    except UnicodeDecodeError:
-        raise MalformedWirePayload("invalid utf-8 in trace id") from None
-    return TraceContext(trace_id=trace_id, span_id=span_id,
-                        parent_span_id=parent_span_id), end
-
-
-# ---------------------------------------------------------------------------
 # envelope head
 # ---------------------------------------------------------------------------
 #: fixed head of a FLAG_ENVELOPE payload: sent_at and delivered_at (f64),
@@ -777,8 +721,8 @@ class WireCodec:
     """The safe binary codec: canonical payloads behind the versioned header.
 
     Symmetric :meth:`encode_frame` / :meth:`decode_frame` plus the split
-    :meth:`parse_header` / :meth:`decode_payload` pair streaming transports
-    use to validate a header before buffering its payload.
+    :meth:`parse_header` / :meth:`decode_payload_traced` pair streaming
+    transports use to validate a header before buffering its payload.
     """
 
     format_name = "binary"
@@ -789,15 +733,14 @@ class WireCodec:
         self.max_frame_bytes = max_frame_bytes
 
     # -------------------------------------------------------------- encoding
-    def encode_frame(self, value: Any,
-                     trace: Optional[TraceContext] = None) -> bytes:
+    def encode_frame(self, value: Any, trace: None = None) -> bytes:
         """One complete frame (header + payload) for ``value``.
 
         An :class:`~repro.net.network.Envelope` is framed with
         :data:`FLAG_ENVELOPE` and its binary head; anything else as its
-        canonical bytes.  With ``trace`` set the frame carries
-        :data:`FLAG_TRACE` and the trace block opens the payload; with
-        ``trace=None`` it is the same frame without the bit and the block.
+        canonical bytes.  Frames carry no trace context since v4: ``trace``
+        is unused, and stays because ``benchmarks/e2e/tracing.py`` wraps
+        this method and passes it positionally.
         """
         if type(value) is Envelope:
             payload = encode_envelope(value)
@@ -805,9 +748,6 @@ class WireCodec:
         else:
             payload = encode_payload(value)
             flags = 0
-        if trace is not None:
-            payload = encode_trace_context(trace) + payload
-            flags |= FLAG_TRACE
         if len(payload) > self.max_frame_bytes:
             raise OversizedFrame(
                 f"{type(value).__name__} encodes to {len(payload)} bytes; "
@@ -820,37 +760,27 @@ class WireCodec:
         """Validate a header read off the stream; ``(flags, length)``."""
         return parse_header(header, self.max_frame_bytes)
 
-    def decode_payload_traced(self, payload: bytes, flags: int = 0
-                              ) -> tuple[Any, Optional[TraceContext]]:
-        """Decode a payload; returns ``(value, trace context or None)``."""
+    def decode_payload_traced(self, payload: bytes, flags: int = 0) -> Any:
+        """Decode a payload whose header carried ``flags``.
+
+        The name is older than v4, which dropped the trace block the
+        method once split off; it returns only the decoded value.
+        """
         if flags & FLAG_PICKLE:
             raise MalformedWirePayload(
                 "frame carries a pickled payload, which this codec refuses "
                 "to execute; the sender must use the binary wire format")
-        context = None
-        if flags & FLAG_TRACE:
-            context, consumed = decode_trace_context(payload)
-            payload = payload[consumed:]
         if flags & FLAG_ENVELOPE:
-            return decode_envelope(payload, self.registry), context
+            return decode_envelope(payload, self.registry)
         value = decode_payload(payload, self.registry)
         if type(value) is Envelope:
             raise MalformedWirePayload(
                 "a top-level Envelope must be framed with FLAG_ENVELOPE, not "
                 "as canonical bytes")
-        return value, context
-
-    def decode_payload(self, payload: bytes, flags: int = 0) -> Any:
-        """Decode a payload whose header carried ``flags``."""
-        return self.decode_payload_traced(payload, flags)[0]
+        return value
 
     def decode_frame(self, frame: bytes) -> Any:
         """Decode one complete frame produced by :meth:`encode_frame`."""
-        return self.decode_frame_traced(frame)[0]
-
-    def decode_frame_traced(self, frame: bytes
-                            ) -> tuple[Any, Optional[TraceContext]]:
-        """Decode one complete frame; returns ``(value, context or None)``."""
         flags, length = self.parse_header(frame)
         payload = frame[HEADER_SIZE:]
         if len(payload) != length:

@@ -11,7 +11,7 @@ Three facilities, all off by default and free when disabled:
   that converts the anonymous wall-clock timeout into a typed
   :class:`~repro.common.errors.StallError` carrying a diagnostics bundle.
 - :mod:`~repro.obsv.spans` — per-request lifecycle spans reconstructed
-  from the causal trace, with a four-phase latency decomposition
+  from the request-keyed trace, with a four-phase latency decomposition
   (``repro trace analyze FILE``).
 - :mod:`~repro.obsv.metrics_export` — Prometheus text endpoint over the
   live kernel's loop (``repro live --metrics-port``) and health-sample
@@ -28,8 +28,7 @@ from .metrics_export import (MetricsExporter, deployment_metrics_renderer,
                              prometheus_text, write_health_jsonl)
 from .spans import (RequestSpan, SpanSummary, analyze_events, analyze_file,
                     format_summary, reconstruct_spans, summarise_spans)
-from .trace import (DEFAULT_TRACE_CAPACITY, TraceContext, TraceEvent, Tracer,
-                    read_jsonl)
+from .trace import DEFAULT_TRACE_CAPACITY, TraceEvent, Tracer, read_jsonl
 from .watchdog import (StallWatchdog, deployment_health, diagnose_suspect,
                        snapshot_diagnostics, write_diagnostics)
 
@@ -43,7 +42,6 @@ __all__ = [
     "RequestSpan",
     "SpanSummary",
     "StallWatchdog",
-    "TraceContext",
     "TraceEvent",
     "Tracer",
     "analyze_events",

@@ -1,23 +1,22 @@
-"""Per-request lifecycle spans reconstructed from causal trace events.
+"""Per-request lifecycle spans reconstructed from a request-keyed trace.
 
-A traced run (``ObservabilityConfig(trace=True)``) records every hop of a
-request's life with causal links: the client's ``req.submit`` roots a trace
-named by the request id, the transport's ``msg.send``/``msg.recv`` spans
-chain each delivery to its sender, replicas stamp ``msg.verified`` /
-``batch.propose`` / ``batch.execute`` / ``req.reply``, and the client closes
-the loop with ``req.complete``.  :func:`reconstruct_spans` folds those
-events — from a live :class:`~repro.obsv.trace.Tracer` ring or a JSONL
-export — back into one :class:`RequestSpan` per client request, and
-:func:`summarise_spans` aggregates them into a four-phase latency
-decomposition (network / queueing / crypto / execution) with p50/p99 per
-phase.
+A traced run (``ObservabilityConfig(trace=True)``) records a request's life
+at every node it touches: the client's ``req.submit``, the primary's
+``msg.recv`` and ``msg.verified`` of the request, ``batch.propose`` /
+``batch.execute`` / ``req.reply`` at the replicas, and the client's
+``req.complete``.  :func:`reconstruct_spans` folds those events — from a
+live :class:`~repro.obsv.trace.Tracer` ring or a JSONL export — back into
+one :class:`RequestSpan` per client request, and :func:`summarise_spans`
+aggregates them into a four-phase latency decomposition (network /
+queueing / crypto / execution) with p50/p99 per phase.
 
-The join keys are deliberately redundant with the causal links, because the
-ring may have evicted part of a chain and batching crosses trace
-boundaries:
+No event links to another: each is joined by data it carries itself, which
+also survives ring eviction and batching (one batch serves many
+requests):
 
-* request id (``req.submit``/``req.reply``/``req.complete`` ``detail``)
-  names the lifecycle and is the trace id of every event it caused,
+* request id: the ``detail`` of ``req.submit``/``req.reply``/
+  ``req.complete``, and the ``trace_id`` of every event whose payload
+  names the request (its ``msg.recv`` and ``msg.verified``),
 * ``req.reply`` carries the sequence number the request was ordered at
   (request id → seq),
 * ``batch.execute`` carries that seq plus the batch digest prefix
@@ -30,9 +29,10 @@ others.  Phases:
 ========== ==============================================================
 phase      measured as
 ========== ==============================================================
-network    (first ``msg.recv`` − submit) + (complete − first ``req.reply``)
+network    (first ``msg.recv`` of the request − submit)
+           + (complete − first ``req.reply``)
 queueing   ``batch.propose`` − first ``msg.recv`` (wait before sequencing)
-crypto     ``dur_us`` of the trace's first ``msg.verified`` (inbound
+crypto     ``dur_us`` of the request's first ``msg.verified`` (inbound
            verification of the client request)
 execution  ``dur_us`` of the matched ``batch.execute``
 ========== ==============================================================

@@ -34,7 +34,7 @@ kind                      emitted when
 ``kernel.run``            a kernel run started
 ``kernel.stop``           it stopped (cap, stop condition, or idle)
 ``kernel.error``          a fatal error was recorded on the live kernel
-``req.submit``            a client signed and sent a request (root span)
+``req.submit``            a client signed and sent a request
 ``req.reply``             a replica built the reply for one request
 ``req.complete``          the client accepted a reply certificate
 ``msg.verified``          a replica finished inbound verification
@@ -42,13 +42,15 @@ kind                      emitted when
 ``batch.execute``         a replica executed a committed batch
 ========================= ==================================================
 
-Causal spans: events carry an optional :class:`TraceContext` — a trace id
-(one per client request) plus a parent span id — so a request's lifecycle
-can be reconstructed across nodes and, on the TCP backend, across real
-socket boundaries (the context rides in the frame behind ``FLAG_TRACE``;
-see :mod:`repro.net.wire`).  ``record_span`` allocates a new span id and
-returns the context to propagate; plain ``record`` attaches the event to
-the tracer's *current* context without allocating a span.
+Trace ids: an event that belongs to one client request carries that
+request's id (``str(RequestId)``) as its ``trace_id``.  The ``req.*``
+events name their request, and so do the ``msg.recv`` and
+``msg.verified`` of a payload with a ``request_id`` (a client request, a
+reply, a commit certificate or acknowledgement); every other event has an
+empty id.  Each id comes from data the recording site already holds, so
+nothing travels between hops for the trace's sake — not in process and not
+on the wire.  :mod:`repro.obsv.spans` joins the rest of a request's
+lifecycle by seq and batch digest.
 """
 
 from __future__ import annotations
@@ -67,33 +69,12 @@ DEFAULT_TRACE_CAPACITY = 65_536
 
 
 @dataclass(slots=True)
-class TraceContext:
-    """Causal coordinates one hop propagates to the next.
-
-    ``trace_id`` names the request lifecycle (the client request id for
-    request traces), ``span_id`` is the event the next hop should parent
-    to, ``parent_span_id`` is kept so a context round-trips losslessly
-    through the wire block.  Slotted and treated as immutable by every
-    consumer (hop sites swap whole contexts, never fields), but left
-    unfrozen: one is allocated per span on the traced hot path, and a
-    frozen dataclass pays ``object.__setattr__`` per field on every
-    construction.
-    """
-
-    trace_id: str
-    span_id: int
-    parent_span_id: int = 0
-
-
-@dataclass(slots=True)
 class TraceEvent:
     """One traced occurrence: kernel timestamp, kind, and typed context.
 
-    ``trace_id``/``span_id``/``parent_span_id`` link events causally:
-    span-allocating events carry a positive ``span_id``; plain events
-    attach to their enclosing span via ``parent_span_id`` with
-    ``span_id == -1``.  ``dur_us`` carries the modelled cost of the work
-    the event marks (verification, execution) when one is known.
+    ``trace_id`` is the id of the client request the event belongs to, or
+    empty (see the module doc).  ``dur_us`` carries the modelled cost of
+    the work the event marks (verification, execution) when one is known.
 
     Unfrozen on purpose: the tracer appends one of these per message on
     the traced hot path, and frozen-dataclass construction costs an
@@ -108,13 +89,17 @@ class TraceEvent:
     seq: int = -1
     view: int = -1
     trace_id: str = ""
-    span_id: int = -1
-    parent_span_id: int = -1
     dur_us: float = 0.0
 
     def as_dict(self) -> dict:
         """JSON-serialisable form (used by the JSONL export)."""
         return asdict(self)
+
+
+def request_trace_id(payload: object) -> str:
+    """The trace id of a message: its ``request_id`` as a string, else ``""``."""
+    request_id = getattr(payload, "request_id", None)
+    return "" if request_id is None else str(request_id)
 
 
 class Tracer:
@@ -135,66 +120,24 @@ class Tracer:
         self._events: deque[tuple] = deque(maxlen=capacity)
         #: exact per-kind totals, unaffected by ring eviction.
         self.counts: dict[str, int] = {}
-        self.total = 0
-        #: the context in scope for plain :meth:`record` calls; hop sites
-        #: set it around delivery/dispatch and restore it afterwards.
-        self.current: Optional[TraceContext] = None
-        self._next_span_id = 0
 
     # ------------------------------------------------------------- recording
     def record(self, kind: str, node: str = "", detail: str = "",
-               seq: int = -1, view: int = -1, dur_us: float = 0.0) -> None:
-        """Append one event stamped with the kernel's current time.
-
-        The event attaches to :attr:`current` (if set) as a plain child —
-        no span id is allocated, so this stays the one-append hot path.
-        """
-        current = self.current
-        if current is not None:
-            self._events.append((
-                self._kernel.now, kind, node, detail, seq, view,
-                current.trace_id, -1, current.span_id, dur_us))
-        else:
-            self._events.append((
-                self._kernel.now, kind, node, detail, seq, view,
-                "", -1, -1, dur_us))
+               seq: int = -1, view: int = -1, dur_us: float = 0.0,
+               trace_id: str = "") -> None:
+        """Append one event stamped with the kernel's current time."""
+        self._events.append((self._kernel.now, kind, node, detail, seq, view,
+                             trace_id, dur_us))
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        self.total += 1
-
-    def record_span(self, kind: str, node: str = "", detail: str = "",
-                    seq: int = -1, view: int = -1, dur_us: float = 0.0,
-                    parent: Optional[TraceContext] = None,
-                    trace_id: Optional[str] = None) -> TraceContext:
-        """Record a span-allocating event; returns the context to propagate.
-
-        An explicit ``trace_id`` forces a new root trace (a client starting
-        a request lifecycle must not chain to whatever context happens to
-        be in scope).  Otherwise the span parents to ``parent`` (explicit),
-        else :attr:`current`, else starts a synthetic ``t<span>`` root.
-        """
-        span_id = self._next_span_id = self._next_span_id + 1
-        if trace_id is not None:
-            tid = trace_id
-            parent_id = 0
-        else:
-            if parent is None:
-                parent = self.current
-            if parent is not None:
-                tid = parent.trace_id
-                parent_id = parent.span_id
-            else:
-                tid = f"t{span_id}"
-                parent_id = 0
-        self._events.append((
-            self._kernel.now, kind, node, detail, seq, view,
-            tid, span_id, parent_id, dur_us))
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        self.total += 1
-        return TraceContext(tid, span_id, parent_id)
 
     # ------------------------------------------------------------ inspection
     def __len__(self) -> int:
         return len(self._events)
+
+    @property
+    def total(self) -> int:
+        """Events recorded, retained or not."""
+        return sum(self.counts.values())
 
     @property
     def dropped(self) -> int:

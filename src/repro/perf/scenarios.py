@@ -293,7 +293,7 @@ def scenario_obsv_overhead(scale: PerfScale) -> list[dict]:
     clock* side of the ≤5% overhead claim is asserted by
     ``benchmarks/test_obsv_overhead.py``, which times both paths.
 
-    With causal tracing the summary row additionally pins the span
+    With request-keyed tracing the summary row additionally pins the span
     reconstruction: how many request lifecycles the trace yields, what
     fraction are complete (client send → reply quorum), and the simulated
     four-phase latency decomposition — all pure functions of the simulated

@@ -39,6 +39,7 @@ from ..execution.ledger import ExecutedBatch, Ledger
 from ..execution.safety import SafetyMonitor
 from ..execution.state_machine import OperationResult, StateMachine
 from ..net.network import Envelope, Transport
+from ..obsv.trace import request_trace_id
 from ..recovery.store import DurableStore
 from ..recovery.transfer import StateTransferSession
 from ..kernel import Kernel, Timer
@@ -417,49 +418,34 @@ class BaseReplica:
             return
         payload = envelope.payload
         cost = self.inbound_verification_cost(payload)
-        # The delivery hop set tracer.current to its recv span; capture it
-        # here so the deferred _process stays parented to this hop.
-        tracer = self._tracer
-        context = None
-        if tracer is not None:
-            context = tracer.current
         # partials, not lambdas, throughout the deferred-work paths: a
         # queued job stays a named method with its arguments bound — no
         # closure cell, and the tracers can attribute it to ``_process``.
         self.workers.submit(cost, partial(self._process, payload,
-                                          envelope.source, cost, context))
+                                          envelope.source, cost))
 
-    def _process(self, payload: object, source: str, cost: Micros = 0.0,
-                 context=None) -> None:
+    def _process(self, payload: object, source: str,
+                 cost: Micros = 0.0) -> None:
         if not self.active:
             return
         self.stats.messages_processed += 1
         tracer = self._tracer
-        previous = None
-        handler_context = None
         if tracer is not None:
-            previous = tracer.current
-            if context is not None:
-                # The verification span carries the modelled crypto cost the
-                # worker charged before this handler ran; everything the
-                # handler records or sends parents to it.
-                handler_context = tracer.record_span(
-                    "msg.verified", node=self.name,
-                    detail=type(payload).__name__,
-                    seq=getattr(payload, "seq", -1), dur_us=cost,
-                    parent=context)
-            tracer.current = handler_context
+            # The modelled crypto cost the worker charged before this
+            # handler ran.
+            tracer.record("msg.verified", node=self.name,
+                          detail=type(payload).__name__,
+                          seq=getattr(payload, "seq", -1), dur_us=cost,
+                          trace_id=request_trace_id(payload))
         output = HandlerOutput()
         self._handler = output
         try:
             self.dispatch(payload, source)
         finally:
             self._handler = None
-            if tracer is not None:
-                tracer.current = previous
-        self._release(output, handler_context)
+        self._release(output)
 
-    def _release(self, output: HandlerOutput, context) -> None:
+    def _release(self, output: HandlerOutput) -> None:
         """Send a finished handler's output once its costs are paid.
 
         The trusted accesses and the durable write the handler made gate the
@@ -469,13 +455,13 @@ class BaseReplica:
         durable_at = self.store.take_pending_durable_at()
         if output.cpu_us > 0.0:
             self.workers.submit(output.cpu_us,
-                                partial(self._flush, output, tc_ops, durable_at,
-                                        context))
+                                partial(self._flush, output, tc_ops,
+                                        durable_at))
         else:
-            self._flush(output, tc_ops, durable_at, context)
+            self._flush(output, tc_ops, durable_at)
 
     def _flush(self, output: HandlerOutput, tc_ops: int,
-               durable_at: Optional[Micros] = None, context=None) -> None:
+               durable_at: Optional[Micros] = None) -> None:
         if not self.active:
             return  # a deferred flush from before a crash; the seat is dead
         departure = self.sim.now
@@ -485,21 +471,9 @@ class BaseReplica:
             # Messages reflecting a decision do not leave the replica before
             # the decision is durable (WAL fsync / checkpoint write).
             departure = max(departure, durable_at)
-        tracer = self._tracer
-        previous = None
-        if tracer is not None:
-            # Restore the handler's span around the (possibly deferred)
-            # sends, so each outbound msg.send parents to the message that
-            # caused it rather than starting a causal orphan.
-            previous = tracer.current
-            tracer.current = context
-        try:
-            for destination, message in output.outbound:
-                self.network.send(self.name, destination, message,
-                                  earliest_departure=departure)
-        finally:
-            if tracer is not None:
-                tracer.current = previous
+        for destination, message in output.outbound:
+            self.network.send(self.name, destination, message,
+                              earliest_departure=departure)
 
     # -------------------------------------------------------------- dispatch
     def dispatch(self, payload: object, source: str) -> None:
@@ -561,8 +535,7 @@ class BaseReplica:
                 self._queue(destination, message, sign, output)
             finally:
                 self._handler = None
-            tracer = self._tracer
-            self._release(output, None if tracer is None else tracer.current)
+            self._release(output)
             return
         self._queue(destination, message, sign, self._handler)
 
@@ -809,15 +782,13 @@ class BaseReplica:
                                           + self.costs.mac_generate_us))
         release_seq = seq if self._sequential_speculative_primary() else None
         tracer = self._tracer
-        reply_context = None
         if tracer is not None:
             tracer.record("batch.execute", node=self.name, seq=seq, view=view,
                           detail=batch.digest().hex()[:12],
                           dur_us=self.costs.execute_op_us * op_count)
-            reply_context = tracer.current
         self.workers.submit(reply_cost,
                             partial(self._send_replies, responses, release_seq,
-                                    durable_at, reply_context))
+                                    durable_at))
         self.stats.batches_executed += 1
         self.safety.record_execution(self.replica_id, seq, view, batch.digest(),
                                      self.sim.now)
@@ -865,32 +836,23 @@ class BaseReplica:
         if tracer is not None:
             # Keyed by the request-id string: the same key the client's
             # req.submit/req.complete events carry, closing the lifecycle.
+            trace_id = str(request_id)
             tracer.record("req.reply", node=self.name, seq=seq, view=view,
-                          detail=str(request_id))
+                          detail=trace_id, trace_id=trace_id)
         return response
 
     def _send_replies(self, responses: list[tuple[str, Response]],
                       release_seq: Optional[SeqNum] = None,
-                      durable_at: Optional[Micros] = None,
-                      context=None) -> None:
-        tracer = self._tracer
-        previous = None
-        if tracer is not None:
-            previous = tracer.current
-            tracer.current = context
-        try:
-            for client, response in responses:
-                if self.recovering:
-                    # Replayed history: the replies were already delivered by
-                    # the live replicas; the cache entries stay for resends.
-                    break
-                if self.outbound_filter is not None and not self.outbound_filter(client, response):
-                    continue
-                self.network.send(self.name, client, response,
-                                  earliest_departure=durable_at)
-        finally:
-            if tracer is not None:
-                tracer.current = previous
+                      durable_at: Optional[Micros] = None) -> None:
+        for client, response in responses:
+            if self.recovering:
+                # Replayed history: the replies were already delivered by
+                # the live replicas; the cache entries stay for resends.
+                break
+            if self.outbound_filter is not None and not self.outbound_filter(client, response):
+                continue
+            self.network.send(self.name, client, response,
+                              earliest_departure=durable_at)
         if release_seq is not None:
             # Sequential speculative protocols (oFlexi-ZZ, MinZZ): the next
             # consensus invocation may only start once the previous one has

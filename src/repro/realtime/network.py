@@ -35,8 +35,8 @@ class LiveNetwork(Network):
         self._closed = False
 
     # ------------------------------------------------------------- delivery
-    def _schedule_delivery(self, target: NetworkNode, envelope: Envelope,
-                           context=None) -> None:
+    def _schedule_delivery(self, target: NetworkNode,
+                           envelope: Envelope) -> None:
         """Enqueue the envelope; the destination's pump delivers it."""
         if self._closed:
             self.stats.messages_dropped += 1
@@ -48,7 +48,7 @@ class LiveNetwork(Network):
             self._pumps.append(
                 self._kernel.loop.create_task(
                     self._pump(queue), name=f"pump/{envelope.destination}"))
-        queue.put_nowait((target, envelope, context))
+        queue.put_nowait((target, envelope))
 
     async def _pump(self, queue: asyncio.Queue) -> None:
         """Deliver queued envelopes once their injected latency has passed.
@@ -63,11 +63,10 @@ class LiveNetwork(Network):
         destination partitioned for the rest of the run.
         """
         while True:
-            target, envelope, context = await queue.get()
+            target, envelope = await queue.get()
             delay_us = max(0.0, envelope.delivered_at - self._kernel.now)
             self._kernel.schedule(
-                delay_us,
-                lambda t=target, e=envelope, c=context: self._deliver(t, e, c))
+                delay_us, lambda t=target, e=envelope: self._deliver(t, e))
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> List[asyncio.Task]:

@@ -188,22 +188,12 @@ class Client:
         if self.sink is not None:
             self.sink.record_submission(self.name, request_id, self.sim.now,
                                         len(operations))
-        # Every request starts a fresh trace rooted at its request id; the
-        # send below (and hence every downstream consensus hop) parents to
-        # this req.submit span.
         tracer = self._tracer
-        previous = None
         if tracer is not None:
-            previous = tracer.current
             trace_id = str(request_id)
-            tracer.current = tracer.record_span(
-                "req.submit", node=self.name, detail=trace_id,
-                trace_id=trace_id)
-        try:
-            self.network.send(self.name, self._primary_name(), request)
-        finally:
-            if tracer is not None:
-                tracer.current = previous
+            tracer.record("req.submit", node=self.name, detail=trace_id,
+                          trace_id=trace_id)
+        self.network.send(self.name, self._primary_name(), request)
         self._timer.restart(self.request_timeout_us)
         return request_id
 
@@ -246,8 +236,9 @@ class Client:
         self.stats.completed += 1
         tracer = self._tracer
         if tracer is not None:
-            tracer.record("req.complete", node=self.name,
-                          detail=str(pending.request.request_id))
+            trace_id = str(pending.request.request_id)
+            tracer.record("req.complete", node=self.name, detail=trace_id,
+                          trace_id=trace_id)
         if self.sink is not None:
             self.sink.record_completion(
                 self.name, pending.request.request_id, pending.submitted_at,

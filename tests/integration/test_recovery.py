@@ -17,6 +17,8 @@ from repro.common.config import (
 from repro.common.errors import ConfigurationError
 from repro.common.types import ms, seconds
 from repro.core.claims import rollback_row
+from repro.net.network import MessageRule
+from repro.protocols.messages import CheckpointReply
 from repro.recovery import (
     FaultSchedule,
     crash_at,
@@ -132,6 +134,37 @@ class TestCrashRestartRejoin:
                 r.ledger.last_executed for r in deployment.replicas
                 if r.replica_id != 3) - 4
             assert deployment.safety.consensus_safe
+
+    def test_a_lost_transfer_round_is_re_requested_on_the_timer(self):
+        """Every CheckpointReply to the rejoining replica is lost until
+        ``lost_until``: with no reply, no catch-up target is known, so only
+        the recovery timer's re-request lets the replica rejoin."""
+        restart, lost_until = ms(600), ms(700)
+        schedule = FaultSchedule((crash_at(3, ms(300)),
+                                  restart_at(3, restart)))
+        spec = DeploymentSpec(recovery_config("pbft"), fault_schedule=schedule)
+        with spec.build() as deployment:
+            rule = deployment.network.add_rule(MessageRule(
+                name="lose-checkpoint-replies",
+                destinations=frozenset({deployment.replica(3).name}),
+                matcher=lambda payload: isinstance(payload, CheckpointReply),
+                drop=True, until_us=lost_until))
+            deployment.start_clients()
+            deployment.sim.run(until=seconds(2.0))
+
+            rejoined = deployment.replica(3)
+            # Every peer answered the first round, and the answers were lost.
+            assert rule.hits >= len(deployment.replicas) - 1
+            assert rejoined.stats.recoveries_started >= 1
+            assert (rejoined.stats.recoveries_completed
+                    == rejoined.stats.recoveries_started)
+            assert not rejoined.recovering
+            assert rejoined.recovered_at > lost_until
+            others = [r for r in deployment.replicas if r.replica_id != 3]
+            assert rejoined.ledger.last_executed >= min(
+                r.ledger.last_executed for r in others) - 4
+            assert deployment.safety.consensus_safe
+            assert deployment.safety.rsm_safe
 
 
 class TestRestartRollback:

@@ -1,11 +1,12 @@
-"""Causal span reconstruction over the live TCP backend.
+"""Request span reconstruction over the live TCP backend.
 
 The acceptance bar for the tracing layer: on a traced live-tcp run, at
 least 95% of client requests reconstruct into *complete* client→reply
-spans — submit, reply and completion all present, stitched across real
-socket boundaries by the ``FLAG_TRACE`` context block — and each complete
-span decomposes into the four latency phases (network, queueing, crypto,
-execution).
+spans — submit, reply and completion all present — and each complete span
+decomposes into the four latency phases (network, queueing, crypto,
+execution).  No trace context crosses the socket: every event takes its
+trace id from the request id in the data it records, so the spans stitch
+on the far side of a real serialization boundary exactly as in process.
 
 The incomplete tail is the closed-loop in-flight set: each client has at
 most one request outstanding when the run stops, so a high
@@ -59,7 +60,7 @@ class TestLiveTcpSpans:
         assert summary.complete >= _TARGET
         assert summary.completeness >= _MIN_COMPLETENESS, (
             f"only {summary.complete}/{summary.requests} spans complete "
-            f"({summary.completeness:.1%}); contexts failed to survive "
+            f"({summary.completeness:.1%}); request ids failed to survive "
             "the socket hop")
         # Every complete span decomposes into all four phases plus total.
         for phase in PHASES:

@@ -415,12 +415,10 @@ def assert_agrees(payload, registry=WIRE_REGISTRY, classes=BY_TAG):
 
 
 def golden_payloads() -> dict:
-    """The canonical payload of every untraced golden vector (for the
-    ``Envelope`` frame, of the instance it decodes to)."""
+    """The canonical payload of every golden vector (for the ``Envelope``
+    frame, of the instance it decodes to)."""
     payloads = {}
     for path in sorted(GOLDEN_DIR.glob("*.bin")):
-        if path.name.endswith(".traced.bin"):
-            continue
         frame = path.read_bytes()
         if frame[3] & FLAG_ENVELOPE:
             payloads[path.stem] = canonical_bytes(

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 
-from repro.obsv import TraceContext, TraceEvent, Tracer
-from repro.obsv.trace import read_jsonl
+from repro.common.types import RequestId
+from repro.obsv import TraceEvent, Tracer
+from repro.obsv.trace import read_jsonl, request_trace_id
 from repro.sim.kernel import Simulator
 
 
@@ -34,53 +35,30 @@ class TestTracerRecording:
     def test_as_dict_round_trips_every_field(self):
         event = TraceEvent(time_us=2.0, kind="view.change", node="replica-1",
                            detail="x", seq=7, view=3, trace_id="c/1",
-                           span_id=4, parent_span_id=2, dur_us=12.5)
+                           dur_us=12.5)
         assert event.as_dict() == {"time_us": 2.0, "kind": "view.change",
                                    "node": "replica-1", "detail": "x",
                                    "seq": 7, "view": 3, "trace_id": "c/1",
-                                   "span_id": 4, "parent_span_id": 2,
                                    "dur_us": 12.5}
 
 
-class TestSpans:
-    def test_record_span_allocates_monotonic_span_ids(self):
+class TestTraceIds:
+    def test_record_carries_the_given_trace_id(self):
         _, tracer = make_tracer()
-        first = tracer.record_span("msg.send", node="a")
-        second = tracer.record_span("msg.recv", node="b", parent=first)
-        assert first.span_id == 1
-        assert second.span_id == 2
-        assert second.trace_id == first.trace_id
-        assert second.parent_span_id == first.span_id
-
-    def test_explicit_trace_id_forces_a_new_root(self):
-        # A client starting a request must not chain to whatever context
-        # happens to be in scope (the previous request's delivery).
-        _, tracer = make_tracer()
-        tracer.current = tracer.record_span("msg.recv", node="client-0")
-        root = tracer.record_span("req.submit", node="client-0",
-                                  trace_id="client-0/2")
-        assert root.trace_id == "client-0/2"
-        assert root.parent_span_id == 0
-
-    def test_record_attaches_to_current_context(self):
-        _, tracer = make_tracer()
-        context = tracer.record_span("msg.recv", node="replica-1")
-        tracer.current = context
-        tracer.record("batch.propose", node="replica-1", detail="abc")
-        tracer.current = None
+        tracer.record("req.submit", node="client-0", detail="client-0/1",
+                      trace_id="client-0/1")
         tracer.record("kernel.stop")
-        plain = tracer.events(kind="batch.propose")[0]
-        assert plain.trace_id == context.trace_id
-        assert plain.parent_span_id == context.span_id
-        assert plain.span_id == -1
-        detached = tracer.events(kind="kernel.stop")[0]
-        assert detached.trace_id == "" and detached.parent_span_id == -1
+        submit, stop = tracer
+        assert submit.trace_id == "client-0/1"
+        assert stop.trace_id == ""
 
-    def test_span_without_parent_starts_synthetic_root(self):
-        _, tracer = make_tracer()
-        context = tracer.record_span("msg.send", node="a")
-        assert context.trace_id == f"t{context.span_id}"
-        assert context.parent_span_id == 0
+    def test_request_trace_id_names_the_payloads_request(self):
+        class Named:
+            request_id = RequestId(client="client-3", number=9)
+
+        assert request_trace_id(Named()) == str(Named.request_id)
+        assert request_trace_id(Named()) == "client-3#9"
+        assert request_trace_id(object()) == ""
 
     def test_tail_returns_newest_events_as_dicts(self):
         _, tracer = make_tracer(capacity=8)
@@ -160,14 +138,13 @@ class TestJsonl:
         assert first["detail"] == "127.0.0.1:9"
         assert second["seq"] == 20
 
-    def test_read_jsonl_round_trips_span_and_context_fields(self, tmp_path):
+    def test_read_jsonl_round_trips_every_field(self, tmp_path):
         _, tracer = make_tracer(capacity=16)
-        root = tracer.record_span("req.submit", node="client-0",
-                                  detail="client-0/1", trace_id="client-0/1")
-        tracer.record_span("msg.send", node="client-0", parent=root)
-        tracer.current = root
-        tracer.record("msg.verified", node="replica-0", dur_us=40.0)
-        tracer.current = None
+        tracer.record("req.submit", node="client-0", detail="client-0/1",
+                      trace_id="client-0/1")
+        tracer.record("msg.send", node="client-0", detail="ClientRequest")
+        tracer.record("msg.verified", node="replica-0", seq=3, view=1,
+                      dur_us=40.0, trace_id="client-0/1")
         path = tmp_path / "trace.jsonl"
         assert tracer.write_jsonl(path) == 3
         events = read_jsonl(path)
@@ -175,12 +152,20 @@ class TestJsonl:
 
     def test_read_jsonl_tolerates_blank_lines_and_unknown_keys(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        line = json.dumps({"time_us": 1.0, "kind": "msg.send",
-                           "trace_id": "t1", "span_id": 1,
-                           "parent_span_id": 0, "dur_us": 2.0,
-                           "future_field": "ignored"})
-        path.write_text(line + "\n\n")
-        (event,) = read_jsonl(path)
-        assert event.kind == "msg.send"
-        assert event.trace_id == "t1" and event.span_id == 1
-        assert event.dur_us == 2.0
+        future = json.dumps({"time_us": 1.0, "kind": "msg.send",
+                             "trace_id": "t1", "dur_us": 2.0,
+                             "future_field": "ignored"})
+        # An export from before the trace was keyed by request id: its
+        # causal-link columns are unknown keys now.
+        old = json.dumps({"time_us": 3.0, "kind": "msg.recv",
+                          "node": "replica-0", "detail": "ClientRequest",
+                          "seq": -1, "view": -1, "trace_id": "client-0/1",
+                          "span_id": 5, "parent_span_id": 4, "dur_us": 0.0})
+        path.write_text(future + "\n\n" + old + "\n")
+        first, second = read_jsonl(path)
+        assert first.kind == "msg.send"
+        assert first.trace_id == "t1"
+        assert first.dur_us == 2.0
+        assert second == TraceEvent(time_us=3.0, kind="msg.recv",
+                                    node="replica-0", detail="ClientRequest",
+                                    trace_id="client-0/1")

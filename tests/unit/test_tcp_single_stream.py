@@ -101,8 +101,8 @@ def test_connection_states_keep_a_queued_count_per_destination(loop):
     assert transport.connection_states()["destinations"] == {}
     link = transport._link = _Link(transport)
     for destination in ("replica-1", "client-0", "replica-1"):
-        link.pending.append((Envelope("replica-0", destination, "x", 0.0,
-                                      1.0), None))
+        link.pending.append(Envelope("replica-0", destination, "x", 0.0,
+                                     1.0))
     states = transport.connection_states()
     assert states["destinations"] == {
         "client-0": {"state": "connecting", "peer": None, "queued": 1},

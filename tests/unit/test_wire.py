@@ -145,9 +145,11 @@ class TestMalformedFrames:
         with pytest.raises(UnsupportedWireVersion):
             WireCodec().decode_frame(frame)
 
-    def test_unknown_flags(self):
-        frame = self._frame(encode_payload("x"), flags=0x80)
-        with pytest.raises(MalformedWirePayload):
+    @pytest.mark.parametrize("flags", [0x80, 0x02, 0x02 | FLAG_ENVELOPE])
+    def test_unknown_flags(self, flags):
+        # Bit 1 opened a trace-context block up to v3; v4 knows it no more.
+        frame = self._frame(encode_payload("x"), flags=flags)
+        with pytest.raises(MalformedWirePayload, match="unknown frame flags"):
             WireCodec().decode_frame(frame)
 
     def test_oversize_length_rejected_from_header_alone(self):
@@ -370,7 +372,7 @@ class TestFrameLayout:
     def test_header_layout_is_pinned(self):
         # README documents this layout; changing it is a WIRE_VERSION bump
         assert WIRE_MAGIC == b"RB"
-        assert WIRE_VERSION == 3
+        assert WIRE_VERSION == 4
         assert FLAG_ENVELOPE == 0x04
         assert HEADER_SIZE == 8
         assert HEADER.format == ">2sBBI"

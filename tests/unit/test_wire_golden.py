@@ -1,23 +1,17 @@
 """Golden-vector tests pinning the wire format across refactors.
 
 Every registered wire class has one committed frame under
-``tests/golden/wire/<ClassName>.bin``, produced by :func:`golden_instances`,
-plus one *traced* frame (``<ClassName>.traced.bin``) carrying the same
-payload behind ``FLAG_TRACE`` with a deterministic trace context.  The
-tests assert:
+``tests/golden/wire/<ClassName>.bin``, produced by :func:`golden_instances`.
+The tests assert:
 
 * encoding the golden instance reproduces the committed bytes exactly,
-  with and without a trace context,
-* decoding the committed bytes reproduces the golden instance (and, for
-  traced frames, the exact trace context),
-* a traced frame is its untraced twin plus exactly the flag bit and the
-  trace block — so untraced frames stay bit-identical to the pre-tracing
-  format,
-* every class in the registry has both vectors (so adding a message class
-  without pinning its encoding fails CI).
-
+* decoding the committed bytes reproduces the golden instance,
+* every class in the registry has a vector (so adding a message class
+  without pinning its encoding fails CI),
 * a frame of any other wire version is refused before its payload is
-  read.
+  read: the v2 ``Response`` under ``tests/golden/wire-v2/`` and the v3
+  traced ``ClientRequest`` under ``tests/golden/wire-v3/``, whose trace
+  block v4 dropped.
 
 If a vector ever changes, the wire format changed: bump
 :data:`repro.net.wire.WIRE_VERSION` and regenerate deliberately with::
@@ -56,7 +50,6 @@ from repro.protocols.messages import (
     Response,
     ViewChange,
 )
-from repro.obsv.trace import TraceContext
 from repro.trusted.attestation import Attestation
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "golden" / "wire"
@@ -64,12 +57,6 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "golden" / "wire"
 
 def _sig(signer: str) -> Signature:
     return Signature(signer=signer, value=bytes(range(32)))
-
-
-def golden_trace(name: str) -> TraceContext:
-    """The deterministic trace context pinned for one class's traced frame."""
-    return TraceContext(trace_id=f"golden-trace/{name}", span_id=7,
-                        parent_span_id=3)
 
 
 def golden_instances() -> dict[str, object]:
@@ -161,11 +148,6 @@ def test_every_registered_class_has_a_golden_vector():
     assert not missing, (
         f"no committed golden vector for {missing}; run "
         "'PYTHONPATH=src python tests/unit/test_wire_golden.py --regen'")
-    untraced = [name for name in registered
-                if not (GOLDEN_DIR / f"{name}.traced.bin").is_file()]
-    assert not untraced, (
-        f"no committed FLAG_TRACE golden vector for {untraced}; run "
-        "'PYTHONPATH=src python tests/unit/test_wire_golden.py --regen'")
 
 
 @pytest.mark.parametrize("name", sorted(golden_instances()))
@@ -184,30 +166,6 @@ def test_golden_vector_round_trip(name):
     assert canonical_bytes(decoded) == canonical_bytes(instance)
 
 
-@pytest.mark.parametrize("name", sorted(golden_instances()))
-def test_traced_golden_vector_round_trip(name):
-    from repro.net.wire import FLAG_TRACE, HEADER_SIZE, encode_trace_context
-
-    codec = WireCodec()
-    instance = golden_instances()[name]
-    context = golden_trace(name)
-    committed = (GOLDEN_DIR / f"{name}.traced.bin").read_bytes()
-    assert codec.encode_frame(instance, trace=context) == committed, (
-        f"traced encoding of {name} no longer matches its golden vector — "
-        "the FLAG_TRACE wire format changed; bump WIRE_VERSION and "
-        "regenerate deliberately")
-    decoded, decoded_context = codec.decode_frame_traced(committed)
-    assert decoded == instance
-    assert type(decoded) is type(instance)
-    assert decoded_context == context
-    # The traced frame is the untraced frame plus exactly the flag bit and
-    # the trace block: strip both and the pre-tracing bytes reappear.
-    untraced = (GOLDEN_DIR / f"{name}.bin").read_bytes()
-    assert committed[3] == untraced[3] | FLAG_TRACE
-    block = encode_trace_context(context)
-    assert committed[HEADER_SIZE + len(block):] == untraced[HEADER_SIZE:]
-
-
 #: the last self-describing format's ``Response`` golden frame, as committed
 #: before wire v3 (field names spelled out, decimal integers).
 V2_FRAME = GOLDEN_DIR.parent / "wire-v2" / "Response.bin"
@@ -217,12 +175,41 @@ def test_a_v2_frame_is_refused_by_version():
     from repro.common.errors import UnsupportedWireVersion
     from repro.net.wire import WIRE_VERSION
 
-    assert WIRE_VERSION == 3
+    assert WIRE_VERSION == 4
     with pytest.raises(UnsupportedWireVersion, match="wire version 2"):
         WireCodec().decode_frame(V2_FRAME.read_bytes())
     # and every committed vector carries the current version byte
     for path in GOLDEN_DIR.glob("*.bin"):
         assert path.read_bytes()[2] == WIRE_VERSION, path.name
+
+
+#: a v3 frame with a trace-context block (flags bit 1), as committed before
+#: wire v4 took the block out.
+V3_TRACED_FRAME = GOLDEN_DIR.parent / "wire-v3" / "ClientRequest.traced.bin"
+
+
+def test_a_v3_traced_frame_is_refused_by_version():
+    from repro.common.errors import UnsupportedWireVersion
+
+    frame = V3_TRACED_FRAME.read_bytes()
+    assert frame[2] == 3 and frame[3] & 0x02
+    with pytest.raises(UnsupportedWireVersion, match="wire version 3"):
+        WireCodec().decode_frame(frame)
+
+
+def test_v4_is_v3_without_the_trace_block():
+    """The v3 traced frame minus its flag bit and block is the v4 frame
+    but for the version byte: v4 moved nothing else."""
+    from repro.net.wire import HEADER, HEADER_SIZE
+
+    v3 = V3_TRACED_FRAME.read_bytes()
+    magic, _, flags, _ = HEADER.unpack_from(v3)
+    # v3 block head: trace-id byte length (u16), span id, parent span id
+    # (two u64); the utf-8 trace id follows.
+    block = 2 + 8 + 8 + int.from_bytes(v3[HEADER_SIZE:HEADER_SIZE + 2], "big")
+    payload = v3[HEADER_SIZE + block:]
+    v4 = (GOLDEN_DIR / "ClientRequest.bin").read_bytes()
+    assert v4 == HEADER.pack(magic, 4, flags & ~0x02, len(payload)) + payload
 
 
 def _regen() -> None:
@@ -233,10 +220,6 @@ def _regen() -> None:
         path = GOLDEN_DIR / f"{name}.bin"
         path.write_bytes(codec.encode_frame(instance))
         print(f"wrote {path}")
-        traced_path = GOLDEN_DIR / f"{name}.traced.bin"
-        traced_path.write_bytes(
-            codec.encode_frame(instance, trace=golden_trace(name)))
-        print(f"wrote {traced_path}")
 
 
 if __name__ == "__main__":

@@ -197,6 +197,22 @@ def test_a_v3_traced_frame_is_refused_by_version():
         WireCodec().decode_frame(frame)
 
 
+@pytest.mark.parametrize("name", sorted(golden_instances()))
+def test_a_golden_frame_with_the_old_trace_bit_is_refused(name):
+    """Whatever the class, a v4 frame that sets bit 1 (the v3 trace-block
+    flag) is refused from its header alone, before the payload is read."""
+    from repro.common.errors import MalformedWirePayload
+    from repro.net.wire import HEADER_SIZE
+
+    frame = bytearray((GOLDEN_DIR / f"{name}.bin").read_bytes())
+    frame[3] |= 0x02
+    codec = WireCodec()
+    with pytest.raises(MalformedWirePayload, match="unknown frame flags 0x02"):
+        codec.parse_header(bytes(frame[:HEADER_SIZE]))
+    with pytest.raises(MalformedWirePayload, match="unknown frame flags 0x02"):
+        codec.decode_frame(bytes(frame))
+
+
 def test_v4_is_v3_without_the_trace_block():
     """The v3 traced frame minus its flag bit and block is the v4 frame
     but for the version byte: v4 moved nothing else."""

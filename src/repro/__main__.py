@@ -11,7 +11,7 @@ prints its row table, or checks the determinism digests::
     python -m repro live --protocol pbft --clients 16 --requests 200
     python -m repro live --backend tcp --sharded
     python -m repro live --backend tcp --sharded --shards 4 --protocol minbft
-    python -m repro live --backend tcp --trace trace.jsonl --metrics-port 9464
+    python -m repro live --backend tcp --trace trace.jsonl
     python -m repro trace analyze trace.jsonl
     python -m repro trace analyze trace.jsonl --min-completeness 0.95
     python -m repro matrix list
@@ -124,11 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     live.add_argument("--trace", default=None, metavar="FILE",
                       help="enable structured tracing and write the retained "
                            "events to FILE as JSON lines at the end of the run")
-    live.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
-                      help="serve a Prometheus text-format metrics endpoint "
-                           "on 127.0.0.1:PORT while the run is in flight "
-                           "(health gauges, trace counters, span latency "
-                           "decomposition)")
     live.add_argument("--health-out", default=None, metavar="FILE",
                       help="write the periodic health samples (from "
                            "--health-interval) to FILE as JSON lines")
@@ -413,21 +408,7 @@ def _write_health_samples(deployment, path: Optional[str]) -> None:
         print(f"health samples written: {path} ({count} samples)")
 
 
-def _stop_exporter(deployment, exporter) -> None:
-    """Cancel the metrics server task and await it on the (live) loop."""
-    if exporter is None:
-        return
-    import asyncio
-
-    tasks = exporter.stop()
-    loop = deployment.sim.loop
-    if tasks and not loop.is_closed():
-        loop.run_until_complete(
-            asyncio.gather(*tasks, return_exceptions=True))
-
-
-def _handle_stall(error, trace_path: Optional[str],
-                  diag_path: Optional[str]) -> int:
+def _handle_stall(error, diag_path: Optional[str]) -> int:
     """Persist a StallError's diagnostics bundle and report the suspect."""
     from .obsv import write_diagnostics
 
@@ -495,30 +476,16 @@ def run_live(args) -> int:
     spec = spec_from_args(args, observe=_observe_from_args(args))
     cap_us = (None if args.max_seconds is None
               else args.max_seconds * 1_000_000.0)
-    deployment = spec.build()
-    exporter = None
-    try:
+    with spec.build() as deployment:
         verifier = ReplyVerifier(deployment)
-        if args.metrics_port is not None:
-            from .obsv import MetricsExporter, deployment_metrics_renderer
-
-            exporter = MetricsExporter(
-                deployment.sim, deployment_metrics_renderer(deployment),
-                port=args.metrics_port)
-            exporter.start()
-            print(f"metrics endpoint: "
-                  f"http://127.0.0.1:{args.metrics_port}/metrics")
         try:
             result = deployment.run_until_target(target_requests=args.requests,
                                                  max_sim_time_us=cap_us)
         except StallError as error:
             _write_trace(deployment, args.trace)
-            return _handle_stall(error, args.trace, args.diag)
+            return _handle_stall(error, args.diag)
         _write_trace(deployment, args.trace)
         _write_health_samples(deployment, args.health_out)
-    finally:
-        _stop_exporter(deployment, exporter)
-        deployment.close()
     row = {"protocol": protocol, "backend": backend.name}
     row.update(result.as_row())
     shape = f"{args.shards} shards" if args.sharded else "single group"
@@ -643,7 +610,7 @@ def run_matrix(args, parser) -> int:
                         args.axis, args.csv, as_json,
                         executed=result.executed, resumed=result.resumed)
     if not as_json:
-        print(f"cells: {len(result)} (executed {result.executed}, "
+        print(f"cells: {len(result.outcomes)} (executed {result.executed}, "
               f"resumed {result.resumed}) -> {args.results}")
     if args.assert_resumed and result.executed:
         print(f"--assert-resumed: {result.executed} cell(s) executed "

@@ -30,17 +30,6 @@ class ComparisonRow:
     trusted_memory: str
     only_primary_tc: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "replicas": self.replicas,
-            "trusted": self.trusted_abstraction,
-            "bft_liveness": self.bft_liveness,
-            "out_of_order": self.out_of_order,
-            "memory": self.trusted_memory,
-            "only_primary_tc": self.only_primary_tc,
-        }
-
 
 def comparison_row(spec: ProtocolSpec) -> ComparisonRow:
     """Build the Figure 1 row for one protocol."""

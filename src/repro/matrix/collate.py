@@ -54,10 +54,6 @@ class CurveSeries:
     axis: str
     points: tuple[CurvePoint, ...]
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.protocol, self.backend)
-
     def as_rows(self) -> list[dict]:
         """Flat rows (one per point) for tables and CSV export."""
         rows = []

@@ -57,9 +57,6 @@ class MatrixRunResult:
     def __iter__(self) -> Iterator[CellOutcome]:
         return iter(self.outcomes)
 
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
     @property
     def rows(self) -> list[dict]:
         """Every outcome's row, each after its rate-segment rows if any."""

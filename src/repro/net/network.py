@@ -59,9 +59,6 @@ class Transport(Protocol):
     def register(self, node: NetworkNode) -> None:
         """Attach a node; its ``name`` becomes its network address."""
 
-    def node(self, name: str) -> NetworkNode:
-        """Look up a registered node by name."""
-
     def send(self, source: str, destination: str, payload: object,
              earliest_departure: Optional[Micros] = None) -> None:
         """Deliver ``payload`` from ``source`` to ``destination``."""
@@ -155,10 +152,6 @@ class Network:
     def register(self, node: NetworkNode) -> None:
         """Attach a node; its ``name`` becomes its network address."""
         self._nodes[node.name] = node
-
-    def node(self, name: str) -> NetworkNode:
-        """Look up a registered node by name."""
-        return self._nodes[name]
 
     def node_names(self) -> list[str]:
         """All registered node names, sorted."""

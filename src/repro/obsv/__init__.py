@@ -1,21 +1,20 @@
 """Observability layer: structured tracing, health surfaces, stall watchdog.
 
-Three facilities, all off by default and free when disabled:
+Four facilities, all off by default and free when disabled:
 
 - :mod:`~repro.obsv.trace` — a bounded ring buffer of typed events with
   allocation-free disabled hooks in the kernels, transports and protocol
   base class.
 - :mod:`~repro.obsv.health` — per-replica and per-deployment state
-  snapshots, folded into metrics rows when collection is on.
+  snapshots, folded into metrics rows when collection is on, and the
+  periodic health samples as a JSONL time series (``repro live
+  --health-out``).
 - :mod:`~repro.obsv.watchdog` — an in-kernel stall detector for live runs
   that converts the anonymous wall-clock timeout into a typed
   :class:`~repro.common.errors.StallError` carrying a diagnostics bundle.
 - :mod:`~repro.obsv.spans` — per-request lifecycle spans reconstructed
   from the request-keyed trace, with a four-phase latency decomposition
   (``repro trace analyze FILE``).
-- :mod:`~repro.obsv.metrics_export` — Prometheus text endpoint over the
-  live kernel's loop (``repro live --metrics-port``) and health-sample
-  JSONL time series.
 
 Enable any of them by passing an :class:`ObservabilityConfig` to a
 deployment (or ``DeploymentSpec(observe=...)``), or from the CLI via
@@ -23,9 +22,7 @@ deployment (or ``DeploymentSpec(observe=...)``), or from the CLI via
 """
 
 from .health import (DeploymentHealth, HealthSampler, ObservabilityConfig,
-                     ReplicaHealth)
-from .metrics_export import (MetricsExporter, deployment_metrics_renderer,
-                             prometheus_text, write_health_jsonl)
+                     ReplicaHealth, write_health_jsonl)
 from .spans import (RequestSpan, SpanSummary, analyze_events, analyze_file,
                     format_summary, reconstruct_spans, summarise_spans)
 from .trace import DEFAULT_TRACE_CAPACITY, TraceEvent, Tracer, read_jsonl
@@ -36,7 +33,6 @@ __all__ = [
     "DEFAULT_TRACE_CAPACITY",
     "DeploymentHealth",
     "HealthSampler",
-    "MetricsExporter",
     "ObservabilityConfig",
     "ReplicaHealth",
     "RequestSpan",
@@ -47,10 +43,8 @@ __all__ = [
     "analyze_events",
     "analyze_file",
     "deployment_health",
-    "deployment_metrics_renderer",
     "diagnose_suspect",
     "format_summary",
-    "prometheus_text",
     "read_jsonl",
     "reconstruct_spans",
     "snapshot_diagnostics",

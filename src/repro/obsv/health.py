@@ -13,14 +13,17 @@ when it is not).
 
 The same snapshots feed the stall watchdog's diagnostics bundle, so "what
 was replica 3 doing when the run wedged" has one answer everywhere.
+:func:`write_health_jsonl` persists a :class:`HealthSampler`'s periodic
+samples as one JSON object per line (``repro live --health-out``).
 """
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 if TYPE_CHECKING:
     from ..kernel import EventHandle, Kernel
@@ -154,3 +157,14 @@ class HealthSampler:
         self.samples.append(sample)
         self._handle = self._kernel.schedule(self._interval_us,
                                              partial(self._tick))
+
+
+def write_health_jsonl(samples: Iterable[dict], path: str) -> int:
+    """Write health samples as JSON lines; returns the count written."""
+    count = 0
+    with open(path, "w", encoding="utf-8") as handle:
+        for sample in samples:
+            handle.write(json.dumps(sample, sort_keys=True))
+            handle.write("\n")
+            count += 1
+    return count

@@ -101,24 +101,6 @@ class RequestSpan:
         """The named phase's duration (``None`` when unreconstructed)."""
         return getattr(self, f"{phase}_us")
 
-    def as_dict(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "client": self.client,
-            "seq": self.seq,
-            "complete": self.complete,
-            "submit_us": self.submit_us,
-            "recv_us": self.recv_us,
-            "propose_us": self.propose_us,
-            "reply_us": self.reply_us,
-            "complete_us": self.complete_us,
-            "network_us": self.network_us,
-            "queueing_us": self.queueing_us,
-            "crypto_us": self.crypto_us,
-            "execution_us": self.execution_us,
-            "total_us": self.total_us,
-        }
-
 
 def percentile(values: list, fraction: float) -> float:
     """Nearest-rank percentile of a non-empty sorted-or-not value list."""

@@ -84,8 +84,3 @@ class LiveNetwork(Network):
         self._pumps.clear()
         self._queues.clear()
         return tasks
-
-    @property
-    def queued_messages(self) -> int:
-        """Envelopes sitting in destination queues right now."""
-        return sum(queue.qsize() for queue in self._queues.values())

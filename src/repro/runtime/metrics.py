@@ -111,10 +111,6 @@ class MetricsCollector:
         """Submitted requests neither completed nor abandoned yet."""
         return self.submissions - len(self.completions) - len(self.abandonments)
 
-    def completed_operations(self) -> int:
-        """Number of completed operations (requests × ops per request)."""
-        return sum(record.operations for record in self.completions)
-
     # -------------------------------------------------------------- summary
     def summarise(self, warmup_fraction: float = 0.1) -> "RunMetrics":
         """Compute throughput/latency over the post-warmup window."""

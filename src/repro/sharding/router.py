@@ -26,10 +26,6 @@ class ShardRouter:
         self._num_shards = num_shards
         self._seed = seed
 
-    @property
-    def num_shards(self) -> int:
-        """Number of shards keys are partitioned over."""
-        return self._num_shards
 
     @property
     def seed(self) -> int:

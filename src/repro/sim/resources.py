@@ -177,11 +177,6 @@ class SerialDevice:
         self.name = name
 
     @property
-    def access_latency_us(self) -> Micros:
-        """Latency of one operation on the device."""
-        return self._latency
-
-    @property
     def stats(self) -> ResourceStats:
         """Utilisation counters for this device."""
         return self._stats

@@ -20,11 +20,6 @@ class RngRegistry:
         self._seed = seed
         self._streams: dict[str, random.Random] = {}
 
-    @property
-    def seed(self) -> int:
-        """The root seed the registry was created with."""
-        return self._seed
-
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it on first use."""
         if name not in self._streams:

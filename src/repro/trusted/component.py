@@ -72,12 +72,6 @@ class TrustedComponentHost:
         self.stats = TrustedAccessStats()
         self._pending_accesses = 0
 
-    # ------------------------------------------------------------- identity
-    @property
-    def identity(self) -> str:
-        """Identity of the trusted component (e.g. ``"tc/replica-3"``)."""
-        return self.key.identity
-
     # ------------------------------------------------------- counter / logs
     def counter_append(self, counter_id: int, new_value: Optional[int],
                        payload_digest: bytes) -> Attestation:

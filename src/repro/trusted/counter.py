@@ -49,11 +49,6 @@ class TrustedCounterSet:
     counters: dict[int, CounterState] = field(default_factory=dict)
     _next_counter_id: int = 0
 
-    @property
-    def identity(self) -> str:
-        """Identity string of the owning trusted component."""
-        return self.key.identity
-
     def value(self, counter_id: int = 0) -> int:
         """Current value of a counter (0 if it was never used)."""
         return self.counters.get(counter_id, CounterState()).value

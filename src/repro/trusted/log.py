@@ -34,11 +34,6 @@ class TrustedLogSet:
     key: SigningKey
     logs: dict[int, LogState] = field(default_factory=dict)
 
-    @property
-    def identity(self) -> str:
-        """Identity string of the owning trusted component."""
-        return self.key.identity
-
     def append(self, log_id: int, slot: Optional[int],
                payload_digest: bytes) -> Attestation:
         """Append ``payload_digest`` to log ``log_id``.
@@ -76,10 +71,6 @@ class TrustedLogSet:
         """Highest slot used in ``log_id`` (0 if the log is empty)."""
         state = self.logs.get(log_id)
         return 0 if state is None else state.last_slot
-
-    def total_appends(self) -> int:
-        """Total number of Append operations across all logs."""
-        return sum(state.appends for state in self.logs.values())
 
     def memory_entries(self) -> int:
         """Number of stored slots across all logs (Figure 1 memory column)."""

@@ -52,11 +52,6 @@ class ZipfianGenerator:
         return ((1.0 - (2.0 / self._items) ** (1.0 - self._theta))
                 / (1.0 - self._zeta_2 / self._zeta_n))
 
-    @property
-    def items(self) -> int:
-        """Size of the key space."""
-        return self._items
-
     def next(self) -> int:
         """Draw the next key index."""
         if self._theta == 0.0:

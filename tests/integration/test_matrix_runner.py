@@ -187,6 +187,27 @@ def test_json_report_counts_executed_then_resumed_cells(tmp_path, capsys):
     assert reports[1]["series"] == reports[0]["series"]
 
 
+def test_csv_has_a_header_and_one_row_per_curve_point(tmp_path, capsys):
+    # CI's matrix-smoke job uploads this file as the run's figure data.
+    import csv
+
+    from repro.__main__ import main
+
+    path = tmp_path / "curves.csv"
+    assert main(["matrix", "run", "--protocols", "pbft", "minbft",
+                 "--clients", "4", "8", "--results", str(tmp_path / "cells"),
+                 "--csv", str(path)]) == 0
+    assert f"curves written: {path} (4 points)" in capsys.readouterr().out
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = list(csv.reader(handle))
+    assert header[:3] == ["protocol", "backend", "clients"]
+    assert "throughput_tx_s" in header
+    assert [row[:3] for row in rows] == [
+        ["minbft", "sim", "4"], ["minbft", "sim", "8"],
+        ["pbft", "sim", "4"], ["pbft", "sim", "8"]]
+    assert all(len(row) == len(header) for row in rows)
+
+
 def test_unknown_matrix_name_is_a_configuration_error():
     from repro.matrix import matrix_cells
 

@@ -64,16 +64,30 @@ class TestShardedRuns:
         with spec.build() as deployment:
             result = deployment.run_until_target(target_requests=60)
             clients = deployment.clients
+            # The closed loop leaves every client one logical request in
+            # flight; the shards it waits on must be exactly the lanes whose
+            # sub-request is still unanswered.
+            waiting = {client.name: client.outstanding_shards
+                       for client in clients}
+            unanswered = {
+                client.name: frozenset(
+                    shard for shard, lane in enumerate(client.lanes)
+                    if lane.stats.submitted > lane.stats.completed)
+                for client in clients}
         assert result.metrics.completed_requests >= 48
         multi = sum(c.stats.multi_shard_requests for c in clients)
         subs = sum(c.stats.sub_requests for c in clients)
         completed = sum(c.stats.completed for c in clients)
         assert multi > 0
         assert subs > completed  # logical requests fan out into sub-requests
-        # Nothing remains half-merged once a client reports completion.
+        assert len(waiting) == 12
+        assert all(waiting.values())
+        assert waiting == unanswered
         for client in clients:
-            if client.stats.completed == client.stats.submitted:
-                assert not client.outstanding_shards
+            # Completed only once every involved shard answered.
+            assert client.stats.submitted == client.stats.completed + 1
+            assert client.stats.sub_requests == sum(
+                lane.stats.submitted for lane in client.lanes)
 
     def test_lane_clients_reject_start(self):
         """Lanes have no workload of their own; only the coordinator drives them."""

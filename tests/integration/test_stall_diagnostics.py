@@ -157,3 +157,50 @@ class TestDiagCli:
         assert bundle["reason"] == "manual probe"
         assert bundle["aggregate"]["active"] == 4
         assert len(bundle["health"]["replicas"]) == 4
+
+
+@pytest.mark.timeout(60)
+class TestLiveCli:
+    def test_a_stalled_live_run_exits_1_with_the_suspect_and_a_bundle(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.__main__ import main
+        from repro.runtime.deployment import RunLoop
+
+        error, _ = TestStalledLiveRun().run_stalled()
+
+        def stall(self, **_):
+            raise error
+
+        monkeypatch.setattr(RunLoop, "run_until_target", stall)
+        diag = tmp_path / "stall.json"
+        code = main(["live", "--protocol", "pbft", "--requests", "8",
+                     "--diag", str(diag)])
+        out = capsys.readouterr().out
+        assert code == 1, out
+        assert f"suspect replica: {error.suspect}" in out.splitlines()
+        assert f"diagnostics bundle written: {diag}" in out
+        bundle = json.loads(diag.read_text())
+        assert bundle["suspect"] == error.suspect
+        assert bundle["aggregate"]["active"] == 2
+
+    def test_health_out_writes_one_json_object_per_sample(self, tmp_path,
+                                                          capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "health.jsonl"
+        code = main(["live", "--protocol", "pbft", "--clients", "4",
+                     "--requests", "60", "--health-interval", "0.005",
+                     "--health-out", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        (written,) = [line for line in out.splitlines()
+                      if line.startswith("health samples written:")]
+        count = int(written.rsplit("(", 1)[1].split()[0])
+        samples = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        assert count >= 1
+        assert len(samples) == count
+        assert all(isinstance(sample, dict) for sample in samples)
+        times = [sample["time_us"] for sample in samples]
+        assert times == sorted(times)
+        assert all(sample["replicas"] == 4 for sample in samples)

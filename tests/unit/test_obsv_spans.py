@@ -2,10 +2,13 @@
 
 A traced simulated run is written to JSONL and read back through the CLI,
 as CI's live-smoke step does with a live-tcp trace: the exit status on
-either side of ``--min-completeness`` and the printed phase table.
+either side of ``--min-completeness``, the printed phase table, and the
+JSON summary (``--report json``, ``--out``) that CI uploads.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -78,6 +81,23 @@ def test_trace_analyze_exit_status_straddles_the_bound(traced_run, capsys):
                  "--min-completeness", repr(completeness + 0.001)]) == 1
     failed = capsys.readouterr().out
     assert "trace analyze FAILED: completeness" in failed
+
+
+def test_trace_analyze_writes_the_json_summary(traced_run, capsys, tmp_path):
+    # CI's span gate uploads this file; the printed report is the same JSON.
+    _, path = traced_run
+    summary = analyze_file(path)
+    out = tmp_path / "span-summary.json"
+    assert main(["trace", "analyze", path, "--report", "json",
+                 "--out", str(out)]) == 0
+    printed, written = capsys.readouterr().out.rsplit("\n", 2)[:2]
+    assert written == f"span summary written: {out}"
+    report = json.loads(out.read_text())
+    assert json.loads(printed) == report
+    assert report["completeness"] == round(summary.completeness, 4)
+    assert (report["requests"], report["complete"]) == (summary.requests,
+                                                        summary.complete)
+    assert sorted(report["phases"]) == sorted(PHASES)
 
 
 def test_trace_analyze_prints_the_phase_table(traced_run, capsys):

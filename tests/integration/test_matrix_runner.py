@@ -197,7 +197,7 @@ def test_csv_has_a_header_and_one_row_per_curve_point(tmp_path, capsys):
     assert main(["matrix", "run", "--protocols", "pbft", "minbft",
                  "--clients", "4", "8", "--results", str(tmp_path / "cells"),
                  "--csv", str(path)]) == 0
-    assert f"curves written: {path} (4 points)" in capsys.readouterr().out
+    assert f"curves written: {path} (4 points)" in capsys.readouterr().err
     with open(path, newline="", encoding="utf-8") as handle:
         header, *rows = list(csv.reader(handle))
     assert header[:3] == ["protocol", "backend", "clients"]

@@ -175,10 +175,10 @@ class TestLiveCli:
         diag = tmp_path / "stall.json"
         code = main(["live", "--protocol", "pbft", "--requests", "8",
                      "--diag", str(diag)])
-        out = capsys.readouterr().out
-        assert code == 1, out
-        assert f"suspect replica: {error.suspect}" in out.splitlines()
-        assert f"diagnostics bundle written: {diag}" in out
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert f"suspect replica: {error.suspect}" in err.splitlines()
+        assert f"diagnostics bundle written: {diag}" in err
         bundle = json.loads(diag.read_text())
         assert bundle["suspect"] == error.suspect
         assert bundle["aggregate"]["active"] == 2
@@ -191,9 +191,9 @@ class TestLiveCli:
         code = main(["live", "--protocol", "pbft", "--clients", "4",
                      "--requests", "60", "--health-interval", "0.005",
                      "--health-out", str(path)])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        (written,) = [line for line in out.splitlines()
+        err = capsys.readouterr().err
+        assert code == 0, err
+        (written,) = [line for line in err.splitlines()
                       if line.startswith("health samples written:")]
         count = int(written.rsplit("(", 1)[1].split()[0])
         samples = [json.loads(line)

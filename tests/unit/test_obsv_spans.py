@@ -74,12 +74,12 @@ def test_trace_analyze_exit_status_straddles_the_bound(traced_run, capsys):
     # repr round-trips the float exactly: the bound itself passes.
     assert main(["trace", "analyze", path,
                  "--min-completeness", repr(completeness)]) == 0
-    passed = capsys.readouterr().out
+    passed = capsys.readouterr().err
     assert "FAILED" not in passed
 
     assert main(["trace", "analyze", path,
                  "--min-completeness", repr(completeness + 0.001)]) == 1
-    failed = capsys.readouterr().out
+    failed = capsys.readouterr().err
     assert "trace analyze FAILED: completeness" in failed
 
 
@@ -90,7 +90,8 @@ def test_trace_analyze_writes_the_json_summary(traced_run, capsys, tmp_path):
     out = tmp_path / "span-summary.json"
     assert main(["trace", "analyze", path, "--report", "json",
                  "--out", str(out)]) == 0
-    printed, written = capsys.readouterr().out.rsplit("\n", 2)[:2]
+    captured = capsys.readouterr()
+    printed, written = captured.out, captured.err.rstrip("\n")
     assert written == f"span summary written: {out}"
     report = json.loads(out.read_text())
     assert json.loads(printed) == report
